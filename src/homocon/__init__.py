@@ -16,7 +16,6 @@ Library layers:
 from .graphs import (
     DirectedGraph,
     LaplacianDecomposition,
-    NoConvergence,
     SingularFollowerBlock,
     is_leader_rooted,
     laplacian,

@@ -2,9 +2,10 @@
 
 Subcommands: ``gains``, ``verify-lmi``, ``simulate``, ``reproduce-paper``.
 Configs are strict JSON (unknown keys rejected); every output file is
-written to a temporary path and renamed, so failed runs leave nothing
-partial behind. Exit codes: 0 ok, 2 bad input, 3 infeasible
-certificate, 4 integration failure.
+written to a temporary path and renamed, and the temporary file is
+removed when a write fails, so failed runs leave nothing partial
+behind. Exit codes: 0 ok, 2 bad input, 3 infeasible certificate,
+4 integration failure.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -64,17 +64,43 @@ def _fail(code: int, msg: str) -> int:
     return code
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, write) -> None:
+    """Call ``write(tmp_path)`` and rename the result onto ``path``; on
+    any failure the temporary file is removed and the error re-raised."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def _atomic_write_text(path: str, text: str) -> None:
+    def write(tmp: str) -> None:
+        with open(tmp, "w", newline="\n") as fh:
+            fh.write(text)
+
+    _atomic_write(path, write)
 
 
 def _check_keys(section: dict, allowed: set, where: str) -> None:
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _field(section: dict, key: str, where: str, cast):
+    """Required config value ``section[key]`` converted by ``cast``."""
+    if key not in section:
+        raise ConfigError(f"missing {where}.{key}")
+    try:
+        return cast(section[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for {where}.{key}: {exc}") from exc
 
 
 def _matrix(value, shape, where: str) -> np.ndarray:
@@ -104,6 +130,9 @@ def load_config(path: str) -> dict:
     for key in ("graph", "system", "protocol", "initial", "sim"):
         if key not in cfg:
             raise ConfigError(f"missing config section '{key}'")
+    for key, section in cfg.items():
+        if not isinstance(section, dict):
+            raise ConfigError(f"config section '{key}' must be an object")
     return cfg
 
 
@@ -119,31 +148,32 @@ def _build_graph(section: dict) -> DirectedGraph:
 
 def _build_protocol(name: str, sec: dict, n: int):
     """Returns (ProtocolSpec, ConeSpec or None, margins dict)."""
+    if not isinstance(sec, dict):
+        raise ConfigError(f"protocol.{name} must be an object")
     _check_keys(
         sec,
         {"kind", "mu", "lambda", "P", "X", "Y", "K", "fit_unit_ball"},
         f"protocol.{name}",
     )
     kind = sec.get("kind")
+    where = f"protocol.{name}"
     chain = IntegratorChain(n)
     margins = {}
     if kind == "linear":
+        lam = _field(sec, "lambda", where, float) if "lambda" in sec else None
         if "K" in sec:
-            gain = _matrix(sec["K"], (n,), f"protocol.{name}.K")
-        elif "lambda" in sec:
-            gain = linear_gain(n, float(sec["lambda"]))
+            gain = _matrix(sec["K"], (n,), f"{where}.K")
+        elif lam is not None:
+            gain = linear_gain(n, lam)
         else:
-            raise ConfigError(f"protocol.{name}: linear kind needs 'lambda' or 'K'")
-        lam = float(sec["lambda"]) if "lambda" in sec else None
+            raise ConfigError(f"{where}: linear kind needs 'lambda' or 'K'")
         spec = ProtocolSpec(ProtocolKind.LINEAR, n, gain, 0.0, lam)
         cone = ConeSpec(n, lam) if lam is not None else None
         return spec, cone, margins
 
     if kind not in ("homogeneous_consensus", "homogeneous_nonovershooting"):
         raise ConfigError(f"protocol.{name}: unknown kind {kind!r}")
-    if "mu" not in sec:
-        raise ConfigError(f"protocol.{name}: homogeneous kinds need 'mu'")
-    mu = float(sec["mu"])
+    mu = _field(sec, "mu", where, float)
     gen = DilationGenerator(n, mu)
 
     if kind == "homogeneous_consensus":
@@ -178,9 +208,7 @@ def _build_protocol(name: str, sec: dict, n: int):
         ctx = HomogeneousNormContext(gen, P)
         return consensus_protocol(gain, ctx), None, margins
 
-    if "lambda" not in sec:
-        raise ConfigError(f"protocol.{name}: non-overshooting kind needs 'lambda'")
-    lam = float(sec["lambda"])
+    lam = _field(sec, "lambda", where, float)
     K_lin = linear_gain(n, lam)
     if "P" in sec:
         cert = verify_lmi_p(
@@ -213,23 +241,26 @@ def build_scenario(cfg: dict, overrides: dict | None = None) -> ScenarioConfig:
     N = graph.num_followers
 
     _check_keys(cfg["system"], {"n", "axes"}, "system")
-    n = int(cfg["system"]["n"])
-    axis_names = list(cfg["system"]["axes"])
+    n = _field(cfg["system"], "n", "system", int)
+    axis_names = _field(cfg["system"], "axes", "system", list)
+    if not all(isinstance(name, str) for name in axis_names):
+        raise ConfigError("axis names must be strings")
     if len(set(axis_names)) != len(axis_names):
         raise ConfigError("duplicate axis names")
 
     sim = dict(cfg["sim"])
     _check_keys(sim, {"dt", "horizon", "integrator", "seed"}, "sim")
-    dt = float(overrides.get("dt", sim["dt"]))
-    horizon = float(overrides.get("horizon", sim["horizon"]))
-    seed = int(overrides.get("seed", sim.get("seed", 0)))
+    sim.update(overrides)
+    dt = _field(sim, "dt", "sim", float)
+    horizon = _field(sim, "horizon", "sim", float)
+    seed = _field(sim, "seed", "sim", int) if "seed" in sim else 0
     integrator = sim.get("integrator", "implicit_euler")
     if integrator == "explicit_rk4":
         integrator = "rk4"
 
     dist_cfg = dict(cfg.get("disturbance", {}))
     _check_keys(dist_cfg, set(axis_names) | {"seed"}, "disturbance")
-    dist_seed = dist_cfg.get("seed")
+    dist_seed = _field(dist_cfg, "seed", "disturbance", int) if "seed" in dist_cfg else None
 
     axes = []
     for name in axis_names:
@@ -281,7 +312,7 @@ def cmd_gains(args) -> int:
 def cmd_verify_lmi(args) -> int:
     try:
         cfg = load_config(args.config)
-        n = int(cfg["system"]["n"])
+        n = _field(cfg["system"], "n", "system", int)
         any_protocol = False
         for name, sec in cfg["protocol"].items():
             spec, _, margins = _build_protocol(name, sec, n)
@@ -332,29 +363,33 @@ def cmd_simulate(args) -> int:
             if v is not None
         }
         scenario = build_scenario(cfg, overrides)
+        out_cfg = cfg.get("output", {})
+        _check_keys(out_cfg, {"trajectory_csv", "summary"}, "output")
+        csv_name = out_cfg.get("trajectory_csv", "trajectory.csv")
+        summary_name = out_cfg.get("summary", "summary.json")
+        if not (isinstance(csv_name, str) and isinstance(summary_name, str)):
+            raise ConfigError("output file names must be strings")
+        out_dir = args.output or "."
+        csv_path = os.path.join(out_dir, csv_name)
+        summary_path = os.path.join(out_dir, summary_name)
     except (ConfigError, ValueError, NotSymmetric, SingularX) as exc:
         return _fail(EXIT_BAD_INPUT, str(exc))
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
-    out_cfg = dict(cfg.get("output", {}))
-    _check_keys(out_cfg, {"trajectory_csv", "summary"}, "output")
-    out_dir = args.output or "."
-    csv_path = os.path.join(out_dir, out_cfg.get("trajectory_csv", "trajectory.csv"))
-    summary_path = os.path.join(out_dir, out_cfg.get("summary", "summary.json"))
-
     try:
         traj = simulate(scenario)
     except NonConvergentStep as exc:
         return _fail(EXIT_INTEGRATION, f"integration failed: {exc}")
 
-    os.makedirs(out_dir, exist_ok=True)
-    tmp_csv = csv_path + ".tmp"
-    write_trajectory_csv(traj, tmp_csv)
-    os.replace(tmp_csv, csv_path)
     summary = _summarize(traj, scenario)
-    _atomic_write(summary_path, json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        _atomic_write(csv_path, lambda tmp: write_trajectory_csv(traj, tmp))
+        _atomic_write_text(summary_path, json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    except OSError as exc:
+        return _fail(EXIT_BAD_INPUT, f"cannot write output: {exc}")
     line = " ".join(
         f"{ax}:overshoot={summary[ax]['overshoot']:.3e}" for ax in traj.axis_names
     )
@@ -440,10 +475,7 @@ def _run_preset(run: str, out_dir: str) -> dict:
     cfg = _preset_config(run)
     scenario = build_scenario(cfg)
     traj = simulate(scenario)
-    csv_path = os.path.join(out_dir, f"{run}.csv")
-    tmp = csv_path + ".tmp"
-    write_trajectory_csv(traj, tmp)
-    os.replace(tmp, csv_path)
+    _atomic_write(os.path.join(out_dir, f"{run}.csv"), lambda tmp: write_trajectory_csv(traj, tmp))
     summary = _summarize(traj, scenario)
     summary["run"] = run
 
@@ -473,26 +505,7 @@ def _run_preset(run: str, out_dir: str) -> dict:
     return summary
 
 
-def cmd_reproduce_paper(args) -> int:
-    out_dir = args.output or "reproduce_paper"
-    os.makedirs(out_dir, exist_ok=True)
-    threads = int(os.environ.get("HOMOCON_THREADS", "0")) or min(4, os.cpu_count() or 1)
-    try:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                summaries = list(pool.map(lambda r: _run_preset(r, out_dir), PRESET_RUNS))
-        else:
-            summaries = [_run_preset(r, out_dir) for r in PRESET_RUNS]
-    except NonConvergentStep as exc:
-        return _fail(EXIT_INTEGRATION, f"integration failed: {exc}")
-    except Infeasible as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-
-    _atomic_write(
-        os.path.join(out_dir, "summary.json"),
-        json.dumps(summaries, sort_keys=True, indent=2) + "\n",
-    )
+def _summary_csv(summaries: list) -> str:
     rows = ["run,axis,settling_time,overshoot,phi_min,phi_violation_time"]
     for s in summaries:
         for ax in ("X", "Y"):
@@ -509,7 +522,27 @@ def cmd_reproduce_paper(args) -> int:
                     ]
                 )
             )
-    _atomic_write(os.path.join(out_dir, "summary.csv"), "\n".join(rows) + "\n")
+    return "\n".join(rows) + "\n"
+
+
+def cmd_reproduce_paper(args) -> int:
+    out_dir = args.output or "reproduce_paper"
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        summaries = [_run_preset(r, out_dir) for r in PRESET_RUNS]
+        _atomic_write_text(
+            os.path.join(out_dir, "summary.json"),
+            json.dumps(summaries, sort_keys=True, indent=2) + "\n",
+        )
+        _atomic_write_text(os.path.join(out_dir, "summary.csv"), _summary_csv(summaries))
+    except OSError as exc:
+        return _fail(EXIT_BAD_INPUT, f"cannot write output: {exc}")
+    except NonConvergentStep as exc:
+        return _fail(EXIT_INTEGRATION, f"integration failed: {exc}")
+    except Infeasible as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+
     for s in summaries:
         print(
             f"{s['run']}: X overshoot={s['X']['overshoot']:.3e} "

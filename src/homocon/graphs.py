@@ -17,11 +17,6 @@ class SingularFollowerBlock(Exception):
     which signals that the graph is not leader-rooted."""
 
 
-class NoConvergence(Exception):
-    """The distributed fixed-point iteration did not reach its tolerance
-    within the iteration cap (numerically ill-conditioned weights)."""
-
-
 @dataclass(frozen=True, eq=False)
 class DirectedGraph:
     """Weighted directed graph over one leader (index 0) and N followers.
@@ -113,39 +108,14 @@ def is_leader_rooted(g: DirectedGraph) -> bool:
     return bool(reached.all())
 
 
-def _follower_topo_order(W: np.ndarray) -> list[int] | None:
-    """Topological order of followers under follower->follower dependencies,
-    or None when those dependencies contain a cycle."""
-    N = W.shape[0] - 1
-    deps = {i: set(np.nonzero(W[i, 1:] > 0)[0] + 1) for i in range(1, N + 1)}
-    order: list[int] = []
-    ready = [i for i in range(1, N + 1) if not deps[i]]
-    deps = {i: d for i, d in deps.items() if d}
-    while ready:
-        i = ready.pop()
-        order.append(i)
-        for k in list(deps):
-            deps[k].discard(i)
-            if not deps[k]:
-                ready.append(k)
-                del deps[k]
-    return order if len(order) == N else None
-
-
-def solve_transmitted(
-    g: DirectedGraph,
-    M: np.ndarray,
-    states,
-    tol: float = 1e-12,
-    damping: float = 1.0,
-) -> np.ndarray:
+def solve_transmitted(g: DirectedGraph, M: np.ndarray, states) -> np.ndarray:
     """Distributed fixed point of the transmitted-vector recursion.
 
     Each follower averages, over its in-neighbors j, the quantity
-    M(x_i - x_j) + omega_j; the leader transmits zero. Acyclic
-    follower dependencies are resolved by one forward-substitution pass;
-    otherwise the map is iterated (Jacobi style, optional damping) to
-    ``tol``, with an iteration cap of 10*N*n.
+    M(x_i - x_j) + omega_j; the leader transmits zero. Multiplying each
+    follower's equation by its weighted in-degree stacks the fixed point
+    into one linear system in the follower block of the Laplacian,
+    ``L_ff @ Omega = (L @ X M')[1:]``, solved directly.
 
     Args:
         g: leader-rooted graph.
@@ -153,47 +123,18 @@ def solve_transmitted(
         states: N+1 state vectors of dimension n (leader first).
 
     Returns:
-        (N, m) array of transmitted vectors for followers 1..N.
+        (N, m) array of transmitted vectors for followers 1..N; at the
+        fixed point follower i transmits M (x_i - x_0).
 
     Raises:
-        NoConvergence: iteration cap exceeded before reaching ``tol``.
+        SingularFollowerBlock: the leader does not root the graph (see
+            :func:`laplacian`).
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     X = np.asarray(states, dtype=float)
     N = g.num_followers
-    m, n = M.shape
+    n = M.shape[1]
     if X.shape != (N + 1, n):
         raise ValueError(f"states must be ({N + 1}, {n}), got {X.shape}")
-    W = g.weights
-    rowsum = W[1:].sum(axis=1)
-    MX = X @ M.T  # (N+1, m)
-
-    order = _follower_topo_order(W)
-    omega = np.zeros((N + 1, m))
-    if order is not None:
-        for i in order:
-            wi = W[i]
-            nz = np.nonzero(wi)[0]
-            acc = np.zeros(m)
-            for j in nz:
-                acc += wi[j] * (MX[i] - MX[j] + omega[j])
-            omega[i] = acc / rowsum[i - 1]
-        return omega[1:]
-
-    # cyclic follower dependencies: damped Jacobi iteration of the map
-    cap = max(10 * N * n, 50)
-    scale = 1.0 + float(np.max(np.abs(MX)))
-    for _ in range(cap):
-        prev = omega.copy()
-        for i in range(1, N + 1):
-            wi = W[i]
-            nz = np.nonzero(wi)[0]
-            acc = np.zeros(m)
-            for j in nz:
-                acc += wi[j] * (MX[i] - MX[j] + prev[j])
-            omega[i] = (1.0 - damping) * prev[i] + damping * acc / rowsum[i - 1]
-        if np.max(np.abs(omega - prev)) <= tol * scale:
-            return omega[1:]
-    raise NoConvergence(
-        f"transmitted-vector iteration exceeded {cap} iterations at tol={tol:g}"
-    )
+    dec = laplacian(g)
+    return np.linalg.solve(dec.follower_block, (dec.full_laplacian @ (X @ M.T))[1:])

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import ConeSpec
-from .graphs import DirectedGraph, solve_transmitted
+from .graphs import DirectedGraph, is_leader_rooted
 from .homogeneity import canonical_norm_many
 from .protocols import IntegratorChain, ProtocolKind, ProtocolSpec
 
@@ -94,10 +94,14 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not (np.isfinite(self.dt) and np.isfinite(self.horizon)):
+            raise ValueError("dt and horizon must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.horizon < self.dt:
             raise ValueError("horizon must be at least one step")
+        if not is_leader_rooted(self.graph):
+            raise ValueError("graph is not leader-rooted")
         if self.integrator not in ("implicit_euler", "rk4"):
             raise ValueError("integrator must be 'implicit_euler' or 'rk4'")
         N = self.graph.num_followers
@@ -127,14 +131,13 @@ class AxisTrajectory:
 
     ``controls[k]`` and ``disturbance[k]`` are the values applied on
     [t_k, t_{k+1}); the final node repeats the nodal law value and zero.
-    ``transmitted`` holds the distributed fixed-point vectors computed
-    from the recorded agent states.
+    No transmitted vectors are stored: at the distributed fixed point
+    they equal ``errors`` (see :func:`homocon.graphs.solve_transmitted`).
     """
 
     name: str
     states: np.ndarray        # (T+1, N+1, n)
     errors: np.ndarray        # (T+1, N, n)
-    transmitted: np.ndarray   # (T+1, N, n)
     controls: np.ndarray      # (T+1, N)
     hnorm: np.ndarray         # (T+1, N)
     barrier: np.ndarray | None   # (T+1, N, n) when a cone was supplied
@@ -493,41 +496,9 @@ class _AxisRecord:
     # full-mode extras
     states: np.ndarray | None = None
     errors: np.ndarray | None = None
-    transmitted: np.ndarray | None = None
     controls: np.ndarray | None = None
     disturbance: np.ndarray | None = None
     barrier: np.ndarray | None = None
-
-
-class _TransmittedPlan:
-    """Per-axis precomputation for the distributed fixed point so the
-    recording loop does not re-derive the topology every node."""
-
-    def __init__(self, graph: DirectedGraph):
-        self.graph = graph
-        W = graph.weights
-        N = graph.num_followers
-        from .graphs import _follower_topo_order
-
-        self.order = _follower_topo_order(W)
-        if self.order is not None:
-            self.neighbors = {
-                i: [(int(j), W[i, j]) for j in np.nonzero(W[i])[0]] for i in self.order
-            }
-            self.rowsum = {i: W[i].sum() for i in self.order}
-
-    def solve(self, states: np.ndarray) -> np.ndarray:
-        n = states.shape[1]
-        if self.order is None:
-            return solve_transmitted(self.graph, np.eye(n), states)
-        N = self.graph.num_followers
-        omega = np.zeros((N + 1, n))
-        for i in self.order:
-            acc = np.zeros(n)
-            for j, w in self.neighbors[i]:
-                acc += w * (states[i] - states[j] + omega[j])
-            omega[i] = acc / self.rowsum[i]
-        return omega[1:]
 
 
 def _integrate_axis(cfg: ScenarioConfig, ax: AxisSpec, init_batch, record_full,
@@ -567,7 +538,6 @@ def _integrate_axis(cfg: ScenarioConfig, ax: AxisSpec, init_batch, record_full,
     if record_full:
         rec.states = np.empty((T + 1, B_, Np1, n))
         rec.errors = np.empty((T + 1, B_, N, n))
-        rec.transmitted = np.empty((T + 1, B_, N, n))
         rec.controls = np.empty((T + 1, B_, N))
         rec.disturbance = np.zeros((T + 1, B_, Np1))
         if ax.cone is not None:
@@ -577,7 +547,6 @@ def _integrate_axis(cfg: ScenarioConfig, ax: AxisSpec, init_batch, record_full,
     s_node = np.full(M, -np.inf)
     w_node = np.zeros(M)
 
-    plan = _TransmittedPlan(cfg.graph) if record_full else None
     has_cone = ax.cone is not None
     H_T = ax.cone.H.T if has_cone else None
     rk = ax.protocol.norm_ctx.gen.diag_entries if ax.protocol.norm_ctx else None
@@ -602,11 +571,8 @@ def _integrate_axis(cfg: ScenarioConfig, ax: AxisSpec, init_batch, record_full,
                 phi = np.where(finite[:, None], Z, 0.0) @ H_T
             rec.phimin[k] = phi.reshape(B_, N * n).min(axis=1)
         if record_full:
-            states = np.concatenate([L_[:, None, :], L_[:, None, :] + E_], axis=1)
-            rec.states[k] = states
+            rec.states[k] = np.concatenate([L_[:, None, :], L_[:, None, :] + E_], axis=1)
             rec.errors[k] = E_
-            for b in range(B_):
-                rec.transmitted[k, b] = plan.solve(states[b])
             rec.controls[k] = u_nodal.reshape(B_, N)
             if phi is not None:
                 rec.barrier[k] = phi.reshape(B_, N, n)
@@ -656,7 +622,6 @@ def _axis_trajectory(ax: AxisSpec, rec: _AxisRecord, b: int) -> AxisTrajectory:
         name=ax.name,
         states=rec.states[:, b],
         errors=rec.errors[:, b],
-        transmitted=rec.transmitted[:, b],
         controls=rec.controls[:, b],
         hnorm=rec.hnorm[:, b],
         barrier=rec.barrier[:, b] if rec.barrier is not None else None,

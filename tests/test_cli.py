@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from homocon.cli import (
     EXIT_BAD_INPUT,
@@ -183,6 +184,54 @@ def test_simulate_no_partial_output_on_bad_config(tmp_path):
     out_dir = tmp_path / "out"
     assert main(["simulate", "--config", path, "--output", str(out_dir)]) == EXIT_BAD_INPUT
     assert not out_dir.exists() or not list(out_dir.iterdir())
+
+
+def test_simulate_rejects_unrooted_graph_and_nonfinite_times(tmp_path):
+    cases = {
+        # followers 1 and 2 only hear each other
+        "unrooted": {
+            "graph": {"num_followers": 2, "edges": [[1, 2, 1.0], [2, 1, 1.0]]},
+            "initial": {"X": [[0.0, 0.0], [-2.0, 1.0], [-3.0, 1.0]]},
+        },
+        "nan_dt": {"sim": {"dt": float("nan"), "horizon": 0.05}},
+        "inf_horizon": {"sim": {"dt": 1e-3, "horizon": float("inf")}},
+    }
+    for name, patch in cases.items():
+        path = write_config(tmp_path, small_config(**patch), f"{name}.json")
+        out_dir = tmp_path / name
+        assert main(["simulate", "--config", path, "--output", str(out_dir)]) == EXIT_BAD_INPUT
+        assert not out_dir.exists()
+
+
+# each case: (command, edit applied to the config and the output directory)
+BAD_INPUTS = {
+    "unknown_output_key": ("simulate", lambda cfg, out: cfg["output"].update(typo="x.csv")),
+    "simulate_missing_n": ("simulate", lambda cfg, out: cfg["system"].pop("n")),
+    "verify_missing_n": ("verify-lmi", lambda cfg, out: cfg["system"].pop("n")),
+    "missing_dt": ("simulate", lambda cfg, out: cfg["sim"].pop("dt")),
+    "protocol_list": ("verify-lmi", lambda cfg, out: cfg.update(protocol=[cfg["protocol"]["X"]])),
+    "csv_name_is_directory": ("simulate", lambda cfg, out: (out / "trajectory.csv").mkdir()),
+    "axis_name_list": ("simulate", lambda cfg, out: cfg["system"].update(axes=[["X"]])),
+    "disturbance_seed_string": (
+        "simulate",
+        lambda cfg, out: cfg.update(disturbance={"X": [0.0, 0.1], "seed": "abc"}),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_two_without_partial_files(tmp_path, case):
+    command, edit = BAD_INPUTS[case]
+    cfg = small_config(output={})
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    edit(cfg, out_dir)
+    before = sorted(p.name for p in out_dir.iterdir())
+    argv = [command, "--config", write_config(tmp_path, cfg)]
+    if command == "simulate":
+        argv += ["--output", str(out_dir)]
+    assert main(argv) == EXIT_BAD_INPUT
+    assert sorted(p.name for p in out_dir.iterdir()) == before
 
 
 def test_simulate_cli_flag_overrides(tmp_path):

@@ -3,7 +3,6 @@ import pytest
 
 from homocon.graphs import (
     DirectedGraph,
-    NoConvergence,
     SingularFollowerBlock,
     is_leader_rooted,
     laplacian,
@@ -16,12 +15,8 @@ def chain_graph(N, w=1.0):
 
 
 def random_rooted_graph(rng, N, extra_edges=True):
-    """Tree backbone from the leader plus optional extra random edges.
-
-    Cross edges are kept lighter than backbone edges so the iterative
-    fixed-point solver mixes well inside its iteration cap; heavier
-    cycles are exercised separately as the documented failure mode.
-    """
+    """Tree backbone from the leader plus optional lighter extra random
+    edges, which may close follower cycles."""
     edges = []
     for i in range(1, N + 1):
         parent = int(rng.integers(0, i))
@@ -164,12 +159,31 @@ def test_fixed_point_equals_kron_oracle():
         assert np.max(np.abs(om - oracle)) <= 1e-10
 
 
-def test_noconvergence_on_vanishing_root_inflow():
+def cyclic_graph(N):
+    """Leader-rooted chain, back edge N -> 1 at 0.5, skip edges at 0.3
+    (leader -> 2 and i + 2 -> i for i = 2..N-2)."""
+    edges = [[i, i - 1, 1.0] for i in range(1, N + 1)] + [[1, N, 0.5], [2, 0, 0.3]]
+    edges += [[i, i + 2, 0.3] for i in range(2, N - 1)]
+    return DirectedGraph.from_edges(N, edges)
+
+
+def test_fixed_point_on_cyclic_followers():
+    rng = np.random.default_rng(14)
+    g = cyclic_graph(6)
+    for _ in range(20):
+        M = rng.normal(size=(2, 3))
+        X = rng.normal(size=(7, 3))
+        om = solve_transmitted(g, M, X)
+        assert np.max(np.abs(om - (X[1:] - X[0]) @ M.T)) <= 1e-10
+
+
+def test_singular_block_on_vanishing_root_inflow():
     # a follower pair exchanging weight 1 with only a 1e-14 trickle from
-    # the leader contracts far too slowly for the iteration cap
+    # the leader: rooted on paper, but the follower block has
+    # sigma_min ~ 5e-15, so the solve is rejected as ill-conditioned
     g = DirectedGraph.from_edges(
         2, [[1, 0, 1e-14], [1, 2, 1.0], [2, 1, 1.0]]
     )
     X = np.array([[0.0], [1.0], [2.0]])
-    with pytest.raises(NoConvergence):
+    with pytest.raises(SingularFollowerBlock):
         solve_transmitted(g, np.eye(1), X)

@@ -23,6 +23,7 @@ from homocon.simulation import (
     step_implicit_euler,
     write_trajectory_csv,
 )
+from test_graphs import cyclic_graph
 
 PUBLISHED_P = np.array([[0.0020, 0.0005], [0.0005, 0.0012]])
 
@@ -136,21 +137,18 @@ def test_first_sample_is_initial_condition_exactly():
 
 
 def test_transmitted_equals_errors_along_run():
-    ax = reference_axis()
-    scen = ScenarioConfig(chain_graph(), 2, (ax,), 1e-3, 0.2)
-    traj = simulate(scen)
-    at = traj.axis("X")
-    assert np.max(np.abs(at.transmitted - at.errors)) <= 1e-10
-
-
-def test_recorded_transmitted_comes_from_graph_solver():
-    ax = reference_axis()
-    scen = ScenarioConfig(chain_graph(), 2, (ax,), 1e-3, 0.01)
-    traj = simulate(scen)
-    at = traj.axis("X")
-    k = 5
-    ref = solve_transmitted(chain_graph(), np.eye(2), at.states[k])
-    assert np.max(np.abs(at.transmitted[k] - ref)) <= 1e-12
+    # the simulator integrates e_i in place of the transmitted vector
+    # v_i; the graph solver must return v_i = e_i at the recorded states,
+    # on an acyclic chain and on cyclic follower dependencies
+    for graph in (chain_graph(), cyclic_graph(6)):
+        N = graph.num_followers
+        init = np.array([[0.0, 0.0]] + [[-2.0 - 0.5 * i, 1.0] for i in range(N)])
+        ax = reference_axis(init=init)
+        traj = simulate(ScenarioConfig(graph, 2, (ax,), 1e-3, 0.2))
+        at = traj.axis("X")
+        for k in (0, 1, 5, 100, 200):
+            v = solve_transmitted(graph, np.eye(2), at.states[k])
+            assert np.max(np.abs(v - at.errors[k])) <= 1e-10
 
 
 def test_disturbance_realizations_within_interval():
@@ -396,6 +394,17 @@ def test_scenario_rejects_bad_dt():
     ax = reference_axis()
     with pytest.raises(ValueError):
         ScenarioConfig(chain_graph(), 2, (ax,), -1.0, 1.0)
+
+
+def test_scenario_rejects_unrooted_graph_and_nonfinite_times():
+    ax = reference_axis()
+    # followers 1 and 2 only hear each other; the leader reaches 3 alone
+    unrooted = DirectedGraph.from_edges(3, [[1, 2, 1.0], [2, 1, 1.0], [3, 0, 1.0]])
+    with pytest.raises(ValueError, match="leader-rooted"):
+        ScenarioConfig(unrooted, 2, (ax,), 1e-3, 1.0)
+    for dt, horizon in ((np.nan, 1.0), (1e-3, np.nan), (1e-3, np.inf), (np.inf, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            ScenarioConfig(chain_graph(), 2, (ax,), dt, horizon)
 
 
 def test_scenario_rejects_dimension_mismatch():
