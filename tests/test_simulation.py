@@ -151,6 +151,18 @@ def test_transmitted_equals_errors_along_run():
             assert np.max(np.abs(v - at.errors[k])) <= 1e-10
 
 
+def test_recorded_transmitted_comes_from_graph_solver():
+    # the recorded errors stand for the transmitted vector; they must be
+    # what the graph solver returns at the recorded state
+    ax = reference_axis()
+    scen = ScenarioConfig(chain_graph(), 2, (ax,), 1e-3, 0.01)
+    traj = simulate(scen)
+    at = traj.axis("X")
+    k = 5
+    ref = solve_transmitted(chain_graph(), np.eye(2), at.states[k])
+    assert np.max(np.abs(at.errors[k] - ref)) <= 1e-12
+
+
 def test_disturbance_realizations_within_interval():
     amps = np.array([0.0, 0.5, 0.25, 0.75])
     ax = reference_axis(disturbance=DisturbanceSpec(amps))
