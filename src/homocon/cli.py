@@ -157,6 +157,8 @@ def _build_protocol(name: str, sec: dict, n: int):
     )
     kind = sec.get("kind")
     where = f"protocol.{name}"
+    if not isinstance(sec.get("fit_unit_ball", False), bool):
+        raise ConfigError(f"{where}.fit_unit_ball must be true or false")
     chain = IntegratorChain(n)
     margins = {}
     if kind == "linear":

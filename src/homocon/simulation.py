@@ -14,15 +14,20 @@ errors; follower states are reconstructed as leader + error, which
 avoids the catastrophic cancellation of differencing two O(10) states
 once errors shrink toward machine scale.
 
+Every axis of every batch run shares one integration sweep: their
+follower errors are the rows of one block, so each step makes one norm
+solve and one control-root solve for all homogeneous rows together.
+Matrix products still run per axis, on that axis's own rows, so an axis
+integrates exactly as it would alone.
+
 Runs are deterministic: identical configuration and seed give
 bit-identical trajectories and CSV files. A batch dimension lets many
-initial conditions share one integration sweep; a batch of one is
-exactly `simulate`.
+initial conditions share the sweep; a batch of one is exactly
+`simulate`.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,6 +107,8 @@ class ScenarioConfig:
             raise ValueError("horizon must be at least one step")
         if not is_leader_rooted(self.graph):
             raise ValueError("graph is not leader-rooted")
+        if not self.axes:
+            raise ValueError("need at least one axis")
         if self.integrator not in ("implicit_euler", "rk4"):
             raise ValueError("integrator must be 'implicit_euler' or 'rk4'")
         N = self.graph.num_followers
@@ -201,7 +208,7 @@ def step_implicit_euler(state, f, dt, tol=1e-12, max_iter=100):
 
 
 # ---------------------------------------------------------------------------
-# structured per-axis stepper
+# the row block: every axis of every batch run, integrated together
 
 
 # squared weighted norms that underflow to exactly zero mark the origin;
@@ -209,49 +216,132 @@ def step_implicit_euler(state, f, dt, tol=1e-12, max_iter=100):
 # sub-denormal band is never visited with meaningful directions
 _NORM_FLOOR = 0.0
 
+# disturbance steps drawn per generator call; bounds the draw buffers
+# independently of the horizon
+_DRAW_CHUNK = 256
 
-class _FastLaw:
-    """Fused evaluation of a protocol law on batches of vectors.
 
-    Same arithmetic as :func:`homocon.protocols.control_input_many` with
-    the norm Newton solve inlined; rows the Newton pass cannot settle
-    are routed through the robust solver.
+def _matmul_runs(X, spans, mats):
+    """``X[span] @ mat`` for each (span, mat) pair, stacked.
+
+    BLAS results can depend on the row count, so each axis's product
+    keeps the shape it has when that axis is integrated alone.
     """
+    if len(spans) == 1:
+        return X @ mats[0]
+    out = np.empty((X.shape[0],) + mats[0].shape[1:])
+    for span, M in zip(spans, mats):
+        np.matmul(X[span], M, out=out[span])
+    return out
 
-    def __init__(self, spec: ProtocolSpec):
+
+class _Axis:
+    """One axis's place in the row block and its law parameters."""
+
+    def __init__(self, index: int, spec: AxisSpec, rows: slice, lead: slice, beta):
+        protocol = spec.protocol
+        ctx = protocol.norm_ctx
+        self.index = index  # position in ScenarioConfig.axes
         self.spec = spec
-        self.linear = spec.kind is ProtocolKind.LINEAR
-        self.K = spec.gain
-        if not self.linear:
-            self.P = spec.norm_ctx.P
-            self.rk = spec.norm_ctx.gen.diag_entries
-            self.mu = spec.mu
+        self.rows = rows    # follower error rows, run-major
+        self.lead = lead    # leader rows, one per run
+        self.K = protocol.gain
+        self.ctx = ctx
+        self.P = ctx.P if ctx is not None else None
+        self.rk = ctx.gen.diag_entries if ctx is not None else None
+        self.opm = 1.0 + protocol.mu
         # at degree zero the dilation is uniform: the law collapses to
         # -K v and the norm has the closed form ||v||_P
-        self.affine = self.linear or (not self.linear and spec.mu == 0.0)
+        self.affine = protocol.mu == 0.0
+        if self.affine:
+            self.lin_den = 1.0 + float(protocol.gain @ beta)
+            if self.lin_den <= 0:
+                raise NonConvergentStep("dt too large for the linear implicit step")
+        else:
+            self.cmax = protocol.sphere_gain_bound()
+            # |w| below this selects the set-valued point of the law
+            if protocol.mu == -1.0:
+                self.snap_bound = self.cmax * (1.0 + 1e-9)
+            else:
+                self.snap_bound = 1e-9 * (1.0 + self.cmax)
 
-    def log_norms(self, V: np.ndarray, s_warm: np.ndarray | None):
-        if self.linear:
+    def affine_log_norms(self, V):
+        if self.P is None:
             return np.full(V.shape[0], -np.inf)
-        P, rk = self.P, self.rk
-        if self.mu == 0.0:
-            pn2 = (V @ P * V).sum(axis=1)
-            with np.errstate(divide="ignore"):
-                return np.where(pn2 > _NORM_FLOOR, 0.5 * np.log(pn2), -np.inf)
-        pn2 = (V @ P * V).sum(axis=1)
+        pn2 = (V @ self.P * V).sum(axis=1)
+        with np.errstate(divide="ignore"):
+            return np.where(pn2 > _NORM_FLOOR, 0.5 * np.log(pn2), -np.inf)
+
+    def hnorm(self, E, s):
+        """Recorded norms of errors E (rows in the last axis) with log
+        norms s: homogeneous exp(s), linear ||e||_2."""
+        if self.rk is None:
+            return np.sqrt((E * E).sum(axis=-1))
+        with np.errstate(over="ignore"):
+            return np.exp(s)  # exp(-inf) = 0 at the origin
+
+    def barrier(self, E, s):
+        """Cone barrier H z of errors E, z the projection of e onto the
+        unit sphere for homogeneous laws and e itself for linear ones."""
+        H_T = self.spec.cone.H.T
+        if self.rk is None:
+            return E @ H_T
+        finite = np.isfinite(s)
+        Z = E * np.exp(-(np.where(finite, s, 0.0)[..., None] * self.rk))
+        return np.where(finite[..., None], Z, 0.0) @ H_T
+
+
+class _Rows:
+    """Sorted rows of the homogeneous (non-affine) axes that one law
+    evaluation works on, cut into one contiguous span per axis.
+
+    Matrix products run per span; elementwise arithmetic runs on all rows
+    at once with per-row dilation entries ``rk`` and exponents ``opm``
+    (1 + mu), broadcast from the axis when a single axis is present.
+    """
+
+    def __init__(self, axes, spans, rk=None, opm=None):
+        if len(axes) == 1:
+            rk, opm = axes[0].rk, axes[0].opm
+        self.axes = axes
+        self.spans = spans
+        self.rk = rk
+        self.opm = opm
+        self.P = [g.P for g in axes]
+        self.K = [g.K for g in axes]
+
+    def _robust(self, V, s, mask):
+        """Route the masked rows through the robust norm solver, one call
+        per axis since each axis has its own norm context."""
+        for g, span in zip(self.axes, self.spans):
+            m = mask[span]
+            if m.any():
+                _, srob = canonical_norm_many(g.ctx, V[span][m])
+                s[span][m] = srob
+
+    def log_norms(self, V, s_warm):
+        """Newton solve of the log norms of the rows of V.
+
+        Returns (s, Y, patched): Y holds the scaled vectors d(-s) V of the
+        last Newton pass (None if no pass ran), valid on every row except
+        those ``patched`` by the robust solver (None if none were).
+        """
+        rk = self.rk
+        pn2 = (_matmul_runs(V, self.spans, self.P) * V).sum(axis=1)
         nz = pn2 > _NORM_FLOOR
         s = 0.5 * np.log(np.maximum(pn2, 1e-308))
         if s_warm is not None:
             s = np.where(np.isfinite(s_warm), s_warm, s)
         s = np.where(nz, s, 0.0)
 
+        Y = patched = None
         pending = nz.copy()
         for _ in range(50):
             if not pending.any():
                 break
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                Y = V * np.exp(-np.outer(s, rk))
-                PY = Y @ P
+                Y = V * np.exp(-(s[:, None] * rk))
+                PY = _matmul_runs(Y, self.spans, self.P)
                 q2 = (PY * Y).sum(axis=1)
                 F = 0.5 * np.log(q2)
                 g = (PY * (Y * rk)).sum(axis=1) / q2
@@ -259,126 +349,182 @@ class _FastLaw:
             pending &= ~(fin & (np.abs(F) <= 1e-13))
             broken = pending & ~fin
             if broken.any():
-                _, srob = canonical_norm_many(self.spec.norm_ctx, V[broken])
-                s[broken] = srob
+                self._robust(V, s, broken)
                 pending &= ~broken
+                patched = broken if patched is None else patched | broken
             move = pending & fin
             s = np.where(move, s + F / np.where(g > 0, g, 1.0), s)
         if pending.any():
-            _, srob = canonical_norm_many(self.spec.norm_ctx, V[pending])
-            s[pending] = srob
-        return np.where(nz, s, -np.inf)
+            self._robust(V, s, pending)
+            patched = pending if patched is None else patched | pending
+        return np.where(nz, s, -np.inf), Y, patched
 
-    def eval(self, V: np.ndarray, s_warm: np.ndarray | None):
-        """Returns (u, log_norms)."""
-        if self.affine:
-            return -(V @ self.K), self.log_norms(V, None)
-        s = self.log_norms(V, s_warm)
+    def eval(self, V, s_warm):
+        """Returns (u, log_norms) of the law on the rows of V."""
+        s, Z, patched = self.log_norms(V, s_warm)
         finite = np.isfinite(s)
         sf = np.where(finite, s, 0.0)
-        Z = V * np.exp(-np.outer(sf, self.rk))
+        if Z is None:
+            Z = V * np.exp(-(sf[:, None] * self.rk))
+        elif patched is not None:
+            rk = self.rk if self.rk.ndim == 1 else self.rk[patched]
+            Z[patched] = V[patched] * np.exp(-(sf[patched][:, None] * rk))
         with np.errstate(over="ignore"):
-            u = -np.exp((1.0 + self.mu) * sf) * (Z @ self.K)
+            u = -np.exp(self.opm * sf) * _matmul_runs(Z, self.spans, self.K)
         return np.where(finite, u, 0.0), s
 
 
-class _AxisStepper:
-    """Advances leader state and follower errors for one axis."""
+class _Block:
+    """Every axis of every batch run as one row block.
 
-    def __init__(self, spec: ProtocolSpec, n: int, dt: float):
-        self.spec = spec
-        self.dt = dt
+    Follower errors form an (M, n) array, M = A*B*N, and leader states
+    an (A*B, n) array; each axis owns a contiguous run-major slice of
+    both. Homogeneous axes come first, so their rows are a prefix of the
+    block and share one Newton norm solve and one secant control solve
+    per step. Affine axes (linear, and mu = 0) use the closed-form step.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, inits):
+        n, dt = cfg.n, cfg.dt
+        B = inits[0].shape[0]
+        if any(X0.shape[0] != B for X0 in inits):
+            raise ValueError("every axis needs the same number of runs")
+        N = cfg.graph.num_followers
         chain = IntegratorChain(n)
+        self.dt = dt
         self.A = chain.A
         self.b = chain.B.reshape(-1)
         self.R = np.linalg.inv(np.eye(n) - dt * self.A)
         self.beta = dt * (self.R @ self.b)
         self.btb = float(self.beta @ self.beta)
-        self.cmax = spec.sphere_gain_bound()
-        self.law = _FastLaw(spec)
-        if self.law.affine:
-            self.lin_den = 1.0 + float(spec.gain @ self.beta)
-            if self.lin_den <= 0:
-                raise NonConvergentStep("dt too large for the linear implicit step")
+        self.B, self.N, self.n = B, N, n
 
-    # -- explicit field pieces -------------------------------------------------
-    def field(self, L, E, q0, dq, warm=None):
-        B_, N, n = E.shape
-        dL = L @ self.A.T + np.outer(q0, self.b)
-        u, logr = self.law.eval(E.reshape(B_ * N, n), warm)
-        dE = E @ self.A.T + (u.reshape(B_, N) + dq)[:, :, None] * self.b
-        return dL, dE, logr
+        order = sorted(range(len(cfg.axes)), key=lambda i: cfg.axes[i].protocol.mu == 0.0)
+        self.axes = []
+        for j, i in enumerate(order):
+            rows = slice(j * B * N, (j + 1) * B * N)
+            lead = slice(j * B, (j + 1) * B)
+            self.axes.append(_Axis(i, cfg.axes[i], rows, lead, self.beta))
+        self.in_order = sorted(self.axes, key=lambda g: g.index)
+        self.curved = [g for g in self.axes if not g.affine]
+        self.flat = [g for g in self.axes if g.affine]
+        self.M = len(self.axes) * B * N
+        self.m_curved = len(self.curved) * B * N
+        self.lead_spans = [g.lead for g in self.axes]
+        self.row_spans = [g.rows for g in self.axes]
 
-    # -- implicit step ----------------------------------------------------------
+        X0 = [inits[g.index] for g in self.axes]
+        self.L0 = np.concatenate([x[:, 0, :] for x in X0])
+        self.E0 = np.concatenate([(x[:, 1:, :] - x[:, 0:1, :]).reshape(B * N, n) for x in X0])
+
+        if self.curved:
+            # per-row parameters of the curved rows
+            self._starts = [g.rows.start for g in self.curved] + [self.m_curved]
+            self._rk = np.repeat(np.stack([g.rk for g in self.curved]), B * N, axis=0)
+            self._opm = np.repeat([g.opm for g in self.curved], B * N)
+            self.snap_bound = np.repeat([g.snap_bound for g in self.curved], B * N)
+            self.curved_rows = _Rows(
+                self.curved, [g.rows for g in self.curved], self._rk, self._opm
+            )
+
+    def rows_of(self, idx):
+        """_Rows over the sorted curved rows ``idx``."""
+        if len(self.curved) == 1:
+            return _Rows(self.curved, [slice(0, len(idx))])
+        cuts = np.searchsorted(idx, self._starts).tolist()
+        axes, spans = [], []
+        for g, lo, hi in zip(self.curved, cuts, cuts[1:]):
+            if hi > lo:
+                axes.append(g)
+                spans.append(slice(lo, hi))
+        return _Rows(axes, spans, self._rk[idx], self._opm[idx])
+
+    # -- law on the whole block ---------------------------------------------------
+    def eval(self, E, s_warm):
+        """Returns (u, log_norms) for every row of the block."""
+        mc = self.m_curved
+        if not self.flat:
+            return self.curved_rows.eval(E, s_warm)
+        u = np.empty(self.M)
+        s = np.empty(self.M)
+        if mc:
+            u[:mc], s[:mc] = self.curved_rows.eval(
+                E[:mc], None if s_warm is None else s_warm[:mc]
+            )
+        for g in self.flat:
+            V = E[g.rows]
+            u[g.rows] = -(V @ g.K)
+            s[g.rows] = g.affine_log_norms(V)
+        return u, s
+
+    # -- implicit Euler step ------------------------------------------------------
     def step_implicit(self, L, E, q0, dq, w_prev, s_warm):
-        B_, N, n = E.shape
-        M = B_ * N
-        L_new = (L + self.dt * np.outer(q0, self.b)) @ self.R.T
-        alpha = E.reshape(M, n) @ self.R.T + dq.reshape(M)[:, None] * self.beta
-
-        if self.law.affine:
-            w = -(alpha @ self.spec.gain) / self.lin_den
-            e_new = alpha + w[:, None] * self.beta
-            logr = self.law.log_norms(e_new, None)
-            return L_new, e_new.reshape(B_, N, n), w.reshape(B_, N), logr
-
-        w, e_new, logr = _solve_control_roots(
-            self.law, alpha, self.beta, self.btb, self.cmax,
-            w_prev.reshape(M), s_warm.reshape(M),
+        RT = self.R.T
+        L_new = _matmul_runs(
+            L + self.dt * np.outer(q0, self.b), self.lead_spans, [RT] * len(self.axes)
         )
-        return L_new, e_new.reshape(B_, N, n), w.reshape(B_, N), logr
+        alpha = (
+            _matmul_runs(E, self.row_spans, [RT] * len(self.axes))
+            + dq[:, None] * self.beta
+        )
+        mc = self.m_curved
+        if not self.flat:
+            return (L_new, *self._solve_control_roots(alpha, w_prev, s_warm))
+        w = np.empty(self.M)
+        e_new = np.empty_like(alpha)
+        logr = np.empty(self.M)
+        if mc:
+            e_new[:mc], w[:mc], logr[:mc] = self._solve_control_roots(
+                alpha[:mc], w_prev[:mc], s_warm[:mc]
+            )
+        for g in self.flat:  # closed form
+            a = alpha[g.rows]
+            w[g.rows] = wg = -(a @ g.K) / g.lin_den
+            e_new[g.rows] = eg = a + wg[:, None] * self.beta
+            logr[g.rows] = g.affine_log_norms(eg)
+        return L_new, e_new, w, logr
 
-    # -- explicit RK4 step -------------------------------------------------------
-    def step_rk4(self, L, E, q0, dq, s_warm):
-        dt = self.dt
-        s = s_warm.reshape(-1)
-        k1L, k1E, s = self.field(L, E, q0, dq, s)
-        k2L, k2E, s = self.field(L + 0.5 * dt * k1L, E + 0.5 * dt * k1E, q0, dq, s)
-        k3L, k3E, s = self.field(L + 0.5 * dt * k2L, E + 0.5 * dt * k2E, q0, dq, s)
-        k4L, k4E, s = self.field(L + dt * k3L, E + dt * k3E, q0, dq, s)
-        L_new = L + dt / 6.0 * (k1L + 2 * k2L + 2 * k3L + k4L)
-        E_new = E + dt / 6.0 * (k1E + 2 * k2E + 2 * k3E + k4E)
-        return L_new, E_new
+    def _solve_control_roots(self, alpha, w_prev, s_warm, tol=1e-12, snap_tol=1e-12):
+        """Per-row scalar solve of w = law(alpha + w*beta) on the curved rows.
 
+        Returns (e_new, w, log_norms). When the affine line passes through
+        the set-valued point of the law (within snap_tol of the origin)
+        and the required control is an admissible selection, the error is
+        placed exactly at the origin: the discrete analogue of sliding.
+        """
+        beta, btb = self.beta, self.btb
+        rows = self.curved_rows
+        M = alpha.shape[0]
 
-def _solve_control_roots(law: _FastLaw, alpha, beta, btb, cmax, w_prev, s_warm,
-                         tol=1e-12, snap_tol=1e-12):
-    """Per-element scalar solve of w = law(alpha + w*beta).
+        wpar = -_matmul_runs(alpha, rows.spans, [beta] * len(rows.spans)) / btb
+        resid = alpha + wpar[:, None] * beta
+        rn = np.sqrt((resid * resid).sum(axis=1))
+        anorm = np.sqrt((alpha * alpha).sum(axis=1))
+        scale = 1.0 + anorm + np.abs(wpar) * np.sqrt(btb)
+        snap = (rn <= snap_tol * scale) & (np.abs(wpar) <= self.snap_bound)
 
-    Returns (w, e_new, log_norms). When the affine line passes through
-    the set-valued point of the law (within snap_tol of the origin) and
-    the required control is an admissible selection, the error is placed
-    exactly at the origin: the discrete analogue of sliding.
-    """
-    M = alpha.shape[0]
+        if not snap.any():
+            w, logr, e_new = self._secant(rows, alpha, w_prev, s_warm, tol)
+        else:
+            w = w_prev.copy()
+            e_new = np.zeros_like(alpha)
+            logr = np.full(M, -np.inf)
+            w[snap] = wpar[snap]
+            live = ~snap
+            if live.any():
+                idx = np.nonzero(live)[0]
+                w[idx], logr[idx], e_new[idx] = self._secant(
+                    self.rows_of(idx), alpha[idx], w_prev[idx], s_warm[idx], tol
+                )
+        if not np.all(np.isfinite(w)):
+            raise NonConvergentStep("control root solve produced non-finite values")
+        return e_new, w, logr
 
-    wpar = -(alpha @ beta) / btb
-    resid = alpha + wpar[:, None] * beta
-    rn = np.linalg.norm(resid, axis=1)
-    anorm = np.linalg.norm(alpha, axis=1)
-    scale = 1.0 + anorm + np.abs(wpar) * np.sqrt(btb)
-    geom = rn <= snap_tol * scale
-    if law.spec.mu == -1.0:
-        adm = np.abs(wpar) <= cmax * (1.0 + 1e-9)
-    else:
-        adm = np.abs(wpar) <= 1e-9 * (1.0 + cmax)
-    snap = geom & adm
-
-    w = w_prev.copy()
-    e_new = np.zeros_like(alpha)
-    logr = np.full(M, -np.inf)
-    live = ~snap
-    w[snap] = wpar[snap]
-
-    if live.any():
-        idx = np.nonzero(live)[0]
-        a = alpha[idx]
-        wl = w_prev[idx].copy()
-        sl = s_warm[idx].copy()
+    def _secant(self, rows, a, wl, sl, tol):
+        beta = self.beta
 
         def ev(wv, sv):
-            V = a + wv[:, None] * beta
-            u, lr = law.eval(V, sv)
+            u, lr = rows.eval(a + wv[:, None] * beta, sv)
             return wv - u, lr
 
         phi_a, s_a = ev(wl, sl)
@@ -398,25 +544,47 @@ def _solve_control_roots(law: _FastLaw, alpha, beta, btb, cmax, w_prev, s_warm,
             done |= np.abs(f2) <= tol * (1.0 + np.abs(w2))
 
         if not done.all():
+            # the bracket runs once per axis: its bisection keeps moving
+            # settled rows until every row of the call has settled
             rough = np.nonzero(~done)[0]
-            w2r, s2r = _bracketed_roots_impl(
-                law, a[rough], beta, cmax, w2[rough], f2[rough], s_b[rough], tol
-            )
-            w2[rough], s_b[rough] = w2r, s2r
+            cuts = np.searchsorted(rough, [span.start for span in rows.spans] + [len(a)])
+            for g, lo, hi in zip(rows.axes, cuts[:-1], cuts[1:]):
+                if hi > lo:
+                    r = rough[lo:hi]
+                    w2[r], s_b[r] = _bracketed_roots(
+                        _Rows([g], [slice(0, hi - lo)]), a[r], beta, g.cmax,
+                        w2[r], f2[r], s_b[r], tol,
+                    )
+        return w2, s_b, a + w2[:, None] * beta
 
-        w[idx] = w2
-        logr[idx] = s_b
-        e_new[idx] = a + w2[:, None] * beta
+    # -- explicit RK4 step -------------------------------------------------------
+    def field(self, L, E, q0, dq, warm):
+        B, N, n = self.B, self.N, self.n
+        dL = _matmul_runs(L, self.lead_spans, [self.A.T] * len(self.axes)) + np.outer(
+            q0, self.b
+        )
+        u, logr = self.eval(E, warm)
+        EA = np.empty_like(E)
+        for span in self.row_spans:
+            EA[span] = (E[span].reshape(B, N, n) @ self.A.T).reshape(B * N, n)
+        dE = EA + (u + dq)[:, None] * self.b
+        return dL, dE, logr
 
-    if snap.any():
-        logr[snap] = -np.inf
-    if not np.all(np.isfinite(w)):
-        raise NonConvergentStep("control root solve produced non-finite values")
-    return w, e_new, logr
+    def step_rk4(self, L, E, q0, dq, s_warm):
+        dt = self.dt
+        s = s_warm
+        k1L, k1E, s = self.field(L, E, q0, dq, s)
+        k2L, k2E, s = self.field(L + 0.5 * dt * k1L, E + 0.5 * dt * k1E, q0, dq, s)
+        k3L, k3E, s = self.field(L + 0.5 * dt * k2L, E + 0.5 * dt * k2E, q0, dq, s)
+        k4L, k4E, s = self.field(L + dt * k3L, E + dt * k3E, q0, dq, s)
+        L_new = L + dt / 6.0 * (k1L + 2 * k2L + 2 * k3L + k4L)
+        E_new = E + dt / 6.0 * (k1E + 2 * k2E + 2 * k3E + k4E)
+        return L_new, E_new
 
 
-def _bracketed_roots_impl(law: _FastLaw, a, beta, cmax, w0, f0, s0, tol):
-    """Bracket-and-bisect fallback for elements the secant pass missed.
+def _bracketed_roots(rows: _Rows, a, beta, cmax, w0, f0, s0, tol):
+    """Bracket-and-bisect fallback for rows of one axis the secant pass
+    missed.
 
     On a jump of the law crossing the diagonal (set-valued point that
     failed the snap test) the bracket collapses without the residual
@@ -426,8 +594,7 @@ def _bracketed_roots_impl(law: _FastLaw, a, beta, cmax, w0, f0, s0, tol):
     m = w0.shape[0]
 
     def ev(wv, sv):
-        V = a + wv[:, None] * beta
-        u, lr = law.eval(V, sv)
+        u, lr = rows.eval(a + wv[:, None] * beta, sv)
         return wv - u, lr
 
     delta = 1.0 + 0.5 * np.abs(w0) + cmax
@@ -484,149 +651,153 @@ def _bracketed_roots_impl(law: _FastLaw, a, beta, cmax, w0, f0, s0, tol):
 
 
 # ---------------------------------------------------------------------------
-# batched integration
+# the integration loop and its two recorders
 
 
-@dataclass
-class _AxisRecord:
-    efirst_max: np.ndarray       # (T+1, B) max over followers of e_i1
-    hnorm: np.ndarray            # (T+1, B, N)
-    phimin: np.ndarray | None    # (T+1, B)
-    errsq: np.ndarray            # (T+1, B)
-    # full-mode extras
-    states: np.ndarray | None = None
-    errors: np.ndarray | None = None
-    controls: np.ndarray | None = None
-    disturbance: np.ndarray | None = None
-    barrier: np.ndarray | None = None
+class _Draws:
+    """Matched disturbances for every disturbed axis, drawn per run
+    generator in chunks of steps. A chunk draw continues the generator's
+    stream exactly as one draw per step would."""
+
+    def __init__(self, cfg: ScenarioConfig, block: _Block, scales):
+        B = block.B
+        scales = np.ones(B) if scales is None else np.asarray(scales, float)
+        self.block = block
+        self.axes = []
+        for g in block.axes:
+            d = g.spec.disturbance
+            if d is None:
+                continue
+            base = d.seed if d.seed is not None else cfg.seed + 7919 * g.index
+            rngs = [np.random.default_rng(base + b) for b in range(B)]
+            amps = d.amplitudes
+            offsets = np.zeros_like(amps) if d.offsets is None else d.offsets
+            per_run = [(amps * scales[b], offsets * scales[b]) for b in range(B)]
+            self.axes.append((g, rngs, per_run))
+
+    def take(self, count):
+        """Returns (q0, dq, qhat): leader disturbances (count, A*B),
+        follower-minus-leader disturbances (count, M), and the raw draws
+        (count, B, N+1) of each disturbed axis."""
+        block = self.block
+        q0 = np.zeros((count, len(block.axes) * block.B))
+        dq = np.zeros((count, block.M))
+        qhat = {}
+        for g, rngs, per_run in self.axes:
+            q = np.stack(
+                [
+                    rng.uniform(-1.0, 1.0, (count, block.N + 1)) * amp + off
+                    for rng, (amp, off) in zip(rngs, per_run)
+                ],
+                axis=1,
+            )
+            q0[:, g.lead] = q[:, :, 0]
+            dq[:, g.rows] = (q[:, :, 1:] - q[:, :, 0:1]).reshape(count, -1)
+            qhat[g] = q
+        return q0, dq, qhat
 
 
-def _integrate_axis(cfg: ScenarioConfig, ax: AxisSpec, init_batch, record_full,
-                    dist_scales=None):
-    """Advance one axis for all batch runs; returns an _AxisRecord."""
-    X0 = np.asarray(init_batch, dtype=float)  # (B, N+1, n)
-    B_, Np1, n = X0.shape
-    N = Np1 - 1
+class _FullRecord:
+    """Every node of every row, for ``simulate`` (a single run)."""
+
+    def __init__(self, block: _Block, T: int):
+        self.L = np.empty((T + 1,) + block.L0.shape)
+        self.E = np.empty((T + 1,) + block.E0.shape)
+        self.u = np.empty((T + 1, block.M))
+        self.s = np.empty((T + 1, block.M))
+        self.q = {g: np.zeros((T + 1, block.B, block.N + 1)) for g in block.axes}
+
+    def record(self, k, L, E, u, s):
+        self.L[k] = L
+        self.E[k] = E
+        self.u[k] = u
+        self.s[k] = s
+
+    def draws(self, k, qhat):
+        for g, q in qhat.items():
+            self.q[g][k:k + q.shape[0]] = q
+
+    def axis(self, g: _Axis) -> AxisTrajectory:
+        """The recorded series of one axis of a single run."""
+        errors = np.ascontiguousarray(self.E[:, g.rows])
+        lead = self.L[:, g.lead.start][:, None, :]
+        s = self.s[:, g.rows]
+        return AxisTrajectory(
+            name=g.spec.name,
+            states=np.concatenate([lead, lead + errors], axis=1),
+            errors=errors,
+            controls=np.ascontiguousarray(self.u[:, g.rows]),
+            hnorm=g.hnorm(errors, s),
+            # a stack of per-node products, each shaped as in _BatchRecord
+            barrier=g.barrier(errors, s) if g.spec.cone is not None else None,
+            disturbance=self.q[g][:, 0],
+        )
+
+
+class _BatchRecord:
+    """Per-run reductions of every axis, for ``simulate_batch``."""
+
+    def __init__(self, block: _Block, T: int):
+        B, N = block.B, block.N
+        self.block = block
+        self.efirst_max = {g: np.empty((T + 1, B)) for g in block.axes}
+        self.hnorm = {g: np.empty((T + 1, B, N)) for g in block.axes}
+        self.phimin = {
+            g: np.empty((T + 1, B)) if g.spec.cone is not None else None for g in block.axes
+        }
+        self.errsq = {g: np.empty((T + 1, B)) for g in block.axes}
+
+    def record(self, k, L, E, u, s):
+        B, N, n = self.block.B, self.block.N, self.block.n
+        for g in self.block.axes:
+            E2 = E[g.rows]
+            E_ = E2.reshape(B, N, n)
+            self.hnorm[g][k] = g.hnorm(E2, s[g.rows]).reshape(B, N)
+            self.efirst_max[g][k] = E_[:, :, 0].max(axis=1)
+            self.errsq[g][k] = np.einsum("bij,bij->b", E_, E_)
+            if g.spec.cone is not None:
+                phi = g.barrier(E2, s[g.rows])
+                self.phimin[g][k] = phi.reshape(B, N * n).min(axis=1)
+
+    def draws(self, k, qhat):
+        pass
+
+
+def _integrate(cfg: ScenarioConfig, inits, recorder, dist_scales=None):
+    """Advance every axis of every run as one row block.
+
+    ``inits`` lists each axis's (B, N+1, n) initial states in
+    ``cfg.axes`` order; ``recorder(block, T)`` receives every node.
+    Returns (block, recorder, final errors, final log norms).
+    """
+    block = _Block(cfg, [np.asarray(x, dtype=float) for x in inits])
     T = cfg.steps
-    dt = cfg.dt
-    stepper = _AxisStepper(ax.protocol, n, dt)
+    rec = recorder(block, T)
+    draws = _Draws(cfg, block, dist_scales)
+    implicit = cfg.integrator == "implicit_euler"
 
-    L = X0[:, 0, :].copy()
-    E = X0[:, 1:, :] - X0[:, 0:1, :]
-
-    rngs = None
-    if ax.disturbance is not None:
-        axis_index = [a.name for a in cfg.axes].index(ax.name)
-        base = (
-            ax.disturbance.seed
-            if ax.disturbance.seed is not None
-            else cfg.seed + 7919 * axis_index
-        )
-        rngs = [np.random.default_rng(base + b) for b in range(B_)]
-        amps = ax.disturbance.amplitudes
-        offsets = (
-            np.zeros_like(amps) if ax.disturbance.offsets is None else ax.disturbance.offsets
-        )
-        scales = np.ones(B_) if dist_scales is None else np.asarray(dist_scales, float)
-
-    rec = _AxisRecord(
-        efirst_max=np.empty((T + 1, B_)),
-        hnorm=np.empty((T + 1, B_, N)),
-        phimin=np.empty((T + 1, B_)) if ax.cone is not None else None,
-        errsq=np.empty((T + 1, B_)),
-    )
-    if record_full:
-        rec.states = np.empty((T + 1, B_, Np1, n))
-        rec.errors = np.empty((T + 1, B_, N, n))
-        rec.controls = np.empty((T + 1, B_, N))
-        rec.disturbance = np.zeros((T + 1, B_, Np1))
-        if ax.cone is not None:
-            rec.barrier = np.empty((T + 1, B_, N, n))
-
-    M = B_ * N
-    s_node = np.full(M, -np.inf)
-    w_node = np.zeros(M)
-
-    has_cone = ax.cone is not None
-    H_T = ax.cone.H.T if has_cone else None
-    rk = ax.protocol.norm_ctx.gen.diag_entries if ax.protocol.norm_ctx else None
-
-    def record(k, E_, L_, s_log, u_nodal):
-        E2 = E_.reshape(M, n)
-        if rk is not None:
-            with np.errstate(over="ignore"):
-                r = np.exp(s_log)  # exp(-inf) = 0 at the origin
-        else:
-            r = np.linalg.norm(E2, axis=1)  # linear protocols: record ||e||_2
-        rec.hnorm[k] = r.reshape(B_, N)
-        rec.efirst_max[k] = E_[:, :, 0].max(axis=1)
-        rec.errsq[k] = np.einsum("bij,bij->b", E_, E_)
-        phi = None
-        if has_cone:
-            if rk is None:
-                phi = E2 @ H_T
-            else:
-                finite = np.isfinite(s_log)
-                Z = E2 * np.exp(-np.outer(np.where(finite, s_log, 0.0), rk))
-                phi = np.where(finite[:, None], Z, 0.0) @ H_T
-            rec.phimin[k] = phi.reshape(B_, N * n).min(axis=1)
-        if record_full:
-            rec.states[k] = np.concatenate([L_[:, None, :], L_[:, None, :] + E_], axis=1)
-            rec.errors[k] = E_
-            rec.controls[k] = u_nodal.reshape(B_, N)
-            if phi is not None:
-                rec.barrier[k] = phi.reshape(B_, N, n)
-
-    # node 0: nodal law value
-    u0, s_node = stepper.law.eval(E.reshape(M, n), None)
-    record(0, E, L, s_node, u0)
-
-    zero_q0 = np.zeros(B_)
-    zero_dq = np.zeros((B_, N))
+    L, E = block.L0, block.E0
+    u, s = block.eval(E, None)  # node 0: nodal law value
+    rec.record(0, L, E, u, s)
+    w = np.zeros(block.M)
+    q0 = np.zeros((_DRAW_CHUNK, len(block.axes) * block.B))
+    dq = np.zeros((_DRAW_CHUNK, block.M))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(T):
-            if rngs is not None:
-                qhat = np.stack(
-                    [
-                        rngs[b].uniform(-1.0, 1.0, Np1) * (amps * scales[b])
-                        + offsets * scales[b]
-                        for b in range(B_)
-                    ]
-                )
-                q0 = qhat[:, 0]
-                dq = qhat[:, 1:] - q0[:, None]
-            else:
-                q0, dq = zero_q0, zero_dq
-
-            if cfg.integrator == "implicit_euler":
-                L, E, w, s_node = stepper.step_implicit(L, E, q0, dq, w_node, s_node)
-                w_node = w.reshape(M)
-                u_nodal = w_node
-            else:
-                warm = np.where(np.isfinite(s_node), s_node, 0.0)
-                L, E = stepper.step_rk4(L, E, q0, dq, warm)
-                u_nodal, s_node = stepper.law.eval(E.reshape(M, n), s_node)
-            if record_full and rngs is not None:
-                rec.disturbance[k] = qhat
-            record(k + 1, E, L, s_node, u_nodal)
-
-    # final node control column: repeat the nodal law value
-    if record_full and cfg.integrator == "implicit_euler":
-        uT, _ = stepper.law.eval(E.reshape(M, n), s_node)
-        rec.controls[T] = uT.reshape(B_, N)
-    return rec
-
-
-def _axis_trajectory(ax: AxisSpec, rec: _AxisRecord, b: int) -> AxisTrajectory:
-    return AxisTrajectory(
-        name=ax.name,
-        states=rec.states[:, b],
-        errors=rec.errors[:, b],
-        controls=rec.controls[:, b],
-        hnorm=rec.hnorm[:, b],
-        barrier=rec.barrier[:, b] if rec.barrier is not None else None,
-        disturbance=rec.disturbance[:, b],
-    )
+        for k0 in range(0, T, _DRAW_CHUNK):
+            count = min(_DRAW_CHUNK, T - k0)
+            if draws.axes:
+                q0, dq, qhat = draws.take(count)
+                rec.draws(k0, qhat)
+            for j in range(count):
+                if implicit:
+                    L, E, w, s = block.step_implicit(L, E, q0[j], dq[j], w, s)
+                    u = w
+                else:
+                    warm = np.where(np.isfinite(s), s, 0.0)
+                    L, E = block.step_rk4(L, E, q0[j], dq[j], warm)
+                    u, s = block.eval(E, s)
+                rec.record(k0 + j + 1, L, E, u, s)
+    return block, rec, E, s
 
 
 @dataclass(frozen=True, eq=False)
@@ -648,11 +819,12 @@ def simulate(cfg: ScenarioConfig) -> Trajectory:
     arrays and, downstream, byte-identical CSV files.
     """
     times = np.arange(cfg.steps + 1) * cfg.dt
-    out = []
-    for ax in cfg.axes:
-        rec = _integrate_axis(cfg, ax, ax.initial[None, :, :], record_full=True)
-        out.append(_axis_trajectory(ax, rec, 0))
-    return Trajectory(times=times, axes=tuple(out), dt=cfg.dt)
+    block, rec, E, s = _integrate(cfg, [ax.initial[None] for ax in cfg.axes], _FullRecord)
+    if cfg.integrator == "implicit_euler":
+        # final node control column: repeat the nodal law value
+        rec.u[-1], _ = block.eval(E, s)
+    axes = tuple(rec.axis(g) for g in block.in_order)
+    return Trajectory(times=times, axes=axes, dt=cfg.dt)
 
 
 def simulate_batch(
@@ -667,18 +839,21 @@ def simulate_batch(
     disturbance amplitude per run, for amplitude sweeps.
     """
     times = np.arange(cfg.steps + 1) * cfg.dt
-    efirst, hnorm, phimin = {}, {}, {}
+    block, rec, _, _ = _integrate(
+        cfg, [initial_batches[ax.name] for ax in cfg.axes], _BatchRecord, disturbance_scales
+    )
+    axes = block.in_order
     total = None
-    for ax in cfg.axes:
-        rec = _integrate_axis(
-            cfg, ax, initial_batches[ax.name], record_full=False,
-            dist_scales=disturbance_scales,
-        )
-        efirst[ax.name] = rec.efirst_max
-        hnorm[ax.name] = rec.hnorm
-        phimin[ax.name] = rec.phimin
-        total = rec.errsq if total is None else total + rec.errsq
-    return BatchResult(times, tuple(a.name for a in cfg.axes), efirst, hnorm, phimin, total)
+    for g in axes:
+        total = rec.errsq[g] if total is None else total + rec.errsq[g]
+    return BatchResult(
+        times,
+        tuple(g.spec.name for g in axes),
+        {g.spec.name: rec.efirst_max[g] for g in axes},
+        {g.spec.name: rec.hnorm[g] for g in axes},
+        {g.spec.name: rec.phimin[g] for g in axes},
+        total,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -752,30 +927,41 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         + [f"phi{i + 1}" for i in range(n)]
         + ["q"]
     )
-    buf = io.StringIO()
-    buf.write(",".join(cols) + "\n")
-    fmt = "%.17g"
-    for k, t in enumerate(traj.times):
-        for ax in traj.axes:
-            Np1 = ax.states.shape[1]
-            for agent in range(Np1):
-                parts = [fmt % t, str(agent), ax.name]
-                parts += [fmt % v for v in ax.states[k, agent]]
-                if agent == 0:
-                    parts += [fmt % 0.0]
-                    parts += [fmt % 0.0] * n
-                    parts += [fmt % 0.0]
-                    parts += ["nan"] * n
-                else:
-                    i = agent - 1
-                    parts += [fmt % ax.controls[k, i]]
-                    parts += [fmt % v for v in ax.errors[k, i]]
-                    parts += [fmt % ax.hnorm[k, i]]
-                    if ax.barrier is not None:
-                        parts += [fmt % v for v in ax.barrier[k, i]]
-                    else:
-                        parts += ["nan"] * n
-                parts += [fmt % ax.disturbance[k, agent]]
-                buf.write(",".join(parts) + "\n")
+    f = "%.17g"
+    fields = ",".join([f] * n)
+    width = len(cols) - 2  # every column but agent and axis
+
+    def values(ax, ks):
+        """Numbers of every row at the time nodes ``ks``, in column order;
+        leaders carry zeros, and nan where no barrier was recorded."""
+        t = traj.times[ks]
+        v = np.full((len(t), ax.states.shape[1], width), np.nan)
+        v[:, :, 0] = t[:, None]
+        v[:, :, 1:n + 1] = ax.states[ks]
+        v[:, 0, n + 1:2 * n + 3] = 0.0
+        v[:, 1:, n + 1] = ax.controls[ks]
+        v[:, 1:, n + 2:2 * n + 2] = ax.errors[ks]
+        v[:, 1:, 2 * n + 2] = ax.hnorm[ks]
+        if ax.barrier is not None:
+            v[:, 1:, 2 * n + 3:3 * n + 3] = ax.barrier[ks]
+        v[:, :, -1] = ax.disturbance[ks]
+        return v.tolist()
+
+    # one row template per (axis, agent), formatted once per row
+    templates = [
+        [
+            f"{f},{agent},{ax.name.replace('%', '%%')},{fields},{f},{fields},{f},{fields},{f}\n"
+            for agent in range(ax.states.shape[1])
+        ]
+        for ax in traj.axes
+    ]
     with open(path, "w", newline="\n") as fh:
-        fh.write(buf.getvalue())
+        fh.write(",".join(cols) + "\n")
+        for k0 in range(0, len(traj.times), 512):
+            ks = slice(k0, k0 + 512)
+            chunk = [(tm, values(ax, ks)) for tm, ax in zip(templates, traj.axes)]
+            lines = []
+            for j in range(len(traj.times[ks])):
+                for tm, v in chunk:
+                    lines += [tmpl % tuple(row) for tmpl, row in zip(tm, v[j])]
+            fh.write("".join(lines))

@@ -216,6 +216,14 @@ BAD_INPUTS = {
         "simulate",
         lambda cfg, out: cfg.update(disturbance={"X": [0.0, 0.1], "seed": "abc"}),
     ),
+    "no_axes": ("simulate", lambda cfg, out: cfg["system"].update(axes=[])),
+    # only a JSON boolean switches the P rescaling on or off
+    "fit_unit_ball_string": (
+        "simulate", lambda cfg, out: cfg["protocol"]["X"].update(fit_unit_ball="no"),
+    ),
+    "fit_unit_ball_integer": (
+        "simulate", lambda cfg, out: cfg["protocol"]["X"].update(fit_unit_ball=1),
+    ),
 }
 
 

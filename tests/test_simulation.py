@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,143 @@ def test_batch_runs_match_individual_seeds():
                                 "implicit_euler", 30)
         tb = simulate(scen_b)
         assert np.array_equal(batch.hnorm["X"][:, b, :], tb.axis("X").hnorm)
+
+
+# -- axis independence ---------------------------------------------------------------
+# Axes share one integration sweep; each must come out exactly as if
+# it were integrated alone. Disturbances carry explicit seeds, since a
+# seedless axis draws from a stream keyed by its position.
+
+
+def _mu_minus_one_axes():
+    # both laws discontinuous at the origin; small errors and matched
+    # disturbances make both axes snap to zero and hit the bracket
+    from homocon.certificates import solve_lmi_p, solve_lmi_xy
+    from homocon.protocols import consensus_protocol, linear_gain
+
+    gen = DilationGenerator(2, -1.0)
+    chain = IntegratorChain(2)
+    cert_x = solve_lmi_p(gen, chain.A, chain.B, linear_gain(2, 1.0))
+    cert_y = solve_lmi_xy(gen, chain.A, chain.B)
+    spec_x = nonovershoot_protocol(1.0, HomogeneousNormContext(gen, cert_x.P))
+    spec_y = consensus_protocol(cert_y.K, HomogeneousNormContext(gen, cert_y.P))
+    init_x = np.array([[0.0, 0.0], [-0.005, 0.0025], [-0.175, 0.05], [-0.25, 0.05]])
+    init_y = np.array([[0.0, 0.05], [0.075, 0.05], [-0.05, 0.05], [-0.125, 0.05]])
+    dist_x = DisturbanceSpec(0.3 * np.array([0.0, 0.540, 0.444, 0.462]), seed=11)
+    dist_y = DisturbanceSpec(0.3 * np.array([0.030, 0.428, 0.533, 0.441]), seed=12)
+    return (
+        AxisSpec("X", spec_x, init_x, ConeSpec(2, 1.0, -1.0), dist_x),
+        AxisSpec("Y", spec_y, init_y, None, dist_y),
+    )
+
+
+def _mu_minus_one():
+    return ScenarioConfig(chain_graph(), 2, _mu_minus_one_axes(), 1e-3, 1.0)
+
+
+def _curved_and_linear_cyclic():
+    from homocon.certificates import solve_lmi_p
+    from homocon.cli import fit_unit_ball
+    from homocon.protocols import linear_gain
+
+    N, n = 6, 3
+    gen = DilationGenerator(n, -0.5)
+    chain = IntegratorChain(n)
+    cert = solve_lmi_p(gen, chain.A, chain.B, linear_gain(n, 1.0))
+    cone = ConeSpec(n, 1.0, -0.5)
+    rng = np.random.default_rng(8)
+    errs = np.stack([np.linalg.solve(cone.H, rng.uniform(0.5, 2.0, n)) for _ in range(N)])
+    ctx = HomogeneousNormContext(gen, fit_unit_ball(cert.P, errs))
+    init_x = np.vstack([np.zeros((1, n)), errs])
+    init_y = rng.uniform(-2.0, 2.0, (N + 1, n))
+    dist_y = DisturbanceSpec(rng.uniform(0.0, 0.3, N + 1), seed=5)
+    axes = (
+        AxisSpec("X", nonovershoot_protocol(1.0, ctx), init_x, cone),
+        AxisSpec("Y", linear_protocol(n, 1.0), init_y, ConeSpec(n, 1.0), dist_y),
+    )
+    return ScenarioConfig(cyclic_graph(N), n, axes, 1e-3, 0.3)
+
+
+def _rk4_two_degrees():
+    # different degrees per axis: per-row dilation entries in one solve
+    from homocon.certificates import solve_lmi_xy
+    from homocon.protocols import consensus_protocol
+
+    gen = DilationGenerator(2, -0.5)
+    chain = IntegratorChain(2)
+    cert = solve_lmi_xy(gen, chain.A, chain.B)
+    spec_y = consensus_protocol(cert.K, HomogeneousNormContext(gen, cert.P))
+    init_y = np.array([[0.0, 1.0], [1.5, 1.0], [-1.0, 1.0], [-2.5, 1.0]])
+    dist_y = DisturbanceSpec(np.array([0.03, 0.2, 0.1, 0.3]), seed=3)
+    axes = (reference_axis(), AxisSpec("Y", spec_y, init_y, None, dist_y))
+    return ScenarioConfig(chain_graph(), 2, axes, 1e-3, 0.5, "rk4")
+
+
+def _batch_mixed_kinds():
+    # a discontinuous law beside a degree-zero (closed-form) one
+    from homocon.certificates import verify_lmi_xy
+    from homocon.protocols import consensus_protocol
+
+    X = np.array([[0.8281, -0.3107], [-0.3107, 0.9377]])
+    Y = np.array([0.7502, 0.5000])
+    gen = DilationGenerator(2, 0.0)
+    chain = IntegratorChain(2)
+    cert = verify_lmi_xy(X, Y, gen, chain.A, chain.B)
+    ax_x = _mu_minus_one_axes()[0]
+    init_y = np.array([[0.0, 1.0], [1.5, 1.0], [-1.0, 1.0], [-2.5, 1.0]])
+    dist_y = DisturbanceSpec(np.array([0.03, 0.428, 0.533, 0.441]), seed=21)
+    ax_y = AxisSpec("Y", consensus_protocol(cert.K, HomogeneousNormContext(gen, cert.P)),
+                    init_y, None, dist_y)
+    return ScenarioConfig(chain_graph(), 2, (ax_x, ax_y), 1e-3, 0.6)
+
+
+TWO_AXIS_CASES = {
+    "mu_minus_one_snap_and_bracket": _mu_minus_one,
+    "curved_and_linear_cyclic": _curved_and_linear_cyclic,
+    "rk4": _rk4_two_degrees,
+    "batch": _batch_mixed_kinds,
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_AXIS_CASES))
+def test_two_axes_equal_each_axis_alone(case, monkeypatch):
+    import homocon.simulation as simulation
+
+    scen = TWO_AXIS_CASES[case]()
+    alone = [replace(scen, axes=(ax,)) for ax in scen.axes]
+    if case == "batch":
+        factors = np.array([1.0, 0.6, 1.3])[:, None, None]
+        inits = {ax.name: ax.initial[None] * factors for ax in scen.axes}
+        scales = [1.0, 0.5, 0.8]
+        both = simulate_batch(scen, inits, scales)
+        singles = [simulate_batch(one, inits, scales) for one in alone]
+        for ax, single in zip(scen.axes, singles):
+            for field in ("efirst_max", "hnorm", "phimin"):
+                x, y = getattr(both, field)[ax.name], getattr(single, field)[ax.name]
+                assert (x is None and y is None) or np.array_equal(x, y), field
+        total = singles[0].errsq_total + singles[1].errsq_total
+        assert np.array_equal(both.errsq_total, total)
+        return
+
+    brackets = []
+    bracketed = simulation._bracketed_roots
+
+    def counted(*args):
+        brackets.append(1)
+        return bracketed(*args)
+
+    monkeypatch.setattr(simulation, "_bracketed_roots", counted)
+    traj = simulate(scen)
+    for ax, one in zip(scen.axes, alone):
+        before = len(brackets)
+        a, b = traj.axis(ax.name), simulate(one).axis(ax.name)
+        for field in ("states", "errors", "controls", "hnorm", "barrier", "disturbance"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert (x is None and y is None) or np.array_equal(x, y), (ax.name, field)
+        if case == "mu_minus_one_snap_and_bracket":
+            # this axis alone slides onto the origin and needs the bracket
+            assert np.any(np.all(b.errors == 0.0, axis=2)), ax.name
+            assert len(brackets) > before, ax.name
 
 
 # -- integrator behaviour --------------------------------------------------------------
