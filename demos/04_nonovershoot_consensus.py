@@ -48,7 +48,7 @@ traj = simulate(scenario)
 print("\novershoot metric (max leading error):", overshoot_metric(traj, "X"))
 print("settling time to ||e|| <= 1e-3:", settling_time(traj, 1e-3, "X"), "s")
 
-monitor = invariance_monitor(traj, cone, ctx, "homogeneous", "X")
+monitor = invariance_monitor(traj, "X")
 print("minimum barrier component over the run:", monitor.min_value)
 print("first violation:", monitor.violation_time)
 

@@ -54,7 +54,7 @@ scen = ScenarioConfig(
     dt=1e-3, horizon=12.0, seed=7,
 )
 traj = simulate(scen)
-mon = invariance_monitor(traj, cone, ctx, "homogeneous", "X")
+mon = invariance_monitor(traj, "X")
 print("\nhomogeneous mu=-1 under disturbance:")
 print("  settling time:", settling_time(traj, 1e-3, "X"), "s")
 print("  overshoot:", overshoot_metric(traj, "X"))

@@ -63,7 +63,6 @@ from .protocols import (
 )
 from .cones import (
     AdmissibilityReport,
-    BarrierSample,
     ConeSpec,
     InvarianceReport,
     barrier_matrix,

@@ -99,14 +99,19 @@ def _field(section: dict, key: str, where: str, cast):
         raise ConfigError(f"missing {where}.{key}")
     try:
         return cast(section[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value for {where}.{key}: {exc}") from exc
 
 
 def _matrix(value, shape, where: str) -> np.ndarray:
-    M = np.asarray(value, dtype=float)
+    try:
+        M = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} must be numeric: {exc}") from exc
     if M.shape != shape:
         raise ConfigError(f"{where} must have shape {shape}, got {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise ConfigError(f"{where} must be finite")
     return M
 
 
@@ -142,7 +147,7 @@ def _build_graph(section: dict) -> DirectedGraph:
         return DirectedGraph.from_edges(
             int(section["num_followers"]), section["edges"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad graph section: {exc}") from exc
 
 
@@ -345,10 +350,7 @@ def _summarize(traj, scenario: ScenarioConfig) -> dict:
             "settling_time_tol1e-3": settling_time(traj, 1e-3, ax_cfg.name),
         }
         if ax_cfg.cone is not None:
-            mode = "homogeneous" if ax_cfg.protocol.is_homogeneous else "linear"
-            rep = invariance_monitor(
-                traj, ax_cfg.cone, ax_cfg.protocol.norm_ctx, mode, ax_cfg.name
-            )
+            rep = invariance_monitor(traj, ax_cfg.name)
             entry["phi_min"] = rep.min_value
             entry["phi_violation_time"] = rep.violation_time
         summary[ax_cfg.name] = entry

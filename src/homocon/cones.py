@@ -5,6 +5,10 @@ linear cone is {e : H e >= 0}; its dilation-invariant counterpart tests
 H d(-ln ||e||_d) e >= 0 instead. Both live inside the half-space where
 the first error component is nonpositive, so cone membership along a
 trajectory certifies that followers never overtake the leader.
+
+The simulator records the barrier of every axis that carries a cone;
+``invariance_monitor`` reads that record instead of solving the norm
+again.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import numpy as np
 from .homogeneity import (
     DilationGenerator,
     HomogeneousNormContext,
+    _project_to_sphere,
     canonical_norm_many,
 )
 from .protocols import IntegratorChain
@@ -105,20 +110,9 @@ def homogeneous_barrier(
     Membership is invariant under e -> d(s) e, so the same test applies
     at every error magnitude.
     """
-    e = np.asarray(e, dtype=float).reshape(-1)
-    return homogeneous_barrier_many(spec, ctx, e[None, :])[0]
-
-
-def homogeneous_barrier_many(
-    spec: ConeSpec, ctx: HomogeneousNormContext, E: np.ndarray
-) -> np.ndarray:
-    E = np.atleast_2d(np.asarray(E, dtype=float))
-    r, logr = canonical_norm_many(ctx, E)
-    rk = ctx.gen.diag_entries
-    with np.errstate(over="ignore", invalid="ignore"):
-        Z = E * np.exp(-np.outer(np.where(r > 0, logr, 0.0), rk))
-    Z = np.where(r[:, None] > 0, Z, 0.0)
-    return Z @ spec.H.T
+    e = np.asarray(e, dtype=float).reshape(1, -1)
+    _, s = canonical_norm_many(ctx, e)
+    return (_project_to_sphere(e, s, ctx.gen.diag_entries) @ spec.H.T)[0]
 
 
 @dataclass(frozen=True)
@@ -177,51 +171,25 @@ def check_initial_admissible(
 
 
 @dataclass(frozen=True, eq=False)
-class BarrierSample:
-    time: float
-    phi: np.ndarray
-    min_component: float
-
-
-@dataclass(frozen=True, eq=False)
 class InvarianceReport:
-    samples: tuple
     min_value: float
     violation_time: float | None
 
 
-def invariance_monitor(
-    traj,
-    spec: ConeSpec,
-    ctx: HomogeneousNormContext | None,
-    mode: str,
-    axis: str | None = None,
-) -> InvarianceReport:
-    """Evaluate a barrier along a recorded trajectory.
+def invariance_monitor(traj, axis: str | None = None) -> InvarianceReport:
+    """Read the cone barrier recorded along a trajectory.
 
-    ``mode`` is "linear" or "homogeneous". Barriers are evaluated only
-    at the integration nodes; halving dt is the remedy when inter-sample
-    violations are suspected. Reports the global minimum component and
-    the first time any component falls below the violation threshold.
+    The simulator records the barrier of every axis that carries a cone:
+    H e for linear protocols, H d(-ln ||e||_d) e for homogeneous ones.
+    Barriers exist only at the integration nodes; halving dt is the
+    remedy when inter-sample violations are suspected. Reports the global
+    minimum component and the first time any component falls below the
+    violation threshold.
     """
     at = traj.axis(axis)
-    times = traj.times
-    T1, N, n = at.errors.shape
-    flat = at.errors.reshape(T1 * N, n)
-    if mode == "linear":
-        phi = flat @ spec.H.T
-    elif mode == "homogeneous":
-        if ctx is None:
-            raise ValueError("homogeneous mode needs a norm context")
-        phi = homogeneous_barrier_many(spec, ctx, flat)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    phi = phi.reshape(T1, N, n)
-    per_time = phi.reshape(T1, N * n).min(axis=1)
-    samples = tuple(
-        BarrierSample(float(times[k]), phi[k], float(per_time[k])) for k in range(T1)
-    )
-    min_value = float(per_time.min())
+    if at.barrier is None:
+        raise ValueError(f"axis {at.name!r} has no cone")
+    per_time = at.barrier.reshape(at.barrier.shape[0], -1).min(axis=1)
     viol = np.nonzero(per_time < VIOLATION_THRESHOLD)[0]
-    violation_time = float(times[viol[0]]) if viol.size else None
-    return InvarianceReport(samples, min_value, violation_time)
+    violation_time = float(traj.times[viol[0]]) if viol.size else None
+    return InvarianceReport(float(per_time.min()), violation_time)

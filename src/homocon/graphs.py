@@ -37,6 +37,8 @@ class DirectedGraph:
             raise ValueError("at least one follower required")
         if W.shape != (N + 1, N + 1):
             raise ValueError(f"weights must be ({N + 1}, {N + 1}), got {W.shape}")
+        if not np.all(np.isfinite(W)):
+            raise ValueError("weights must be finite")
         if np.any(W < 0):
             raise ValueError("weights must be nonnegative")
         if np.any(np.diagonal(W) != 0):
@@ -50,11 +52,16 @@ class DirectedGraph:
 
     @staticmethod
     def from_edges(num_followers: int, edges) -> "DirectedGraph":
-        """Build from (receiver, sender, weight) triples."""
-        W = np.zeros((num_followers + 1, num_followers + 1))
+        """Build from (receiver, sender, weight) triples; agent indices
+        must be integers in [0, num_followers]."""
+        N = num_followers
+        W = np.zeros((N + 1, N + 1))
         for i, j, w in edges:
+            for k in (i, j):
+                if not (float(k).is_integer() and 0 <= k <= N):
+                    raise ValueError(f"agent index {k!r} is not an integer in [0, {N}]")
             W[int(i), int(j)] = float(w)
-        return DirectedGraph(num_followers, W)
+        return DirectedGraph(N, W)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,6 +6,12 @@ to the integrator chain. The canonical homogeneous norm of x is exp(s*)
 where s* solves ||d(-s*) x||_P = 1; it is the degree-1 homogeneous
 surrogate for a norm that all protocols and cones in this package are
 built on.
+
+One private kernel solves it for the whole package: a vectorized Newton
+iteration on rows cut into spans with their own P (the simulator's
+axes), with an exponent-shifted bisection for rows at extreme
+magnitudes. ``_project_to_sphere`` is the one projection d(-s) x onto
+the unit sphere, shared by the law and the cone barriers.
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ class DilationGenerator:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("state dimension must be >= 1")
+        if not np.isfinite(self.mu):
+            raise ValueError("mu must be finite")
         if self.n > 1 and not self.mu < 1.0 / (self.n - 1):
             raise ValueError(f"mu must be < 1/(n-1) = {1.0 / (self.n - 1):g}")
         k = np.arange(1, self.n + 1, dtype=float)
@@ -101,111 +109,93 @@ class HomogeneousNormContext:
         return float(np.sqrt(x @ self.P @ x))
 
 
-_ZERO_FLOOR = 1e-300  # below this weighted norm, x is treated as the origin
+def _matmul_runs(X, spans, mats):
+    """``X[span] @ mat`` for each (span, mat) pair, stacked.
 
-
-def canonical_norm_many(
-    ctx: HomogeneousNormContext,
-    X: np.ndarray,
-    warm_log: np.ndarray | None = None,
-    tol: float = 1e-13,
-    max_iter: int = 120,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical homogeneous norms of the rows of X.
-
-    Solves F(s) = log ||d(-s) x||_P = 0 per row with a bracketed Newton
-    iteration (F is smooth and strictly decreasing). ``warm_log`` seeds
-    s from a previous call, which typically cuts the solve to one or two
-    iterations along a trajectory.
-
-    Returns (norms, log_norms); rows at the origin get norm 0 and log
-    norm -inf.
+    BLAS results can depend on the row count, so each span's product
+    keeps the shape it has when that span is evaluated alone.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    P = ctx.P
-    rk = ctx.gen.diag_entries
-    m = X.shape[0]
-
-    absmax = np.max(np.abs(X), axis=1)
-    nz = absmax > _ZERO_FLOOR
-    pn2 = np.einsum("ij,jk,ik->i", X, P, X)
-    r = np.zeros(m)
-    s = np.where(nz, 0.5 * np.log(np.maximum(pn2, 1e-308)), 0.0)
-    if warm_log is not None:
-        w = np.asarray(warm_log, dtype=float)
-        s = np.where(np.isfinite(w), w, s)
-
-    # squared norms outside the comfortably representable range go
-    # straight to the exponent-shifted scalar solver
-    extreme = nz & ((pn2 < 1e-280) | (pn2 > 1e280) | ~np.isfinite(pn2))
-    for i in np.nonzero(extreme)[0]:
-        ri = _canonical_norm_scalar(ctx, X[i])
-        r[i] = ri
-        s[i] = np.log(ri) if ri > 0 else 0.0
-
-    big = 1e300
-    lo = np.full(m, -big)
-    hi = np.full(m, big)
-    active = nz & ~extreme
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(max_iter):
-            if not active.any():
-                break
-            Y = X * np.exp(-np.outer(s, rk))
-            PY = Y @ P
-            q2 = np.einsum("ij,ij->i", PY, Y)
-            bad = active & (~np.isfinite(q2) | (q2 <= 0))
-            if bad.any():
-                # over/underflow during bracketing: robust scalar fallback
-                for i in np.nonzero(bad)[0]:
-                    ri = _canonical_norm_scalar(ctx, X[i])
-                    r[i] = ri
-                    s[i] = np.log(ri) if ri > 0 else 0.0
-                    active[i] = False
-                if not active.any():
-                    break
-                q2 = np.where(bad, 1.0, q2)
-            F = 0.5 * np.log(np.maximum(q2, 1e-308))
-            dF = -np.einsum("ij,ij->i", PY, Y * rk) / np.maximum(q2, 1e-308)
-            conv = active & (np.abs(F) <= tol)
-            active &= ~conv
-            if not active.any():
-                break
-            # maintain the bracket: F > 0 means s too small (F is decreasing)
-            lo = np.where(active & (F > 0), np.maximum(lo, s), lo)
-            hi = np.where(active & (F < 0), np.minimum(hi, s), hi)
-            step = np.where(dF < 0, F / dF, 0.0)
-            cand = s - step
-            inside = (cand > lo) & (cand < hi) & np.isfinite(cand)
-            have_lo = lo > -big
-            have_hi = hi < big
-            mid = np.where(
-                have_lo & have_hi,
-                0.5 * (lo + hi),
-                np.where(
-                    have_lo,
-                    np.where(have_lo, lo, 0.0) + 1.0 + np.abs(np.where(have_lo, lo, 0.0)),
-                    np.where(have_hi, hi, 0.0) - 1.0 - np.abs(np.where(have_hi, hi, 0.0)),
-                ),
-            )
-            s = np.where(active, np.where(inside, cand, mid), s)
-
-    r = np.where(nz, np.exp(s), 0.0)
-    logr = np.where(nz, s, -np.inf)
-    return r, logr
+    if len(spans) == 1:
+        return X @ mats[0]
+    out = np.empty((X.shape[0],) + mats[0].shape[1:])
+    for span, M in zip(spans, mats):
+        np.matmul(X[span], M, out=out[span])
+    return out
 
 
-def _canonical_norm_scalar(ctx: HomogeneousNormContext, x: np.ndarray) -> float:
-    """Overflow-safe scalar solve, working with component exponents."""
-    P = ctx.P
-    rk = ctx.gen.diag_entries
-    x = np.asarray(x, dtype=float)
+def _log_norms(X, spans, Ps, rk, s_warm=None):
+    """Log canonical norms of the rows of X by Newton's method.
+
+    Rows are cut into ``spans``, span j carrying the shape matrix
+    ``Ps[j]``; ``rk`` holds the dilation entries, shared (n,) or per row
+    (m, n). F(s) = log ||d(-s) x||_P is smooth and strictly decreasing,
+    and Newton stops at |F| <= 1e-13. Rows whose iteration over- or
+    underflows, or has not settled after 50 passes, and nonzero rows
+    whose weighted norm underflows, go to the exponent-shifted bisection.
+
+    Returns (s, Y, patched): s is -inf at x = 0; Y holds the scaled
+    vectors d(-s) x of the last Newton pass (None if no pass ran), valid
+    on every row except those ``patched`` by the bisection (None if none
+    were).
+    """
+    pn2 = (_matmul_runs(X, spans, Ps) * X).sum(axis=1)
+    nz = pn2 > 0.0
+    s = 0.5 * np.log(np.maximum(pn2, 1e-308))
+    if s_warm is not None:
+        s = np.where(np.isfinite(s_warm), s_warm, s)
+    s = np.where(nz, s, 0.0)
+
+    Y = patched = None
+    pending = nz.copy()
+    if not nz.all():
+        # only x = 0 is the origin: nonzero rows whose weighted norm
+        # underflowed go to the bisection
+        lost = ~nz & np.any(X != 0.0, axis=1)
+        if lost.any():
+            _bisect_rows(X, spans, Ps, rk, s, lost)
+            nz |= lost
+            patched = lost
+    for _ in range(50):
+        if not pending.any():
+            break
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            Y = X * np.exp(-(s[:, None] * rk))
+            PY = _matmul_runs(Y, spans, Ps)
+            q2 = (PY * Y).sum(axis=1)
+            F = 0.5 * np.log(q2)
+            g = (PY * (Y * rk)).sum(axis=1) / q2
+        fin = np.isfinite(F) & np.isfinite(g) & (g > 0)
+        pending &= ~(fin & (np.abs(F) <= 1e-13))
+        broken = pending & ~fin
+        if broken.any():
+            _bisect_rows(X, spans, Ps, rk, s, broken)
+            pending &= ~broken
+            patched = broken if patched is None else patched | broken
+        move = pending & fin
+        s = np.where(move, s + F / np.where(g > 0, g, 1.0), s)
+    if pending.any():
+        _bisect_rows(X, spans, Ps, rk, s, pending)
+        patched = pending if patched is None else patched | pending
+    return np.where(nz, s, -np.inf), Y, patched
+
+
+def _bisect_rows(X, spans, Ps, rk, s, mask):
+    """Overwrite s on the masked rows with the bisection's log norms."""
+    index = np.arange(X.shape[0])
+    for span, P in zip(spans, Ps):
+        for i in index[span][mask[span]]:
+            s[i] = _bisect_log_norm(P, rk if rk.ndim == 1 else rk[i], X[i])
+
+
+def _bisect_log_norm(P, rk, x):
+    """Overflow-safe log norm of one nonzero row x, working with
+    component exponents; nan when x is not finite."""
     ax = np.abs(x)
-    if not np.any(ax > 0):
-        return 0.0
+    if not np.all(np.isfinite(ax)):
+        return np.nan
     sign = np.sign(x)
     with np.errstate(divide="ignore"):
-        lx = np.where(ax > 0, np.log(np.maximum(ax, 1e-308)), -np.inf)
+        lx = np.log(ax)  # -inf at zero components
 
     def logq(s: float) -> float:
         xi = lx - s * rk
@@ -239,7 +229,47 @@ def _canonical_norm_scalar(ctx: HomogeneousNormContext, x: np.ndarray) -> float:
             hi = mid
         if hi - lo <= 1e-14 * max(1.0, abs(mid)):
             break
-    return float(np.exp(0.5 * (lo + hi)))
+    return 0.5 * (lo + hi)
+
+
+def _project_to_sphere(X, s, rk):
+    """d(-s) x for the vectors x along the last axis of X with log norms
+    s: the projection onto the unit P-sphere, 0 where s is not finite
+    (the origin)."""
+    finite = np.isfinite(s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z = X * np.exp(-(np.where(finite, s, 0.0)[..., None] * rk))
+    Z = np.where(finite[..., None], Z, 0.0)
+    lost = ~np.isfinite(Z)
+    if lost.any():
+        # d(-s) overflows for rows of subnormal magnitude: scale the
+        # exponents of x instead
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            safe = np.sign(X) * np.exp(np.log(np.abs(X)) - s[..., None] * rk)
+        Z = np.where(lost, safe, Z)
+    return Z
+
+
+def canonical_norm_many(
+    ctx: HomogeneousNormContext,
+    X: np.ndarray,
+    warm_log: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical homogeneous norms of the rows of X.
+
+    Solves F(s) = log ||d(-s) x||_P = 0 per row by Newton's method (F is
+    smooth and strictly decreasing), with an exponent-shifted bisection
+    for rows at extreme magnitudes. ``warm_log`` seeds s from a previous
+    call, which typically cuts the solve to one or two iterations along
+    a trajectory.
+
+    Returns (norms, log_norms); only x = 0 gets norm 0 and log norm
+    -inf.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, _, _ = _log_norms(X, (slice(None),), (ctx.P,), ctx.gen.diag_entries, warm_log)
+        return np.exp(s), s
 
 
 def canonical_norm(ctx: HomogeneousNormContext, x: np.ndarray) -> float:

@@ -8,6 +8,9 @@ v_i (equal to the consensus error e_i at the distributed fixed point):
                  design certificate
 * non-overshoot: same scaling law with the pole-placement gain K_lin,
                  paired with a safety cone
+
+The homogeneous law is evaluated in one place, ``_law``, which both
+``control_input_many`` and the simulator call.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ import numpy as np
 
 from .homogeneity import (
     HomogeneousNormContext,
-    canonical_norm_many,
+    _log_norms,
+    _matmul_runs,
+    _project_to_sphere,
     unit_sphere_max,
 )
 
@@ -55,8 +60,8 @@ def linear_gain(n: int, lam: float) -> np.ndarray:
 
     The closed loop A - B*K has all eigenvalues at -lam.
     """
-    if n < 1 or lam <= 0:
-        raise ValueError("need n >= 1 and lam > 0")
+    if n < 1 or not 0 < lam < np.inf:
+        raise ValueError("need n >= 1 and finite lam > 0")
     chain = IntegratorChain(n)
     M = np.linalg.matrix_power(chain.A + lam * np.eye(n), n)
     return M[0].copy()
@@ -88,6 +93,8 @@ class ProtocolSpec:
         gain = np.asarray(self.gain, dtype=float).reshape(-1)
         if gain.shape != (self.n,):
             raise DimensionMismatch(f"gain must have {self.n} entries")
+        if not np.all(np.isfinite(gain)):
+            raise ValueError("gain must be finite")
         gain.setflags(write=False)
         object.__setattr__(self, "gain", gain)
         if self.kind is ProtocolKind.LINEAR:
@@ -151,6 +158,27 @@ def nonovershoot_protocol(lam: float, norm_ctx: HomogeneousNormContext) -> Proto
     )
 
 
+def _law(V, spans, Ps, Ks, rk, opm, s_warm=None):
+    """The homogeneous law u = -exp(opm*s) K d(-s) v on the rows v of V.
+
+    Rows are cut into ``spans``, span j with shape matrix ``Ps[j]`` and
+    gain ``Ks[j]``; ``rk`` and ``opm`` (1 + mu) are shared or per row.
+    Returns (u, log_norms), with u = 0 where the log norm is not finite
+    (the origin).
+    """
+    s, Z, patched = _log_norms(V, spans, Ps, rk, s_warm)
+    if Z is None:
+        Z = _project_to_sphere(V, s, rk)
+    elif patched is not None:
+        Z[patched] = _project_to_sphere(
+            V[patched], s[patched], rk if rk.ndim == 1 else rk[patched]
+        )
+    finite = np.isfinite(s)
+    with np.errstate(over="ignore"):
+        u = -np.exp(opm * np.where(finite, s, 0.0)) * _matmul_runs(Z, spans, Ks)
+    return np.where(finite, u, 0.0), s
+
+
 def control_input_many(
     spec: ProtocolSpec,
     V: np.ndarray,
@@ -166,13 +194,12 @@ def control_input_many(
         raise DimensionMismatch(f"vectors must have {spec.n} components")
     if spec.kind is ProtocolKind.LINEAR:
         return -(V @ spec.gain), np.full(V.shape[0], -np.inf)
-    r, logr = canonical_norm_many(spec.norm_ctx, V, warm_log=warm_log)
-    rk = spec.norm_ctx.gen.diag_entries
+    ctx = spec.norm_ctx
     with np.errstate(over="ignore", invalid="ignore"):
-        Z = V * np.exp(-np.outer(logr, rk))
-        u = -np.exp((1.0 + spec.mu) * logr) * (Z @ spec.gain)
-    u = np.where(r > 0.0, u, 0.0)
-    return u, logr
+        return _law(
+            V, (slice(None),), (ctx.P,), (spec.gain,), ctx.gen.diag_entries,
+            1.0 + spec.mu, warm_log,
+        )
 
 
 def control_input(spec: ProtocolSpec, v: np.ndarray) -> float:

@@ -18,7 +18,10 @@ Every axis of every batch run shares one integration sweep: their
 follower errors are the rows of one block, so each step makes one norm
 solve and one control-root solve for all homogeneous rows together.
 Matrix products still run per axis, on that axis's own rows, so an axis
-integrates exactly as it would alone.
+integrates exactly as it would alone. The law, the norm solve and the
+sphere projection of the cone barrier are the library's own
+(``protocols._law``, ``homogeneity._log_norms``,
+``homogeneity._project_to_sphere``), fed with per-axis spans.
 
 Runs are deterministic: identical configuration and seed give
 bit-identical trajectories and CSV files. A batch dimension lets many
@@ -34,8 +37,8 @@ import numpy as np
 
 from .cones import ConeSpec
 from .graphs import DirectedGraph, is_leader_rooted
-from .homogeneity import canonical_norm_many
-from .protocols import IntegratorChain, ProtocolKind, ProtocolSpec
+from .homogeneity import _matmul_runs, _project_to_sphere
+from .protocols import IntegratorChain, ProtocolKind, ProtocolSpec, _law
 
 
 class NonConvergentStep(Exception):
@@ -59,6 +62,8 @@ class DisturbanceSpec:
 
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=float)
+        if not np.all(np.isfinite(a)):
+            raise ValueError("amplitudes must be finite")
         if np.any(a < 0):
             raise ValueError("amplitudes must be nonnegative")
         a.setflags(write=False)
@@ -67,6 +72,8 @@ class DisturbanceSpec:
             o = np.asarray(self.offsets, dtype=float)
             if o.shape != a.shape:
                 raise ValueError("offsets must match amplitudes")
+            if not np.all(np.isfinite(o)):
+                raise ValueError("offsets must be finite")
             o.setflags(write=False)
             object.__setattr__(self, "offsets", o)
 
@@ -84,6 +91,8 @@ class AxisSpec:
 
     def __post_init__(self):
         X0 = np.array(self.initial, dtype=float)
+        if not np.all(np.isfinite(X0)):
+            raise ValueError(f"axis {self.name}: initial states must be finite")
         X0.setflags(write=False)
         object.__setattr__(self, "initial", X0)
 
@@ -211,28 +220,9 @@ def step_implicit_euler(state, f, dt, tol=1e-12, max_iter=100):
 # the row block: every axis of every batch run, integrated together
 
 
-# squared weighted norms that underflow to exactly zero mark the origin;
-# the integrator's snap logic keeps settled errors at exact zero, so the
-# sub-denormal band is never visited with meaningful directions
-_NORM_FLOOR = 0.0
-
 # disturbance steps drawn per generator call; bounds the draw buffers
 # independently of the horizon
 _DRAW_CHUNK = 256
-
-
-def _matmul_runs(X, spans, mats):
-    """``X[span] @ mat`` for each (span, mat) pair, stacked.
-
-    BLAS results can depend on the row count, so each axis's product
-    keeps the shape it has when that axis is integrated alone.
-    """
-    if len(spans) == 1:
-        return X @ mats[0]
-    out = np.empty((X.shape[0],) + mats[0].shape[1:])
-    for span, M in zip(spans, mats):
-        np.matmul(X[span], M, out=out[span])
-    return out
 
 
 class _Axis:
@@ -246,7 +236,6 @@ class _Axis:
         self.rows = rows    # follower error rows, run-major
         self.lead = lead    # leader rows, one per run
         self.K = protocol.gain
-        self.ctx = ctx
         self.P = ctx.P if ctx is not None else None
         self.rk = ctx.gen.diag_entries if ctx is not None else None
         self.opm = 1.0 + protocol.mu
@@ -270,7 +259,7 @@ class _Axis:
             return np.full(V.shape[0], -np.inf)
         pn2 = (V @ self.P * V).sum(axis=1)
         with np.errstate(divide="ignore"):
-            return np.where(pn2 > _NORM_FLOOR, 0.5 * np.log(pn2), -np.inf)
+            return np.where(pn2 > 0.0, 0.5 * np.log(pn2), -np.inf)
 
     def hnorm(self, E, s):
         """Recorded norms of errors E (rows in the last axis) with log
@@ -286,9 +275,7 @@ class _Axis:
         H_T = self.spec.cone.H.T
         if self.rk is None:
             return E @ H_T
-        finite = np.isfinite(s)
-        Z = E * np.exp(-(np.where(finite, s, 0.0)[..., None] * self.rk))
-        return np.where(finite[..., None], Z, 0.0) @ H_T
+        return _project_to_sphere(E, s, self.rk) @ H_T
 
 
 class _Rows:
@@ -310,68 +297,14 @@ class _Rows:
         self.P = [g.P for g in axes]
         self.K = [g.K for g in axes]
 
-    def _robust(self, V, s, mask):
-        """Route the masked rows through the robust norm solver, one call
-        per axis since each axis has its own norm context."""
-        for g, span in zip(self.axes, self.spans):
-            m = mask[span]
-            if m.any():
-                _, srob = canonical_norm_many(g.ctx, V[span][m])
-                s[span][m] = srob
-
-    def log_norms(self, V, s_warm):
-        """Newton solve of the log norms of the rows of V.
-
-        Returns (s, Y, patched): Y holds the scaled vectors d(-s) V of the
-        last Newton pass (None if no pass ran), valid on every row except
-        those ``patched`` by the robust solver (None if none were).
-        """
-        rk = self.rk
-        pn2 = (_matmul_runs(V, self.spans, self.P) * V).sum(axis=1)
-        nz = pn2 > _NORM_FLOOR
-        s = 0.5 * np.log(np.maximum(pn2, 1e-308))
-        if s_warm is not None:
-            s = np.where(np.isfinite(s_warm), s_warm, s)
-        s = np.where(nz, s, 0.0)
-
-        Y = patched = None
-        pending = nz.copy()
-        for _ in range(50):
-            if not pending.any():
-                break
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                Y = V * np.exp(-(s[:, None] * rk))
-                PY = _matmul_runs(Y, self.spans, self.P)
-                q2 = (PY * Y).sum(axis=1)
-                F = 0.5 * np.log(q2)
-                g = (PY * (Y * rk)).sum(axis=1) / q2
-            fin = np.isfinite(F) & np.isfinite(g) & (g > 0)
-            pending &= ~(fin & (np.abs(F) <= 1e-13))
-            broken = pending & ~fin
-            if broken.any():
-                self._robust(V, s, broken)
-                pending &= ~broken
-                patched = broken if patched is None else patched | broken
-            move = pending & fin
-            s = np.where(move, s + F / np.where(g > 0, g, 1.0), s)
-        if pending.any():
-            self._robust(V, s, pending)
-            patched = pending if patched is None else patched | pending
-        return np.where(nz, s, -np.inf), Y, patched
-
     def eval(self, V, s_warm):
         """Returns (u, log_norms) of the law on the rows of V."""
-        s, Z, patched = self.log_norms(V, s_warm)
-        finite = np.isfinite(s)
-        sf = np.where(finite, s, 0.0)
-        if Z is None:
-            Z = V * np.exp(-(sf[:, None] * self.rk))
-        elif patched is not None:
-            rk = self.rk if self.rk.ndim == 1 else self.rk[patched]
-            Z[patched] = V[patched] * np.exp(-(sf[patched][:, None] * rk))
-        with np.errstate(over="ignore"):
-            u = -np.exp(self.opm * sf) * _matmul_runs(Z, self.spans, self.K)
-        return np.where(finite, u, 0.0), s
+        return _law(V, self.spans, self.P, self.K, self.rk, self.opm, s_warm)
+
+    def residual(self, a, beta, w, s_warm):
+        """Returns (w - u, log_norms) at the errors a + w*beta."""
+        u, s = self.eval(a + w[:, None] * beta, s_warm)
+        return w - u, s
 
 
 class _Block:
@@ -522,14 +455,9 @@ class _Block:
 
     def _secant(self, rows, a, wl, sl, tol):
         beta = self.beta
-
-        def ev(wv, sv):
-            u, lr = rows.eval(a + wv[:, None] * beta, sv)
-            return wv - u, lr
-
-        phi_a, s_a = ev(wl, sl)
+        phi_a, s_a = rows.residual(a, beta, wl, sl)
         wb = wl - phi_a
-        phi_b, s_b = ev(wb, s_a)
+        phi_b, s_b = rows.residual(a, beta, wb, s_a)
         w1, f1, w2, f2 = wl, phi_a, wb, phi_b
         done = np.abs(f2) <= tol * (1.0 + np.abs(w2))
         for _ in range(9):
@@ -538,7 +466,7 @@ class _Block:
             den = f2 - f1
             step = np.where(np.abs(den) > 1e-300, f2 * (w2 - w1) / den, f2)
             cand = np.where(done, w2, w2 - step)
-            f_c, s_c = ev(cand, s_b)
+            f_c, s_c = rows.residual(a, beta, cand, s_b)
             w1, f1 = w2, f2
             w2, f2, s_b = cand, np.where(done, f2, f_c), np.where(done, s_b, s_c)
             done |= np.abs(f2) <= tol * (1.0 + np.abs(w2))
@@ -592,11 +520,6 @@ def _bracketed_roots(rows: _Rows, a, beta, cmax, w0, f0, s0, tol):
     i.e. the control is projected to the value minimizing the residual.
     """
     m = w0.shape[0]
-
-    def ev(wv, sv):
-        u, lr = rows.eval(a + wv[:, None] * beta, sv)
-        return wv - u, lr
-
     delta = 1.0 + 0.5 * np.abs(w0) + cmax
     lo = w0.copy()
     flo = f0.copy()
@@ -612,11 +535,11 @@ def _bracketed_roots(rows: _Rows, a, beta, cmax, w0, f0, s0, tol):
         lo = np.where(need_lo, lo - delta, lo)
         hi = np.where(need_hi, hi + delta, hi)
         if need_lo.any():
-            fl, sl = ev(lo, slo)
+            fl, sl = rows.residual(a, beta, lo, slo)
             flo = np.where(need_lo, fl, flo)
             slo = np.where(need_lo, sl, slo)
         if need_hi.any():
-            fh, sh = ev(hi, shi)
+            fh, sh = rows.residual(a, beta, hi, shi)
             fhi = np.where(need_hi, fh, fhi)
             shi = np.where(need_hi, sh, shi)
         delta = delta * 2.0
@@ -633,7 +556,7 @@ def _bracketed_roots(rows: _Rows, a, beta, cmax, w0, f0, s0, tol):
         secant = np.where(np.abs(den) > 1e-300, lo - flo * (hi - lo) / den, 0.5 * (lo + hi))
         use_sec = (it % 3 != 2) & (secant > lo) & (secant < hi)
         w = np.where(use_sec, secant, 0.5 * (lo + hi))
-        f, s = ev(w, s)
+        f, s = rows.residual(a, beta, w, s)
         better = np.abs(f) < np.abs(best_f)
         best_w = np.where(better, w, best_w)
         best_f = np.where(better, f, best_f)

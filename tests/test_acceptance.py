@@ -211,7 +211,7 @@ def nonovershoot_batch():
     ax0 = AxisSpec("X", proto, inits[0], cone)
     traj0 = hc.simulate(ScenarioConfig(GRAPH, 2, (ax0,), 1e-3, 20.0))
     assert abs(hc.overshoot_metric(traj0, "X") - batch.efirst_max["X"][:, 0].max()) <= 1e-12
-    mon0 = hc.invariance_monitor(traj0, cone, ctx, "homogeneous", "X")
+    mon0 = hc.invariance_monitor(traj0, "X")
     assert abs(mon0.min_value - batch.phimin["X"][:, 0].min()) <= 1e-12
     st0 = hc.settling_time(traj0, 1e-3)
     sq0 = np.sqrt(batch.errsq_total[:, 0])
@@ -268,7 +268,7 @@ def test_criterion_09_robust_finite_time():
     at = traj.axis("X")
     sq = np.sqrt(np.einsum("tij,tij->t", at.errors, at.errors))
     stays = st is not None and float(sq[int(round(st / 1e-3)):].max()) <= 1e-3
-    mon = hc.invariance_monitor(traj, cone, ctx, "homogeneous", "X")
+    mon = hc.invariance_monitor(traj, "X")
     ok = stays and mon.min_value >= -1e-6
     report(9, "mu=-1 with admissible disturbance: settles, stays, cone kept", ok,
            f"settling {st}, min barrier {mon.min_value:.1e}, "

@@ -1,8 +1,12 @@
+import copy
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homocon.cli import (
     EXIT_BAD_INPUT,
@@ -14,6 +18,8 @@ from homocon.cli import (
     main,
 )
 
+NAN = float("nan")
+INF = float("inf")
 PUBLISHED_P = [[0.0020, 0.0005], [0.0005, 0.0012]]
 PUBLISHED_X = [[0.8281, -0.3107], [-0.3107, 0.9377]]
 PUBLISHED_Y = [0.7502, 0.5000]
@@ -224,6 +230,29 @@ BAD_INPUTS = {
     "fit_unit_ball_integer": (
         "simulate", lambda cfg, out: cfg["protocol"]["X"].update(fit_unit_ball=1),
     ),
+    # non-finite numbers would reach the CSV and make summary.json invalid
+    "initial_nan": ("simulate", lambda cfg, out: cfg["initial"]["X"][1].__setitem__(0, NAN)),
+    "disturbance_nan": ("simulate", lambda cfg, out: cfg.update(disturbance={"X": [0.0, NAN]})),
+    "disturbance_inf": ("simulate", lambda cfg, out: cfg.update(disturbance={"X": [0.0, INF]})),
+    "linear_gain_nan": (
+        "simulate", lambda cfg, out: cfg["protocol"].update(X={"kind": "linear", "K": [NAN, 1.0]}),
+    ),
+    "edge_index_float": (
+        "simulate", lambda cfg, out: cfg["graph"].update(edges=[[1.5, 0, 1.0]]),
+    ),
+    "edge_index_out_of_range": (
+        "simulate", lambda cfg, out: cfg["graph"].update(edges=[[1, 0, 1.0], [2, 0, 1.0]]),
+    ),
+    "no_followers": ("simulate", lambda cfg, out: cfg["graph"].update(num_followers=0)),
+    "object_in_initial": (
+        "simulate", lambda cfg, out: cfg["initial"]["X"][1].__setitem__(0, {}),
+    ),
+    "p_infinite": (
+        "verify-lmi", lambda cfg, out: cfg["protocol"]["X"].update(P=[[INF, 0.0], [0.0, 1.0]]),
+    ),
+    "object_in_p": (
+        "verify-lmi", lambda cfg, out: cfg["protocol"]["X"].update(P=[[{}, 0.0], [0.0, 1.0]]),
+    ),
 }
 
 
@@ -240,6 +269,72 @@ def test_bad_input_exits_two_without_partial_files(tmp_path, case):
         argv += ["--output", str(out_dir)]
     assert main(argv) == EXIT_BAD_INPUT
     assert sorted(p.name for p in out_dir.iterdir()) == before
+
+
+def _paths(node, prefix=()):
+    """Path of every key and list item below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+CONFIG_PATHS = list(_paths(small_config()))
+MISSING = object()
+MUTANTS = [NAN, INF, -INF, 0, -1, -2.5, "x", [], [1.0, 2.0], {}, MISSING]
+
+
+def _mutate(cfg, path, value):
+    """Replace (or with MISSING, delete) the node at ``path``; a path an
+    earlier edit removed is skipped."""
+    node, key = cfg, path[-1]
+    try:
+        for step in path[:-1]:
+            node = node[step]
+        node[key]  # raises if an earlier edit removed the node
+    except (KeyError, IndexError, TypeError):
+        return
+    if not isinstance(node, (dict, list)):
+        return
+    if value is MISSING:
+        del node[key]
+    else:
+        node[key] = copy.deepcopy(value)
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sampled_from(["simulate", "verify-lmi"]),
+    st.lists(st.tuples(st.sampled_from(CONFIG_PATHS), st.sampled_from(MUTANTS)),
+             min_size=1, max_size=3),
+)
+def test_mutated_config_exits_cleanly(command, edits):
+    cfg = copy.deepcopy(small_config())
+    for path, value in edits:
+        _mutate(cfg, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "config.json")
+        with open(config, "w") as fh:
+            json.dump(cfg, fh)
+        out_dir = os.path.join(tmp, "out")
+        argv = [command, "--config", config]
+        if command == "simulate":
+            argv += ["--output", out_dir]
+        code = main(argv)
+        assert code in (0, 2, 3, 4)
+        written = os.listdir(out_dir) if os.path.isdir(out_dir) else []
+        assert not [name for name in written if name.endswith(".tmp")]
+        if code == 0 and command == "simulate":
+            with open(os.path.join(out_dir, "summary.json")) as fh:
+                _strict_json(fh.read())
 
 
 def test_simulate_cli_flag_overrides(tmp_path):

@@ -194,9 +194,34 @@ def test_monitor_flags_start_outside_cone():
     init = np.array([[0.0, 0.0], [0.5, 0.3]])  # follower ahead: outside
     scen = ScenarioConfig(graph, 2, (AxisSpec("X", spec, init, cone),), 1e-3, 0.05)
     traj = simulate(scen)
-    report = invariance_monitor(traj, cone, ctx, "homogeneous", "X")
+    report = invariance_monitor(traj, "X")
     assert report.violation_time == 0.0
     assert report.min_value < -1e-6
+
+
+def test_monitor_reads_recorded_barrier():
+    from homocon.graphs import DirectedGraph
+    from homocon.simulation import AxisSpec, ScenarioConfig, simulate
+    from homocon.protocols import linear_protocol, nonovershoot_protocol
+
+    ctx = HomogeneousNormContext(DilationGenerator(2, -0.2), PUBLISHED_P)
+    cone = ConeSpec(2, 1.0, -0.2)
+    graph = DirectedGraph.from_edges(1, [[1, 0, 1.0]])
+    init = np.array([[0.0, 0.0], [-2.0, 1.0]])
+    axes = (
+        AxisSpec("X", nonovershoot_protocol(1.0, ctx), init, cone),
+        AxisSpec("Y", linear_protocol(2, 1.0), init),
+    )
+    traj = simulate(ScenarioConfig(graph, 2, axes, 1e-3, 0.5))
+    at = traj.axis("X")
+    # the recorded barrier agrees with the library's own evaluation
+    for k in range(0, len(traj.times), 50):
+        assert np.allclose(
+            at.barrier[k, 0], homogeneous_barrier(cone, ctx, at.errors[k, 0]), atol=1e-10
+        )
+    assert invariance_monitor(traj, "X").min_value == float(at.barrier.min())
+    with pytest.raises(ValueError):
+        invariance_monitor(traj, "Y")
 
 
 def test_cone_invariant_under_nonpositive_disturbance():
@@ -230,7 +255,7 @@ def test_cone_invariant_under_nonpositive_disturbance():
     scen = ScenarioConfig(graph, 2, (ax,), 1e-3, 6.0, "implicit_euler", 77)
     traj = simulate(scen)
     assert float(traj.axis("X").disturbance.max()) <= 0.0
-    report = invariance_monitor(traj, cone, ctx, "homogeneous", "X")
+    report = invariance_monitor(traj, "X")
     assert report.min_value >= -1e-6
     assert report.violation_time is None
 

@@ -147,13 +147,26 @@ def test_mu_minus_one_bounded_near_origin():
 
 
 def test_batch_matches_scalar():
-    ctx = reference_ctx()
-    spec = nonovershoot_protocol(1.0, ctx)
     rng = np.random.default_rng(35)
     V = rng.normal(size=(40, 2)) * rng.uniform(0.01, 10.0, size=(40, 1))
-    u, _ = control_input_many(spec, V)
-    for i in range(40):
-        assert abs(u[i] - control_input(spec, V[i])) <= 1e-11 * max(1.0, abs(u[i]))
+    # rows whose weighted norm overflows or underflows take the bisection
+    # and the law's patched-row path (subnormal rows also the overflow-safe
+    # sphere projection); the zero row is the origin
+    z = np.array([-1.3, 0.7])
+    V = np.vstack([V, 1e200 * z, 1e-200 * z, 1e-310 * z, np.zeros(2)])
+    for mu in (-0.2, -1.0):
+        spec = nonovershoot_protocol(1.0, reference_ctx(mu))
+        u, _ = control_input_many(spec, V)
+        for i in range(len(V)):
+            assert abs(u[i] - control_input(spec, V[i])) <= 1e-11 * max(1.0, abs(u[i]))
+        assert u[-1] == 0.0
+        assert np.all(u[-3:-1] != 0.0)
+        assert np.all(np.isfinite(u))
+        for x in V[-4:-1]:
+            for t in (-1.0, 2.0):
+                lhs = control_input(spec, dilation_matrix(spec.norm_ctx.gen, t) @ x)
+                rhs = np.exp((1.0 + mu) * t) * control_input(spec, x)
+                assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
 
 # -- error field ------------------------------------------------------------------

@@ -481,7 +481,7 @@ def test_third_order_chain_full_stack():
     traj = simulate(scen)
     assert overshoot_metric(traj, "X") <= 1e-6
     assert settling_time(traj, 1e-3, "X") is not None
-    mon = invariance_monitor(traj, cone, ctx, "homogeneous", "X")
+    mon = invariance_monitor(traj, "X")
     assert mon.min_value >= -1e-6
     assert lyapunov_violation(traj.axis("X").hnorm) <= 1e-9
 
@@ -556,6 +556,20 @@ def test_scenario_rejects_unrooted_graph_and_nonfinite_times():
     for dt, horizon in ((np.nan, 1.0), (1e-3, np.nan), (1e-3, np.inf), (np.inf, np.inf)):
         with pytest.raises(ValueError, match="finite"):
             ScenarioConfig(chain_graph(), 2, (ax,), dt, horizon)
+
+
+def test_specs_reject_nonfinite_values():
+    init = np.array([[0.0, 0.0], [-2.0, np.nan], [-3.5, 1.0], [-5.0, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        reference_axis(init=init)
+    with pytest.raises(ValueError, match="finite"):
+        DisturbanceSpec(np.array([0.0, np.inf, 0.1, 0.1]))
+    with pytest.raises(ValueError, match="finite"):
+        DisturbanceSpec(np.full(4, 0.1), offsets=np.array([0.0, np.nan, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="finite"):
+        replace(linear_protocol(2, 1.0), gain=np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        DirectedGraph.from_edges(1, [[1, 0, np.inf]])
 
 
 def test_scenario_rejects_dimension_mismatch():
