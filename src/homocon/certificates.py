@@ -51,6 +51,9 @@ class NonPositiveRho(Exception):
 
 def _require_symmetric(M: np.ndarray, name: str) -> np.ndarray:
     M = np.asarray(M, dtype=float)
+    if not np.all(np.isfinite(M)):
+        # the symmetry test below is False for nan, so it would pass
+        raise ValueError(f"{name} must be finite")
     scale = max(float(np.linalg.norm(M)), 1e-300)
     if np.linalg.norm(M - M.T) > 1e-12 * scale:
         raise NotSymmetric(f"{name} is not symmetric")

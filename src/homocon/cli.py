@@ -103,6 +103,14 @@ def _field(section: dict, key: str, where: str, cast):
         raise ConfigError(f"bad value for {where}.{key}: {exc}") from exc
 
 
+def _integer(value) -> int:
+    """A count or seed: only a JSON integer, since int() would truncate
+    2.9 to 2 and let the run go ahead."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _matrix(value, shape, where: str) -> np.ndarray:
     try:
         M = np.asarray(value, dtype=float)
@@ -145,7 +153,7 @@ def _build_graph(section: dict) -> DirectedGraph:
     _check_keys(section, {"num_followers", "edges"}, "graph")
     try:
         return DirectedGraph.from_edges(
-            int(section["num_followers"]), section["edges"]
+            _integer(section["num_followers"]), section["edges"]
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad graph section: {exc}") from exc
@@ -248,7 +256,7 @@ def build_scenario(cfg: dict, overrides: dict | None = None) -> ScenarioConfig:
     N = graph.num_followers
 
     _check_keys(cfg["system"], {"n", "axes"}, "system")
-    n = _field(cfg["system"], "n", "system", int)
+    n = _field(cfg["system"], "n", "system", _integer)
     axis_names = _field(cfg["system"], "axes", "system", list)
     if not all(isinstance(name, str) for name in axis_names):
         raise ConfigError("axis names must be strings")
@@ -260,14 +268,14 @@ def build_scenario(cfg: dict, overrides: dict | None = None) -> ScenarioConfig:
     sim.update(overrides)
     dt = _field(sim, "dt", "sim", float)
     horizon = _field(sim, "horizon", "sim", float)
-    seed = _field(sim, "seed", "sim", int) if "seed" in sim else 0
+    seed = _field(sim, "seed", "sim", _integer) if "seed" in sim else 0
     integrator = sim.get("integrator", "implicit_euler")
     if integrator == "explicit_rk4":
         integrator = "rk4"
 
     dist_cfg = dict(cfg.get("disturbance", {}))
     _check_keys(dist_cfg, set(axis_names) | {"seed"}, "disturbance")
-    dist_seed = _field(dist_cfg, "seed", "disturbance", int) if "seed" in dist_cfg else None
+    dist_seed = _field(dist_cfg, "seed", "disturbance", _integer) if "seed" in dist_cfg else None
 
     axes = []
     for name in axis_names:
@@ -319,7 +327,7 @@ def cmd_gains(args) -> int:
 def cmd_verify_lmi(args) -> int:
     try:
         cfg = load_config(args.config)
-        n = _field(cfg["system"], "n", "system", int)
+        n = _field(cfg["system"], "n", "system", _integer)
         any_protocol = False
         for name, sec in cfg["protocol"].items():
             spec, _, margins = _build_protocol(name, sec, n)

@@ -3,11 +3,16 @@
 Agents integrate the chain dynamics under a per-axis protocol; the
 leader runs open loop. The implicit Euler scheme exploits the affine
 structure of each step: given the new leader state, a follower's update
-is affine in its (scalar) control, so the implicit equation reduces to
-one scalar root problem per follower per step. At points where the
-control law is set-valued (mu = -1 at the origin) the step selects the
-control that lands the error exactly on the discontinuity manifold,
-which reproduces sliding without chattering.
+is affine in its (scalar) control w, e = a + w beta, so the implicit
+equation reduces to one root problem per follower per step. For
+homogeneous laws it is solved jointly in w and the log norm s of e: one
+2x2 Newton iteration per row on w = u(e) and log ||d(-s) e||_P = 0,
+with the closed-form derivatives of the canonical norm, warm-started
+from the previous step; the few rows it leaves unsettled go to a
+bracketing fallback. At points where the control law is set-valued
+(mu = -1 at the origin) the step selects the control that lands the
+error exactly on the discontinuity manifold, which reproduces sliding
+without chattering.
 
 Internally the integrator advances the leader state and the follower
 errors; follower states are reconstructed as leader + error, which
@@ -15,8 +20,8 @@ avoids the catastrophic cancellation of differencing two O(10) states
 once errors shrink toward machine scale.
 
 Every axis of every batch run shares one integration sweep: their
-follower errors are the rows of one block, so each step makes one norm
-solve and one control-root solve for all homogeneous rows together.
+follower errors are the rows of one block, so each step makes one joint
+(w, s) solve for all homogeneous rows together.
 Matrix products still run per axis, on that axis's own rows, so an axis
 integrates exactly as it would alone. The law, the norm solve and the
 sphere projection of the cone barrier are the library's own
@@ -145,8 +150,10 @@ class ScenarioConfig:
 class AxisTrajectory:
     """Recorded series for one axis; time is the leading dimension.
 
-    ``controls[k]`` and ``disturbance[k]`` are the values applied on
-    [t_k, t_{k+1}); the final node repeats the nodal law value and zero.
+    ``controls[k]`` is the law at node k: under implicit Euler, the
+    control applied on [t_{k-1}, t_k), and at node 0 the nodal law value.
+    ``disturbance[k]`` is the draw applied on [t_k, t_{k+1}), zero at
+    the final node.
     No transmitted vectors are stored: at the distributed fixed point
     they equal ``errors`` (see :func:`homocon.graphs.solve_transmitted`).
     """
@@ -224,6 +231,9 @@ def step_implicit_euler(state, f, dt, tol=1e-12, max_iter=100):
 # independently of the horizon
 _DRAW_CHUNK = 256
 
+# passes of the joint (w, s) Newton before a row goes to the bracket
+_NEWTON_PASSES = 10
+
 
 class _Axis:
     """One axis's place in the row block and its law parameters."""
@@ -248,6 +258,14 @@ class _Axis:
                 raise NonConvergentStep("dt too large for the linear implicit step")
         else:
             self.cmax = protocol.sphere_gain_bound()
+            # [y, d(-s) 1] @ jac holds P y, K y, K G y and K d(-s) beta:
+            # one product per pass of the joint Newton
+            n = beta.shape[0]
+            self.jac = np.zeros((2 * n, n + 3))
+            self.jac[:n, :n] = self.P
+            self.jac[:n, n] = self.K
+            self.jac[:n, n + 1] = self.K * self.rk
+            self.jac[n:, n + 2] = self.K * beta
             # |w| below this selects the set-valued point of the law
             if protocol.mu == -1.0:
                 self.snap_bound = self.cmax * (1.0 + 1e-9)
@@ -296,6 +314,7 @@ class _Rows:
         self.opm = opm
         self.P = [g.P for g in axes]
         self.K = [g.K for g in axes]
+        self.jac = [g.jac for g in axes]
 
     def eval(self, V, s_warm):
         """Returns (u, log_norms) of the law on the rows of V."""
@@ -313,8 +332,8 @@ class _Block:
     Follower errors form an (M, n) array, M = A*B*N, and leader states
     an (A*B, n) array; each axis owns a contiguous run-major slice of
     both. Homogeneous axes come first, so their rows are a prefix of the
-    block and share one Newton norm solve and one secant control solve
-    per step. Affine axes (linear, and mu = 0) use the closed-form step.
+    block and share one joint (w, s) Newton solve per step. Affine axes
+    (linear, and mu = 0) use the closed-form step.
     """
 
     def __init__(self, cfg: ScenarioConfig, inits):
@@ -352,25 +371,10 @@ class _Block:
 
         if self.curved:
             # per-row parameters of the curved rows
-            self._starts = [g.rows.start for g in self.curved] + [self.m_curved]
-            self._rk = np.repeat(np.stack([g.rk for g in self.curved]), B * N, axis=0)
-            self._opm = np.repeat([g.opm for g in self.curved], B * N)
+            rk = np.repeat(np.stack([g.rk for g in self.curved]), B * N, axis=0)
+            opm = np.repeat([g.opm for g in self.curved], B * N)
             self.snap_bound = np.repeat([g.snap_bound for g in self.curved], B * N)
-            self.curved_rows = _Rows(
-                self.curved, [g.rows for g in self.curved], self._rk, self._opm
-            )
-
-    def rows_of(self, idx):
-        """_Rows over the sorted curved rows ``idx``."""
-        if len(self.curved) == 1:
-            return _Rows(self.curved, [slice(0, len(idx))])
-        cuts = np.searchsorted(idx, self._starts).tolist()
-        axes, spans = [], []
-        for g, lo, hi in zip(self.curved, cuts, cuts[1:]):
-            if hi > lo:
-                axes.append(g)
-                spans.append(slice(lo, hi))
-        return _Rows(axes, spans, self._rk[idx], self._opm[idx])
+            self.curved_rows = _Rows(self.curved, [g.rows for g in self.curved], rk, opm)
 
     # -- law on the whole block ---------------------------------------------------
     def eval(self, E, s_warm):
@@ -436,54 +440,85 @@ class _Block:
         scale = 1.0 + anorm + np.abs(wpar) * np.sqrt(btb)
         snap = (rn <= snap_tol * scale) & (np.abs(wpar) <= self.snap_bound)
 
-        if not snap.any():
-            w, logr, e_new = self._secant(rows, alpha, w_prev, s_warm, tol)
-        else:
-            w = w_prev.copy()
-            e_new = np.zeros_like(alpha)
-            logr = np.full(M, -np.inf)
+        if snap.all():
+            return np.zeros_like(alpha), wpar, np.full(M, -np.inf)
+        w, logr, e_new = self._newton(alpha, w_prev, s_warm, ~snap, tol)
+        if snap.any():
             w[snap] = wpar[snap]
-            live = ~snap
-            if live.any():
-                idx = np.nonzero(live)[0]
-                w[idx], logr[idx], e_new[idx] = self._secant(
-                    self.rows_of(idx), alpha[idx], w_prev[idx], s_warm[idx], tol
-                )
+            logr[snap] = -np.inf
+            e_new[snap] = 0.0
         if not np.all(np.isfinite(w)):
             raise NonConvergentStep("control root solve produced non-finite values")
         return e_new, w, logr
 
-    def _secant(self, rows, a, wl, sl, tol):
-        beta = self.beta
-        phi_a, s_a = rows.residual(a, beta, wl, sl)
-        wb = wl - phi_a
-        phi_b, s_b = rows.residual(a, beta, wb, s_a)
-        w1, f1, w2, f2 = wl, phi_a, wb, phi_b
-        done = np.abs(f2) <= tol * (1.0 + np.abs(w2))
-        for _ in range(9):
-            if done.all():
-                break
-            den = f2 - f1
-            step = np.where(np.abs(den) > 1e-300, f2 * (w2 - w1) / den, f2)
-            cand = np.where(done, w2, w2 - step)
-            f_c, s_c = rows.residual(a, beta, cand, s_b)
-            w1, f1 = w2, f2
-            w2, f2, s_b = cand, np.where(done, f2, f_c), np.where(done, s_b, s_c)
-            done |= np.abs(f2) <= tol * (1.0 + np.abs(w2))
+    def _newton(self, a, w_prev, s_prev, pending, tol):
+        """Joint Newton on (w, s) on the curved rows, e = a + w beta.
 
-        if not done.all():
-            # the bracket runs once per axis: its bisection keeps moving
-            # settled rows until every row of the call has settled
-            rough = np.nonzero(~done)[0]
-            cuts = np.searchsorted(rough, [span.start for span in rows.spans] + [len(a)])
+        Solves R1 = w + exp(opm s) K d(-s)(a + w beta) = 0 together with
+        R2 = F = log ||d(-s)(a + w beta)||_P = 0, from (w_prev, s_prev),
+        with the closed-form Jacobian (y = d(-s)(a + w beta),
+        q2 = y'Py, G = diag(rk), opm = 1 + mu):
+
+            dR1/dw = 1 + exp(opm s) K d(-s) beta
+            dR1/ds = exp(opm s) (opm K y - K G y)
+            dF/dw  = (Py . d(-s) beta) / q2
+            dF/ds  = -(Py . G y) / q2
+
+        Only ``pending`` rows are solved; each freezes once |F| <= 1e-13
+        and |R1| <= tol (1 + |w|). Rows still open or non-finite after
+        _NEWTON_PASSES passes go to the bracket, once per axis.
+        Returns (w, log_norms, e_new).
+        """
+        beta, n, rows = self.beta, self.n, self.curved_rows
+        rk, opm, spans = rows.rk, rows.opm, rows.spans
+        w = w_prev.copy()
+        s = s_prev.copy()
+        pending = pending.copy()
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            cold = pending & ~np.isfinite(s)
+            if cold.any():  # rows leaving the origin start at log ||e||_P
+                X = a + w[:, None] * beta
+                pn2 = (_matmul_runs(X, spans, rows.P) * X).sum(axis=1)
+                s = np.where(cold, 0.5 * np.log(pn2), s)
+            for _ in range(_NEWTON_PASSES):
+                ex = np.exp(-(s[:, None] * rk))
+                Y = (a + w[:, None] * beta) * ex
+                prod = _matmul_runs(np.concatenate((Y, ex), axis=1), spans, rows.jac)
+                PY, KY, KGY, KDb = prod[:, :n], prod[:, n], prod[:, n + 1], prod[:, n + 2]
+                PYY = PY * Y
+                q2 = PYY.sum(axis=1)
+                F = 0.5 * np.log(q2)
+                c = np.exp(opm * s)
+                R1 = w + c * KY
+                done = (np.abs(F) <= 1e-13) & (np.abs(R1) <= tol * (1.0 + np.abs(w)))
+                pending &= ~done
+                if not pending.any():
+                    break
+                J11 = 1.0 + c * KDb
+                J12 = c * (opm * KY - KGY)
+                J21 = (PY * ex * beta).sum(axis=1) / q2
+                J22 = -(PYY * rk).sum(axis=1) / q2
+                det = J11 * J22 - J12 * J21
+                dw = (J12 * F - J22 * R1) / det
+                ds = (J21 * R1 - J11 * F) / det
+                w = np.where(pending, w + dw, w)
+                s = np.where(pending, s + ds, s)
+
+        rough = np.nonzero(pending)[0]
+        if rough.size:
+            # the bracket runs once per axis, from the residual at w_prev:
+            # its bisection keeps moving settled rows until every row of
+            # the call has settled
+            cuts = np.searchsorted(rough, [span.start for span in spans] + [len(a)])
             for g, lo, hi in zip(rows.axes, cuts[:-1], cuts[1:]):
                 if hi > lo:
                     r = rough[lo:hi]
-                    w2[r], s_b[r] = _bracketed_roots(
-                        _Rows([g], [slice(0, hi - lo)]), a[r], beta, g.cmax,
-                        w2[r], f2[r], s_b[r], tol,
+                    one = _Rows([g], [slice(0, hi - lo)])
+                    f0, s0 = one.residual(a[r], beta, w_prev[r], s_prev[r])
+                    w[r], s[r] = _bracketed_roots(
+                        one, a[r], beta, g.cmax, w_prev[r], f0, s0, tol
                     )
-        return w2, s_b, a + w2[:, None] * beta
+        return w, s, a + w[:, None] * beta
 
     # -- explicit RK4 step -------------------------------------------------------
     def field(self, L, E, q0, dq, warm):
@@ -511,8 +546,8 @@ class _Block:
 
 
 def _bracketed_roots(rows: _Rows, a, beta, cmax, w0, f0, s0, tol):
-    """Bracket-and-bisect fallback for rows of one axis the secant pass
-    missed.
+    """Bracket-and-bisect fallback for rows of one axis the joint Newton
+    left unsettled.
 
     On a jump of the law crossing the diagonal (set-valued point that
     failed the snap test) the bracket collapses without the residual

@@ -42,6 +42,15 @@ def test_not_symmetric_rejected():
         verify_lmi_p([[1.0, 0.5], [0.0, 1.0]], GEN2, CHAIN2.A, CHAIN2.B, [1.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_matrix_rejected(bad):
+    M = np.array([[1.0, 0.0], [0.0, bad]])
+    with pytest.raises(ValueError, match="finite"):
+        verify_lmi_p(M, GEN2, CHAIN2.A, CHAIN2.B, linear_gain(2, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        verify_lmi_xy(M, PUBLISHED_Y, GEN2, CHAIN2.A, CHAIN2.B)
+
+
 def test_published_xy_certificate_and_derived_gain():
     cert = verify_lmi_xy(PUBLISHED_X, PUBLISHED_Y, GEN2, CHAIN2.A, CHAIN2.B)
     assert cert.feasible

@@ -223,6 +223,17 @@ BAD_INPUTS = {
         lambda cfg, out: cfg.update(disturbance={"X": [0.0, 0.1], "seed": "abc"}),
     ),
     "no_axes": ("simulate", lambda cfg, out: cfg["system"].update(axes=[])),
+    # counts and seeds must be JSON integers, not truncated floats
+    "n_float": ("simulate", lambda cfg, out: cfg["system"].update(n=2.9)),
+    "verify_n_float": ("verify-lmi", lambda cfg, out: cfg["system"].update(n=2.9)),
+    "num_followers_float": (
+        "simulate", lambda cfg, out: cfg["graph"].update(num_followers=1.5),
+    ),
+    "sim_seed_float": ("simulate", lambda cfg, out: cfg["sim"].update(seed=1.7)),
+    "disturbance_seed_float": (
+        "simulate",
+        lambda cfg, out: cfg.update(disturbance={"X": [0.0, 0.1], "seed": 1.7}),
+    ),
     # only a JSON boolean switches the P rescaling on or off
     "fit_unit_ball_string": (
         "simulate", lambda cfg, out: cfg["protocol"]["X"].update(fit_unit_ball="no"),

@@ -9,6 +9,7 @@ from homocon.homogeneity import DilationGenerator, HomogeneousNormContext
 from homocon.protocols import (
     IntegratorChain,
     control_input,
+    control_input_many,
     linear_protocol,
     nonovershoot_protocol,
 )
@@ -369,6 +370,30 @@ def test_two_axes_equal_each_axis_alone(case, monkeypatch):
 
 
 # -- integrator behaviour --------------------------------------------------------------
+
+def _nominal_preset():
+    from homocon.cli import _preset_config, build_scenario
+
+    cfg = _preset_config("homogeneous_nominal")
+    cfg["sim"]["horizon"] = 3.0
+    return build_scenario(cfg)
+
+
+@pytest.mark.parametrize(
+    "make", [_nominal_preset, _curved_and_linear_cyclic], ids=["mu-0.2", "mu-0.5-n3"]
+)
+def test_recorded_controls_solve_the_implicit_law(make):
+    # under implicit Euler controls[k] is the law at node k, so the step's
+    # root solve must leave w = u(e) to its stopping tolerance
+    scen = make()
+    traj = simulate(scen)
+    for ax in scen.axes:
+        at = traj.axis(ax.name)
+        T, N, n = at.errors.shape
+        u, _ = control_input_many(ax.protocol, at.errors.reshape(-1, n))
+        u = u.reshape(T, N)
+        assert np.all(np.abs(at.controls - u) <= 1e-12 * (1.0 + np.abs(u))), ax.name
+
 
 def test_grid_refinement_first_order():
     # terminal state converges at first order: successive dt-halving
