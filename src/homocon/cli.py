@@ -111,10 +111,21 @@ def _integer(value) -> int:
     return value
 
 
+def _number(value) -> float:
+    """A real value: only a JSON number, since float() would also take
+    the string "0.001" and the boolean true."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _matrix(value, shape, where: str) -> np.ndarray:
+    def numbers(v):
+        return [numbers(x) for x in v] if isinstance(v, list) else _number(v)
+
     try:
-        M = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+        M = np.asarray(numbers(value), dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where} must be numeric: {exc}") from exc
     if M.shape != shape:
         raise ConfigError(f"{where} must have shape {shape}, got {M.shape}")
@@ -175,7 +186,7 @@ def _build_protocol(name: str, sec: dict, n: int):
     chain = IntegratorChain(n)
     margins = {}
     if kind == "linear":
-        lam = _field(sec, "lambda", where, float) if "lambda" in sec else None
+        lam = _field(sec, "lambda", where, _number) if "lambda" in sec else None
         if "K" in sec:
             gain = _matrix(sec["K"], (n,), f"{where}.K")
         elif lam is not None:
@@ -188,7 +199,7 @@ def _build_protocol(name: str, sec: dict, n: int):
 
     if kind not in ("homogeneous_consensus", "homogeneous_nonovershooting"):
         raise ConfigError(f"protocol.{name}: unknown kind {kind!r}")
-    mu = _field(sec, "mu", where, float)
+    mu = _field(sec, "mu", where, _number)
     gen = DilationGenerator(n, mu)
 
     if kind == "homogeneous_consensus":
@@ -223,7 +234,7 @@ def _build_protocol(name: str, sec: dict, n: int):
         ctx = HomogeneousNormContext(gen, P)
         return consensus_protocol(gain, ctx), None, margins
 
-    lam = _field(sec, "lambda", where, float)
+    lam = _field(sec, "lambda", where, _number)
     K_lin = linear_gain(n, lam)
     if "P" in sec:
         cert = verify_lmi_p(
@@ -266,8 +277,8 @@ def build_scenario(cfg: dict, overrides: dict | None = None) -> ScenarioConfig:
     sim = dict(cfg["sim"])
     _check_keys(sim, {"dt", "horizon", "integrator", "seed"}, "sim")
     sim.update(overrides)
-    dt = _field(sim, "dt", "sim", float)
-    horizon = _field(sim, "horizon", "sim", float)
+    dt = _field(sim, "dt", "sim", _number)
+    horizon = _field(sim, "horizon", "sim", _number)
     seed = _field(sim, "seed", "sim", _integer) if "seed" in sim else 0
     integrator = sim.get("integrator", "implicit_euler")
     if integrator == "explicit_rk4":

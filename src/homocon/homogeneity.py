@@ -8,10 +8,11 @@ surrogate for a norm that all protocols and cones in this package are
 built on.
 
 One private kernel solves it for the whole package: a vectorized Newton
-iteration on rows cut into spans with their own P (the simulator's
-axes), with an exponent-shifted bisection for rows at extreme
-magnitudes. ``_project_to_sphere`` is the one projection d(-s) x onto
-the unit sphere, shared by the law and the cone barriers.
+iteration on rows in equal consecutive groups, each with its own P
+(the simulator's axes), so every product is one stacked matmul, with an
+exponent-shifted bisection for rows at extreme magnitudes.
+``_project_to_sphere`` is the one projection d(-s) x onto the unit
+sphere, shared by the law and the cone barriers.
 """
 
 from __future__ import annotations
@@ -109,36 +110,24 @@ class HomogeneousNormContext:
         return float(np.sqrt(x @ self.P @ x))
 
 
-def _matmul_runs(X, spans, mats):
-    """``X[span] @ mat`` for each (span, mat) pair, stacked.
-
-    BLAS results can depend on the row count, so each span's product
-    keeps the shape it has when that span is evaluated alone.
-    """
-    if len(spans) == 1:
-        return X @ mats[0]
-    out = np.empty((X.shape[0],) + mats[0].shape[1:])
-    for span, M in zip(spans, mats):
-        np.matmul(X[span], M, out=out[span])
-    return out
-
-
-def _log_norms(X, spans, Ps, rk, s_warm=None):
+def _log_norms(X, Ps, rk, s_warm):
     """Log canonical norms of the rows of X by Newton's method.
 
-    Rows are cut into ``spans``, span j carrying the shape matrix
-    ``Ps[j]``; ``rk`` holds the dilation entries, shared (n,) or per row
-    (m, n). F(s) = log ||d(-s) x||_P is smooth and strictly decreasing,
-    and Newton stops at |F| <= 1e-13. Rows whose iteration over- or
-    underflows, or has not settled after 50 passes, and nonzero rows
-    whose weighted norm underflows, go to the exponent-shifted bisection.
+    The rows form len(Ps) equal consecutive groups, group j carrying the
+    shape matrix ``Ps[j]`` of the stacked (A, n, n) ``Ps``; ``rk`` holds
+    the dilation entries, shared (n,) or per row (m, n). F(s) =
+    log ||d(-s) x||_P is smooth and strictly decreasing, and Newton stops
+    at |F| <= 1e-13. Rows whose iteration over- or underflows, or has
+    not settled after 50 passes, and nonzero rows whose weighted norm
+    underflows, go to the exponent-shifted bisection.
 
     Returns (s, Y, patched): s is -inf at x = 0; Y holds the scaled
     vectors d(-s) x of the last Newton pass (None if no pass ran), valid
     on every row except those ``patched`` by the bisection (None if none
     were).
     """
-    pn2 = (_matmul_runs(X, spans, Ps) * X).sum(axis=1)
+    m, n = X.shape
+    pn2 = ((X.reshape(len(Ps), -1, n) @ Ps).reshape(m, n) * X).sum(axis=1)
     nz = pn2 > 0.0
     s = 0.5 * np.log(np.maximum(pn2, 1e-308))
     if s_warm is not None:
@@ -152,7 +141,7 @@ def _log_norms(X, spans, Ps, rk, s_warm=None):
         # underflowed go to the bisection
         lost = ~nz & np.any(X != 0.0, axis=1)
         if lost.any():
-            _bisect_rows(X, spans, Ps, rk, s, lost)
+            _bisect_rows(X, Ps, rk, s, lost)
             nz |= lost
             patched = lost
     for _ in range(50):
@@ -160,7 +149,7 @@ def _log_norms(X, spans, Ps, rk, s_warm=None):
             break
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             Y = X * np.exp(-(s[:, None] * rk))
-            PY = _matmul_runs(Y, spans, Ps)
+            PY = (Y.reshape(len(Ps), -1, n) @ Ps).reshape(m, n)
             q2 = (PY * Y).sum(axis=1)
             F = 0.5 * np.log(q2)
             g = (PY * (Y * rk)).sum(axis=1) / q2
@@ -168,23 +157,23 @@ def _log_norms(X, spans, Ps, rk, s_warm=None):
         pending &= ~(fin & (np.abs(F) <= 1e-13))
         broken = pending & ~fin
         if broken.any():
-            _bisect_rows(X, spans, Ps, rk, s, broken)
+            _bisect_rows(X, Ps, rk, s, broken)
             pending &= ~broken
             patched = broken if patched is None else patched | broken
         move = pending & fin
         s = np.where(move, s + F / np.where(g > 0, g, 1.0), s)
     if pending.any():
-        _bisect_rows(X, spans, Ps, rk, s, pending)
+        _bisect_rows(X, Ps, rk, s, pending)
         patched = pending if patched is None else patched | pending
     return np.where(nz, s, -np.inf), Y, patched
 
 
-def _bisect_rows(X, spans, Ps, rk, s, mask):
-    """Overwrite s on the masked rows with the bisection's log norms."""
-    index = np.arange(X.shape[0])
-    for span, P in zip(spans, Ps):
-        for i in index[span][mask[span]]:
-            s[i] = _bisect_log_norm(P, rk if rk.ndim == 1 else rk[i], X[i])
+def _bisect_rows(X, Ps, rk, s, mask):
+    """Overwrite s on the masked rows with the bisection's log norms;
+    row i lies in group i // rows of the len(Ps) equal row groups."""
+    rows = X.shape[0] // len(Ps)
+    for i in np.nonzero(mask)[0]:
+        s[i] = _bisect_log_norm(Ps[i // rows], rk if rk.ndim == 1 else rk[i], X[i])
 
 
 def _bisect_log_norm(P, rk, x):
@@ -268,7 +257,7 @@ def canonical_norm_many(
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
-        s, _, _ = _log_norms(X, (slice(None),), (ctx.P,), ctx.gen.diag_entries, warm_log)
+        s, _, _ = _log_norms(X, ctx.P[None], ctx.gen.diag_entries, warm_log)
         return np.exp(s), s
 
 

@@ -23,7 +23,6 @@ import numpy as np
 from .homogeneity import (
     HomogeneousNormContext,
     _log_norms,
-    _matmul_runs,
     _project_to_sphere,
     unit_sphere_max,
 )
@@ -158,15 +157,16 @@ def nonovershoot_protocol(lam: float, norm_ctx: HomogeneousNormContext) -> Proto
     )
 
 
-def _law(V, spans, Ps, Ks, rk, opm, s_warm=None):
+def _law(V, Ps, Ks, rk, opm, s_warm):
     """The homogeneous law u = -exp(opm*s) K d(-s) v on the rows v of V.
 
-    Rows are cut into ``spans``, span j with shape matrix ``Ps[j]`` and
-    gain ``Ks[j]``; ``rk`` and ``opm`` (1 + mu) are shared or per row.
+    The rows form len(Ps) equal consecutive groups, group j with shape
+    matrix ``Ps[j]`` and gain ``Ks[j]`` (stacked (A, n, n) and (A, n));
+    ``rk`` and ``opm`` (1 + mu) are shared or per row.
     Returns (u, log_norms), with u = 0 where the log norm is not finite
     (the origin).
     """
-    s, Z, patched = _log_norms(V, spans, Ps, rk, s_warm)
+    s, Z, patched = _log_norms(V, Ps, rk, s_warm)
     if Z is None:
         Z = _project_to_sphere(V, s, rk)
     elif patched is not None:
@@ -175,7 +175,8 @@ def _law(V, spans, Ps, Ks, rk, opm, s_warm=None):
         )
     finite = np.isfinite(s)
     with np.errstate(over="ignore"):
-        u = -np.exp(opm * np.where(finite, s, 0.0)) * _matmul_runs(Z, spans, Ks)
+        KZ = (Z.reshape(len(Ks), -1, V.shape[1]) @ Ks[:, :, None]).reshape(-1)
+        u = -np.exp(opm * np.where(finite, s, 0.0)) * KZ
     return np.where(finite, u, 0.0), s
 
 
@@ -197,8 +198,7 @@ def control_input_many(
     ctx = spec.norm_ctx
     with np.errstate(over="ignore", invalid="ignore"):
         return _law(
-            V, (slice(None),), (ctx.P,), (spec.gain,), ctx.gen.diag_entries,
-            1.0 + spec.mu, warm_log,
+            V, ctx.P[None], spec.gain[None], ctx.gen.diag_entries, 1.0 + spec.mu, warm_log
         )
 
 

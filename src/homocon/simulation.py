@@ -21,12 +21,14 @@ once errors shrink toward machine scale.
 
 Every axis of every batch run shares one integration sweep: their
 follower errors are the rows of one block, so each step makes one joint
-(w, s) solve for all homogeneous rows together.
-Matrix products still run per axis, on that axis's own rows, so an axis
+(w, s) solve for all homogeneous rows together. Each axis owns the same
+number of rows, so a matrix product is one stacked matmul over an
+(axes, rows, .) view against the axes' stacked matrices; each axis's
+slice of it is the product that axis would make alone, so an axis
 integrates exactly as it would alone. The law, the norm solve and the
 sphere projection of the cone barrier are the library's own
 (``protocols._law``, ``homogeneity._log_norms``,
-``homogeneity._project_to_sphere``), fed with per-axis spans.
+``homogeneity._project_to_sphere``), fed with the stacked matrices.
 
 Runs are deterministic: identical configuration and seed give
 bit-identical trajectories and CSV files. A batch dimension lets many
@@ -42,7 +44,7 @@ import numpy as np
 
 from .cones import ConeSpec
 from .graphs import DirectedGraph, is_leader_rooted
-from .homogeneity import _matmul_runs, _project_to_sphere
+from .homogeneity import _project_to_sphere
 from .protocols import IntegratorChain, ProtocolKind, ProtocolSpec, _law
 
 
@@ -102,6 +104,13 @@ class AxisSpec:
         object.__setattr__(self, "initial", X0)
 
 
+# Largest run a scenario may ask for, in recorded state values
+# (steps + 1) * (N + 1) * n * axes: a full recording stores about this
+# many floats per series, 0.8 GB each at the bound. reproduce-paper
+# records about 3.2e5.
+MAX_RECORDED_VALUES = 10**8
+
+
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     graph: DirectedGraph
@@ -123,9 +132,15 @@ class ScenarioConfig:
             raise ValueError("graph is not leader-rooted")
         if not self.axes:
             raise ValueError("need at least one axis")
+        N = self.graph.num_followers
+        steps = round(float(self.horizon) / float(self.dt), 0)  # inf when it overflows
+        size = (steps + 1) * (N + 1) * self.n * len(self.axes)
+        if not size <= MAX_RECORDED_VALUES:
+            raise ValueError(
+                f"run too large: {size:.3g} recorded values, at most {MAX_RECORDED_VALUES:.0e}"
+            )
         if self.integrator not in ("implicit_euler", "rk4"):
             raise ValueError("integrator must be 'implicit_euler' or 'rk4'")
-        N = self.graph.num_followers
         for ax in self.axes:
             if ax.protocol.n != self.n:
                 raise ValueError(f"axis {ax.name}: protocol dimension mismatch")
@@ -272,16 +287,27 @@ class _Axis:
             else:
                 self.snap_bound = 1e-9 * (1.0 + self.cmax)
 
-    def affine_log_norms(self, V):
-        if self.P is None:
-            return np.full(V.shape[0], -np.inf)
-        pn2 = (V @ self.P * V).sum(axis=1)
+    def residual(self, a, beta, w, s_warm):
+        """Returns (w - u, log_norms) of this axis's law at the errors
+        a + w*beta."""
+        u, s = _law(a + w[:, None] * beta, self.P[None], self.K[None], self.rk, self.opm, s_warm)
+        return w - u, s
+
+    def log_norms(self, E, s):
+        """Log norms of this axis's errors E (rows in the last axis): its
+        rows of the block's curved-row log norms s, the closed form
+        log ||e||_P at degree zero, None for linear laws."""
+        if self.rk is None:
+            return None
+        if not self.affine:
+            return s[..., self.rows]
+        pn2 = (E @ self.P * E).sum(axis=-1)
         with np.errstate(divide="ignore"):
             return np.where(pn2 > 0.0, 0.5 * np.log(pn2), -np.inf)
 
     def hnorm(self, E, s):
-        """Recorded norms of errors E (rows in the last axis) with log
-        norms s: homogeneous exp(s), linear ||e||_2."""
+        """Recorded norms of errors E with this axis's log norms s:
+        homogeneous exp(s), linear ||e||_2."""
         if self.rk is None:
             return np.sqrt((E * E).sum(axis=-1))
         with np.errstate(over="ignore"):
@@ -296,44 +322,17 @@ class _Axis:
         return _project_to_sphere(E, s, self.rk) @ H_T
 
 
-class _Rows:
-    """Sorted rows of the homogeneous (non-affine) axes that one law
-    evaluation works on, cut into one contiguous span per axis.
-
-    Matrix products run per span; elementwise arithmetic runs on all rows
-    at once with per-row dilation entries ``rk`` and exponents ``opm``
-    (1 + mu), broadcast from the axis when a single axis is present.
-    """
-
-    def __init__(self, axes, spans, rk=None, opm=None):
-        if len(axes) == 1:
-            rk, opm = axes[0].rk, axes[0].opm
-        self.axes = axes
-        self.spans = spans
-        self.rk = rk
-        self.opm = opm
-        self.P = [g.P for g in axes]
-        self.K = [g.K for g in axes]
-        self.jac = [g.jac for g in axes]
-
-    def eval(self, V, s_warm):
-        """Returns (u, log_norms) of the law on the rows of V."""
-        return _law(V, self.spans, self.P, self.K, self.rk, self.opm, s_warm)
-
-    def residual(self, a, beta, w, s_warm):
-        """Returns (w - u, log_norms) at the errors a + w*beta."""
-        u, s = self.eval(a + w[:, None] * beta, s_warm)
-        return w - u, s
-
-
 class _Block:
     """Every axis of every batch run as one row block.
 
     Follower errors form an (M, n) array, M = A*B*N, and leader states
     an (A*B, n) array; each axis owns a contiguous run-major slice of
-    both. Homogeneous axes come first, so their rows are a prefix of the
-    block and share one joint (w, s) Newton solve per step. Affine axes
-    (linear, and mu = 0) use the closed-form step.
+    both, B*N and B rows. Every per-axis product is therefore one
+    stacked matmul over an (A, rows, .) view of the flat array, against
+    the axes' matrices stacked here. Curved axes come first, so their
+    rows are a prefix of the block and share one joint (w, s) Newton
+    solve per step; the block's log norms cover these rows only. Affine
+    axes (linear, and mu = 0) use the closed-form step.
     """
 
     def __init__(self, cfg: ScenarioConfig, inits):
@@ -346,9 +345,12 @@ class _Block:
         self.dt = dt
         self.A = chain.A
         self.b = chain.B.reshape(-1)
-        self.R = np.linalg.inv(np.eye(n) - dt * self.A)
-        self.beta = dt * (self.R @ self.b)
-        self.btb = float(self.beta @ self.beta)
+        with np.errstate(over="ignore"):
+            self.R = np.linalg.inv(np.eye(n) - dt * self.A)
+            self.beta = dt * (self.R @ self.b)
+            self.btb = float(self.beta @ self.beta)
+        if not (np.all(np.isfinite(self.R)) and np.isfinite(self.btb)):
+            raise NonConvergentStep("dt too large for the implicit step")
         self.B, self.N, self.n = B, N, n
 
         order = sorted(range(len(cfg.axes)), key=lambda i: cfg.axes[i].protocol.mu == 0.0)
@@ -359,66 +361,57 @@ class _Block:
             self.axes.append(_Axis(i, cfg.axes[i], rows, lead, self.beta))
         self.in_order = sorted(self.axes, key=lambda g: g.index)
         self.curved = [g for g in self.axes if not g.affine]
-        self.flat = [g for g in self.axes if g.affine]
+        flat = self.axes[len(self.curved):]
         self.M = len(self.axes) * B * N
         self.m_curved = len(self.curved) * B * N
-        self.lead_spans = [g.lead for g in self.axes]
-        self.row_spans = [g.rows for g in self.axes]
 
         X0 = [inits[g.index] for g in self.axes]
         self.L0 = np.concatenate([x[:, 0, :] for x in X0])
         self.E0 = np.concatenate([(x[:, 1:, :] - x[:, 0:1, :]).reshape(B * N, n) for x in X0])
 
         if self.curved:
-            # per-row parameters of the curved rows
-            rk = np.repeat(np.stack([g.rk for g in self.curved]), B * N, axis=0)
-            opm = np.repeat([g.opm for g in self.curved], B * N)
+            # stacked matrices and per-row parameters of the curved rows
+            self.P = np.stack([g.P for g in self.curved])
+            self.K = np.stack([g.K for g in self.curved])
+            self.jac = np.stack([g.jac for g in self.curved])
+            self.rk = np.repeat(np.stack([g.rk for g in self.curved]), B * N, axis=0)
+            self.opm = np.repeat([g.opm for g in self.curved], B * N)
             self.snap_bound = np.repeat([g.snap_bound for g in self.curved], B * N)
-            self.curved_rows = _Rows(self.curved, [g.rows for g in self.curved], rk, opm)
+        if flat:
+            self.K_flat = np.stack([g.K for g in flat])[:, :, None]
+            self.lin_den = np.repeat([g.lin_den for g in flat], B * N)
 
     # -- law on the whole block ---------------------------------------------------
     def eval(self, E, s_warm):
-        """Returns (u, log_norms) for every row of the block."""
-        mc = self.m_curved
-        if not self.flat:
-            return self.curved_rows.eval(E, s_warm)
+        """Returns (u, s): the law on every row of the block and the log
+        norms of the curved rows."""
+        mc, n = self.m_curved, self.n
         u = np.empty(self.M)
-        s = np.empty(self.M)
+        s = np.empty(0)
         if mc:
-            u[:mc], s[:mc] = self.curved_rows.eval(
-                E[:mc], None if s_warm is None else s_warm[:mc]
-            )
-        for g in self.flat:
-            V = E[g.rows]
-            u[g.rows] = -(V @ g.K)
-            s[g.rows] = g.affine_log_norms(V)
+            u[:mc], s = _law(E[:mc], self.P, self.K, self.rk, self.opm, s_warm)
+        if mc < self.M:
+            u[mc:] = -(E[mc:].reshape(len(self.K_flat), -1, n) @ self.K_flat).reshape(-1)
         return u, s
 
     # -- implicit Euler step ------------------------------------------------------
     def step_implicit(self, L, E, q0, dq, w_prev, s_warm):
+        groups, n, mc = len(self.axes), self.n, self.m_curved
         RT = self.R.T
-        L_new = _matmul_runs(
-            L + self.dt * np.outer(q0, self.b), self.lead_spans, [RT] * len(self.axes)
-        )
-        alpha = (
-            _matmul_runs(E, self.row_spans, [RT] * len(self.axes))
-            + dq[:, None] * self.beta
-        )
-        mc = self.m_curved
-        if not self.flat:
-            return (L_new, *self._solve_control_roots(alpha, w_prev, s_warm))
+        L_new = ((L + self.dt * np.outer(q0, self.b)).reshape(groups, -1, n) @ RT).reshape(-1, n)
+        alpha = (E.reshape(groups, -1, n) @ RT).reshape(-1, n) + dq[:, None] * self.beta
         w = np.empty(self.M)
         e_new = np.empty_like(alpha)
-        logr = np.empty(self.M)
+        logr = np.empty(0)
         if mc:
-            e_new[:mc], w[:mc], logr[:mc] = self._solve_control_roots(
-                alpha[:mc], w_prev[:mc], s_warm[:mc]
+            e_new[:mc], w[:mc], logr = self._solve_control_roots(
+                alpha[:mc], w_prev[:mc], s_warm
             )
-        for g in self.flat:  # closed form
-            a = alpha[g.rows]
-            w[g.rows] = wg = -(a @ g.K) / g.lin_den
-            e_new[g.rows] = eg = a + wg[:, None] * self.beta
-            logr[g.rows] = g.affine_log_norms(eg)
+        if mc < self.M:  # closed form
+            a = alpha[mc:]
+            KA = (a.reshape(len(self.K_flat), -1, n) @ self.K_flat).reshape(-1)
+            w[mc:] = wf = -KA / self.lin_den
+            e_new[mc:] = a + wf[:, None] * self.beta
         return L_new, e_new, w, logr
 
     def _solve_control_roots(self, alpha, w_prev, s_warm, tol=1e-12, snap_tol=1e-12):
@@ -430,10 +423,9 @@ class _Block:
         placed exactly at the origin: the discrete analogue of sliding.
         """
         beta, btb = self.beta, self.btb
-        rows = self.curved_rows
         M = alpha.shape[0]
 
-        wpar = -_matmul_runs(alpha, rows.spans, [beta] * len(rows.spans)) / btb
+        wpar = -(alpha.reshape(len(self.curved), -1, self.n) @ beta).reshape(-1) / btb
         resid = alpha + wpar[:, None] * beta
         rn = np.sqrt((resid * resid).sum(axis=1))
         anorm = np.sqrt((alpha * alpha).sum(axis=1))
@@ -469,8 +461,8 @@ class _Block:
         _NEWTON_PASSES passes go to the bracket, once per axis.
         Returns (w, log_norms, e_new).
         """
-        beta, n, rows = self.beta, self.n, self.curved_rows
-        rk, opm, spans = rows.rk, rows.opm, rows.spans
+        beta, n, rk, opm = self.beta, self.n, self.rk, self.opm
+        groups = len(self.curved)
         w = w_prev.copy()
         s = s_prev.copy()
         pending = pending.copy()
@@ -478,12 +470,13 @@ class _Block:
             cold = pending & ~np.isfinite(s)
             if cold.any():  # rows leaving the origin start at log ||e||_P
                 X = a + w[:, None] * beta
-                pn2 = (_matmul_runs(X, spans, rows.P) * X).sum(axis=1)
+                pn2 = ((X.reshape(groups, -1, n) @ self.P).reshape(-1, n) * X).sum(axis=1)
                 s = np.where(cold, 0.5 * np.log(pn2), s)
             for _ in range(_NEWTON_PASSES):
                 ex = np.exp(-(s[:, None] * rk))
                 Y = (a + w[:, None] * beta) * ex
-                prod = _matmul_runs(np.concatenate((Y, ex), axis=1), spans, rows.jac)
+                YE = np.concatenate((Y, ex), axis=1).reshape(groups, -1, 2 * n)
+                prod = (YE @ self.jac).reshape(-1, n + 3)
                 PY, KY, KGY, KDb = prod[:, :n], prod[:, n], prod[:, n + 1], prod[:, n + 2]
                 PYY = PY * Y
                 q2 = PYY.sum(axis=1)
@@ -509,27 +502,20 @@ class _Block:
             # the bracket runs once per axis, from the residual at w_prev:
             # its bisection keeps moving settled rows until every row of
             # the call has settled
-            cuts = np.searchsorted(rough, [span.start for span in spans] + [len(a)])
-            for g, lo, hi in zip(rows.axes, cuts[:-1], cuts[1:]):
-                if hi > lo:
-                    r = rough[lo:hi]
-                    one = _Rows([g], [slice(0, hi - lo)])
-                    f0, s0 = one.residual(a[r], beta, w_prev[r], s_prev[r])
-                    w[r], s[r] = _bracketed_roots(
-                        one, a[r], beta, g.cmax, w_prev[r], f0, s0, tol
-                    )
+            group = rough // (self.B * self.N)
+            for j in np.unique(group):
+                g, r = self.curved[j], rough[group == j]
+                f0, s0 = g.residual(a[r], beta, w_prev[r], s_prev[r])
+                w[r], s[r] = _bracketed_roots(g, a[r], beta, w_prev[r], f0, s0, tol)
         return w, s, a + w[:, None] * beta
 
     # -- explicit RK4 step -------------------------------------------------------
     def field(self, L, E, q0, dq, warm):
-        B, N, n = self.B, self.N, self.n
-        dL = _matmul_runs(L, self.lead_spans, [self.A.T] * len(self.axes)) + np.outer(
-            q0, self.b
-        )
+        n = self.n
+        AT = self.A.T
+        dL = (L.reshape(len(self.axes), -1, n) @ AT).reshape(-1, n) + np.outer(q0, self.b)
         u, logr = self.eval(E, warm)
-        EA = np.empty_like(E)
-        for span in self.row_spans:
-            EA[span] = (E[span].reshape(B, N, n) @ self.A.T).reshape(B * N, n)
+        EA = (E.reshape(-1, self.N, n) @ AT).reshape(-1, n)  # one product per run
         dE = EA + (u + dq)[:, None] * self.b
         return dL, dE, logr
 
@@ -545,8 +531,8 @@ class _Block:
         return L_new, E_new
 
 
-def _bracketed_roots(rows: _Rows, a, beta, cmax, w0, f0, s0, tol):
-    """Bracket-and-bisect fallback for rows of one axis the joint Newton
+def _bracketed_roots(g: _Axis, a, beta, w0, f0, s0, tol):
+    """Bracket-and-bisect fallback for rows of axis g the joint Newton
     left unsettled.
 
     On a jump of the law crossing the diagonal (set-valued point that
@@ -555,7 +541,7 @@ def _bracketed_roots(rows: _Rows, a, beta, cmax, w0, f0, s0, tol):
     i.e. the control is projected to the value minimizing the residual.
     """
     m = w0.shape[0]
-    delta = 1.0 + 0.5 * np.abs(w0) + cmax
+    delta = 1.0 + 0.5 * np.abs(w0) + g.cmax
     lo = w0.copy()
     flo = f0.copy()
     hi = w0.copy()
@@ -570,11 +556,11 @@ def _bracketed_roots(rows: _Rows, a, beta, cmax, w0, f0, s0, tol):
         lo = np.where(need_lo, lo - delta, lo)
         hi = np.where(need_hi, hi + delta, hi)
         if need_lo.any():
-            fl, sl = rows.residual(a, beta, lo, slo)
+            fl, sl = g.residual(a, beta, lo, slo)
             flo = np.where(need_lo, fl, flo)
             slo = np.where(need_lo, sl, slo)
         if need_hi.any():
-            fh, sh = rows.residual(a, beta, hi, shi)
+            fh, sh = g.residual(a, beta, hi, shi)
             fhi = np.where(need_hi, fh, fhi)
             shi = np.where(need_hi, sh, shi)
         delta = delta * 2.0
@@ -591,7 +577,7 @@ def _bracketed_roots(rows: _Rows, a, beta, cmax, w0, f0, s0, tol):
         secant = np.where(np.abs(den) > 1e-300, lo - flo * (hi - lo) / den, 0.5 * (lo + hi))
         use_sec = (it % 3 != 2) & (secant > lo) & (secant < hi)
         w = np.where(use_sec, secant, 0.5 * (lo + hi))
-        f, s = rows.residual(a, beta, w, s)
+        f, s = g.residual(a, beta, w, s)
         better = np.abs(f) < np.abs(best_f)
         best_w = np.where(better, w, best_w)
         best_f = np.where(better, f, best_f)
@@ -662,7 +648,7 @@ class _FullRecord:
         self.L = np.empty((T + 1,) + block.L0.shape)
         self.E = np.empty((T + 1,) + block.E0.shape)
         self.u = np.empty((T + 1, block.M))
-        self.s = np.empty((T + 1, block.M))
+        self.s = np.empty((T + 1, block.m_curved))
         self.q = {g: np.zeros((T + 1, block.B, block.N + 1)) for g in block.axes}
 
     def record(self, k, L, E, u, s):
@@ -679,7 +665,7 @@ class _FullRecord:
         """The recorded series of one axis of a single run."""
         errors = np.ascontiguousarray(self.E[:, g.rows])
         lead = self.L[:, g.lead.start][:, None, :]
-        s = self.s[:, g.rows]
+        s = g.log_norms(errors, self.s)
         return AxisTrajectory(
             name=g.spec.name,
             states=np.concatenate([lead, lead + errors], axis=1),
@@ -710,11 +696,12 @@ class _BatchRecord:
         for g in self.block.axes:
             E2 = E[g.rows]
             E_ = E2.reshape(B, N, n)
-            self.hnorm[g][k] = g.hnorm(E2, s[g.rows]).reshape(B, N)
+            s_g = g.log_norms(E2, s)
+            self.hnorm[g][k] = g.hnorm(E2, s_g).reshape(B, N)
             self.efirst_max[g][k] = E_[:, :, 0].max(axis=1)
             self.errsq[g][k] = np.einsum("bij,bij->b", E_, E_)
             if g.spec.cone is not None:
-                phi = g.barrier(E2, s[g.rows])
+                phi = g.barrier(E2, s_g)
                 self.phimin[g][k] = phi.reshape(B, N * n).min(axis=1)
 
     def draws(self, k, qhat):

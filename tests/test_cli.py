@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from homocon.cli import (
     EXIT_BAD_INPUT,
     EXIT_INFEASIBLE,
+    EXIT_INTEGRATION,
     EXIT_OK,
     _preset_config,
     build_scenario,
@@ -264,6 +265,24 @@ BAD_INPUTS = {
     "object_in_p": (
         "verify-lmi", lambda cfg, out: cfg["protocol"]["X"].update(P=[[{}, 0.0], [0.0, 1.0]]),
     ),
+    # real parameters must be JSON numbers: float() would take "0.001" and true
+    "dt_string": ("simulate", lambda cfg, out: cfg["sim"].update(dt="0.001")),
+    "dt_bool": ("simulate", lambda cfg, out: cfg["sim"].update(dt=True, horizon=2.0)),
+    "horizon_string": ("simulate", lambda cfg, out: cfg["sim"].update(horizon="0.05")),
+    "mu_string": ("simulate", lambda cfg, out: cfg["protocol"]["X"].update(mu="-0.2")),
+    "lambda_string": ("simulate", lambda cfg, out: cfg["protocol"]["X"].update({"lambda": "1"})),
+    "verify_mu_string": ("verify-lmi", lambda cfg, out: cfg["protocol"]["X"].update(mu="-0.2")),
+    # an integer too large for a float used to escape as an OverflowError
+    "matrix_huge_int": (
+        "simulate", lambda cfg, out: cfg["initial"]["X"][1].__setitem__(0, -(10**400)),
+    ),
+    "matrix_string": (
+        "simulate",
+        lambda cfg, out: cfg["protocol"]["X"].update(P=[[str(x) for x in r] for r in PUBLISHED_P]),
+    ),
+    # runs too large to record are refused before anything is allocated
+    "horizon_huge": ("simulate", lambda cfg, out: cfg["sim"].update(horizon=1e12)),
+    "dt_tiny": ("simulate", lambda cfg, out: cfg["sim"].update(dt=1e-300, horizon=1.0)),
 }
 
 
@@ -280,6 +299,16 @@ def test_bad_input_exits_two_without_partial_files(tmp_path, case):
         argv += ["--output", str(out_dir)]
     assert main(argv) == EXIT_BAD_INPUT
     assert sorted(p.name for p in out_dir.iterdir()) == before
+
+
+def test_overflowing_step_exits_four_without_files(tmp_path):
+    cfg = small_config(output={})
+    cfg["sim"].update(dt=1e300, horizon=1e300)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = ["simulate", "--config", write_config(tmp_path, cfg), "--output", str(out_dir)]
+    assert main(argv) == EXIT_INTEGRATION
+    assert list(out_dir.iterdir()) == []
 
 
 def _paths(node, prefix=()):

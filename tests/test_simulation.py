@@ -320,12 +320,44 @@ def _batch_mixed_kinds():
     return ScenarioConfig(chain_graph(), 2, (ax_x, ax_y), 1e-3, 0.6)
 
 
+def _four_axes():
+    # affine axes ahead of curved ones in cfg.axes: mu = 0 with a cone,
+    # mu = -1 with snaps and brackets, linear, mu = -0.5
+    from homocon.certificates import verify_lmi_xy
+    from homocon.protocols import consensus_protocol
+
+    X = np.array([[0.8281, -0.3107], [-0.3107, 0.9377]])
+    Y = np.array([0.7502, 0.5000])
+    gen = DilationGenerator(2, 0.0)
+    chain = IntegratorChain(2)
+    cert = verify_lmi_xy(X, Y, gen, chain.A, chain.B)
+    ax_z = AxisSpec(
+        "Z", consensus_protocol(cert.K, HomogeneousNormContext(gen, cert.P)),
+        np.array([[0.0, 1.0], [1.5, 1.0], [-1.0, 1.0], [-2.5, 1.0]]), ConeSpec(2, 1.0),
+        DisturbanceSpec(np.array([0.03, 0.4, 0.5, 0.4]), seed=31),
+    )
+    ax_v = AxisSpec(
+        "V", linear_protocol(2, 1.0),
+        np.array([[0.0, 0.0], [-1.0, 0.0], [-2.0, 0.5], [-3.0, 1.0]]), ConeSpec(2, 1.0),
+        DisturbanceSpec(np.array([0.0, 0.2, 0.1, 0.3]), seed=32),
+    )
+    ax_w = reference_axis(
+        "W", mu=-0.5, init=np.array([[0.0, 0.0], [-1.0, 0.5], [-2.0, 0.5], [-3.0, 1.0]])
+    )
+    axes = (ax_z, _mu_minus_one_axes()[0], ax_v, ax_w)
+    return ScenarioConfig(chain_graph(), 2, axes, 1e-3, 0.6)
+
+
 TWO_AXIS_CASES = {
     "mu_minus_one_snap_and_bracket": _mu_minus_one,
     "curved_and_linear_cyclic": _curved_and_linear_cyclic,
     "rk4": _rk4_two_degrees,
     "batch": _batch_mixed_kinds,
+    "four_axes": _four_axes,
 }
+
+# axes that, integrated alone, slide onto the origin and need the bracket
+SLIDING_AXES = {"mu_minus_one_snap_and_bracket": ("X", "Y"), "four_axes": ("X",)}
 
 
 @pytest.mark.parametrize("case", sorted(TWO_AXIS_CASES))
@@ -363,8 +395,7 @@ def test_two_axes_equal_each_axis_alone(case, monkeypatch):
         for field in ("states", "errors", "controls", "hnorm", "barrier", "disturbance"):
             x, y = getattr(a, field), getattr(b, field)
             assert (x is None and y is None) or np.array_equal(x, y), (ax.name, field)
-        if case == "mu_minus_one_snap_and_bracket":
-            # this axis alone slides onto the origin and needs the bracket
+        if ax.name in SLIDING_AXES.get(case, ()):
             assert np.any(np.all(b.errors == 0.0, axis=2)), ax.name
             assert len(brackets) > before, ax.name
 
@@ -581,6 +612,21 @@ def test_scenario_rejects_unrooted_graph_and_nonfinite_times():
     for dt, horizon in ((np.nan, 1.0), (1e-3, np.nan), (1e-3, np.inf), (np.inf, np.inf)):
         with pytest.raises(ValueError, match="finite"):
             ScenarioConfig(chain_graph(), 2, (ax,), dt, horizon)
+
+
+def test_scenario_rejects_runs_too_large_to_record():
+    # fails before any allocation; a mid-sized run would allocate for real
+    ax = reference_axis()
+    for dt, horizon in ((1e-3, 1e12), (1e-300, 1.0), (5e-324, 1e300)):
+        with pytest.raises(ValueError, match="too large"):
+            ScenarioConfig(chain_graph(), 2, (ax,), dt, horizon)
+
+
+def test_overflowing_step_raises_nonconvergent():
+    # beta = dt R b overflows; the step must not run on infinities
+    ax = reference_axis()
+    with pytest.raises(NonConvergentStep, match="dt too large"):
+        simulate(ScenarioConfig(chain_graph(), 2, (ax,), 1e300, 1e300))
 
 
 def test_specs_reject_nonfinite_values():
