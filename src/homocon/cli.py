@@ -377,6 +377,12 @@ def _summarize(traj, scenario: ScenarioConfig) -> dict:
     return summary
 
 
+def _summary_json(summary) -> str:
+    """Strict JSON text of a summary; ValueError when it holds a NaN or
+    an infinity."""
+    return json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 def cmd_simulate(args) -> int:
     try:
         cfg = load_config(args.config)
@@ -408,9 +414,13 @@ def cmd_simulate(args) -> int:
 
     summary = _summarize(traj, scenario)
     try:
+        text = _summary_json(summary)
+    except ValueError as exc:
+        return _fail(EXIT_INTEGRATION, f"non-finite summary: {exc}")
+    try:
         os.makedirs(out_dir, exist_ok=True)
         _atomic_write(csv_path, lambda tmp: write_trajectory_csv(traj, tmp))
-        _atomic_write_text(summary_path, json.dumps(summary, sort_keys=True, indent=2) + "\n")
+        _atomic_write_text(summary_path, text)
     except OSError as exc:
         return _fail(EXIT_BAD_INPUT, f"cannot write output: {exc}")
     line = " ".join(
@@ -494,11 +504,11 @@ PRESET_RUNS = (
 )
 
 
-def _run_preset(run: str, out_dir: str) -> dict:
+def _run_preset(run: str):
+    """Returns (trajectory, summary) of one preset run."""
     cfg = _preset_config(run)
     scenario = build_scenario(cfg)
     traj = simulate(scenario)
-    _atomic_write(os.path.join(out_dir, f"{run}.csv"), lambda tmp: write_trajectory_csv(traj, tmp))
     summary = _summarize(traj, scenario)
     summary["run"] = run
 
@@ -525,7 +535,7 @@ def _run_preset(run: str, out_dir: str) -> dict:
         e0 = ax.initial[1:] - ax.initial[0]
         rep = check_initial_admissible(e0, ax.cone, ax.protocol.norm_ctx)
         summary["initial_admissible"] = rep.admissible_homogeneous
-    return summary
+    return traj, summary
 
 
 def _summary_csv(summaries: list) -> str:
@@ -551,20 +561,27 @@ def _summary_csv(summaries: list) -> str:
 def cmd_reproduce_paper(args) -> int:
     out_dir = args.output or "reproduce_paper"
     try:
-        os.makedirs(out_dir, exist_ok=True)
-        summaries = [_run_preset(r, out_dir) for r in PRESET_RUNS]
-        _atomic_write_text(
-            os.path.join(out_dir, "summary.json"),
-            json.dumps(summaries, sort_keys=True, indent=2) + "\n",
-        )
-        _atomic_write_text(os.path.join(out_dir, "summary.csv"), _summary_csv(summaries))
-    except OSError as exc:
-        return _fail(EXIT_BAD_INPUT, f"cannot write output: {exc}")
+        runs = [_run_preset(r) for r in PRESET_RUNS]
     except NonConvergentStep as exc:
         return _fail(EXIT_INTEGRATION, f"integration failed: {exc}")
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    summaries = [summary for _, summary in runs]
+    try:
+        text = _summary_json(summaries)
+    except ValueError as exc:
+        return _fail(EXIT_INTEGRATION, f"non-finite summary: {exc}")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for run, (traj, _) in zip(PRESET_RUNS, runs):
+            _atomic_write(
+                os.path.join(out_dir, f"{run}.csv"), lambda tmp: write_trajectory_csv(traj, tmp)
+            )
+        _atomic_write_text(os.path.join(out_dir, "summary.json"), text)
+        _atomic_write_text(os.path.join(out_dir, "summary.csv"), _summary_csv(summaries))
+    except OSError as exc:
+        return _fail(EXIT_BAD_INPUT, f"cannot write output: {exc}")
 
     for s in summaries:
         print(

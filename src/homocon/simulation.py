@@ -9,10 +9,11 @@ homogeneous laws it is solved jointly in w and the log norm s of e: one
 2x2 Newton iteration per row on w = u(e) and log ||d(-s) e||_P = 0,
 with the closed-form derivatives of the canonical norm, warm-started
 from the previous step; the few rows it leaves unsettled go to a
-bracketing fallback. At points where the control law is set-valued
-(mu = -1 at the origin) the step selects the control that lands the
-error exactly on the discontinuity manifold, which reproduces sliding
-without chattering.
+k-section of a bracket on w, which evaluates the law on many points of
+each row's bracket per call and so needs a bounded number of calls. At
+points where the control law is set-valued (mu = -1 at the origin) the
+step selects the control that lands the error exactly on the
+discontinuity manifold, which reproduces sliding without chattering.
 
 Internally the integrator advances the leader state and the follower
 errors; follower states are reconstructed as leader + error, which
@@ -248,6 +249,9 @@ _DRAW_CHUNK = 256
 
 # passes of the joint (w, s) Newton before a row goes to the bracket
 _NEWTON_PASSES = 10
+
+# interior points per pass of the bracket's k-section
+_BRACKET_POINTS = 15
 
 
 class _Axis:
@@ -499,9 +503,8 @@ class _Block:
 
         rough = np.nonzero(pending)[0]
         if rough.size:
-            # the bracket runs once per axis, from the residual at w_prev:
-            # its bisection keeps moving settled rows until every row of
-            # the call has settled
+            # the bracket runs once per axis, from the residual at w_prev;
+            # each of its rows stops on its own rules
             group = rough // (self.B * self.N)
             for j in np.unique(group):
                 g, r = self.curved[j], rough[group == j]
@@ -532,8 +535,18 @@ class _Block:
 
 
 def _bracketed_roots(g: _Axis, a, beta, w0, f0, s0, tol):
-    """Bracket-and-bisect fallback for rows of axis g the joint Newton
-    left unsettled.
+    """K-section fallback for the rows of axis g the joint Newton left
+    unsettled: roots of f(w) = w - u(a + w beta), from f0 = f(w0) and
+    the log norms s0 there.
+
+    A bracket f(lo) <= 0 <= f(hi) is stepped out from w0, both ends in
+    one law call per pass. Each k-section pass then makes one law call
+    on the open rows repeated, at _BRACKET_POINTS evenly spaced interior
+    points and the regula falsi point of each bracket (the law solves
+    every row on its own, so a point gets the value it would get alone),
+    and keeps the adjacent pair around the first point with f > 0. A row
+    stops once its smallest |f| is at most tol (1 + |w|) or its bracket
+    at most 1e-14 (1 + |w|) wide; a call makes at most 60 + 20 law calls.
 
     On a jump of the law crossing the diagonal (set-valued point that
     failed the snap test) the bracket collapses without the residual
@@ -541,57 +554,52 @@ def _bracketed_roots(g: _Axis, a, beta, w0, f0, s0, tol):
     i.e. the control is projected to the value minimizing the residual.
     """
     m = w0.shape[0]
-    delta = 1.0 + 0.5 * np.abs(w0) + g.cmax
-    lo = w0.copy()
-    flo = f0.copy()
-    hi = w0.copy()
-    fhi = f0.copy()
-    slo = s0.copy()
-    shi = s0.copy()
+    ends = np.array([[w0, w0], [f0, f0], [s0, s0]])  # (w, f, s) x (lo, hi) x rows
+    W, F, S = ends
+    step = np.outer([-1.0, 1.0], 1.0 + 0.5 * np.abs(w0) + g.cmax)
     for _ in range(60):
-        need_lo = flo > 0
-        need_hi = fhi < 0
-        if not (need_lo.any() or need_hi.any()):
+        need = np.stack((F[0] > 0, F[1] < 0))
+        if not need.any():
             break
-        lo = np.where(need_lo, lo - delta, lo)
-        hi = np.where(need_hi, hi + delta, hi)
-        if need_lo.any():
-            fl, sl = g.residual(a, beta, lo, slo)
-            flo = np.where(need_lo, fl, flo)
-            slo = np.where(need_lo, sl, slo)
-        if need_hi.any():
-            fh, sh = g.residual(a, beta, hi, shi)
-            fhi = np.where(need_hi, fh, fhi)
-            shi = np.where(need_hi, sh, shi)
-        delta = delta * 2.0
+        W[need] += step[need]
+        F[need], S[need] = g.residual(a[np.nonzero(need)[1]], beta, W[need], S[need])
+        step *= 2.0
     else:
         raise NonConvergentStep("failed to bracket the implicit control")
 
-    w = 0.5 * (lo + hi)
-    s = slo.copy()
-    best_w = w.copy()
-    best_f = np.full(m, np.inf)
-    best_s = s.copy()
-    for it in range(80):
+    t = np.arange(1, _BRACKET_POINTS + 1) / (_BRACKET_POINTS + 1)
+    best = np.array([W[0], np.full(m, np.inf), S[0]])  # (w, f, s) of the smallest |f|
+    rows = np.arange(m)
+    for _ in range(20):
+        (lo, hi), (flo, fhi), (slo, shi) = ends[:, :, rows]
         den = fhi - flo
-        secant = np.where(np.abs(den) > 1e-300, lo - flo * (hi - lo) / den, 0.5 * (lo + hi))
-        use_sec = (it % 3 != 2) & (secant > lo) & (secant < hi)
-        w = np.where(use_sec, secant, 0.5 * (lo + hi))
-        f, s = g.residual(a, beta, w, s)
-        better = np.abs(f) < np.abs(best_f)
-        best_w = np.where(better, w, best_w)
-        best_f = np.where(better, f, best_f)
-        best_s = np.where(better, s, best_s)
-        neg = f <= 0
-        lo = np.where(neg, w, lo)
-        flo = np.where(neg, f, flo)
-        hi = np.where(neg, hi, w)
-        fhi = np.where(neg, fhi, f)
-        width_ok = (hi - lo) <= 1e-14 * (1.0 + np.abs(w))
-        conv = (np.abs(best_f) <= tol * (1.0 + np.abs(best_w))) | width_ok
-        if conv.all():
+        rf = lo - flo * (hi - lo) / np.where(np.abs(den) > 1e-300, den, np.inf)
+        rf = np.where((rf > lo) & (rf < hi), rf, 0.5 * (lo + hi))
+        w = np.column_stack((lo[:, None] + (hi - lo)[:, None] * t, rf))
+        k = w.shape[1]
+        f, s = g.residual(np.repeat(a[rows], k, axis=0), beta, w.ravel(), np.repeat(slo, k))
+        # every point of each open row, bracket ends included, in order of w
+        pts = np.stack((
+            np.column_stack((lo, w, hi)),
+            np.column_stack((flo, f.reshape(-1, k), fhi)),
+            np.column_stack((slo, s.reshape(-1, k), shi)),
+        ))
+        pts = np.take_along_axis(pts, np.argsort(pts[0], axis=1, kind="stable")[None], axis=2)
+        r = np.arange(rows.size)
+        af = np.where(np.isnan(pts[1]), np.inf, np.abs(pts[1]))
+        j = np.argmin(af, axis=1)
+        best[:, rows] = np.where(af[r, j] < np.abs(best[1, rows]), pts[:, r, j], best[:, rows])
+        # a nan counts as f > 0; hi closes the bracket whatever its sign
+        pos = ~(pts[1] <= 0)
+        pos[:, 0], pos[:, -1] = False, True
+        j = np.argmax(pos, axis=1)
+        ends[:, :, rows] = pts[:, r, np.stack((j - 1, j))]
+        scale = 1.0 + np.abs(best[0])
+        settled = (np.abs(best[1]) <= tol * scale) | (W[1] - W[0] <= 1e-14 * scale)
+        rows = np.nonzero(~settled)[0]
+        if not rows.size:
             break
-    return best_w, best_s
+    return best[0], best[2]
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +721,8 @@ def _integrate(cfg: ScenarioConfig, inits, recorder, dist_scales=None):
 
     ``inits`` lists each axis's (B, N+1, n) initial states in
     ``cfg.axes`` order; ``recorder(block, T)`` receives every node.
+    Raises NonConvergentStep when a leader state or an error is not
+    finite at the end of a draw chunk.
     Returns (block, recorder, final errors, final log norms).
     """
     block = _Block(cfg, [np.asarray(x, dtype=float) for x in inits])
@@ -722,12 +732,12 @@ def _integrate(cfg: ScenarioConfig, inits, recorder, dist_scales=None):
     implicit = cfg.integrator == "implicit_euler"
 
     L, E = block.L0, block.E0
-    u, s = block.eval(E, None)  # node 0: nodal law value
-    rec.record(0, L, E, u, s)
     w = np.zeros(block.M)
     q0 = np.zeros((_DRAW_CHUNK, len(block.axes) * block.B))
     dq = np.zeros((_DRAW_CHUNK, block.M))
     with np.errstate(over="ignore", invalid="ignore"):
+        u, s = block.eval(E, None)  # node 0: nodal law value
+        rec.record(0, L, E, u, s)
         for k0 in range(0, T, _DRAW_CHUNK):
             count = min(_DRAW_CHUNK, T - k0)
             if draws.axes:
@@ -742,6 +752,8 @@ def _integrate(cfg: ScenarioConfig, inits, recorder, dist_scales=None):
                     L, E = block.step_rk4(L, E, q0[j], dq[j], warm)
                     u, s = block.eval(E, s)
                 rec.record(k0 + j + 1, L, E, u, s)
+            if not (np.isfinite(L).all() and np.isfinite(E).all()):
+                raise NonConvergentStep("integration produced non-finite states")
     return block, rec, E, s
 
 
@@ -767,7 +779,8 @@ def simulate(cfg: ScenarioConfig) -> Trajectory:
     block, rec, E, s = _integrate(cfg, [ax.initial[None] for ax in cfg.axes], _FullRecord)
     if cfg.integrator == "implicit_euler":
         # final node control column: repeat the nodal law value
-        rec.u[-1], _ = block.eval(E, s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rec.u[-1], _ = block.eval(E, s)
     axes = tuple(rec.axis(g) for g in block.in_order)
     return Trajectory(times=times, axes=axes, dt=cfg.dt)
 

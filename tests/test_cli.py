@@ -311,6 +311,68 @@ def test_overflowing_step_exits_four_without_files(tmp_path):
     assert list(out_dir.iterdir()) == []
 
 
+def _linear_huge_error(cfg):
+    cfg["protocol"]["X"] = {"kind": "linear", "lambda": 1.0}
+    cfg["initial"]["X"] = [[0.0, 0.0], [1e308, 1e308]]
+
+
+NONFINITE_STATES = {
+    # the leader's open-loop state overflows
+    "leader_overflow": lambda cfg: cfg["initial"].update(X=[[1.79e308, 1.79e308]] * 2),
+    # the first implicit step of a linear law overflows
+    "linear_huge_error": _linear_huge_error,
+}
+
+
+@pytest.mark.parametrize("case", sorted(NONFINITE_STATES))
+def test_nonfinite_states_exit_four_without_files(tmp_path, case):
+    cfg = small_config(output={})
+    NONFINITE_STATES[case](cfg)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = ["simulate", "--config", write_config(tmp_path, cfg), "--output", str(out_dir)]
+    assert main(argv) == EXIT_INTEGRATION
+    assert list(out_dir.iterdir()) == []
+
+
+def _nan_overshoot(summarize):
+    def summary_with_nan(traj, scenario):
+        summary = summarize(traj, scenario)
+        summary[scenario.axes[0].name]["overshoot"] = NAN
+        return summary
+
+    return summary_with_nan
+
+
+def test_simulate_nonfinite_summary_exits_four_without_files(tmp_path, monkeypatch):
+    import homocon.cli as cli
+
+    monkeypatch.setattr(cli, "_summarize", _nan_overshoot(cli._summarize))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    config = write_config(tmp_path, small_config(output={}))
+    assert main(["simulate", "--config", config, "--output", str(out_dir)]) == EXIT_INTEGRATION
+    assert list(out_dir.iterdir()) == []
+
+
+def test_reproduce_paper_nonfinite_summary_exits_four_without_files(tmp_path, monkeypatch):
+    import homocon.cli as cli
+
+    preset_config = cli._preset_config
+
+    def short(run):
+        cfg = preset_config(run)
+        cfg["sim"]["horizon"] = 0.01
+        return cfg
+
+    monkeypatch.setattr(cli, "_preset_config", short)
+    monkeypatch.setattr(cli, "_summarize", _nan_overshoot(cli._summarize))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["reproduce-paper", "--output", str(out_dir)]) == EXIT_INTEGRATION
+    assert list(out_dir.iterdir()) == []
+
+
 def _paths(node, prefix=()):
     """Path of every key and list item below ``node``."""
     items = node.items() if isinstance(node, dict) else enumerate(node)

@@ -400,6 +400,59 @@ def test_two_axes_equal_each_axis_alone(case, monkeypatch):
             assert len(brackets) > before, ax.name
 
 
+# -- bracket fallback ----------------------------------------------------------------
+
+
+def _bracket_calls(monkeypatch):
+    """Integrate the mu = -1 snap-and-bracket scenario and record, per
+    _bracketed_roots call, its law calls, its rows and its result."""
+    import homocon.simulation as simulation
+
+    calls = []
+    residual = simulation._Axis.residual
+    bracketed = simulation._bracketed_roots
+
+    def counted(self, *args):
+        if calls and "w" not in calls[-1]:
+            calls[-1]["laws"] += 1
+        return residual(self, *args)
+
+    def recorded(g, a, beta, w0, f0, s0, tol):
+        call = {"g": g, "a": a.copy(), "beta": beta, "tol": tol, "laws": 0}
+        calls.append(call)
+        w, s = bracketed(g, a, beta, w0, f0, s0, tol)
+        call["w"], call["s"] = w.copy(), s.copy()
+        return w, s
+
+    monkeypatch.setattr(simulation._Axis, "residual", counted)
+    monkeypatch.setattr(simulation, "_bracketed_roots", recorded)
+    simulate(_mu_minus_one())
+    return calls, residual
+
+
+def test_bracket_law_calls_are_bounded(monkeypatch):
+    calls, _ = _bracket_calls(monkeypatch)
+    laws = [c["laws"] for c in calls]
+    assert laws and max(laws) <= 16, laws
+
+
+def test_bracket_returns_a_root_or_a_sign_change(monkeypatch):
+    from homocon.homogeneity import canonical_norm_many
+
+    calls, residual = _bracket_calls(monkeypatch)
+    assert calls
+    for c in calls:
+        g, a, beta, w, s = c["g"], c["a"], c["beta"], c["w"], c["s"]
+        f, _ = residual(g, a, beta, w, None)
+        solved = np.abs(f) <= c["tol"] * (1.0 + np.abs(w))
+        h = 1e-13 * (1.0 + np.abs(w))
+        f_lo, _ = residual(g, a, beta, w - h, None)
+        f_hi, _ = residual(g, a, beta, w + h, None)
+        assert np.all(solved | (f_lo * f_hi <= 0.0)), (f, f_lo, f_hi)
+        _, log_norms = canonical_norm_many(g.spec.protocol.norm_ctx, a + w[:, None] * beta)
+        assert np.all(np.abs(s - log_norms) <= 1e-12), (s, log_norms)
+
+
 # -- integrator behaviour --------------------------------------------------------------
 
 def _nominal_preset():
