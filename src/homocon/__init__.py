@@ -76,7 +76,6 @@ from .cones import (
 from .simulation import (
     AxisSpec,
     AxisTrajectory,
-    CertificateMissing,
     DisturbanceSpec,
     NonConvergentStep,
     ScenarioConfig,

@@ -14,6 +14,18 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
+def fro_norm(M: np.ndarray) -> float:
+    """Frobenius norm of M. When the plain sum of squares overflows or
+    underflows to zero, it is taken of M scaled by its largest entry."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(M))
+    if norm == 0.0 or not np.isfinite(norm):
+        big = float(np.max(np.abs(M), initial=0.0))
+        if 0.0 < big < np.inf:
+            norm = big * float(np.linalg.norm(M / big))
+    return norm
+
+
 def jacobi_eigh(S: np.ndarray, want_vectors: bool = False, max_sweeps: int = 60):
     """Eigen-decomposition of a real symmetric matrix by cyclic Jacobi rotations.
 
@@ -28,7 +40,7 @@ def jacobi_eigh(S: np.ndarray, want_vectors: bool = False, max_sweeps: int = 60)
     if n == 1:
         return (A.diagonal().copy(), V) if want_vectors else A.diagonal().copy()
 
-    scale = np.linalg.norm(A, "fro")
+    scale = fro_norm(A)
     if scale == 0.0:
         w = np.zeros(n)
         return (w, V) if want_vectors else w
@@ -70,11 +82,6 @@ def jacobi_eigh(S: np.ndarray, want_vectors: bool = False, max_sweeps: int = 60)
     if want_vectors:
         return w, V[:, order]
     return w
-
-
-def eig_min_max(S: np.ndarray) -> tuple[float, float]:
-    w = jacobi_eigh(symmetrize(S))
-    return float(w[0]), float(w[-1])
 
 
 def is_positive_definite(S: np.ndarray, rel_tol: float = 1e-12) -> bool:

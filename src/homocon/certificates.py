@@ -9,7 +9,10 @@ chain and its diagonal dilation generator G:
   A X + X A' - B Y - Y' B' < 0,  with K = Y X^{-1}, P = X^{-1}
 
 "Feasible" means every eigenvalue margin clears a scale-aware gap.
-Solvers search a Lyapunov-equation family first and fall back to
+Both forms share one certificate search: for a Hurwitz M it looks for
+Z > 0 with Z G + G Z > 0 and M' Z + Z M < 0, with M = A - B K for the
+P-form and M = (A - B K1)' for the XY-form (Y = K1 X, K1 the lam = 1
+gain). It scans a Lyapunov-equation family first and falls back to
 alternating eigenvalue-clipping projections, so no external SDP solver
 is needed at these sizes (n <= 8).
 """
@@ -22,6 +25,7 @@ import numpy as np
 
 from ._linalg import (
     clip_psd,
+    fro_norm,
     jacobi_eigh,
     lyap_solve,
     pencil_eigvals,
@@ -31,6 +35,9 @@ from .homogeneity import DilationGenerator
 from .protocols import IntegratorChain, linear_gain
 
 STRICTNESS = 1e-12  # "> 0" means lambda_min > STRICTNESS * scale
+
+# alternating-projection passes after a failed Lyapunov scan
+_PROJECTION_ITERS = 400
 
 
 class NotSymmetric(Exception):
@@ -54,8 +61,8 @@ def _require_symmetric(M: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(M)):
         # the symmetry test below is False for nan, so it would pass
         raise ValueError(f"{name} must be finite")
-    scale = max(float(np.linalg.norm(M)), 1e-300)
-    if np.linalg.norm(M - M.T) > 1e-12 * scale:
+    scale = max(fro_norm(M), 1e-300)
+    if fro_norm(M - M.T) > 1e-12 * scale:
         raise NotSymmetric(f"{name} is not symmetric")
     return symmetrize(M)
 
@@ -84,6 +91,17 @@ class RobustnessConstants:
     q_bound: float
 
 
+def _margins(Z: np.ndarray, G: np.ndarray, W: np.ndarray) -> tuple[tuple, bool]:
+    """The three margins lambda_min(Z), lambda_min(Z G + G Z) and
+    -lambda_max(W), and whether all exceed the strictness gap on the
+    scale of Z."""
+    m1 = float(jacobi_eigh(Z)[0])
+    m2 = float(jacobi_eigh(symmetrize(Z @ G + G @ Z))[0])
+    m3 = -float(jacobi_eigh(symmetrize(W))[-1])
+    scale = max(fro_norm(Z), 1e-300)
+    return (m1, m2, m3), all(m > STRICTNESS * scale for m in (m1, m2, m3))
+
+
 def verify_lmi_p(
     P: np.ndarray,
     gen: DilationGenerator,
@@ -98,17 +116,12 @@ def verify_lmi_p(
     exceed the scale-aware strictness gap.
     """
     P = _require_symmetric(P, "P")
-    G = gen.matrix()
     A = np.asarray(A, dtype=float)
     Acl = A - np.asarray(B, dtype=float).reshape(-1, 1) @ np.asarray(
         K_lin, dtype=float
     ).reshape(1, -1)
-    m1 = float(jacobi_eigh(P)[0])
-    m2 = float(jacobi_eigh(symmetrize(P @ G + G @ P))[0])
-    m3 = -float(jacobi_eigh(symmetrize(P @ Acl + Acl.T @ P))[-1])
-    scale = max(float(np.linalg.norm(P)), 1e-300)
-    feasible = all(m > STRICTNESS * scale for m in (m1, m2, m3))
-    return CertificateP(P, (m1, m2, m3), feasible)
+    margins, feasible = _margins(P, gen.matrix(), P @ Acl + Acl.T @ P)
+    return CertificateP(P, margins, feasible)
 
 
 def verify_lmi_xy(
@@ -122,22 +135,16 @@ def verify_lmi_xy(
     derived P = X^{-1} and K = Y X^{-1}."""
     X = _require_symmetric(X, "X")
     Y = np.asarray(Y, dtype=float).reshape(1, -1)
-    G = gen.matrix()
     A = np.asarray(A, dtype=float)
     Bc = np.asarray(B, dtype=float).reshape(-1, 1)
-    n = X.shape[0]
     svals = np.linalg.svd(X, compute_uv=False)
     if svals[-1] <= 1e-12 * max(svals[0], 1e-300):
         raise SingularX("X is numerically singular")
     P = symmetrize(np.linalg.inv(X))
     K = (Y @ P).reshape(-1)
-    m1 = float(jacobi_eigh(X)[0])
-    m2 = float(jacobi_eigh(symmetrize(G @ X + X @ G))[0])
     W = A @ X + X @ A.T - Bc @ Y - Y.T @ Bc.T
-    m3 = -float(jacobi_eigh(symmetrize(W))[-1])
-    scale = max(float(np.linalg.norm(X)), 1e-300)
-    feasible = all(m > STRICTNESS * scale for m in (m1, m2, m3))
-    return CertificateXY(X, Y.reshape(-1), P, K, (m1, m2, m3), feasible)
+    margins, feasible = _margins(X, gen.matrix(), W)
+    return CertificateXY(X, Y.reshape(-1), P, K, margins, feasible)
 
 
 def _diag_scan(n: int, max_ratio: int = 3):
@@ -154,100 +161,77 @@ def _diag_scan(n: int, max_ratio: int = 3):
         yield 10.0 ** rng.uniform(-2.5, 2.5, size=n)
 
 
+def _unit(Z: np.ndarray) -> np.ndarray:
+    return Z / max(fro_norm(Z), 1e-300)
+
+
+def _search(M: np.ndarray, gen: DilationGenerator, verify):
+    """First candidate Z that ``verify(Z)`` certifies feasible, for
+    M' Z + Z M < 0, Z G + G Z > 0, Z > 0 with M Hurwitz.
+
+    Scans Lyapunov solutions M' Z + Z M = -diag(q) over a fixed q
+    family (each candidate satisfies conditions 1 and 3 by construction,
+    the dilation condition is checked) and keeps the first feasible one.
+    If the scan fails, alternating projections refine the candidate with
+    the largest smallest margin, clipping each condition in its image
+    space. Every candidate is scaled to unit Frobenius norm, so the
+    projection's eigenvalue floor is 1e-6 of its scale.
+    """
+    G = gen.matrix()
+    best = None
+    for q in _diag_scan(gen.n):
+        Z = _unit(lyap_solve(M, np.diag(q)))
+        cert = verify(Z)
+        if cert.feasible:
+            return cert
+        if best is None or min(cert.margins) > best[0]:
+            best = (min(cert.margins), Z)
+
+    Z = best[1]
+    rk = gen.diag_entries
+    denom2 = rk[:, None] + rk[None, :]
+    for _ in range(_PROJECTION_ITERS):
+        Z = clip_psd(Z, 1e-6)
+        Z = clip_psd(Z @ G + G @ Z, 1e-6) / denom2
+        W = symmetrize(Z @ M + M.T @ Z)
+        Z = _unit(lyap_solve(M, clip_psd(-W, 1e-6)))
+        cert = verify(Z)
+        if cert.feasible:
+            return cert
+    raise Infeasible("no certificate found within the iteration budget")
+
+
 def solve_lmi_p(
     gen: DilationGenerator,
     A: np.ndarray,
     B: np.ndarray,
     K_lin: np.ndarray,
-    max_projection_iters: int = 400,
 ) -> CertificateP:
-    """Find some feasible P for the P-form inequality.
-
-    Scans Lyapunov solutions Acl' P + P Acl = -diag(q) over a fixed q
-    family (each candidate satisfies conditions 1 and 3 by construction)
-    and keeps the first that also satisfies the dilation condition. If
-    the scan fails, alternating projections refine the best candidate.
-    """
+    """Find some feasible P for the P-form inequality: the certificate
+    search on M = Acl = A - B K_lin."""
     A = np.asarray(A, dtype=float)
     Bc = np.asarray(B, dtype=float).reshape(-1, 1)
     K = np.asarray(K_lin, dtype=float).reshape(1, -1)
     Acl = A - Bc @ K
     if np.max(np.real(np.linalg.eigvals(Acl))) >= 0:
         raise Infeasible("closed loop A - B K is not Hurwitz")
-    G = gen.matrix()
-    n = gen.n
-
-    best = None
-    for q in _diag_scan(n):
-        P = lyap_solve(Acl, np.diag(q))
-        P = P / max(float(np.linalg.norm(P)), 1e-300)
-        cert = verify_lmi_p(P, gen, A, Bc, K)
-        if cert.feasible:
-            return cert
-        if best is None or min(cert.margins) > min(best.margins):
-            best = cert
-
-    # alternating projections: clip each condition in its image space
-    P = best.P.copy()
-    rk = gen.diag_entries
-    denom2 = rk[:, None] + rk[None, :]
-    for _ in range(max_projection_iters):
-        scale = max(float(np.linalg.norm(P)), 1e-300)
-        eps = 1e-6 * scale
-        P = clip_psd(P, eps)
-        P = clip_psd(P @ G + G @ P, eps) / denom2
-        W = symmetrize(P @ Acl + Acl.T @ P)
-        P = lyap_solve(Acl, clip_psd(-W, eps))
-        cert = verify_lmi_p(P, gen, A, Bc, K)
-        if cert.feasible:
-            return cert
-    raise Infeasible("no P certificate found within the iteration budget")
+    return _search(Acl, gen, lambda P: verify_lmi_p(P, gen, A, Bc, K))
 
 
 def solve_lmi_xy(
     gen: DilationGenerator,
     A: np.ndarray,
     B: np.ndarray,
-    max_projection_iters: int = 400,
 ) -> CertificateXY:
-    """Find some feasible (X, Y) for the XY-form inequality.
-
-    Seeds X from the Lyapunov equation of the lam = 1 pole-placement
-    closed loop with Y = K X, which satisfies conditions 1 and 3
-    exactly; the q scan then targets the dilation condition.
-    """
+    """Find some feasible (X, Y) for the XY-form inequality: the
+    certificate search on M = Acl' with Y = K1 X, where Acl = A - B K1
+    is the lam = 1 pole-placement closed loop. Every candidate then
+    satisfies conditions 1 and 3 exactly."""
     A = np.asarray(A, dtype=float)
     Bc = np.asarray(B, dtype=float).reshape(-1, 1)
-    n = gen.n
-    K1 = linear_gain(n, 1.0).reshape(1, -1)
+    K1 = linear_gain(gen.n, 1.0).reshape(1, -1)
     Acl = A - Bc @ K1
-    G = gen.matrix()
-
-    best = None
-    for q in _diag_scan(n):
-        X = lyap_solve(Acl, np.diag(q), transposed=True)
-        X = X / max(float(np.linalg.norm(X)), 1e-300)
-        Y = K1 @ X
-        cert = verify_lmi_xy(X, Y, gen, A, Bc)
-        if cert.feasible:
-            return cert
-        if best is None or min(cert.margins) > min(best.margins):
-            best = cert
-
-    X = best.X.copy()
-    rk = gen.diag_entries
-    denom2 = rk[:, None] + rk[None, :]
-    for _ in range(max_projection_iters):
-        scale = max(float(np.linalg.norm(X)), 1e-300)
-        eps = 1e-6 * scale
-        X = clip_psd(X, eps)
-        X = clip_psd(G @ X + X @ G, eps) / denom2
-        W = symmetrize(Acl @ X + X @ Acl.T)
-        X = lyap_solve(Acl, clip_psd(-W, eps), transposed=True)
-        cert = verify_lmi_xy(X, K1 @ X, gen, A, Bc)
-        if cert.feasible:
-            return cert
-    raise Infeasible("no (X, Y) certificate found within the iteration budget")
+    return _search(Acl.T, gen, lambda X: verify_lmi_xy(X, K1 @ X, gen, A, Bc))
 
 
 def compute_rho(P: np.ndarray, A_cl: np.ndarray) -> float:

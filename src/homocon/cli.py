@@ -281,8 +281,6 @@ def build_scenario(cfg: dict, overrides: dict | None = None) -> ScenarioConfig:
     horizon = _field(sim, "horizon", "sim", _number)
     seed = _field(sim, "seed", "sim", _integer) if "seed" in sim else 0
     integrator = sim.get("integrator", "implicit_euler")
-    if integrator == "explicit_rk4":
-        integrator = "rk4"
 
     dist_cfg = dict(cfg.get("disturbance", {}))
     _check_keys(dist_cfg, set(axis_names) | {"seed"}, "disturbance")

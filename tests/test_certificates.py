@@ -65,7 +65,9 @@ def test_identity_x_zero_y_infeasible():
 
 
 def test_verify_scale_covariance():
-    for c in (1e-3, 1.0, 1e3):
+    # the extreme scales square to overflow and underflow in a plain
+    # Frobenius norm
+    for c in (1e-200, 1e-3, 1.0, 1e3, 1e200):
         cert = verify_lmi_p(c * PUBLISHED_P, GEN2, CHAIN2.A, CHAIN2.B, linear_gain(2, 1.0))
         assert cert.feasible
 
@@ -88,6 +90,52 @@ def test_solve_xy_round_trip(n, mu):
     assert cert.feasible
     check = verify_lmi_xy(cert.X, cert.Y, gen, chain.A, chain.B)
     assert check.feasible
+
+
+FORCED_PROJECTIONS = {
+    "xy_n5_mu-1": (5, -1.0, "xy"),
+    "p_n5_mu0.23": (5, 0.23, "p"),
+    "p_n3_mu0.48": (3, 0.48, "p"),  # ends infeasible
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORCED_PROJECTIONS))
+def test_forced_projection_keeps_unit_candidates_and_valid_certificates(case, monkeypatch):
+    import homocon.certificates as certificates
+
+    n, mu, form = FORCED_PROJECTIONS[case]
+    chain = IntegratorChain(n)
+    gen = DilationGenerator(n, mu)
+    G = gen.matrix()
+    K = linear_gain(n, 1.0)
+    # the scan yields one candidate, q = 1, which fails the dilation
+    # condition in these cases, so the alternating projections run
+    monkeypatch.setattr(certificates, "_diag_scan", lambda n: iter([np.ones(n)]))
+    norms = []
+    for name in ("verify_lmi_p", "verify_lmi_xy"):
+        def recorded(Z, *args, _verify=getattr(certificates, name)):
+            norms.append(np.linalg.norm(Z))
+            return _verify(Z, *args)
+
+        monkeypatch.setattr(certificates, name, recorded)
+    try:
+        if form == "p":
+            Acl = chain.A - chain.B @ K[None]
+            cert = solve_lmi_p(gen, chain.A, chain.B, K)
+            Z, W = cert.P, cert.P @ Acl + Acl.T @ cert.P
+        else:
+            cert = solve_lmi_xy(gen, chain.A, chain.B)
+            BY = chain.B @ cert.Y[None]
+            Z, W = cert.X, chain.A @ cert.X + cert.X @ chain.A.T - BY - BY.T
+    except Infeasible:
+        assert case == "p_n3_mu0.48"
+    else:
+        assert cert.feasible
+        assert np.linalg.eigvalsh(Z)[0] > 0
+        assert np.linalg.eigvalsh(Z @ G + G @ Z)[0] > 0
+        assert np.linalg.eigvalsh(W)[-1] < 0
+    assert len(norms) > 1  # the projection ran
+    assert np.all(np.abs(np.array(norms) - 1.0) <= 1e-12), max(norms)
 
 
 def test_solve_p_rejects_non_hurwitz_gain():

@@ -283,6 +283,15 @@ BAD_INPUTS = {
     # runs too large to record are refused before anything is allocated
     "horizon_huge": ("simulate", lambda cfg, out: cfg["sim"].update(horizon=1e12)),
     "dt_tiny": ("simulate", lambda cfg, out: cfg["sim"].update(dt=1e-300, horizon=1.0)),
+    # implicit Euler is the only scheme
+    "integrator_rk4": ("simulate", lambda cfg, out: cfg["sim"].update(integrator="rk4")),
+    "integrator_explicit_rk4": (
+        "simulate", lambda cfg, out: cfg["sim"].update(integrator="explicit_rk4"),
+    ),
+    # finite states whose difference, the initial error, overflows
+    "initial_error_overflow": (
+        "simulate", lambda cfg, out: cfg["initial"].update(X=[[1.7e308, 0.0], [-1.7e308, 0.0]]),
+    ),
 }
 
 

@@ -24,6 +24,16 @@ def test_jacobi_matches_lapack_eigenvalues():
             assert np.allclose(w, w_ref, atol=1e-12 * max(1.0, np.abs(w_ref).max()))
 
 
+def test_jacobi_eigenvalues_scale_at_extreme_magnitudes():
+    # 1e200 squares to overflow and 1e-200 to zero in a plain Frobenius
+    # norm, which used to skip every rotation
+    rng = np.random.default_rng(5)
+    for S in (np.array([[2.0, 1.0], [1.0, 3.0]]), _random_symmetric(rng, 5)):
+        w = jacobi_eigh(S)
+        for c in (1e-200, 1e200):
+            assert np.allclose(jacobi_eigh(c * S), c * w, rtol=1e-12, atol=0.0)
+
+
 def test_jacobi_vectors_reconstruct():
     rng = np.random.default_rng(2)
     S = _random_symmetric(rng, 5)
