@@ -14,6 +14,25 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
+def rowsum(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=-1), bit for bit, for the short rows of the simulator.
+
+    numpy reduces a short last axis row by row, at a cost per row;
+    adding its columns left to right costs per column instead, which is
+    several times faster on a few hundred rows, and rounds the same way
+    (numpy starts from the identity, so a row of -0.0 sums to 0.0).
+    Small arrays, where numpy's fixed cost is lower, and rows of 8 or
+    more columns, which numpy sums pairwise, go to numpy.
+    """
+    n = x.shape[-1]
+    if not 0 < n < 8 or x.size < 128:
+        return x.sum(axis=-1)
+    out = 0.0 + x[..., 0]
+    for j in range(1, n):
+        out += x[..., j]
+    return out
+
+
 def fro_norm(M: np.ndarray) -> float:
     """Frobenius norm of M. When the plain sum of squares overflows or
     underflows to zero, it is taken of M scaled by its largest entry."""

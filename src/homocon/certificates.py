@@ -64,7 +64,11 @@ def _require_symmetric(M: np.ndarray, name: str) -> np.ndarray:
     scale = max(fro_norm(M), 1e-300)
     if fro_norm(M - M.T) > 1e-12 * scale:
         raise NotSymmetric(f"{name} is not symmetric")
-    return symmetrize(M)
+    with np.errstate(over="ignore"):
+        S = symmetrize(M)
+    if not np.all(np.isfinite(S)):
+        raise ValueError(f"{name} is too large: its symmetric part overflows")
+    return S
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,10 +98,14 @@ class RobustnessConstants:
 def _margins(Z: np.ndarray, G: np.ndarray, W: np.ndarray) -> tuple[tuple, bool]:
     """The three margins lambda_min(Z), lambda_min(Z G + G Z) and
     -lambda_max(W), and whether all exceed the strictness gap on the
-    scale of Z."""
-    m1 = float(jacobi_eigh(Z)[0])
-    m2 = float(jacobi_eigh(symmetrize(Z @ G + G @ Z))[0])
-    m3 = -float(jacobi_eigh(symmetrize(W))[-1])
+    scale of Z. Raises ValueError when Z or W is too large for them to
+    be finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m1 = float(jacobi_eigh(Z)[0])
+        m2 = float(jacobi_eigh(symmetrize(Z @ G + G @ Z))[0])
+        m3 = -float(jacobi_eigh(symmetrize(W))[-1])
+    if not np.all(np.isfinite((m1, m2, m3))):
+        raise ValueError("matrix too large: its certificate margins overflow")
     scale = max(fro_norm(Z), 1e-300)
     return (m1, m2, m3), all(m > STRICTNESS * scale for m in (m1, m2, m3))
 
@@ -120,7 +128,9 @@ def verify_lmi_p(
     Acl = A - np.asarray(B, dtype=float).reshape(-1, 1) @ np.asarray(
         K_lin, dtype=float
     ).reshape(1, -1)
-    margins, feasible = _margins(P, gen.matrix(), P @ Acl + Acl.T @ P)
+    with np.errstate(over="ignore", invalid="ignore"):  # _margins rejects overflow
+        W = P @ Acl + Acl.T @ P
+    margins, feasible = _margins(P, gen.matrix(), W)
     return CertificateP(P, margins, feasible)
 
 
@@ -142,7 +152,8 @@ def verify_lmi_xy(
         raise SingularX("X is numerically singular")
     P = symmetrize(np.linalg.inv(X))
     K = (Y @ P).reshape(-1)
-    W = A @ X + X @ A.T - Bc @ Y - Y.T @ Bc.T
+    with np.errstate(over="ignore", invalid="ignore"):  # _margins rejects overflow
+        W = A @ X + X @ A.T - Bc @ Y - Y.T @ Bc.T
     margins, feasible = _margins(X, gen.matrix(), W)
     return CertificateXY(X, Y.reshape(-1), P, K, margins, feasible)
 

@@ -252,10 +252,14 @@ def _build_protocol(name: str, sec: dict, n: int):
 
 def fit_unit_ball(P: np.ndarray, errors: np.ndarray, margin: float = 0.9) -> np.ndarray:
     """Rescale P (certificates are scale-invariant) so every row of
-    ``errors`` has weighted norm at most ``margin``."""
+    ``errors`` has weighted norm at most ``margin``. Raises ValueError
+    when a weighted norm overflows: the rescaled P would underflow."""
     worst = 0.0
-    for e in np.atleast_2d(errors):
-        worst = max(worst, float(np.sqrt(e @ P @ e)))
+    with np.errstate(over="ignore"):
+        for e in np.atleast_2d(errors):
+            worst = max(worst, float(np.sqrt(e @ P @ e)))
+    if not np.isfinite(worst):
+        raise ValueError("initial errors too large to fit into the unit ball")
     if worst <= margin:
         return P
     return P * (margin / worst) ** 2
@@ -296,7 +300,10 @@ def build_scenario(cfg: dict, overrides: dict | None = None) -> ScenarioConfig:
         init = _matrix(cfg["initial"][name], (N + 1, n), f"initial.{name}")
         spec, cone, _ = _build_protocol(name, sec, n)
         if sec.get("fit_unit_ball") and spec.norm_ctx is not None:
-            errors = init[1:] - init[0]
+            with np.errstate(over="ignore"):
+                errors = init[1:] - init[0]
+            if not np.all(np.isfinite(errors)):
+                raise ConfigError(f"axis {name}: initial errors must be finite")
             P = fit_unit_ball(spec.norm_ctx.P, errors)
             ctx = HomogeneousNormContext(spec.norm_ctx.gen, P)
             if spec.kind is ProtocolKind.HOMOGENEOUS_NONOVERSHOOT:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import is_positive_definite, symmetrize
+from ._linalg import is_positive_definite, rowsum, symmetrize
 
 
 class OriginNotDifferentiable(Exception):
@@ -127,7 +127,7 @@ def _log_norms(X, Ps, rk, s_warm):
     were).
     """
     m, n = X.shape
-    pn2 = ((X.reshape(len(Ps), -1, n) @ Ps).reshape(m, n) * X).sum(axis=1)
+    pn2 = rowsum((X.reshape(len(Ps), -1, n) @ Ps).reshape(m, n) * X)
     nz = pn2 > 0.0
     s = 0.5 * np.log(np.maximum(pn2, 1e-308))
     if s_warm is not None:
@@ -150,9 +150,9 @@ def _log_norms(X, Ps, rk, s_warm):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             Y = X * np.exp(-(s[:, None] * rk))
             PY = (Y.reshape(len(Ps), -1, n) @ Ps).reshape(m, n)
-            q2 = (PY * Y).sum(axis=1)
+            q2 = rowsum(PY * Y)
             F = 0.5 * np.log(q2)
-            g = (PY * (Y * rk)).sum(axis=1) / q2
+            g = rowsum(PY * (Y * rk)) / q2
         fin = np.isfinite(F) & np.isfinite(g) & (g > 0)
         pending &= ~(fin & (np.abs(F) <= 1e-13))
         broken = pending & ~fin

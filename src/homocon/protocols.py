@@ -62,7 +62,10 @@ def linear_gain(n: int, lam: float) -> np.ndarray:
     if n < 1 or not 0 < lam < np.inf:
         raise ValueError("need n >= 1 and finite lam > 0")
     chain = IntegratorChain(n)
-    M = np.linalg.matrix_power(chain.A + lam * np.eye(n), n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = np.linalg.matrix_power(chain.A + lam * np.eye(n), n)
+    if not np.all(np.isfinite(M[0])):
+        raise ValueError(f"lam = {lam:g} is too large: the gain overflows")
     return M[0].copy()
 
 

@@ -34,7 +34,10 @@ sphere projection of the cone barrier are the library's own
 Runs are deterministic: identical configuration and seed give
 bit-identical trajectories and CSV files. A batch dimension lets many
 initial conditions share the sweep; a batch of one is exactly
-`simulate`.
+`simulate`. Its per-run reductions (overshoot, norms, barrier minimum,
+squared error) run once per draw chunk of nodes, over the stacked
+(nodes, rows, n) errors of each axis, with the calls that `simulate`
+makes on its full recording, so the step loop only stores each node.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._linalg import rowsum
 from .cones import ConeSpec
 from .graphs import DirectedGraph, is_leader_rooted
 from .homogeneity import _project_to_sphere
@@ -303,7 +307,7 @@ class _Axis:
             return None
         if not self.affine:
             return s[..., self.rows]
-        pn2 = (E @ self.P * E).sum(axis=-1)
+        pn2 = rowsum(E @ self.P * E)
         with np.errstate(divide="ignore"):
             return np.where(pn2 > 0.0, 0.5 * np.log(pn2), -np.inf)
 
@@ -311,7 +315,7 @@ class _Axis:
         """Recorded norms of errors E with this axis's log norms s:
         homogeneous exp(s), linear ||e||_2."""
         if self.rk is None:
-            return np.sqrt((E * E).sum(axis=-1))
+            return np.sqrt(rowsum(E * E))
         with np.errstate(over="ignore"):
             return np.exp(s)  # exp(-inf) = 0 at the origin
 
@@ -400,7 +404,7 @@ class _Block:
     def step_implicit(self, L, E, q0, dq, w_prev, s_warm):
         groups, n, mc = len(self.axes), self.n, self.m_curved
         RT = self.R.T
-        L_new = ((L + self.dt * np.outer(q0, self.b)).reshape(groups, -1, n) @ RT).reshape(-1, n)
+        L_new = ((L + self.dt * (q0[:, None] * self.b)).reshape(groups, -1, n) @ RT).reshape(-1, n)
         alpha = (E.reshape(groups, -1, n) @ RT).reshape(-1, n) + dq[:, None] * self.beta
         w = np.empty(self.M)
         e_new = np.empty_like(alpha)
@@ -429,8 +433,8 @@ class _Block:
 
         wpar = -(alpha.reshape(len(self.curved), -1, self.n) @ beta).reshape(-1) / btb
         resid = alpha + wpar[:, None] * beta
-        rn = np.sqrt((resid * resid).sum(axis=1))
-        anorm = np.sqrt((alpha * alpha).sum(axis=1))
+        rn = np.sqrt(rowsum(resid * resid))
+        anorm = np.sqrt(rowsum(alpha * alpha))
         scale = 1.0 + anorm + np.abs(wpar) * np.sqrt(btb)
         snap = (rn <= snap_tol * scale) & (np.abs(wpar) <= self.snap_bound)
 
@@ -472,7 +476,7 @@ class _Block:
             cold = pending & ~np.isfinite(s)
             if cold.any():  # rows leaving the origin start at log ||e||_P
                 X = a + w[:, None] * beta
-                pn2 = ((X.reshape(groups, -1, n) @ self.P).reshape(-1, n) * X).sum(axis=1)
+                pn2 = rowsum((X.reshape(groups, -1, n) @ self.P).reshape(-1, n) * X)
                 s = np.where(cold, 0.5 * np.log(pn2), s)
             for _ in range(_NEWTON_PASSES):
                 ex = np.exp(-(s[:, None] * rk))
@@ -481,7 +485,7 @@ class _Block:
                 prod = (YE @ self.jac).reshape(-1, n + 3)
                 PY, KY, KGY, KDb = prod[:, :n], prod[:, n], prod[:, n + 1], prod[:, n + 2]
                 PYY = PY * Y
-                q2 = PYY.sum(axis=1)
+                q2 = rowsum(PYY)
                 F = 0.5 * np.log(q2)
                 c = np.exp(opm * s)
                 R1 = w + c * KY
@@ -491,8 +495,8 @@ class _Block:
                     break
                 J11 = 1.0 + c * KDb
                 J12 = c * (opm * KY - KGY)
-                J21 = (PY * ex * beta).sum(axis=1) / q2
-                J22 = -(PYY * rk).sum(axis=1) / q2
+                J21 = rowsum(PY * ex * beta) / q2
+                J22 = -rowsum(PYY * rk) / q2
                 det = J11 * J22 - J12 * J21
                 dw = (J12 * F - J22 * R1) / det
                 ds = (J21 * R1 - J11 * F) / det
@@ -646,6 +650,9 @@ class _FullRecord:
         for g, q in qhat.items():
             self.q[g][k:k + q.shape[0]] = q
 
+    def reduce(self):
+        pass
+
     def axis(self, g: _Axis) -> AxisTrajectory:
         """The recorded series of one axis of a single run."""
         errors = np.ascontiguousarray(self.E[:, g.rows])
@@ -664,11 +671,20 @@ class _FullRecord:
 
 
 class _BatchRecord:
-    """Per-run reductions of every axis, for ``simulate_batch``."""
+    """Per-run reductions of every axis, for ``simulate_batch``.
+
+    ``record`` only copies each node's errors and curved-row log norms
+    into a buffer of one draw chunk of nodes; ``reduce`` then reduces
+    the whole chunk with one stacked call per axis over its (nodes, rows,
+    n) errors, the calls ``_FullRecord.axis`` makes.
+    """
 
     def __init__(self, block: _Block, T: int):
         B, N = block.B, block.N
         self.block = block
+        self.E = np.empty((_DRAW_CHUNK + 1,) + block.E0.shape)
+        self.s = np.empty((_DRAW_CHUNK + 1, block.m_curved))
+        self.start = self.stop = 0  # buffered nodes start..stop-1
         self.efirst_max = {g: np.empty((T + 1, B)) for g in block.axes}
         self.hnorm = {g: np.empty((T + 1, B, N)) for g in block.axes}
         self.phimin = {
@@ -677,27 +693,36 @@ class _BatchRecord:
         self.errsq = {g: np.empty((T + 1, B)) for g in block.axes}
 
     def record(self, k, L, E, u, s):
-        B, N, n = self.block.B, self.block.N, self.block.n
-        for g in self.block.axes:
-            E2 = E[g.rows]
-            E_ = E2.reshape(B, N, n)
-            s_g = g.log_norms(E2, s)
-            self.hnorm[g][k] = g.hnorm(E2, s_g).reshape(B, N)
-            self.efirst_max[g][k] = E_[:, :, 0].max(axis=1)
-            self.errsq[g][k] = np.einsum("bij,bij->b", E_, E_)
-            if g.spec.cone is not None:
-                phi = g.barrier(E2, s_g)
-                self.phimin[g][k] = phi.reshape(B, N * n).min(axis=1)
+        self.E[k - self.start] = E
+        self.s[k - self.start] = s
+        self.stop = k + 1
 
     def draws(self, k, qhat):
         pass
+
+    def reduce(self):
+        B, N, n = self.block.B, self.block.N, self.block.n
+        ks = slice(self.start, self.stop)
+        count = self.stop - self.start
+        for g in self.block.axes:
+            errors = self.E[:count, g.rows]
+            E_ = errors.reshape(count, B, N, n)
+            s = g.log_norms(errors, self.s[:count])
+            self.hnorm[g][ks] = g.hnorm(errors, s).reshape(count, B, N)
+            self.efirst_max[g][ks] = E_[:, :, :, 0].max(axis=2)
+            self.errsq[g][ks] = np.einsum("tbij,tbij->tb", E_, E_)
+            if g.spec.cone is not None:
+                phi = g.barrier(errors, s)
+                self.phimin[g][ks] = phi.reshape(count, B, N * n).min(axis=2)
+        self.start = self.stop
 
 
 def _integrate(cfg: ScenarioConfig, inits, recorder, dist_scales=None):
     """Advance every axis of every run as one row block.
 
     ``inits`` lists each axis's (B, N+1, n) initial states in
-    ``cfg.axes`` order; ``recorder(block, T)`` receives every node.
+    ``cfg.axes`` order; ``recorder(block, T)`` receives every node, and
+    its ``reduce`` is called at the end of each draw chunk.
     Raises NonConvergentStep when a leader state or an error is not
     finite at the end of a draw chunk.
     Returns (block, recorder, final errors, final log norms).
@@ -724,6 +749,7 @@ def _integrate(cfg: ScenarioConfig, inits, recorder, dist_scales=None):
                 rec.record(k0 + j + 1, L, E, w, s)
             if not (np.isfinite(L).all() and np.isfinite(E).all()):
                 raise NonConvergentStep("integration produced non-finite states")
+            rec.reduce()
     return block, rec, E, s
 
 

@@ -210,6 +210,16 @@ def test_simulate_rejects_unrooted_graph_and_nonfinite_times(tmp_path):
         assert not out_dir.exists()
 
 
+def _fit_overflowing_errors(cfg, out):
+    cfg["protocol"]["X"]["fit_unit_ball"] = True
+    cfg["initial"]["X"] = [[1.7e308, 0.0], [-1.7e308, 0.0]]
+
+
+def _fit_huge_errors(cfg, out):
+    cfg["protocol"]["X"]["fit_unit_ball"] = True
+    cfg["initial"]["X"] = [[0.0, 0.0], [1e200, 0.0]]
+
+
 # each case: (command, edit applied to the config and the output directory)
 BAD_INPUTS = {
     "unknown_output_key": ("simulate", lambda cfg, out: cfg["output"].update(typo="x.csv")),
@@ -291,6 +301,23 @@ BAD_INPUTS = {
     # finite states whose difference, the initial error, overflows
     "initial_error_overflow": (
         "simulate", lambda cfg, out: cfg["initial"].update(X=[[1.7e308, 0.0], [-1.7e308, 0.0]]),
+    ),
+    # ... and so must not reach fit_unit_ball, which would square it
+    "fit_unit_ball_error_overflow": ("simulate", _fit_overflowing_errors),
+    # a finite error whose weighted norm overflows cannot be fitted either
+    "fit_unit_ball_norm_overflow": ("simulate", _fit_huge_errors),
+    # finite values too large for the gain or the certificate arithmetic
+    "lambda_huge": ("simulate", lambda cfg, out: cfg["protocol"]["X"].update({"lambda": 1e300})),
+    "verify_lambda_huge": (
+        "verify-lmi", lambda cfg, out: cfg["protocol"]["X"].update({"lambda": 1e300}),
+    ),
+    "p_diagonal_huge": (
+        "verify-lmi",
+        lambda cfg, out: cfg["protocol"]["X"].update(P=[[0.0020, 0.0005], [0.0005, 1.7e308]]),
+    ),
+    "simulate_p_diagonal_huge": (
+        "simulate",
+        lambda cfg, out: cfg["protocol"]["X"].update(P=[[1.7e308, 0.0005], [0.0005, 0.0012]]),
     ),
 }
 
@@ -393,7 +420,8 @@ def _paths(node, prefix=()):
 
 CONFIG_PATHS = list(_paths(small_config()))
 MISSING = object()
-MUTANTS = [NAN, INF, -INF, 0, -1, -2.5, "x", [], [1.0, 2.0], {}, MISSING]
+MUTANTS = [NAN, INF, -INF, 0, -1, -2.5, 1e300, -1e300, 1e-300, 1.7e308,
+           "x", [], [1.0, 2.0], {}, MISSING]
 
 
 def _mutate(cfg, path, value):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 import scipy.linalg
 
 from homocon._linalg import (
@@ -6,6 +7,7 @@ from homocon._linalg import (
     jacobi_eigh,
     lyap_solve,
     pencil_eigvals,
+    rowsum,
 )
 
 
@@ -72,3 +74,25 @@ def test_clip_psd_floors_eigenvalues():
     S = np.diag([-1.0, 0.5, 2.0])
     C = clip_psd(S, 0.1)
     assert np.allclose(np.linalg.eigvalsh(C), [0.1, 0.5, 2.0])
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_rowsum_matches_numpy_sum_bit_for_bit(n):
+    # below 8 columns rowsum adds columns, from 8 on it is numpy's own
+    # pairwise sum; either way every bit, the sign of zero and the nan
+    # payload included, must equal x.sum(axis=-1)
+    rng = np.random.default_rng(n)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+    for shape in ((400, n), (15, 20, n)):
+        x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
+        mask = rng.random(shape) < 0.2
+        x[mask] = rng.choice(special, mask.sum())
+        zeros = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+        zeros[0] = -0.0  # a row of negative zeros sums to 0.0
+        for base in (x, zeros):
+            wide = np.concatenate([base, base[..., ::-1]], axis=-1)
+            for v in (base, wide[..., 1:n + 1], base[..., ::-1], base[::2]):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got, want = rowsum(v), v.sum(axis=-1)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -14,6 +14,7 @@ from homocon.protocols import (
     nonovershoot_protocol,
 )
 from homocon.simulation import (
+    _DRAW_CHUNK,
     AxisSpec,
     DisturbanceSpec,
     NonConvergentStep,
@@ -205,16 +206,24 @@ def test_lyapunov_violation_helper():
 
 # -- batch equivalence ---------------------------------------------------------------
 
-def test_batch_of_one_matches_simulate():
+# The batch recorder reduces its nodes once per draw chunk: these runs
+# end inside the first chunk, on its last node, one node past it, and
+# one node past the second.
+@pytest.mark.parametrize("steps", [1, _DRAW_CHUNK, _DRAW_CHUNK + 1, 2 * _DRAW_CHUNK + 1])
+def test_batch_of_one_matches_simulate(steps):
     amps = np.array([0.0, 0.3, 0.2, 0.1])
     ax = reference_axis(disturbance=DisturbanceSpec(amps))
-    scen = ScenarioConfig(chain_graph(), 2, (ax,), 1e-3, 0.5, "implicit_euler", 5)
+    scen = ScenarioConfig(chain_graph(), 2, (ax,), 1e-3, steps * 1e-3, "implicit_euler", 5)
+    assert scen.steps == steps
     traj = simulate(scen)
     batch = simulate_batch(scen, {"X": ax.initial[None]})
     at = traj.axis("X")
     assert np.array_equal(batch.hnorm["X"][:, 0, :], at.hnorm)
     sq = np.einsum("tij,tij->t", at.errors, at.errors)
     assert np.array_equal(batch.errsq_total[:, 0], sq)
+    assert np.array_equal(batch.efirst_max["X"][:, 0], at.errors[:, :, 0].max(axis=1))
+    phimin = at.barrier.reshape(steps + 1, -1).min(axis=1)
+    assert np.array_equal(batch.phimin["X"][:, 0], phimin)
 
 
 def test_batch_runs_match_individual_seeds():
