@@ -51,6 +51,20 @@ def test_nonfinite_matrix_rejected(bad):
         verify_lmi_xy(M, PUBLISHED_Y, GEN2, CHAIN2.A, CHAIN2.B)
 
 
+def test_matrices_near_the_float_limit():
+    # the symmetric part of a 1.7e308 entry overflows: bad input
+    huge = np.array([[1.7e308, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="too large"):
+        verify_lmi_p(huge, GEN2, CHAIN2.A, CHAIN2.B, linear_gain(2, 1.0))
+    with pytest.raises(ValueError, match="too large"):
+        verify_lmi_xy(huge, PUBLISHED_Y, GEN2, CHAIN2.A, CHAIN2.B)
+    # 8e307 survives symmetrizing, but not P G + G P or P Acl + Acl' P
+    # (the RuntimeWarning is an error under pytest)
+    big = np.array([[8e307, 0.0], [0.0, 1.0]])
+    assert not verify_lmi_p(big, GEN2, CHAIN2.A, CHAIN2.B, linear_gain(2, 1.0)).feasible
+    assert not verify_lmi_p(big[::-1, ::-1], GEN2, CHAIN2.A, CHAIN2.B, linear_gain(2, 1.0)).feasible
+
+
 def test_published_xy_certificate_and_derived_gain():
     cert = verify_lmi_xy(PUBLISHED_X, PUBLISHED_Y, GEN2, CHAIN2.A, CHAIN2.B)
     assert cert.feasible
