@@ -410,6 +410,77 @@ def test_two_axes_equal_each_axis_alone(case, monkeypatch):
             assert len(brackets) > before, ax.name
 
 
+# -- settled-block fast path ---------------------------------------------------------
+
+
+def _settling_scenario(axes=()):
+    # mu = -0.2 from the preset's errors reaches the origin at t = 7.2 s,
+    # behind a moving leader
+    init = reference_axis().initial + np.array([1.0, 0.5])
+    return ScenarioConfig(chain_graph(), 2, (reference_axis(init=init),) + axes, 1e-2, 12.0)
+
+
+def _implicit_steps(monkeypatch):
+    """Record, per implicit step, whether it snapped every curved row and
+    returned its input errors bit for bit."""
+    import homocon.simulation as simulation
+
+    steps = []
+    step = simulation._Block.step_implicit
+
+    def recorded(self, L, E, *args):
+        out = step(self, L, E, *args)
+        steps.append(self.snapped and simulation._same_bits(out[1], E))
+        return out
+
+    monkeypatch.setattr(simulation._Block, "step_implicit", recorded)
+    return steps
+
+
+def _same_arrays(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_settled_block_fast_path_is_bit_exact(monkeypatch):
+    import homocon.simulation as simulation
+
+    scen = _settling_scenario()
+    inits = {"X": scen.axes[0].initial[None] * np.array([1.0, 0.5, 0.2])[:, None, None]}
+    steps = _implicit_steps(monkeypatch)
+    fast_traj = simulate(scen)
+    assert len(steps) < scen.steps  # the leaders ran alone at the end
+    del steps[:]
+    fast_batch = simulate_batch(scen, inits)
+    assert len(steps) < scen.steps
+    monkeypatch.setattr(simulation, "_same_bits", lambda x, y: False)
+    traj, batch = simulate(scen), simulate_batch(scen, inits)
+    for field in ("states", "errors", "controls", "hnorm", "barrier", "disturbance"):
+        assert _same_arrays(getattr(fast_traj.axes[0], field), getattr(traj.axes[0], field)), field
+    for field in ("efirst_max", "hnorm", "phimin"):
+        assert _same_arrays(getattr(fast_batch, field)["X"], getattr(batch, field)["X"]), field
+    assert _same_arrays(fast_batch.errsq_total, batch.errsq_total)
+
+
+def test_fast_path_waits_for_undisturbed_settled_rows(monkeypatch):
+    # a linear axis decays but never reaches zero: the curved axis's
+    # settling alone must not stop the implicit steps
+    ax_y = AxisSpec("Y", linear_protocol(2, 1.0),
+                    np.array([[0.0, 0.0], [-1.0, 0.5], [-2.0, 0.5], [-3.0, 1.0]]))
+    scen = _settling_scenario((ax_y,))
+    steps = _implicit_steps(monkeypatch)
+    traj = simulate(scen)
+    assert len(steps) == scen.steps
+    assert np.all(traj.axis("X").errors[-1] == 0.0)
+    assert np.all(traj.axis("Y").errors[-1] != 0.0)
+    # under matched disturbances the mu = -1 axes slide: steps snap every
+    # row and repeat their errors, but the next draw may move them
+    del steps[:]
+    scen = replace(_mu_minus_one(), horizon=2.0)
+    simulate(scen)
+    assert len(steps) == scen.steps
+    assert any(steps)
+
+
 # -- bracket fallback ----------------------------------------------------------------
 
 
