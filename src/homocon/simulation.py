@@ -7,13 +7,22 @@ is affine in its (scalar) control w, e = a + w beta, so the implicit
 equation reduces to one root problem per follower per step. For
 homogeneous laws it is solved jointly in w and the log norm s of e: one
 2x2 Newton iteration per row on w = u(e) and log ||d(-s) e||_P = 0,
-with the closed-form derivatives of the canonical norm, warm-started
-from the previous step; the few rows it leaves unsettled go to a
-k-section of a bracket on w, which evaluates the law on many points of
-each row's bracket per call and so needs a bounded number of calls. At
-points where the control law is set-valued (mu = -1 at the origin) the
-step selects the control that lands the error exactly on the
-discontinuity manifold, which reproduces sliding without chattering.
+with the closed-form derivatives of the canonical norm, started from
+the quadratic through (w, s) at the last three nodes, or from the
+previous node's values where a row was at the origin among them. The
+few rows it leaves unsettled go to a k-section of a bracket on w, which
+evaluates the law on many points of each row's bracket per call and so
+needs a bounded number of calls. At points where the control law is
+set-valued (mu = -1 at the origin) the step selects the control that
+lands the error exactly on the discontinuity manifold, which reproduces
+sliding without chattering.
+
+The homogeneous laws of negative degree are finite-time stable, and the
+implicit step keeps that: undisturbed, their errors reach exactly zero
+and stay there. Once
+a step snaps every curved row and returns its input errors bit for bit,
+every later node repeats its errors, controls and norms, so from there
+on only the leaders are advanced.
 
 Internally the integrator advances the leader state and the follower
 errors; follower states are reconstructed as leader + error, which
@@ -384,6 +393,10 @@ class _Block:
             self.rk = np.repeat(np.stack([g.rk for g in self.curved]), B * N, axis=0)
             self.opm = np.repeat([g.opm for g in self.curved], B * N)
             self.snap_bound = np.repeat([g.snap_bound for g in self.curved], B * N)
+            # (w, s) of the curved rows at the last three nodes, newest
+            # first; nan until they are known
+            unknown = np.full(self.m_curved, np.nan)
+            self.history = ((unknown, unknown),) * 3
         if flat:
             self.K_flat = np.stack([g.K for g in flat])[:, :, None]
             self.lin_den = np.repeat([g.lin_den for g in flat], B * N)
@@ -432,9 +445,11 @@ class _Block:
         the set-valued point of the law (within snap_tol of the origin)
         and the required control is an admissible selection, the error is
         placed exactly at the origin: the discrete analogue of sliding.
+        So is an error the solve leaves within snap_tol of the origin.
         """
         beta, btb = self.beta, self.btb
         M = alpha.shape[0]
+        self.history = ((w_prev, s_warm),) + self.history[:2]
 
         wpar = -(alpha.reshape(len(self.curved), -1, self.n) @ beta).reshape(-1) / btb
         resid = alpha + wpar[:, None] * beta
@@ -449,6 +464,10 @@ class _Block:
         w, logr, e_new = self._newton(alpha, w_prev, s_warm, ~snap, tol)
         if snap.any():
             w[snap] = wpar[snap]
+        # an error the step leaves within snap_tol of the origin is below
+        # the resolution of a + w beta, which cancels there: it is the origin
+        snap |= rowsum(e_new * e_new) <= (snap_tol * scale) ** 2
+        if snap.any():
             logr[snap] = -np.inf
             e_new[snap] = 0.0
         if not np.all(np.isfinite(w)):
@@ -459,8 +478,9 @@ class _Block:
         """Joint Newton on (w, s) on the curved rows, e = a + w beta.
 
         Solves R1 = w + exp(opm s) K d(-s)(a + w beta) = 0 together with
-        R2 = F = log ||d(-s)(a + w beta)||_P = 0, from (w_prev, s_prev),
-        with the closed-form Jacobian (y = d(-s)(a + w beta),
+        R2 = F = log ||d(-s)(a + w beta)||_P = 0, from the quadratic
+        extrapolation of ``history`` (from (w_prev, s_prev) where a node of
+        it is unknown or at the origin), with the closed-form Jacobian (y = d(-s)(a + w beta),
         q2 = y'Py, G = diag(rk), opm = 1 + mu):
 
             dR1/dw = 1 + exp(opm s) K d(-s) beta
@@ -475,10 +495,15 @@ class _Block:
         """
         beta, n, rk, opm = self.beta, self.n, self.rk, self.opm
         groups = len(self.curved)
-        w = w_prev.copy()
-        s = s_prev.copy()
         pending = pending.copy()
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # start from the quadratic through the last three nodes where
+            # all of them are known and off the origin
+            (w0, s0), (w1, s1), (w2, s2) = self.history
+            s = 3.0 * (s0 - s1) + s2
+            known = np.isfinite(s)
+            w = np.where(known, 3.0 * (w0 - w1) + w2, w_prev)
+            s = np.where(known, s, s_prev)
             cold = pending & ~np.isfinite(s)
             if cold.any():  # rows leaving the origin start at log ||e||_P
                 X = a + w[:, None] * beta
@@ -533,7 +558,7 @@ def _bracketed_roots(g: _Axis, a, beta, w0, f0, s0, tol):
     every row on its own, so a point gets the value it would get alone),
     and keeps the adjacent pair around the first point with f > 0. A row
     stops once its smallest |f| is at most tol (1 + |w|) or its bracket
-    at most 1e-14 (1 + |w|) wide; a call makes at most 60 + 20 law calls.
+    at most 1e-14 |w| wide; a call makes at most 60 + 20 law calls.
 
     On a jump of the law crossing the diagonal (set-valued point that
     failed the snap test) the bracket collapses without the residual
@@ -582,7 +607,7 @@ def _bracketed_roots(g: _Axis, a, beta, w0, f0, s0, tol):
         j = np.argmax(pos, axis=1)
         ends[:, :, rows] = pts[:, r, np.stack((j - 1, j))]
         scale = 1.0 + np.abs(best[0])
-        settled = (np.abs(best[1]) <= tol * scale) | (W[1] - W[0] <= 1e-14 * scale)
+        settled = (np.abs(best[1]) <= tol * scale) | (W[1] - W[0] <= 1e-14 * np.abs(best[0]))
         rows = np.nonzero(~settled)[0]
         if not rows.size:
             break
@@ -750,13 +775,12 @@ def _integrate(cfg: ScenarioConfig, inits, recorder, dist_scales=None):
     draws = _Draws(cfg, block, dist_scales)
 
     L, E = block.L0, block.E0
-    w = np.zeros(block.M)
     q0 = np.zeros((_DRAW_CHUNK, len(block.axes) * block.B))
     dq = np.zeros((_DRAW_CHUNK, block.M))
     undisturbed, settled = not draws.axes, False
     with np.errstate(over="ignore", invalid="ignore"):
-        u, s = block.eval(E, None)  # node 0: nodal law value
-        rec.record(0, L, E, u, s)
+        w, s = block.eval(E, None)  # node 0: nodal law value
+        rec.record(0, L, E, w, s)
         for k0 in range(0, T, _DRAW_CHUNK):
             count = min(_DRAW_CHUNK, T - k0)
             if draws.axes:

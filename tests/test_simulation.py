@@ -536,28 +536,54 @@ def test_bracket_returns_a_root_or_a_sign_change(monkeypatch):
 
 # -- integrator behaviour --------------------------------------------------------------
 
-def _nominal_preset():
+def _preset(run):
     from homocon.cli import _preset_config, build_scenario
 
-    cfg = _preset_config("homogeneous_nominal")
+    cfg = _preset_config(run)
     cfg["sim"]["horizon"] = 3.0
     return build_scenario(cfg)
 
 
 @pytest.mark.parametrize(
-    "make", [_nominal_preset, _curved_and_linear_cyclic], ids=["mu-0.2", "mu-0.5-n3"]
+    "make",
+    [lambda: _preset("homogeneous_nominal"), lambda: _preset("homogeneous_robust"),
+     _curved_and_linear_cyclic],
+    ids=["mu-0.2", "mu-1-disturbed", "mu-0.5-n3"],
 )
 def test_recorded_controls_solve_the_implicit_law(make):
     # under implicit Euler controls[k] is the law at node k, so the step's
-    # root solve must leave w = u(e) to its stopping tolerance
+    # root solve must leave w = u(e) to its stopping tolerance. Two kinds
+    # of node cannot meet it: an error snapped exactly to the origin, where
+    # the mu = -1 law is set-valued and the control must be one of its
+    # values, and a jump of the law across the diagonal, where the step's
+    # residual w - u(a + w beta) changes sign within 1e-13 (1 + |w|)
+    import homocon.simulation as simulation
+
     scen = make()
     traj = simulate(scen)
+    block = simulation._Block(scen, [ax.initial[None] for ax in scen.axes])
     for ax in scen.axes:
         at = traj.axis(ax.name)
         T, N, n = at.errors.shape
         u, _ = control_input_many(ax.protocol, at.errors.reshape(-1, n))
         u = u.reshape(T, N)
-        assert np.all(np.abs(at.controls - u) <= 1e-12 * (1.0 + np.abs(u))), ax.name
+        solved = np.abs(at.controls - u) <= 1e-12 * (1.0 + np.abs(u))
+        if ax.protocol.mu == -1.0:
+            origin = np.all(at.errors == 0.0, axis=2)
+            bound = ax.protocol.sphere_gain_bound() * (1.0 + 1e-9)
+            assert np.all(np.abs(at.controls[origin]) <= bound), ax.name
+            solved |= origin
+        k, i = np.nonzero(~solved)
+        assert np.all(k > 0), ax.name  # node 0 holds the law's own value
+        dq = at.disturbance[k - 1, i + 1] - at.disturbance[k - 1, 0]
+        a = at.errors[k - 1, i] @ block.R.T + dq[:, None] * block.beta
+        w = at.controls[k, i]
+        h = 1e-13 * (1.0 + np.abs(w))
+        f_lo, f_hi = (
+            w + d - control_input_many(ax.protocol, a + (w + d)[:, None] * block.beta)[0]
+            for d in (-h, h)
+        )
+        assert np.all(f_lo * f_hi <= 0.0), (ax.name, k, i)
 
 
 def test_grid_refinement_first_order():
