@@ -253,7 +253,8 @@ def _build_protocol(name: str, sec: dict, n: int):
 def fit_unit_ball(P: np.ndarray, errors: np.ndarray, margin: float = 0.9) -> np.ndarray:
     """Rescale P (certificates are scale-invariant) so every row of
     ``errors`` has weighted norm at most ``margin``. Raises ValueError
-    when a weighted norm overflows: the rescaled P would underflow."""
+    when a weighted norm overflows or a nonzero entry of the rescaled P
+    is below the normal range of floats."""
     worst = 0.0
     with np.errstate(over="ignore"):
         for e in np.atleast_2d(errors):
@@ -262,7 +263,10 @@ def fit_unit_ball(P: np.ndarray, errors: np.ndarray, margin: float = 0.9) -> np.
         raise ValueError("initial errors too large to fit into the unit ball")
     if worst <= margin:
         return P
-    return P * (margin / worst) ** 2
+    scaled = P * (margin / worst) ** 2
+    if not np.all(np.abs(scaled[P != 0]) >= np.finfo(float).tiny):
+        raise ValueError("initial errors too large to fit into the unit ball")
+    return scaled
 
 
 def build_scenario(cfg: dict, overrides: dict | None = None) -> ScenarioConfig:

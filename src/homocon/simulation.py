@@ -264,6 +264,9 @@ _NEWTON_PASSES = 10
 # interior points per pass of the bracket's k-section
 _BRACKET_POINTS = 15
 
+# largest denominator 1 + K beta of the closed-form affine step
+_LIN_DEN_MAX = 1e8
+
 
 class _Axis:
     """One axis's place in the row block and its law parameters."""
@@ -283,8 +286,10 @@ class _Axis:
         # -K v and the norm has the closed form ||v||_P
         self.affine = protocol.mu == 0.0
         if self.affine:
+            # e = a + w beta cancels a down to about a / lin_den, losing
+            # log10(lin_den) digits
             self.lin_den = 1.0 + float(protocol.gain @ beta)
-            if self.lin_den <= 0:
+            if not 0.0 < self.lin_den <= _LIN_DEN_MAX:
                 raise NonConvergentStep("dt too large for the linear implicit step")
         else:
             self.cmax = protocol.sphere_gain_bound()
@@ -932,8 +937,9 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     width = len(cols) - 2  # every column but agent and axis
 
     def values(ax, ks):
-        """Numbers of every row at the time nodes ``ks``, in column order;
-        leaders carry zeros, and nan where no barrier was recorded."""
+        """Numbers of every row at the time nodes ``ks``, one line of
+        them per node in column order; leaders carry zeros, and nan
+        where no barrier was recorded."""
         t = traj.times[ks]
         v = np.full((len(t), ax.states.shape[1], width), np.nan)
         v[:, :, 0] = t[:, None]
@@ -945,23 +951,17 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         if ax.barrier is not None:
             v[:, 1:, 2 * n + 3:3 * n + 3] = ax.barrier[ks]
         v[:, :, -1] = ax.disturbance[ks]
-        return v.tolist()
+        return v.reshape(len(t), -1)
 
-    # one row template per (axis, agent), formatted once per row
-    templates = [
-        [
-            f"{f},{agent},{ax.name.replace('%', '%%')},{fields},{f},{fields},{f},{fields},{f}\n"
-            for agent in range(ax.states.shape[1])
-        ]
+    # one template per time node, every (axis, agent) row of it
+    template = "".join(
+        f"{f},{agent},{ax.name.replace('%', '%%')},{fields},{f},{fields},{f},{fields},{f}\n"
         for ax in traj.axes
-    ]
+        for agent in range(ax.states.shape[1])
+    )
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
         for k0 in range(0, len(traj.times), 512):
             ks = slice(k0, k0 + 512)
-            chunk = [(tm, values(ax, ks)) for tm, ax in zip(templates, traj.axes)]
-            lines = []
-            for j in range(len(traj.times[ks])):
-                for tm, v in chunk:
-                    lines += [tmpl % tuple(row) for tmpl, row in zip(tm, v[j])]
-            fh.write("".join(lines))
+            nodes = np.concatenate([values(ax, ks) for ax in traj.axes], axis=1).tolist()
+            fh.write("".join([template % tuple(v) for v in nodes]))

@@ -220,6 +220,12 @@ def _fit_huge_errors(cfg, out):
     cfg["initial"]["X"] = [[0.0, 0.0], [1e200, 0.0]]
 
 
+def _fit_subnormal_p(cfg, out):
+    # e' P e is finite, but P scaled to fit it is subnormal
+    cfg["protocol"]["X"]["fit_unit_ball"] = True
+    cfg["initial"]["X"] = [[0.0, 0.0], [3e154, 0.0]]
+
+
 # each case: (command, edit applied to the config and the output directory)
 BAD_INPUTS = {
     "unknown_output_key": ("simulate", lambda cfg, out: cfg["output"].update(typo="x.csv")),
@@ -306,6 +312,7 @@ BAD_INPUTS = {
     "fit_unit_ball_error_overflow": ("simulate", _fit_overflowing_errors),
     # a finite error whose weighted norm overflows cannot be fitted either
     "fit_unit_ball_norm_overflow": ("simulate", _fit_huge_errors),
+    "fit_unit_ball_subnormal_p": ("simulate", _fit_subnormal_p),
     # finite values too large for the gain or the certificate arithmetic
     "lambda_huge": ("simulate", lambda cfg, out: cfg["protocol"]["X"].update({"lambda": 1e300})),
     "verify_lambda_huge": (
@@ -340,6 +347,29 @@ def test_bad_input_exits_two_without_partial_files(tmp_path, case):
 def test_overflowing_step_exits_four_without_files(tmp_path):
     cfg = small_config(output={})
     cfg["sim"].update(dt=1e300, horizon=1e300)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = ["simulate", "--config", write_config(tmp_path, cfg), "--output", str(out_dir)]
+    assert main(argv) == EXIT_INTEGRATION
+    assert list(out_dir.iterdir()) == []
+
+
+# the closed-form step of a degree-zero law cancels all but about
+# 1 / (1 + K beta) of its terms, so a dt that makes beta huge is refused
+CANCELLING_STEPS = {
+    "linear_dt_1e40": ({"kind": "linear", "lambda": 1.0}, 1e40),
+    "degree_zero_dt_1e60": (
+        {"kind": "homogeneous_consensus", "mu": 0.0, "X": PUBLISHED_X, "Y": PUBLISHED_Y}, 1e60,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CANCELLING_STEPS))
+def test_cancelling_closed_form_step_exits_four_without_files(tmp_path, case):
+    protocol, dt = CANCELLING_STEPS[case]
+    cfg = small_config(output={})
+    cfg["protocol"]["X"] = protocol
+    cfg["sim"].update(dt=dt, horizon=5 * dt)
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     argv = ["simulate", "--config", write_config(tmp_path, cfg), "--output", str(out_dir)]
@@ -449,7 +479,7 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(
     st.sampled_from(["simulate", "verify-lmi"]),
     st.lists(st.tuples(st.sampled_from(CONFIG_PATHS), st.sampled_from(MUTANTS)),

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from homocon.cones import ConeSpec
 from homocon.graphs import DirectedGraph, solve_transmitted
@@ -617,6 +619,71 @@ def test_monotone_homogeneous_norm_along_nominal_run():
     assert lyapunov_violation(traj.axis("X").hnorm, floor=1e-6) <= 1e-9
 
 
+# -- consistent discretization ----------------------------------------------------------
+# The implicit Euler step keeps the homogeneous Lyapunov decrease and
+# finite-time convergence at any step size (Polyakov, Efimov & Brogliato,
+# SIAM J. Control Optim., 2019). By homogeneity, dilating the errors by
+# d(tau) is the same as scaling the step by exp(mu tau), so small steps
+# run on dilated errors and every run settles within its horizon.
+
+PROPERTY_STEPS = 1000
+
+
+def _settling_bound(mu):
+    """Time within which the undisturbed laws of this test settle from
+    the unit sphere, with a margin (measured: 3.2 to 5.6 at mu = -1,
+    12 to 19 at mu = -0.1, for n = 2 and 3)."""
+    return 4.0 + 2.0 / abs(mu)
+
+
+@settings(max_examples=30)
+# counterexamples found before the fix: one step short of the origin,
+# the bracket's 1e-14 (1 + |w|) width (the first two) and the rounding of
+# e = a + w beta (the third) left the projected barrier at -1.8 to -1.07
+@example(dt=0.5, mu=-0.6257377209350057, n=3, N=2, cyclic=False, seed=2664482376)
+@example(dt=0.001, mu=-0.8643415629938117, n=2, N=2, cyclic=True, seed=127663415)
+@example(dt=0.5, mu=-0.875, n=2, N=1, cyclic=False, seed=13)
+@given(
+    dt=st.floats(1e-3, 0.5),
+    mu=st.floats(-1.0, -0.05),
+    n=st.sampled_from([2, 3]),
+    N=st.integers(1, 4),
+    cyclic=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_implicit_step_converges_in_finite_time_at_any_dt(dt, mu, n, N, cyclic, seed):
+    from homocon.certificates import solve_lmi_p
+    from homocon.cli import fit_unit_ball
+    from homocon.cones import check_initial_admissible
+    from homocon.homogeneity import dilation_matrix
+    from homocon.protocols import linear_gain
+
+    gen = DilationGenerator(n, mu)
+    chain = IntegratorChain(n)
+    cert = solve_lmi_p(gen, chain.A, chain.B, linear_gain(n, 1.0))
+    cone = ConeSpec(n, 1.0, mu)
+    rng = np.random.default_rng(seed)
+    z = np.stack([np.linalg.solve(cone.H, rng.uniform(0.05, 1.0, n)) for _ in range(N)])
+    ctx = HomogeneousNormContext(gen, fit_unit_ball(cert.P, z))
+    # dilate so that the run settles within a quarter of the horizon
+    horizon = PROPERTY_STEPS * dt
+    tau = min(0.0, np.log(horizon / (4.0 * _settling_bound(mu))) / -mu)
+    assume(tau >= np.log(1e-6))  # far above the snap test's 1e-12
+    errors = z @ dilation_matrix(gen, tau).T
+    assume(check_initial_admissible(errors, cone, ctx).admissible_homogeneous)
+    graph = cyclic_graph(N) if cyclic and N > 1 else chain_graph(N)
+    init = np.vstack([np.zeros((1, n)), errors])
+    ax = AxisSpec("X", nonovershoot_protocol(1.0, ctx), init, cone)
+    traj = simulate(ScenarioConfig(graph, n, (ax,), dt, horizon))
+    at = traj.axis("X")
+    assert overshoot_metric(traj, "X") <= 0.0
+    assert at.barrier.min() >= 0.0
+    assert lyapunov_violation(at.hnorm, floor=0.0) <= 0.0
+    settled = np.all(at.errors == 0.0, axis=(1, 2))
+    assert settled[-1]
+    assert settled[np.argmax(settled):].all()  # and stays there
+
+
 def test_degree_zero_consensus_equals_linear_kind_trajectory():
     # with the dilation degree at zero the homogeneous law is -K v, so
     # whole trajectories must agree with the linear kind bit for bit
@@ -741,6 +808,23 @@ def test_csv_layout_and_roundtrip(tmp_path):
     assert row["x1"] == pytest.approx(traj.axis("X").states[k, agent, 0], abs=0)
     assert row["e1"] == pytest.approx(traj.axis("X").errors[k, agent - 1, 0], abs=0)
     assert row["q"] == pytest.approx(traj.axis("X").disturbance[k, agent], abs=0)
+
+
+def test_csv_rows_follow_node_axis_agent_order(tmp_path):
+    # one template per time node covers every (axis, agent) row; a % in
+    # an axis name is text, not a conversion
+    ax_x = reference_axis("X%d")
+    ax_y = AxisSpec("Y", linear_protocol(2, 1.0), reference_axis().initial)
+    traj = simulate(ScenarioConfig(chain_graph(), 2, (ax_x, ax_y), 1e-3, 0.003))
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, path)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    keys = [(float(r[0]), r[2], int(r[1])) for r in rows]
+    assert keys == [(traj.times[k], name, agent)
+                    for k in range(4) for name in ("X%d", "Y") for agent in range(4)]
+    row = rows[3 * 8 + 4 + 2]  # node 3, axis Y, agent 2
+    assert float(row[6]) == traj.axis("Y").errors[3, 1, 0]
+    assert row[-3:-1] == ["nan", "nan"]  # no cone on Y
 
 
 def test_csv_deterministic_bytes(tmp_path):
