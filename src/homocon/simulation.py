@@ -19,10 +19,9 @@ sliding without chattering.
 
 The homogeneous laws of negative degree are finite-time stable, and the
 implicit step keeps that: undisturbed, their errors reach exactly zero
-and stay there. Once
-a step snaps every curved row and returns its input errors bit for bit,
-every later node repeats its errors, controls and norms, so from there
-on only the leaders are advanced.
+and stay there. Once a step snaps every curved row and returns its input
+errors bit for bit, every later node repeats its errors, controls and
+norms, so from there on only the leaders are advanced.
 
 Internally the integrator advances the leader state and the follower
 errors; follower states are reconstructed as leader + error, which
@@ -484,9 +483,9 @@ class _Block:
 
         Solves R1 = w + exp(opm s) K d(-s)(a + w beta) = 0 together with
         R2 = F = log ||d(-s)(a + w beta)||_P = 0, from the quadratic
-        extrapolation of ``history`` (from (w_prev, s_prev) where a node of
-        it is unknown or at the origin), with the closed-form Jacobian (y = d(-s)(a + w beta),
-        q2 = y'Py, G = diag(rk), opm = 1 + mu):
+        extrapolation of ``history`` (from (w_prev, s_prev) where a node
+        of it is unknown or at the origin), with the closed-form Jacobian
+        (y = d(-s)(a + w beta), q2 = y'Py, G = diag(rk), opm = 1 + mu):
 
             dR1/dw = 1 + exp(opm s) K d(-s) beta
             dR1/ds = exp(opm s) (opm K y - K G y)
@@ -763,13 +762,10 @@ def _integrate(cfg: ScenarioConfig, inits, recorder, dist_scales=None):
 
     ``inits`` lists each axis's (B, N+1, n) initial states in
     ``cfg.axes`` order; ``recorder(block, T)`` receives every node, and
-    its ``reduce`` is called at the end of each draw chunk.
-
-    A finite-time stable block settles: once an undisturbed step snaps
-    every curved row and returns its input errors bit for bit, the next
-    step sees the same errors and no warm start, so E, w and s repeat
-    exactly at every later node. From there on only the leaders move.
-
+    its ``reduce`` is called at the end of each draw chunk. After an
+    undisturbed step that snaps every curved row and returns its input
+    errors bit for bit, the next step would see the same errors and no
+    warm start, so only the leaders are stepped from there on.
     Raises NonConvergentStep when a leader state or an error is not
     finite at the end of a draw chunk.
     Returns (block, recorder, final errors, final log norms).
