@@ -177,7 +177,10 @@ class AxisTrajectory:
     """Recorded series for one axis; time is the leading dimension.
 
     ``controls[k]`` is the law at node k: the implicit Euler control
-    applied on [t_{k-1}, t_k), and at node 0 the nodal law value.
+    applied on [t_{k-1}, t_k), and at node 0 the nodal law value. Where
+    the step placed an error exactly on the origin it is the control
+    that brings the step closest to it: a value of the set-valued law
+    there for mu = -1, otherwise one within the law's bound near it.
     ``disturbance[k]`` is the draw applied on [t_k, t_{k+1}), zero at
     the final node.
     No transmitted vectors are stored: at the distributed fixed point
@@ -305,6 +308,11 @@ class _Axis:
                 self.snap_bound = self.cmax * (1.0 + 1e-9)
             else:
                 self.snap_bound = 1e-9 * (1.0 + self.cmax)
+            # on the ball |e| <= r with sqrt(lmax(P)) r <= 1 the log norm is
+            # at most log(sqrt(lmax) r) / max(rk), so there
+            # |u| <= cmax (sqrt(lmax) r)^ball_exp
+            self.root_lmax = float(np.sqrt(np.linalg.eigvalsh(self.P)[-1]))
+            self.ball_exp = self.opm / float(self.rk.max())
 
     def residual(self, a, beta, w, s_warm):
         """Returns (w - u, log_norms) of this axis's law at the errors
@@ -397,10 +405,14 @@ class _Block:
             self.rk = np.repeat(np.stack([g.rk for g in self.curved]), B * N, axis=0)
             self.opm = np.repeat([g.opm for g in self.curved], B * N)
             self.snap_bound = np.repeat([g.snap_bound for g in self.curved], B * N)
-            # (w, s) of the curved rows at the last three nodes, newest
-            # first; nan until they are known
+            # cmax (1 + 1e-9), sqrt(lmax(P)) and ball_exp of each row's axis
+            self.ball = np.repeat(
+                [[g.cmax * (1.0 + 1e-9), g.root_lmax, g.ball_exp] for g in self.curved], B * N, axis=0
+            )
+            # (w, s) of the curved rows at the two nodes before the
+            # previous one, newest first; nan until they are known
             unknown = np.full(self.m_curved, np.nan)
-            self.history = ((unknown, unknown),) * 3
+            self.older = ((unknown, unknown),) * 2
         if flat:
             self.K_flat = np.stack([g.K for g in flat])[:, :, None]
             self.lin_den = np.repeat([g.lin_den for g in flat], B * N)
@@ -449,42 +461,48 @@ class _Block:
         the set-valued point of the law (within snap_tol of the origin)
         and the required control is an admissible selection, the error is
         placed exactly at the origin: the discrete analogue of sliding.
-        So is an error the solve leaves within snap_tol of the origin.
+        The control is then wpar, which brings a + w beta closest to it.
+        A row the solve leaves within snap_tol of the origin is placed
+        there too when |wpar| is within the law's bound on that ball.
         """
         beta, btb = self.beta, self.btb
         M = alpha.shape[0]
-        self.history = ((w_prev, s_warm),) + self.history[:2]
+        older, self.older = self.older, ((w_prev, s_warm), self.older[0])
 
         wpar = -(alpha.reshape(len(self.curved), -1, self.n) @ beta).reshape(-1) / btb
         resid = alpha + wpar[:, None] * beta
         rn = np.sqrt(rowsum(resid * resid))
         anorm = np.sqrt(rowsum(alpha * alpha))
-        scale = 1.0 + anorm + np.abs(wpar) * np.sqrt(btb)
-        snap = (rn <= snap_tol * scale) & (np.abs(wpar) <= self.snap_bound)
+        r = snap_tol * (1.0 + anorm + np.abs(wpar) * np.sqrt(btb))
+        snap = (rn <= r) & (np.abs(wpar) <= self.snap_bound)
 
         self.snapped = bool(snap.all())
         if self.snapped:
             return np.zeros_like(alpha), wpar, np.full(M, -np.inf)
-        w, logr, e_new = self._newton(alpha, w_prev, s_warm, ~snap, tol)
+        w, logr, e_new = self._newton(alpha, w_prev, s_warm, older, ~snap, tol)
+        # an error the solve leaves within r of the origin is below the
+        # resolution of a + w beta, which cancels there: rounding noise
+        near = ~snap & (rowsum(e_new * e_new) <= r * r)
+        if near.any():
+            c, root_lmax, ex = self.ball[near].T
+            near[near] = np.abs(wpar[near]) <= c * np.minimum(root_lmax * r[near], 1.0) ** ex
+            snap |= near
         if snap.any():
             w[snap] = wpar[snap]
-        # an error the step leaves within snap_tol of the origin is below
-        # the resolution of a + w beta, which cancels there: it is the origin
-        snap |= rowsum(e_new * e_new) <= (snap_tol * scale) ** 2
-        if snap.any():
             logr[snap] = -np.inf
             e_new[snap] = 0.0
         if not np.all(np.isfinite(w)):
             raise NonConvergentStep("control root solve produced non-finite values")
         return e_new, w, logr
 
-    def _newton(self, a, w_prev, s_prev, pending, tol):
+    def _newton(self, a, w_prev, s_prev, older, pending, tol):
         """Joint Newton on (w, s) on the curved rows, e = a + w beta.
 
         Solves R1 = w + exp(opm s) K d(-s)(a + w beta) = 0 together with
         R2 = F = log ||d(-s)(a + w beta)||_P = 0, from the quadratic
-        extrapolation of ``history`` (from (w_prev, s_prev) where a node
-        of it is unknown or at the origin), with the closed-form Jacobian
+        through (w_prev, s_prev) and the two ``older`` nodes (from
+        (w_prev, s_prev) where one of them is unknown or at the origin),
+        with the closed-form Jacobian
         (y = d(-s)(a + w beta), q2 = y'Py, G = diag(rk), opm = 1 + mu):
 
             dR1/dw = 1 + exp(opm s) K d(-s) beta
@@ -503,10 +521,10 @@ class _Block:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             # start from the quadratic through the last three nodes where
             # all of them are known and off the origin
-            (w0, s0), (w1, s1), (w2, s2) = self.history
-            s = 3.0 * (s0 - s1) + s2
+            (w1, s1), (w2, s2) = older
+            s = 3.0 * (s_prev - s1) + s2
             known = np.isfinite(s)
-            w = np.where(known, 3.0 * (w0 - w1) + w2, w_prev)
+            w = np.where(known, 3.0 * (w_prev - w1) + w2, w_prev)
             s = np.where(known, s, s_prev)
             cold = pending & ~np.isfinite(s)
             if cold.any():  # rows leaving the origin start at log ||e||_P

@@ -554,11 +554,12 @@ def _preset(run):
 )
 def test_recorded_controls_solve_the_implicit_law(make):
     # under implicit Euler controls[k] is the law at node k, so the step's
-    # root solve must leave w = u(e) to its stopping tolerance. Two kinds
-    # of node cannot meet it: an error snapped exactly to the origin, where
-    # the mu = -1 law is set-valued and the control must be one of its
-    # values, and a jump of the law across the diagonal, where the step's
-    # residual w - u(a + w beta) changes sign within 1e-13 (1 + |w|)
+    # root solve must leave w = u(e) to its stopping tolerance. Where the
+    # mu = -1 law is discontinuous, two kinds of node cannot meet it: an
+    # error snapped exactly to the origin, where the law is set-valued and
+    # the control must be one of its values, and a jump of the law across
+    # the diagonal, where the step's residual w - u(a + w beta) changes
+    # sign within 1e-13 (1 + |w|)
     import homocon.simulation as simulation
 
     scen = make()
@@ -570,12 +571,13 @@ def test_recorded_controls_solve_the_implicit_law(make):
         u, _ = control_input_many(ax.protocol, at.errors.reshape(-1, n))
         u = u.reshape(T, N)
         solved = np.abs(at.controls - u) <= 1e-12 * (1.0 + np.abs(u))
-        if ax.protocol.mu == -1.0:
-            origin = np.all(at.errors == 0.0, axis=2)
-            bound = ax.protocol.sphere_gain_bound() * (1.0 + 1e-9)
-            assert np.all(np.abs(at.controls[origin]) <= bound), ax.name
-            solved |= origin
-        k, i = np.nonzero(~solved)
+        if ax.protocol.mu != -1.0:
+            assert np.all(solved), ax.name
+            continue
+        origin = np.all(at.errors == 0.0, axis=2)
+        bound = ax.protocol.sphere_gain_bound() * (1.0 + 1e-9)
+        assert np.all(np.abs(at.controls[origin]) <= bound), ax.name
+        k, i = np.nonzero(~(solved | origin))
         assert np.all(k > 0), ax.name  # node 0 holds the law's own value
         dq = at.disturbance[k - 1, i + 1] - at.disturbance[k - 1, 0]
         a = at.errors[k - 1, i] @ block.R.T + dq[:, None] * block.beta
@@ -622,30 +624,33 @@ def test_monotone_homogeneous_norm_along_nominal_run():
 # -- consistent discretization ----------------------------------------------------------
 # The implicit Euler step keeps the homogeneous Lyapunov decrease and
 # finite-time convergence at any step size (Polyakov, Efimov & Brogliato,
-# SIAM J. Control Optim., 2019). By homogeneity, dilating the errors by
-# d(tau) is the same as scaling the step by exp(mu tau), so small steps
-# run on dilated errors and every run settles within its horizon.
-
-PROPERTY_STEPS = 1000
+# SIAM J. Control Optim., 2019). Near mu = 0 the law is close to linear:
+# its errors decay exponentially until the snap test places them on the
+# origin, so the settling time stays bounded as mu -> 0.
 
 
-def _settling_bound(mu):
+def _settling_horizon(mu, dt):
     """Time within which the undisturbed laws of this test settle from
-    the unit sphere, with a margin (measured: 3.2 to 5.6 at mu = -1,
-    12 to 19 at mu = -0.1, for n = 2 and 3)."""
-    return 4.0 + 2.0 / abs(mu)
+    the unit ball, with a margin of at least 45 % (measured at n = 3:
+    5.4 s at mu = -1 to 34 s as mu -> 0 for dt -> 0, and 10 s to 42 s
+    at dt = 0.5)."""
+    return (1.0 + 2.0 * dt) * min(8.0 + 2.0 / abs(mu), 50.0)
 
 
 @settings(max_examples=30)
-# counterexamples found before the fix: one step short of the origin,
-# the bracket's 1e-14 (1 + |w|) width (the first two) and the rounding of
-# e = a + w beta (the third) left the projected barrier at -1.8 to -1.07
+# failed before the bracket stopped at a width of 1e-14 |w| (the first)
+# and before a solve that ends within the snap distance was placed on
+# the origin (the second): the projected barrier read -1.8 and -1.07
 @example(dt=0.5, mu=-0.6257377209350057, n=3, N=2, cyclic=False, seed=2664482376)
-@example(dt=0.001, mu=-0.8643415629938117, n=2, N=2, cyclic=True, seed=127663415)
 @example(dt=0.5, mu=-0.875, n=2, N=1, cyclic=False, seed=13)
+# open: at node 19 the step ends at |e| = 4.6e-12, just outside the snap
+# distance, with a first component below the float grid of a + w beta
+@example(dt=0.4314284310298477, mu=-1.0, n=3, N=2, cyclic=False, seed=2).xfail(
+    reason="first error component below the resolution of the step", raises=AssertionError
+)
 @given(
     dt=st.floats(1e-3, 0.5),
-    mu=st.floats(-1.0, -0.05),
+    mu=st.floats(-1.0, 0.0, exclude_max=True),
     n=st.sampled_from([2, 3]),
     N=st.integers(1, 4),
     cyclic=st.booleans(),
@@ -655,7 +660,6 @@ def test_implicit_step_converges_in_finite_time_at_any_dt(dt, mu, n, N, cyclic, 
     from homocon.certificates import solve_lmi_p
     from homocon.cli import fit_unit_ball
     from homocon.cones import check_initial_admissible
-    from homocon.homogeneity import dilation_matrix
     from homocon.protocols import linear_gain
 
     gen = DilationGenerator(n, mu)
@@ -663,18 +667,13 @@ def test_implicit_step_converges_in_finite_time_at_any_dt(dt, mu, n, N, cyclic, 
     cert = solve_lmi_p(gen, chain.A, chain.B, linear_gain(n, 1.0))
     cone = ConeSpec(n, 1.0, mu)
     rng = np.random.default_rng(seed)
-    z = np.stack([np.linalg.solve(cone.H, rng.uniform(0.05, 1.0, n)) for _ in range(N)])
-    ctx = HomogeneousNormContext(gen, fit_unit_ball(cert.P, z))
-    # dilate so that the run settles within a quarter of the horizon
-    horizon = PROPERTY_STEPS * dt
-    tau = min(0.0, np.log(horizon / (4.0 * _settling_bound(mu))) / -mu)
-    assume(tau >= np.log(1e-6))  # far above the snap test's 1e-12
-    errors = z @ dilation_matrix(gen, tau).T
+    errors = np.stack([np.linalg.solve(cone.H, rng.uniform(0.05, 1.0, n)) for _ in range(N)])
+    ctx = HomogeneousNormContext(gen, fit_unit_ball(cert.P, errors))
     assume(check_initial_admissible(errors, cone, ctx).admissible_homogeneous)
     graph = cyclic_graph(N) if cyclic and N > 1 else chain_graph(N)
     init = np.vstack([np.zeros((1, n)), errors])
     ax = AxisSpec("X", nonovershoot_protocol(1.0, ctx), init, cone)
-    traj = simulate(ScenarioConfig(graph, n, (ax,), dt, horizon))
+    traj = simulate(ScenarioConfig(graph, n, (ax,), dt, _settling_horizon(mu, dt)))
     at = traj.axis("X")
     assert overshoot_metric(traj, "X") <= 0.0
     assert at.barrier.min() >= 0.0
