@@ -85,7 +85,6 @@ from .simulation import (
     settling_time,
     simulate,
     simulate_batch,
-    step_implicit_euler,
     write_trajectory_csv,
 )
 

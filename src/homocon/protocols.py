@@ -117,10 +117,6 @@ class ProtocolSpec:
             if not (self.mu >= -1.0 and hi_ok):
                 raise ValueError("consensus protocol needs mu in [-1, 1/(n-1))")
 
-    @property
-    def is_homogeneous(self) -> bool:
-        return self.kind is not ProtocolKind.LINEAR
-
     def sphere_gain_bound(self) -> float:
         """max |gain . z| over the unit P-sphere (control magnitude on the
         sphere; also the amplitude of the mu = -1 law near the origin)."""

@@ -12,16 +12,19 @@ the quadratic through (w, s) at the last three nodes, or from the
 previous node's values where a row was at the origin among them. The
 few rows it leaves unsettled go to a k-section of a bracket on w, which
 evaluates the law on many points of each row's bracket per call and so
-needs a bounded number of calls. At points where the control law is
-set-valued (mu = -1 at the origin) the step selects the control that
-lands the error exactly on the discontinuity manifold, which reproduces
-sliding without chattering.
+needs a bounded number of calls. A row stops once its residual is
+small, or right after a Newton step so small that, converging
+quadratically, the next pass would only confirm it. At points where
+the control law is set-valued (mu = -1 at the origin) the step selects
+the control that lands the error exactly on the discontinuity manifold,
+which reproduces sliding without chattering.
 
 The homogeneous laws of negative degree are finite-time stable, and the
 implicit step keeps that: undisturbed, their errors reach exactly zero
 and stay there. Once a step snaps every curved row and returns its input
 errors bit for bit, every later node repeats its errors, controls and
-norms, so from there on only the leaders are advanced.
+norms, so from there on only the leaders are advanced, and a batch
+reduces each draw chunk of such repeated nodes once.
 
 Internally the integrator advances the leader state and the follower
 errors; follower states are reconstructed as leader + error, which
@@ -58,7 +61,7 @@ from ._linalg import rowsum
 from .cones import ConeSpec
 from .graphs import DirectedGraph, is_leader_rooted
 from .homogeneity import _project_to_sphere
-from .protocols import IntegratorChain, ProtocolKind, ProtocolSpec, _law
+from .protocols import IntegratorChain, ProtocolSpec, _law
 
 
 class NonConvergentStep(Exception):
@@ -216,43 +219,6 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# generic implicit Euler step (stacked state, arbitrary field)
-
-
-def step_implicit_euler(state, f, dt, tol=1e-12, max_iter=100):
-    """One implicit Euler step x+ = x + dt f(x+) by fixed-point iteration.
-
-    Seeded at the explicit predictor. If the iteration oscillates, the
-    iterate with the smallest residual is returned, provided that
-    residual is small on the scale of the step; otherwise
-    NonConvergentStep is raised.
-    """
-    x = np.asarray(state, dtype=float)
-    y = x + dt * np.asarray(f(x), dtype=float)
-    best = y
-    best_res = np.inf
-    for _ in range(max_iter):
-        y_next = x + dt * np.asarray(f(y), dtype=float)
-        if not np.all(np.isfinite(y_next)):
-            raise NonConvergentStep("implicit iteration produced non-finite values")
-        with np.errstate(over="ignore"):
-            res = float(np.linalg.norm(y_next - y))
-            ynorm = float(np.linalg.norm(y_next))
-        if np.isfinite(res) and res < best_res:
-            best_res = res
-            best = y_next
-        if np.isfinite(res) and np.isfinite(ynorm) and res <= tol * (1.0 + ynorm):
-            return y_next
-        y = y_next
-    scale = 1.0 + float(np.linalg.norm(x))
-    if best_res <= 1e-3 * dt * scale:
-        return best
-    raise NonConvergentStep(
-        f"fixed point not reached in {max_iter} iterations (residual {best_res:.3e})"
-    )
-
-
-# ---------------------------------------------------------------------------
 # the row block: every axis of every batch run, integrated together
 
 
@@ -262,6 +228,12 @@ _DRAW_CHUNK = 256
 
 # passes of the joint (w, s) Newton before a row goes to the bracket
 _NEWTON_PASSES = 10
+
+# a row whose Newton step (dw, ds) is within this, relative to 1 + |w|
+# in w and absolute in s, freezes after the step. At 1e-7 a few mu = -1
+# rows near the origin miss |F| <= 1e-13 after such a step; 3e-8 keeps
+# them in the Newton
+_NEWTON_STEP = 3e-8
 
 # interior points per pass of the bracket's k-section
 _BRACKET_POINTS = 15
@@ -391,6 +363,8 @@ class _Block:
         self.M = len(self.axes) * B * N
         self.m_curved = len(self.curved) * B * N
         self.snapped = False  # the last step snapped every curved row
+        # joint Newton calls, passes and rows frozen by the step test
+        self.newton_calls = self.newton_passes = self.newton_step_stops = 0
 
         X0 = [inits[g.index] for g in self.axes]
         self.L0 = np.concatenate([x[:, 0, :] for x in X0])
@@ -511,7 +485,10 @@ class _Block:
             dF/ds  = -(Py . G y) / q2
 
         Only ``pending`` rows are solved; each freezes once |F| <= 1e-13
-        and |R1| <= tol (1 + |w|). Rows still open or non-finite after
+        and |R1| <= tol (1 + |w|), or right after a step with
+        |dw| <= _NEWTON_STEP (1 + |w|) and |ds| <= _NEWTON_STEP: Newton
+        converges quadratically there, so the next pass would only confirm
+        the step. Rows still open or non-finite at the last of the
         _NEWTON_PASSES passes go to the bracket, once per axis.
         Returns (w, log_norms, e_new).
         """
@@ -531,7 +508,9 @@ class _Block:
                 X = a + w[:, None] * beta
                 pn2 = rowsum((X.reshape(groups, -1, n) @ self.P).reshape(-1, n) * X)
                 s = np.where(cold, 0.5 * np.log(pn2), s)
-            for _ in range(_NEWTON_PASSES):
+            self.newton_calls += 1
+            for p in range(_NEWTON_PASSES):
+                self.newton_passes += 1
                 ex = np.exp(-(s[:, None] * rk))
                 Y = (a + w[:, None] * beta) * ex
                 YE = np.concatenate((Y, ex), axis=1).reshape(groups, -1, 2 * n)
@@ -542,10 +521,11 @@ class _Block:
                 F = 0.5 * np.log(q2)
                 c = np.exp(opm * s)
                 R1 = w + c * KY
-                done = (np.abs(F) <= 1e-13) & (np.abs(R1) <= tol * (1.0 + np.abs(w)))
-                pending &= ~done
-                if not pending.any():
-                    break
+                scale = 1.0 + np.abs(w)
+                pending &= ~((np.abs(F) <= 1e-13) & (np.abs(R1) <= tol * scale))
+                open_rows = int(np.count_nonzero(pending))
+                if not open_rows or p == _NEWTON_PASSES - 1:
+                    break  # the last pass's open rows go to the bracket
                 J11 = 1.0 + c * KDb
                 J12 = c * (opm * KY - KGY)
                 J21 = rowsum(PY * ex * beta) / q2
@@ -555,6 +535,11 @@ class _Block:
                 ds = (J21 * R1 - J11 * F) / det
                 w = np.where(pending, w + dw, w)
                 s = np.where(pending, s + ds, s)
+                pending &= ~((np.abs(dw) <= _NEWTON_STEP * scale) & (np.abs(ds) <= _NEWTON_STEP))
+                left = int(np.count_nonzero(pending))
+                self.newton_step_stops += open_rows - left
+                if not left:
+                    break
 
         rough = np.nonzero(pending)[0]
         if rough.size:
@@ -729,7 +714,8 @@ class _BatchRecord:
     ``record`` only copies each node's errors and curved-row log norms
     into a buffer of one draw chunk of nodes; ``reduce`` then reduces
     the whole chunk with one stacked call per axis over its (nodes, rows,
-    n) errors, the calls ``_FullRecord.axis`` makes.
+    n) errors, the calls ``_FullRecord.axis`` makes. A settled chunk,
+    whose nodes all repeat the first one's bits, reduces that node only.
     """
 
     def __init__(self, block: _Block, T: int):
@@ -757,10 +743,13 @@ class _BatchRecord:
         B, N, n = self.block.B, self.block.N, self.block.n
         ks = slice(self.start, self.stop)
         count = self.stop - self.start
+        E, s_all = self.E[:count], self.s[:count]
+        if _same_bits(E, E[:1]) and _same_bits(s_all, s_all[:1]):
+            count, E, s_all = 1, E[:1], s_all[:1]  # broadcast over the chunk
         for g in self.block.axes:
-            errors = self.E[:count, g.rows]
+            errors = E[:, g.rows]
             E_ = errors.reshape(count, B, N, n)
-            s = g.log_norms(errors, self.s[:count])
+            s = g.log_norms(errors, s_all)
             self.hnorm[g][ks] = g.hnorm(errors, s).reshape(count, B, N)
             self.efirst_max[g][ks] = E_[:, :, :, 0].max(axis=2)
             self.errsq[g][ks] = np.einsum("tbij,tbij->tb", E_, E_)
@@ -912,16 +901,24 @@ def overshoot_metric(traj: Trajectory, axis: str | None = None) -> float:
     return float(at.errors[:, :, 0].max())
 
 
+# nodes per slice of lyapunov_violation
+_LYAPUNOV_SLICE = 2048
+
+
 def lyapunov_violation(hnorm: np.ndarray, floor: float = 1e-6) -> float:
     """Largest increase of a per-follower norm series between adjacent
     nodes, counted only while the norm sits above ``floor``; a value at
     or below zero means the series never increases there."""
     h = np.asarray(hnorm, dtype=float)
-    inc = h[1:] - h[:-1]
-    mask = h[:-1] > floor
-    if not mask.any():
-        return 0.0
-    return float(np.max(np.where(mask, inc, -np.inf)))
+    worst, counted = -np.inf, False
+    # slices of nodes keep the temporaries small on long batch series
+    for k in range(0, h.shape[0] - 1, _LYAPUNOV_SLICE):
+        part = h[k:k + _LYAPUNOV_SLICE + 1]
+        mask = part[:-1] > floor
+        counted = counted or bool(mask.any())
+        # np.maximum keeps a nan increase, as one max over all nodes would
+        worst = np.maximum(worst, np.max(part[1:] - part[:-1], where=mask, initial=-np.inf))
+    return float(worst) if counted else 0.0
 
 
 # ---------------------------------------------------------------------------

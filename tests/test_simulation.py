@@ -26,9 +26,9 @@ from homocon.simulation import (
     settling_time,
     simulate,
     simulate_batch,
-    step_implicit_euler,
     write_trajectory_csv,
 )
+from oracles import step_implicit_euler
 from test_graphs import cyclic_graph
 
 PUBLISHED_P = np.array([[0.0020, 0.0005], [0.0005, 0.0012]])
@@ -204,6 +204,37 @@ def test_lyapunov_violation_helper():
     # follower 2 rises 0.1 above its previous value while above floor
     assert lyapunov_violation(h) == pytest.approx(0.1)
     assert lyapunov_violation(np.array([[1e-7], [5.0]])) == 0.0  # below floor
+
+
+def test_lyapunov_violation_in_slices_equals_one_max():
+    import homocon.simulation as simulation
+
+    def one_max(h, floor):
+        inc = h[1:] - h[:-1]
+        mask = h[:-1] > floor
+        if not mask.any():
+            return 0.0
+        return float(np.max(np.where(mask, inc, -np.inf)))
+
+    S = simulation._LYAPUNOV_SLICE
+    rng = np.random.default_rng(4)
+    cases = [np.array([[0.3]]), np.full((5, 2), 1e-9), np.array([[np.nan], [1.0]]),
+             np.array([[1.0], [np.nan]])]
+    for T in (2, S, S + 1, S + 2, 2 * S + 3):
+        h = np.exp(-np.linspace(0.0, 30.0, T))[:, None, None] * rng.uniform(0.5, 1.0, (T, 3, 2))
+        cases.append(h)
+        if T > S:
+            rise = h.copy()
+            rise[S, 1, 0] = rise[S - 1, 1, 0] + 2.0  # the largest, out of a slice's last node
+            cases.append(rise)
+        holes = h.copy()
+        holes[rng.random(h.shape) < 0.01] = np.nan
+        cases.append(holes)
+    for h in cases:
+        for floor in (1e-6, 0.0, 1e-9, 2.0):
+            got, want = lyapunov_violation(h, floor), one_max(h, floor)
+            assert type(got) is float
+            assert _same_arrays(np.float64(got), np.float64(want)), (h.shape, floor, got, want)
 
 
 # -- batch equivalence ---------------------------------------------------------------
@@ -443,7 +474,32 @@ def _same_arrays(x, y):
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+def _blocks(monkeypatch):
+    """Collect the row block of every integration."""
+    import homocon.simulation as simulation
+
+    blocks = []
+    integrate = simulation._integrate
+
+    def collected(*args):
+        out = integrate(*args)
+        blocks.append(out[0])
+        return out
+
+    monkeypatch.setattr(simulation, "_integrate", collected)
+    return blocks
+
+
+def _without_shortcuts(monkeypatch):
+    import homocon.simulation as simulation
+
+    monkeypatch.setattr(simulation, "_NEWTON_STEP", -1.0)
+    monkeypatch.setattr(simulation, "_same_bits", lambda x, y: False)
+
+
 def test_settled_block_fast_path_is_bit_exact(monkeypatch):
+    # the leader-only steps, the batch's one reduction per settled chunk
+    # and the Newton step stop must all leave every bit as it is
     import homocon.simulation as simulation
 
     scen = _settling_scenario()
@@ -452,9 +508,19 @@ def test_settled_block_fast_path_is_bit_exact(monkeypatch):
     fast_traj = simulate(scen)
     assert len(steps) < scen.steps  # the leaders ran alone at the end
     del steps[:]
+    nodes = []
+    hnorm = simulation._Axis.hnorm
+
+    def counted(self, E, s):
+        nodes.append(E.shape[0])
+        return hnorm(self, E, s)
+
+    monkeypatch.setattr(simulation._Axis, "hnorm", counted)
     fast_batch = simulate_batch(scen, inits)
     assert len(steps) < scen.steps
-    monkeypatch.setattr(simulation, "_same_bits", lambda x, y: False)
+    # settled from t = 7.2: the last two of five chunks reduce one node
+    assert nodes == [_DRAW_CHUNK + 1, _DRAW_CHUNK, _DRAW_CHUNK, 1, 1]
+    _without_shortcuts(monkeypatch)
     traj, batch = simulate(scen), simulate_batch(scen, inits)
     for field in ("states", "errors", "controls", "hnorm", "barrier", "disturbance"):
         assert _same_arrays(getattr(fast_traj.axes[0], field), getattr(traj.axes[0], field)), field
@@ -588,6 +654,43 @@ def test_recorded_controls_solve_the_implicit_law(make):
             for d in (-h, h)
         )
         assert np.all(f_lo * f_hi <= 0.0), (ax.name, k, i)
+
+
+# -- Newton step stop ----------------------------------------------------------------
+# A row frozen by the step test would have met the residual test on the
+# next pass: disabling the test must leave every array as it is.
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _preset("homogeneous_nominal"), lambda: _preset("homogeneous_robust"),
+     _curved_and_linear_cyclic, _mu_minus_one],
+    ids=["mu-0.2", "mu-1-disturbed", "mu-0.5-n3", "mu-1-sliding"],
+)
+def test_newton_step_stop_keeps_every_bit(make, monkeypatch):
+    scen = make()
+    blocks = _blocks(monkeypatch)
+    fast = simulate(scen)
+    assert blocks[0].newton_step_stops > 0
+    _without_shortcuts(monkeypatch)
+    slow = simulate(scen)
+    assert blocks[1].newton_step_stops == 0
+    assert blocks[0].newton_passes < blocks[1].newton_passes
+    for a, b in zip(fast.axes, slow.axes):
+        for field in ("states", "errors", "controls", "hnorm", "barrier", "disturbance"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert (x is None and y is None) or _same_arrays(x, y), (a.name, field)
+
+
+def test_newton_counts_of_the_nominal_preset(monkeypatch):
+    # exact counts pin the work per step; a change that adds passes or
+    # stops the step test from firing shows here
+    blocks = _blocks(monkeypatch)
+    simulate(_preset("homogeneous_nominal"))
+    (block,) = blocks
+    # 3,000 steps of six curved rows: one pass per step but two, every
+    # row frozen by the step test (6,002 passes without it)
+    assert (block.newton_calls, block.newton_passes, block.newton_step_stops) == (3000, 3002, 18000)
 
 
 def test_grid_refinement_first_order():
