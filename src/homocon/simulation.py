@@ -9,12 +9,12 @@ homogeneous laws it is solved jointly in w and the log norm s of e: one
 2x2 Newton iteration per row on w = u(e) and log ||d(-s) e||_P = 0,
 with the closed-form derivatives of the canonical norm, started from
 the quadratic through (w, s) at the last three nodes, or from the
-previous node's values where a row was at the origin among them. The
-few rows it leaves unsettled go to a k-section of a bracket on w, which
-evaluates the law on many points of each row's bracket per call and so
-needs a bounded number of calls. A row stops once its residual is
-small, or right after a Newton step so small that, converging
-quadratically, the next pass would only confirm it. At points where
+previous node's values where a row was at the origin among them. A
+row stops once its residual is small, or right after a Newton step so
+small that, converging quadratically, the next pass would only confirm
+it. At a fixed s the law is linear in e, so the few rows it leaves
+unsettled solve one scalar equation in s, with w in closed form, by a
+Newton iteration safeguarded by a bracket on s. At points where
 the control law is set-valued (mu = -1 at the origin) the step selects
 the control that lands the error exactly on the discontinuity manifold,
 which reproduces sliding without chattering.
@@ -60,7 +60,7 @@ import numpy as np
 from ._linalg import rowsum
 from .cones import ConeSpec
 from .graphs import DirectedGraph, is_leader_rooted
-from .homogeneity import _project_to_sphere
+from .homogeneity import _log_norms, _project_to_sphere
 from .protocols import IntegratorChain, ProtocolSpec, _law
 
 
@@ -226,7 +226,7 @@ class Trajectory:
 # independently of the horizon
 _DRAW_CHUNK = 256
 
-# passes of the joint (w, s) Newton before a row goes to the bracket
+# passes of the joint (w, s) Newton before a row goes to the fallback
 _NEWTON_PASSES = 10
 
 # a row whose Newton step (dw, ds) is within this, relative to 1 + |w|
@@ -235,8 +235,9 @@ _NEWTON_PASSES = 10
 # them in the Newton
 _NEWTON_STEP = 3e-8
 
-# interior points per pass of the bracket's k-section
-_BRACKET_POINTS = 15
+# the fallback's Newton step stop in s and its pass cap (_log_norm_roots)
+_ROOT_STEP = 3e-8
+_ROOT_PASSES = 100
 
 # largest denominator 1 + K beta of the closed-form affine step
 _LIN_DEN_MAX = 1e8
@@ -285,12 +286,6 @@ class _Axis:
             # |u| <= cmax (sqrt(lmax) r)^ball_exp
             self.root_lmax = float(np.sqrt(np.linalg.eigvalsh(self.P)[-1]))
             self.ball_exp = self.opm / float(self.rk.max())
-
-    def residual(self, a, beta, w, s_warm):
-        """Returns (w - u, log_norms) of this axis's law at the errors
-        a + w*beta."""
-        u, s = _law(a + w[:, None] * beta, self.P[None], self.K[None], self.rk, self.opm, s_warm)
-        return w - u, s
 
     def log_norms(self, E, s):
         """Log norms of this axis's errors E (rows in the last axis): its
@@ -363,8 +358,9 @@ class _Block:
         self.M = len(self.axes) * B * N
         self.m_curved = len(self.curved) * B * N
         self.snapped = False  # the last step snapped every curved row
-        # joint Newton calls, passes and rows frozen by the step test
+        # joint Newton calls, passes and step-test stops; fallback rows, passes
         self.newton_calls = self.newton_passes = self.newton_step_stops = 0
+        self.fallback_rows = self.fallback_passes = 0
 
         X0 = [inits[g.index] for g in self.axes]
         self.L0 = np.concatenate([x[:, 0, :] for x in X0])
@@ -488,8 +484,9 @@ class _Block:
         and |R1| <= tol (1 + |w|), or right after a step with
         |dw| <= _NEWTON_STEP (1 + |w|) and |ds| <= _NEWTON_STEP: Newton
         converges quadratically there, so the next pass would only confirm
-        the step. Rows still open or non-finite at the last of the
-        _NEWTON_PASSES passes go to the bracket, once per axis.
+        the step. Rows open at the last of the _NEWTON_PASSES passes, or
+        once no open row has a finite s (it then stays so), go to
+        ``_log_norm_roots`` from this Newton's start, once per axis.
         Returns (w, log_norms, e_new).
         """
         beta, n, rk, opm = self.beta, self.n, self.rk, self.opm
@@ -508,6 +505,7 @@ class _Block:
                 X = a + w[:, None] * beta
                 pn2 = rowsum((X.reshape(groups, -1, n) @ self.P).reshape(-1, n) * X)
                 s = np.where(cold, 0.5 * np.log(pn2), s)
+            s_start = s
             self.newton_calls += 1
             for p in range(_NEWTON_PASSES):
                 self.newton_passes += 1
@@ -525,7 +523,7 @@ class _Block:
                 pending &= ~((np.abs(F) <= 1e-13) & (np.abs(R1) <= tol * scale))
                 open_rows = int(np.count_nonzero(pending))
                 if not open_rows or p == _NEWTON_PASSES - 1:
-                    break  # the last pass's open rows go to the bracket
+                    break  # the last pass's open rows go to the log-norm solve
                 J11 = 1.0 + c * KDb
                 J12 = c * (opm * KY - KGY)
                 J21 = rowsum(PY * ex * beta) / q2
@@ -538,87 +536,88 @@ class _Block:
                 pending &= ~((np.abs(dw) <= _NEWTON_STEP * scale) & (np.abs(ds) <= _NEWTON_STEP))
                 left = int(np.count_nonzero(pending))
                 self.newton_step_stops += open_rows - left
-                if not left:
+                # s stays non-finite once s or w is: from the second update
+                # on (most calls end sooner), only finite-s rows go on
+                if not left or p and not (pending & np.isfinite(s)).any():
                     break
 
-        rough = np.nonzero(pending)[0]
-        if rough.size:
-            # the bracket runs once per axis, from the residual at w_prev;
-            # each of its rows stops on its own rules
-            group = rough // (self.B * self.N)
-            for j in np.unique(group):
-                g, r = self.curved[j], rough[group == j]
-                f0, s0 = g.residual(a[r], beta, w_prev[r], s_prev[r])
-                w[r], s[r] = _bracketed_roots(g, a[r], beta, w_prev[r], f0, s0, tol)
+            rough = np.nonzero(pending)[0]
+            if rough.size:
+                group = rough // (self.B * self.N)
+                for j in np.unique(group):
+                    r = rough[group == j]
+                    w[r], s[r], passes = _log_norm_roots(self.curved[j], a[r], beta, s_start[r])
+                    self.fallback_rows += r.size
+                    self.fallback_passes += passes
         return w, s, a + w[:, None] * beta
 
 
-def _bracketed_roots(g: _Axis, a, beta, w0, f0, s0, tol):
-    """K-section fallback for the rows of axis g the joint Newton left
-    unsettled: roots of f(w) = w - u(a + w beta), from f0 = f(w0) and
-    the log norms s0 there.
+def _log_norm_roots(g: _Axis, a, beta, s0):
+    """Safeguarded Newton on the log norm alone, from s0, for the rows
+    of axis g the joint Newton left open.
 
-    A bracket f(lo) <= 0 <= f(hi) is stepped out from w0, both ends in
-    one law call per pass. Each k-section pass then makes one law call
-    on the open rows repeated, at _BRACKET_POINTS evenly spaced interior
-    points and the regula falsi point of each bracket (the law solves
-    every row on its own, so a point gets the value it would get alone),
-    and keeps the adjacent pair around the first point with f > 0. A row
-    stops once its smallest |f| is at most tol (1 + |w|) or its bracket
-    at most 1e-14 |w| wide; a call makes at most 60 + 20 law calls.
+    At a fixed s the law is linear in e: R1 = 0 gives
+    w(s) = -c K y / (1 + c K b) with y = d(-s) a, b = d(-s) beta and
+    c = exp(opm s), and the step reduces to F(s) = log ||y + w b||_P = 0
+    with derivative J22 - J21 J12 / J11, the Schur complement of the
+    joint Jacobian. F changes sign once, from + to -, but is not
+    monotone near its root, so each row keeps a bracket on s, stepped
+    out from s0 in doubling steps (a nan F counts as +). A row bisects
+    or steps out where the Newton step leaves the bracket (or, while an
+    end is open, goes further than the step-out), dF >= 0 or
+    1 + c K b <= 0. It stops at |F| <= 1e-13, right after a Newton step
+    of at most _ROOT_STEP, or at a bracket 1e-14 max(1, |s|) wide;
+    where a + w beta cancels, F may stay near 1e-5 there.
 
-    On a jump of the law crossing the diagonal (set-valued point that
-    failed the snap test) the bracket collapses without the residual
-    vanishing; the endpoint with the smaller residual is then kept,
-    i.e. the control is projected to the value minimizing the residual.
+    Returns (w, s, passes): w at the final s, the log norms of
+    a + w beta, and the passes made. Raises NonConvergentStep when a row
+    is open after _ROOT_PASSES passes.
     """
-    m = w0.shape[0]
-    ends = np.array([[w0, w0], [f0, f0], [s0, s0]])  # (w, f, s) x (lo, hi) x rows
-    W, F, S = ends
-    step = np.outer([-1.0, 1.0], 1.0 + 0.5 * np.abs(w0) + g.cmax)
-    for _ in range(60):
-        need = np.stack((F[0] > 0, F[1] < 0))
-        if not need.any():
-            break
-        W[need] += step[need]
-        F[need], S[need] = g.residual(a[np.nonzero(need)[1]], beta, W[need], S[need])
-        step *= 2.0
-    else:
-        raise NonConvergentStep("failed to bracket the implicit control")
+    n, jac, rk, opm = beta.shape[0], g.jac, g.rk, g.opm
 
-    t = np.arange(1, _BRACKET_POINTS + 1) / (_BRACKET_POINTS + 1)
-    best = np.array([W[0], np.full(m, np.inf), S[0]])  # (w, f, s) of the smallest |f|
-    rows = np.arange(m)
-    for _ in range(20):
-        (lo, hi), (flo, fhi), (slo, shi) = ends[:, :, rows]
-        den = fhi - flo
-        rf = lo - flo * (hi - lo) / np.where(np.abs(den) > 1e-300, den, np.inf)
-        rf = np.where((rf > lo) & (rf < hi), rf, 0.5 * (lo + hi))
-        w = np.column_stack((lo[:, None] + (hi - lo)[:, None] * t, rf))
-        k = w.shape[1]
-        f, s = g.residual(np.repeat(a[rows], k, axis=0), beta, w.ravel(), np.repeat(slo, k))
-        # every point of each open row, bracket ends included, in order of w
-        pts = np.stack((
-            np.column_stack((lo, w, hi)),
-            np.column_stack((flo, f.reshape(-1, k), fhi)),
-            np.column_stack((slo, s.reshape(-1, k), shi)),
-        ))
-        pts = np.take_along_axis(pts, np.argsort(pts[0], axis=1, kind="stable")[None], axis=2)
-        r = np.arange(rows.size)
-        af = np.where(np.isnan(pts[1]), np.inf, np.abs(pts[1]))
-        j = np.argmin(af, axis=1)
-        best[:, rows] = np.where(af[r, j] < np.abs(best[1, rows]), pts[:, r, j], best[:, rows])
-        # a nan counts as f > 0; hi closes the bracket whatever its sign
-        pos = ~(pts[1] <= 0)
-        pos[:, 0], pos[:, -1] = False, True
-        j = np.argmax(pos, axis=1)
-        ends[:, :, rows] = pts[:, r, np.stack((j - 1, j))]
-        scale = 1.0 + np.abs(best[0])
-        settled = (np.abs(best[1]) <= tol * scale) | (W[1] - W[0] <= 1e-14 * np.abs(best[0]))
-        rows = np.nonzero(~settled)[0]
+    def control(a, s):
+        """(w(s), d(-s) 1, exp(opm s), 1 + c K b) on the rows of a."""
+        ex = np.exp(-(s[:, None] * rk))
+        c = np.exp(opm * s)
+        k = np.concatenate((a * ex, ex), axis=1) @ jac
+        den = 1.0 + c * k[:, n + 2]
+        return -c * k[:, n] / den, ex, c, den
+
+    s = np.where(np.isfinite(s0), s0, 0.0)
+    lo, hi = np.full_like(s, -np.inf), np.full_like(s, np.inf)
+    out = np.ones_like(s)  # step-out distance
+    rows = np.arange(s.size)
+    for passes in range(1, _ROOT_PASSES + 1):
+        sr, ar, d = s[rows], a[rows], out[rows]
+        w, ex, c, J11 = control(ar, sr)
+        Y = (ar + w[:, None] * beta) * ex
+        prod = Y @ jac[:n]  # P y, K y, K G y
+        PYY = prod[:, :n] * Y
+        q2 = rowsum(PYY)
+        F = 0.5 * np.log(q2)
+        J12 = c * (opm * prod[:, n] - prod[:, n + 1])
+        dF = -(rowsum(PYY * rk) + rowsum(prod[:, :n] * ex * beta) * J12 / J11) / q2
+        pos = ~(F <= 0.0)
+        lo[rows] = l = np.where(pos, sr, lo[rows])
+        hi[rows] = h = np.where(pos, hi[rows], sr)
+        closed = np.isfinite(l) & np.isfinite(h)
+        sn = sr - F / dF
+        newton = (dF < 0.0) & (J11 > 0.0) & (sn > l) & (sn < h)
+        newton &= closed | (np.abs(sn - sr) <= d)
+        bisect = np.where(closed, 0.5 * (l + h), np.where(pos, sr + d, sr - d))
+        out[rows] = np.where(closed, d, 2.0 * d)
+        settled = (np.abs(F) <= 1e-13) | (h - l <= 1e-14 * np.maximum(1.0, np.abs(sr)))
+        s[rows] = np.where(settled, sr, np.where(newton, sn, bisect))
+        settled |= newton & (np.abs(sn - sr) <= _ROOT_STEP)
+        rows = rows[~settled]
         if not rows.size:
             break
-    return best[0], best[2]
+    else:
+        raise NonConvergentStep("the implicit step's log-norm solve did not settle")
+    w = control(a, s)[0]
+    # the errors' own log norms: where a + w beta cancels, F is not small
+    s, _, _ = _log_norms(a + w[:, None] * beta, g.P[None], rk, s)
+    return w, s, passes
 
 
 # ---------------------------------------------------------------------------
