@@ -23,13 +23,15 @@ The homogeneous laws of negative degree are finite-time stable, and the
 implicit step keeps that: undisturbed, their errors reach exactly zero
 and stay there. Once a step snaps every curved row and returns its input
 errors bit for bit, every later node repeats its errors, controls and
-norms, so from there on only the leaders are advanced, and a batch
-reduces each draw chunk of such repeated nodes once.
+norms: from there on a recording advances the leaders alone, and a
+batch copies that node's reductions over the rest of the horizon.
 
-Internally the integrator advances the leader state and the follower
-errors; follower states are reconstructed as leader + error, which
-avoids the catastrophic cancellation of differencing two O(10) states
-once errors shrink toward machine scale.
+Internally the integrator advances the follower errors e_i = x_i - x_0,
+which evolve without reading the leader's state; the leader state is
+advanced only for a recording, whose follower states are reconstructed
+as leader + error. That avoids the catastrophic cancellation of
+differencing two O(10) states once errors shrink toward machine scale.
+A batch, which reduces errors only, never advances the leaders.
 
 Every axis of every batch run shares one integration sweep: their
 follower errors are the rows of one block, so each step makes one joint
@@ -44,11 +46,12 @@ sphere projection of the cone barrier are the library's own
 
 Runs are deterministic: identical configuration and seed give
 bit-identical trajectories and CSV files. A batch dimension lets many
-initial conditions share the sweep; a batch of one is exactly
-`simulate`. Its per-run reductions (overshoot, norms, barrier minimum,
-squared error) run once per draw chunk of nodes, over the stacked
-(nodes, rows, n) errors of each axis, with the calls that `simulate`
-makes on its full recording, so the step loop only stores each node.
+initial conditions share the sweep, and each run's reductions equal
+those of `simulate` on that run bit for bit. The per-run reductions
+(overshoot, norms, barrier minimum, squared error) run once per draw
+chunk of nodes, over the stacked (nodes, rows, n) errors of each axis,
+with the calls that `simulate` makes on its full recording, so the step
+loop only stores each node.
 """
 
 from __future__ import annotations
@@ -342,6 +345,7 @@ class _Block:
             self.R = np.linalg.inv(np.eye(n) - dt * chain.A)
             self.beta = dt * (self.R @ self.b)
             self.btb = float(self.beta @ self.beta)
+            self.root_btb = np.sqrt(self.btb)
         if not (np.all(np.isfinite(self.R)) and np.isfinite(self.btb)):
             raise NonConvergentStep("dt too large for the implicit step")
         self.B, self.N, self.n = B, N, n
@@ -358,6 +362,8 @@ class _Block:
         self.M = len(self.axes) * B * N
         self.m_curved = len(self.curved) * B * N
         self.snapped = False  # the last step snapped every curved row
+        # the node from which every later node repeats it, once known
+        self.settled_node = None
         # joint Newton calls, passes and step-test stops; fallback rows, passes
         self.newton_calls = self.newton_passes = self.newton_step_stops = 0
         self.fallback_rows = self.fallback_passes = 0
@@ -373,6 +379,7 @@ class _Block:
             self.K = np.stack([g.K for g in self.curved])
             self.jac = np.stack([g.jac for g in self.curved])
             self.rk = np.repeat(np.stack([g.rk for g in self.curved]), B * N, axis=0)
+            self.neg_rk = -self.rk
             self.opm = np.repeat([g.opm for g in self.curved], B * N)
             self.snap_bound = np.repeat([g.snap_bound for g in self.curved], B * N)
             # cmax (1 + 1e-9), sqrt(lmax(P)) and ball_exp of each row's axis
@@ -406,10 +413,14 @@ class _Block:
         groups, n = len(self.axes), self.n
         return ((L + self.dt * (q0[:, None] * self.b)).reshape(groups, -1, n) @ self.R.T).reshape(-1, n)
 
-    def step_implicit(self, L, E, q0, dq, w_prev, s_warm):
+    def step_implicit(self, E, dq, w_prev, s_warm):
+        """The followers' implicit Euler step from errors E under the
+        follower-minus-leader disturbances dq; the leaders do not enter
+        it. Returns (e_new, w, log_norms)."""
         groups, n, mc = len(self.axes), self.n, self.m_curved
-        L_new = self.step_leader(L, q0)
         alpha = (E.reshape(groups, -1, n) @ self.R.T).reshape(-1, n) + dq[:, None] * self.beta
+        if mc == self.M:
+            return self._solve_control_roots(alpha, w_prev, s_warm)
         w = np.empty(self.M)
         e_new = np.empty_like(alpha)
         logr = np.empty(0)
@@ -417,12 +428,11 @@ class _Block:
             e_new[:mc], w[:mc], logr = self._solve_control_roots(
                 alpha[:mc], w_prev[:mc], s_warm
             )
-        if mc < self.M:  # closed form
-            a = alpha[mc:]
-            KA = (a.reshape(len(self.K_flat), -1, n) @ self.K_flat).reshape(-1)
-            w[mc:] = wf = -KA / self.lin_den
-            e_new[mc:] = a + wf[:, None] * self.beta
-        return L_new, e_new, w, logr
+        a = alpha[mc:]  # closed form
+        KA = (a.reshape(len(self.K_flat), -1, n) @ self.K_flat).reshape(-1)
+        w[mc:] = wf = -KA / self.lin_den
+        e_new[mc:] = a + wf[:, None] * self.beta
+        return e_new, w, logr
 
     def _solve_control_roots(self, alpha, w_prev, s_warm, tol=1e-12, snap_tol=1e-12):
         """Per-row scalar solve of w = law(alpha + w*beta) on the curved rows.
@@ -435,15 +445,15 @@ class _Block:
         A row the solve leaves within snap_tol of the origin is placed
         there too when |wpar| is within the law's bound on that ball.
         """
-        beta, btb = self.beta, self.btb
+        beta = self.beta
         M = alpha.shape[0]
         older, self.older = self.older, ((w_prev, s_warm), self.older[0])
 
-        wpar = -(alpha.reshape(len(self.curved), -1, self.n) @ beta).reshape(-1) / btb
+        wpar = (alpha.reshape(len(self.curved), -1, self.n) @ beta).reshape(-1) / -self.btb
         resid = alpha + wpar[:, None] * beta
         rn = np.sqrt(rowsum(resid * resid))
         anorm = np.sqrt(rowsum(alpha * alpha))
-        r = snap_tol * (1.0 + anorm + np.abs(wpar) * np.sqrt(btb))
+        r = snap_tol * (1.0 + anorm + np.abs(wpar) * self.root_btb)
         snap = (rn <= r) & (np.abs(wpar) <= self.snap_bound)
 
         self.snapped = bool(snap.all())
@@ -458,10 +468,10 @@ class _Block:
             near[near] = np.abs(wpar[near]) <= c * np.minimum(root_lmax * r[near], 1.0) ** ex
             snap |= near
         if snap.any():
-            w[snap] = wpar[snap]
-            logr[snap] = -np.inf
-            e_new[snap] = 0.0
-        if not np.all(np.isfinite(w)):
+            w = np.where(snap, wpar, w)
+            logr = np.where(snap, -np.inf, logr)
+            e_new = np.where(snap[:, None], 0.0, e_new)
+        if not np.isfinite(w).all():
             raise NonConvergentStep("control root solve produced non-finite values")
         return e_new, w, logr
 
@@ -480,18 +490,18 @@ class _Block:
             dF/dw  = (Py . d(-s) beta) / q2
             dF/ds  = -(Py . G y) / q2
 
-        Only ``pending`` rows are solved; each freezes once |F| <= 1e-13
-        and |R1| <= tol (1 + |w|), or right after a step with
-        |dw| <= _NEWTON_STEP (1 + |w|) and |ds| <= _NEWTON_STEP: Newton
-        converges quadratically there, so the next pass would only confirm
-        the step. Rows open at the last of the _NEWTON_PASSES passes, or
-        once no open row has a finite s (it then stays so), go to
-        ``_log_norm_roots`` from this Newton's start, once per axis.
+        Only ``pending`` rows are solved, and the mask is updated in
+        place; each freezes once |F| <= 1e-13 and |R1| <= tol (1 + |w|),
+        or right after a step with |dw| <= _NEWTON_STEP (1 + |w|) and
+        |ds| <= _NEWTON_STEP: Newton converges quadratically there, so
+        the next pass would only confirm the step. Rows open at the last
+        of the _NEWTON_PASSES passes, or once no open row has a finite s
+        (it then stays so), go to ``_log_norm_roots`` from this Newton's
+        start, once per axis.
         Returns (w, log_norms, e_new).
         """
-        beta, n, rk, opm = self.beta, self.n, self.rk, self.opm
+        beta, n, rk, neg_rk, opm = self.beta, self.n, self.rk, self.neg_rk, self.opm
         groups = len(self.curved)
-        pending = pending.copy()
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             # start from the quadratic through the last three nodes where
             # all of them are known and off the origin
@@ -505,11 +515,11 @@ class _Block:
                 X = a + w[:, None] * beta
                 pn2 = rowsum((X.reshape(groups, -1, n) @ self.P).reshape(-1, n) * X)
                 s = np.where(cold, 0.5 * np.log(pn2), s)
-            s_start = s
+            s_start = s.copy()  # w and s are updated in place
             self.newton_calls += 1
             for p in range(_NEWTON_PASSES):
                 self.newton_passes += 1
-                ex = np.exp(-(s[:, None] * rk))
+                ex = np.exp(s[:, None] * neg_rk)  # the bits of exp(-(s rk))
                 Y = (a + w[:, None] * beta) * ex
                 YE = np.concatenate((Y, ex), axis=1).reshape(groups, -1, 2 * n)
                 prod = (YE @ self.jac).reshape(-1, n + 3)
@@ -531,8 +541,8 @@ class _Block:
                 det = J11 * J22 - J12 * J21
                 dw = (J12 * F - J22 * R1) / det
                 ds = (J21 * R1 - J11 * F) / det
-                w = np.where(pending, w + dw, w)
-                s = np.where(pending, s + ds, s)
+                np.add(w, dw, out=w, where=pending)
+                np.add(s, ds, out=s, where=pending)
                 pending &= ~((np.abs(dw) <= _NEWTON_STEP * scale) & (np.abs(ds) <= _NEWTON_STEP))
                 left = int(np.count_nonzero(pending))
                 self.newton_step_stops += open_rows - left
@@ -670,6 +680,8 @@ class _Draws:
 class _FullRecord:
     """Every node of every row, for ``simulate`` (a single run)."""
 
+    keeps_leaders = True
+
     def __init__(self, block: _Block, T: int):
         self.L = np.empty((T + 1,) + block.L0.shape)
         self.E = np.empty((T + 1,) + block.E0.shape)
@@ -710,12 +722,16 @@ class _FullRecord:
 class _BatchRecord:
     """Per-run reductions of every axis, for ``simulate_batch``.
 
+    The reductions read errors only, so the leaders are never advanced.
     ``record`` only copies each node's errors and curved-row log norms
     into a buffer of one draw chunk of nodes; ``reduce`` then reduces
     the whole chunk with one stacked call per axis over its (nodes, rows,
     n) errors, the calls ``_FullRecord.axis`` makes. A settled chunk,
-    whose nodes all repeat the first one's bits, reduces that node only.
+    whose nodes all repeat the first one's bits, reduces that node only,
+    and ``repeat`` copies the last reduced node over the nodes after it.
     """
+
+    keeps_leaders = False
 
     def __init__(self, block: _Block, T: int):
         B, N = block.B, block.N
@@ -757,6 +773,14 @@ class _BatchRecord:
                 self.phimin[g][ks] = phi.reshape(count, B, N * n).min(axis=2)
         self.start = self.stop
 
+    def repeat(self):
+        """Every node after the last reduced one repeats its reductions."""
+        k = self.stop - 1
+        for out in (self.efirst_max, self.hnorm, self.phimin, self.errsq):
+            for x in out.values():
+                if x is not None:
+                    x[k + 1:] = x[k]
+
 
 def _same_bits(x, y):
     """x and y hold the same float64 bits, sign of zero included."""
@@ -768,23 +792,26 @@ def _integrate(cfg: ScenarioConfig, inits, recorder, dist_scales=None):
 
     ``inits`` lists each axis's (B, N+1, n) initial states in
     ``cfg.axes`` order; ``recorder(block, T)`` receives every node, and
-    its ``reduce`` is called at the end of each draw chunk. After an
-    undisturbed step that snaps every curved row and returns its input
-    errors bit for bit, the next step would see the same errors and no
-    warm start, so only the leaders are stepped from there on.
-    Raises NonConvergentStep when a leader state or an error is not
-    finite at the end of a draw chunk.
+    its ``reduce`` is called at the end of each draw chunk. The errors
+    evolve without reading the leaders, so the leaders are advanced only
+    for a recorder that keeps them. Once an undisturbed step snaps every
+    curved row and returns its input errors bit for bit, the next step
+    would see the same errors and no warm start, so every later node
+    repeats that one (``block.settled_node``): from there on only the
+    kept leaders are stepped, and a batch ends with ``repeat``.
+    Raises NonConvergentStep when an error, or a kept leader state, is
+    not finite at the end of a draw chunk.
     Returns (block, recorder, final errors, final log norms).
     """
     block = _Block(cfg, [np.asarray(x, dtype=float) for x in inits])
     T = cfg.steps
     rec = recorder(block, T)
     draws = _Draws(cfg, block, dist_scales)
+    leaders = rec.keeps_leaders
 
     L, E = block.L0, block.E0
     q0 = np.zeros((_DRAW_CHUNK, len(block.axes) * block.B))
     dq = np.zeros((_DRAW_CHUNK, block.M))
-    undisturbed, settled = not draws.axes, False
     with np.errstate(over="ignore", invalid="ignore"):
         w, s = block.eval(E, None)  # node 0: nodal law value
         rec.record(0, L, E, w, s)
@@ -794,16 +821,22 @@ def _integrate(cfg: ScenarioConfig, inits, recorder, dist_scales=None):
                 q0, dq, qhat = draws.take(count)
                 rec.draws(k0, qhat)
             for j in range(count):
-                if settled:
+                if leaders:
                     L = block.step_leader(L, q0[j])
-                else:
-                    L, E_new, w, s = block.step_implicit(L, E, q0[j], dq[j], w, s)
-                    settled = undisturbed and block.snapped and _same_bits(E_new, E)
+                if block.settled_node is None:
+                    E_new, w, s = block.step_implicit(E, dq[j], w, s)
+                    if not draws.axes and block.snapped and _same_bits(E_new, E):
+                        block.settled_node = k0 + j + 1
                     E = E_new
+                elif not leaders:
+                    break  # the batch ends at the settled node
                 rec.record(k0 + j + 1, L, E, w, s)
-            if not (np.isfinite(L).all() and np.isfinite(E).all()):
+            if not np.isfinite(E).all() or leaders and not np.isfinite(L).all():
                 raise NonConvergentStep("integration produced non-finite states")
             rec.reduce()
+            if block.settled_node is not None and not leaders:
+                rec.repeat()
+                break
     return block, rec, E, s
 
 
@@ -840,10 +873,16 @@ def simulate_batch(
     """Integrate many runs of one scenario that differ only in their
     initial states; ``initial_batches`` maps axis name -> (B, N+1, n).
 
-    Disturbed runs use per-run generators seeded base + run index, so
-    run b reproduces ``simulate`` with that run's initial states and the
-    shifted seed. ``disturbance_scales`` (length B) multiplies every
-    disturbance amplitude per run, for amplitude sweeps.
+    Run b's reductions equal, bit for bit, those of ``simulate`` with
+    that run's initial states; disturbed runs use per-run generators
+    seeded base + run index, so there ``simulate`` takes the shifted
+    seed. ``disturbance_scales`` (length B) multiplies every disturbance
+    amplitude per run, for amplitude sweeps. The leaders are never
+    advanced, since no reduction reads them: a run whose leader state
+    overflows while its errors stay finite returns finite reductions,
+    where ``simulate`` raises NonConvergentStep. Once every run has
+    settled undisturbed, the last node's reductions are copied over the
+    rest of the horizon.
     """
     times = np.arange(cfg.steps + 1) * cfg.dt
     block, rec, _, _ = _integrate(
@@ -929,10 +968,11 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
     Columns: t, agent, axis, x1..xn, u, e1..en, hnorm, phi1..phin, q.
     Leader rows carry zero errors and norms; phi columns are nan when no
-    cone was recorded for the axis.
+    cone was recorded for the axis. Only values that vary are formatted:
+    t once per node, and the leader's zeros, the nan barriers and the q
+    of an axis whose disturbance is +0.0 throughout are written as text.
     """
-    first = traj.axes[0]
-    n = first.states.shape[2]
+    n = traj.axes[0].states.shape[2]
     cols = (
         ["t", "agent", "axis"]
         + [f"x{i + 1}" for i in range(n)]
@@ -944,34 +984,44 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     )
     f = "%.17g"
     fields = ",".join([f] * n)
-    width = len(cols) - 2  # every column but agent and axis
+    zeros, nans = ",".join(["0"] * n), ",".join(["nan"] * n)
+    # an undisturbed axis records q = +0.0 throughout; a -0.0 draw is
+    # still formatted
+    varies = [bool(ax.disturbance.view(np.uint64).any()) for ax in traj.axes]
+    # one template per time node, every (axis, agent) row of it, and the
+    # place of each row's t among the node's values
+    template, slots, width = [], [], 0
+    for ax, qv in zip(traj.axes, varies):
+        name, N = ax.name.replace("%", "%%"), ax.errors.shape[1]
+        q = f if qv else "0"
+        phi = fields if ax.barrier is not None else nans
+        template.append(f"%s,0,{name},{fields},0,{zeros},0,{nans},{q}\n")
+        template += [f"%s,{i},{name},{fields},{f},{fields},{f},{phi},{q}\n" for i in range(1, N + 1)]
+        lead = 1 + n + qv
+        row = 2 * n + 3 + (n if ax.barrier is not None else 0) + qv
+        slots += [width] + [width + lead + i * row for i in range(N)]
+        width += lead + N * row
+    template = "".join(template)
 
-    def values(ax, ks):
-        """Numbers of every row at the time nodes ``ks``, one line of
-        them per node in column order; leaders carry zeros, and nan
-        where no barrier was recorded."""
-        t = traj.times[ks]
-        v = np.full((len(t), ax.states.shape[1], width), np.nan)
-        v[:, :, 0] = t[:, None]
-        v[:, :, 1:n + 1] = ax.states[ks]
-        v[:, 0, n + 1:2 * n + 3] = 0.0
-        v[:, 1:, n + 1] = ax.controls[ks]
-        v[:, 1:, n + 2:2 * n + 2] = ax.errors[ks]
-        v[:, 1:, 2 * n + 2] = ax.hnorm[ks]
+    def values(ax, qv, ks):
+        """The numbers of one axis's rows at the time nodes ``ks`` in
+        template order, one line per node, with 0 in the t slots."""
+        states, E = ax.states[ks], ax.errors[ks]
+        lead = [np.zeros((len(E), 1)), states[:, 0]]
+        rows = [np.zeros(E.shape[:2] + (1,)), states[:, 1:], ax.controls[ks][:, :, None], E,
+                ax.hnorm[ks][:, :, None]]
         if ax.barrier is not None:
-            v[:, 1:, 2 * n + 3:3 * n + 3] = ax.barrier[ks]
-        v[:, :, -1] = ax.disturbance[ks]
-        return v.reshape(len(t), -1)
+            rows.append(ax.barrier[ks])
+        if qv:
+            lead.append(ax.disturbance[ks][:, :1])
+            rows.append(ax.disturbance[ks][:, 1:, None])
+        return np.concatenate(lead + [np.concatenate(rows, axis=2).reshape(len(E), -1)], axis=1)
 
-    # one template per time node, every (axis, agent) row of it
-    template = "".join(
-        f"{f},{agent},{ax.name.replace('%', '%%')},{fields},{f},{fields},{f},{fields},{f}\n"
-        for ax in traj.axes
-        for agent in range(ax.states.shape[1])
-    )
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
         for k0 in range(0, len(traj.times), 512):
             ks = slice(k0, k0 + 512)
-            nodes = np.concatenate([values(ax, ks) for ax in traj.axes], axis=1).tolist()
-            fh.write("".join([template % tuple(v) for v in nodes]))
+            nodes = np.concatenate([values(ax, qv, ks) for ax, qv in zip(traj.axes, varies)], axis=1)
+            nodes = nodes.astype(object)
+            nodes[:, slots] = np.array([f % t for t in traj.times[ks].tolist()], dtype=object)[:, None]
+            fh.write("".join([template % tuple(v) for v in nodes.tolist()]))

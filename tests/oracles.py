@@ -3,7 +3,8 @@
 These deliberately avoid the library's solver paths: norms come from
 plain bisection, fixed points from the Kronecker closed form, gains
 from repeated matrix products, implicit Euler steps of an arbitrary
-field from fixed-point iteration.
+field from fixed-point iteration, trajectory CSV files from one %.17g
+field per value.
 """
 
 import numpy as np
@@ -65,3 +66,49 @@ def step_implicit_euler(state, f, dt, tol=1e-12, max_iter=100):
     raise NonConvergentStep(
         f"fixed point not reached in {max_iter} iterations (residual {best_res:.3e})"
     )
+
+
+def write_trajectory_csv(traj, path) -> None:
+    """The trajectory CSV with every number formatted, the constant
+    leader fields and nan barriers included: one float row per node and
+    axis, one template per node."""
+    first = traj.axes[0]
+    n = first.states.shape[2]
+    cols = (
+        ["t", "agent", "axis"]
+        + [f"x{i + 1}" for i in range(n)]
+        + ["u"]
+        + [f"e{i + 1}" for i in range(n)]
+        + ["hnorm"]
+        + [f"phi{i + 1}" for i in range(n)]
+        + ["q"]
+    )
+    f = "%.17g"
+    fields = ",".join([f] * n)
+    width = len(cols) - 2  # every column but agent and axis
+
+    def values(ax, ks):
+        t = traj.times[ks]
+        v = np.full((len(t), ax.states.shape[1], width), np.nan)
+        v[:, :, 0] = t[:, None]
+        v[:, :, 1:n + 1] = ax.states[ks]
+        v[:, 0, n + 1:2 * n + 3] = 0.0
+        v[:, 1:, n + 1] = ax.controls[ks]
+        v[:, 1:, n + 2:2 * n + 2] = ax.errors[ks]
+        v[:, 1:, 2 * n + 2] = ax.hnorm[ks]
+        if ax.barrier is not None:
+            v[:, 1:, 2 * n + 3:3 * n + 3] = ax.barrier[ks]
+        v[:, :, -1] = ax.disturbance[ks]
+        return v.reshape(len(t), -1)
+
+    template = "".join(
+        f"{f},{agent},{ax.name.replace('%', '%%')},{fields},{f},{fields},{f},{fields},{f}\n"
+        for ax in traj.axes
+        for agent in range(ax.states.shape[1])
+    )
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(cols) + "\n")
+        for k0 in range(0, len(traj.times), 512):
+            ks = slice(k0, k0 + 512)
+            nodes = np.concatenate([values(ax, ks) for ax in traj.axes], axis=1).tolist()
+            fh.write("".join([template % tuple(v) for v in nodes]))

@@ -239,6 +239,22 @@ def test_lyapunov_violation_in_slices_equals_one_max():
 
 # -- batch equivalence ---------------------------------------------------------------
 
+def _assert_batch_run_equals(batch, b, traj):
+    """Run b of ``batch`` holds the reductions of the recorded run
+    ``traj`` bit for bit."""
+    sq = sum(np.einsum("tij,tij->t", at.errors, at.errors) for at in traj.axes)
+    assert _same_arrays(np.ascontiguousarray(batch.errsq_total[:, b]), sq), b
+    for at in traj.axes:
+        phimin = None if at.barrier is None else at.barrier.reshape(len(sq), -1).min(axis=1)
+        want = {"efirst_max": at.errors[:, :, 0].max(axis=1), "hnorm": at.hnorm, "phimin": phimin}
+        for field, y in want.items():
+            x = getattr(batch, field)[at.name]
+            if y is None:
+                assert x is None, (field, at.name)
+            else:
+                assert _same_arrays(np.ascontiguousarray(x[:, b]), y), (field, at.name, b)
+
+
 # The batch recorder reduces its nodes once per draw chunk: these runs
 # end inside the first chunk, on its last node, one node past it, and
 # one node past the second.
@@ -248,15 +264,7 @@ def test_batch_of_one_matches_simulate(steps):
     ax = reference_axis(disturbance=DisturbanceSpec(amps))
     scen = ScenarioConfig(chain_graph(), 2, (ax,), 1e-3, steps * 1e-3, "implicit_euler", 5)
     assert scen.steps == steps
-    traj = simulate(scen)
-    batch = simulate_batch(scen, {"X": ax.initial[None]})
-    at = traj.axis("X")
-    assert np.array_equal(batch.hnorm["X"][:, 0, :], at.hnorm)
-    sq = np.einsum("tij,tij->t", at.errors, at.errors)
-    assert np.array_equal(batch.errsq_total[:, 0], sq)
-    assert np.array_equal(batch.efirst_max["X"][:, 0], at.errors[:, :, 0].max(axis=1))
-    phimin = at.barrier.reshape(steps + 1, -1).min(axis=1)
-    assert np.array_equal(batch.phimin["X"][:, 0], phimin)
+    _assert_batch_run_equals(simulate_batch(scen, {"X": ax.initial[None]}), 0, simulate(scen))
 
 
 def test_batch_runs_match_individual_seeds():
@@ -270,8 +278,39 @@ def test_batch_runs_match_individual_seeds():
                         DisturbanceSpec(amps, seed=30 + b))
         scen_b = ScenarioConfig(chain_graph(), 2, (ax_b,), 1e-3, 0.2,
                                 "implicit_euler", 30)
-        tb = simulate(scen_b)
-        assert np.array_equal(batch.hnorm["X"][:, b, :], tb.axis("X").hnorm)
+        _assert_batch_run_equals(batch, b, simulate(scen_b))
+
+
+def test_settling_batch_runs_match_individual_runs(monkeypatch):
+    # undisturbed runs that settle at different nodes: the batch steps
+    # the settled runs' rows on at the origin and ends once the last run
+    # settles, while each run alone advances its leaders to the end
+    blocks = _blocks(monkeypatch)
+    scen = _settling_scenario()
+    X0 = scen.axes[0].initial
+    inits = np.stack([X0 * 0.2, X0, X0 * 0.5])
+    batch = simulate_batch(scen, {"X": inits})
+    for b in range(3):
+        tb = simulate(replace(scen, axes=(replace(scen.axes[0], initial=inits[b]),)))
+        _assert_batch_run_equals(batch, b, tb)
+    # the batch, then runs 0.2, 1.0 and 0.5
+    assert [block.settled_node for block in blocks] == [720, 555, 720, 643]
+
+
+def test_batch_ignores_leader_overflow():
+    # a common disturbance offset of 1e308 drives every leader's state
+    # past the float range within the run, while dq = q_i - q_0 = 0
+    # leaves the errors undisturbed: the batch never advances the
+    # leaders, a recorded run does
+    zero = np.zeros(4)
+    ax = reference_axis(disturbance=DisturbanceSpec(zero, offsets=np.full(4, 1e308)))
+    scen = ScenarioConfig(chain_graph(), 2, (ax,), 1e-2, 2.0)
+    batch = simulate_batch(scen, {"X": ax.initial[None]})
+    for x in (batch.efirst_max["X"], batch.hnorm["X"], batch.phimin["X"], batch.errsq_total):
+        assert np.isfinite(x).all()
+    _assert_batch_run_equals(batch, 0, simulate(replace(scen, axes=(replace(ax, disturbance=None),))))
+    with pytest.raises(NonConvergentStep, match="non-finite"):
+        simulate(scen)
 
 
 # -- axis independence ---------------------------------------------------------------
@@ -487,9 +526,9 @@ def _implicit_steps(monkeypatch):
     steps = []
     step = simulation._Block.step_implicit
 
-    def recorded(self, L, E, *args):
-        out = step(self, L, E, *args)
-        steps.append(self.snapped and simulation._same_bits(out[1], E))
+    def recorded(self, E, *args):
+        out = step(self, E, *args)
+        steps.append(self.snapped and simulation._same_bits(out[0], E))
         return out
 
     monkeypatch.setattr(simulation._Block, "step_implicit", recorded)
@@ -524,15 +563,19 @@ def _without_shortcuts(monkeypatch):
 
 
 def test_settled_block_fast_path_is_bit_exact(monkeypatch):
-    # the leader-only steps, the batch's one reduction per settled chunk
-    # and the Newton step stop must all leave every bit as it is
+    # the leader-only steps, the batch's early end and one reduction per
+    # settled chunk, and the Newton step stop must all leave every bit
+    # as it is
     import homocon.simulation as simulation
 
     scen = _settling_scenario()
     inits = {"X": scen.axes[0].initial[None] * np.array([1.0, 0.5, 0.2])[:, None, None]}
     steps = _implicit_steps(monkeypatch)
+    blocks = _blocks(monkeypatch)
     fast_traj = simulate(scen)
-    assert len(steps) < scen.steps  # the leaders ran alone at the end
+    # node 720 (t = 7.2) repeats node 719; the leaders ran alone after it
+    assert blocks[0].settled_node == 720
+    assert len(steps) == 720
     del steps[:]
     nodes = []
     hnorm = simulation._Axis.hnorm
@@ -543,11 +586,14 @@ def test_settled_block_fast_path_is_bit_exact(monkeypatch):
 
     monkeypatch.setattr(simulation._Axis, "hnorm", counted)
     fast_batch = simulate_batch(scen, inits)
-    assert len(steps) < scen.steps
-    # settled from t = 7.2: the last two of five chunks reduce one node
-    assert nodes == [_DRAW_CHUNK + 1, _DRAW_CHUNK, _DRAW_CHUNK, 1, 1]
+    # the largest run settles last, at the same node; the third chunk
+    # reduces its nodes up to it and the batch ends
+    assert blocks[1].settled_node == 720
+    assert len(steps) == 720
+    assert nodes == [_DRAW_CHUNK + 1, _DRAW_CHUNK, 720 - 2 * _DRAW_CHUNK]
     _without_shortcuts(monkeypatch)
     traj, batch = simulate(scen), simulate_batch(scen, inits)
+    assert blocks[2].settled_node is None and blocks[3].settled_node is None
     for field in ("states", "errors", "controls", "hnorm", "barrier", "disturbance"):
         assert _same_arrays(getattr(fast_traj.axes[0], field), getattr(traj.axes[0], field)), field
     for field in ("efirst_max", "hnorm", "phimin"):
@@ -729,6 +775,7 @@ def test_newton_counts_of_the_nominal_preset(monkeypatch):
     # row frozen by the step test (6,002 passes without it)
     assert (block.newton_calls, block.newton_passes, block.newton_step_stops) == (3000, 3002, 18000)
     assert (block.fallback_rows, block.fallback_passes) == (0, 0)
+    assert block.settled_node is None  # the preset settles at 5.886 s
 
 
 def test_newton_and_fallback_counts_of_the_robust_preset(monkeypatch):
@@ -740,6 +787,7 @@ def test_newton_and_fallback_counts_of_the_robust_preset(monkeypatch):
     (block,) = blocks
     assert (block.newton_calls, block.newton_passes, block.newton_step_stops) == (3000, 8380, 12332)
     assert (block.fallback_rows, block.fallback_passes) == (8, 35)
+    assert block.settled_node is None  # a disturbed block never settles
 
 
 def test_grid_refinement_first_order():
@@ -984,6 +1032,37 @@ def test_csv_deterministic_bytes(tmp_path):
     write_trajectory_csv(simulate(scen), p1)
     write_trajectory_csv(simulate(scen), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_csv_equals_every_field_formatted(tmp_path):
+    # constant fields written as text must read as the %.17g of each
+    # value. Cases: a disturbed axis whose leader amplitude is 0 (its q
+    # column reads +0.0), % in axis names, a cone-less curved axis beside
+    # a linear one, 601 nodes across two blocks of 512; a run with exact
+    # zeros from t = 7.2; the same run with one -0.0 draw, still formatted
+    from oracles import write_trajectory_csv as write_every_field
+
+    amps = np.array([0.0, 0.3, 0.2, 0.1])
+    mixed = (
+        reference_axis("X%d", disturbance=DisturbanceSpec(amps, seed=4)),
+        reference_axis("Y", mu=-0.5, cone=False),
+        AxisSpec("Z%%", linear_protocol(2, 1.0), reference_axis().initial, ConeSpec(2, 1.0)),
+    )
+    settled = simulate(_settling_scenario())
+    q = settled.axes[0].disturbance.copy()
+    q[3, 2] = -0.0
+    cases = {
+        "mixed": simulate(ScenarioConfig(chain_graph(), 2, mixed, 1e-3, 0.6, "implicit_euler", 3)),
+        "settled": settled,
+        "negative_zero": replace(settled, axes=(replace(settled.axes[0], disturbance=q),)),
+    }
+    for case, traj in cases.items():
+        new, old = tmp_path / f"{case}.csv", tmp_path / f"{case}.oracle.csv"
+        write_trajectory_csv(traj, new)
+        write_every_field(traj, old)
+        assert new.read_bytes() == old.read_bytes(), case
+    line = (tmp_path / "negative_zero.csv").read_text().splitlines()[1 + 3 * 4 + 2]  # node 3, agent 2
+    assert line.endswith(",-0"), line
 
 
 # -- config validation ----------------------------------------------------------------
