@@ -33,6 +33,20 @@ def rowsum(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def grouped_matmul(X: np.ndarray, M: np.ndarray, groups: int = 1) -> np.ndarray:
+    """X @ M on the rows along the last axis of X, as one matmul: M is an
+    (n, k) matrix or (n,) vector shared by every row, or a stack of one
+    (n, k) matrix for each of ``groups`` equal consecutive row groups. A
+    group of one row is padded to two: BLAS takes a one-row product
+    through another kernel, which may round differently."""
+    if groups == 1 and X.ndim == 2 and len(X) > 1:
+        return X @ (M[0] if M.ndim == 3 else M)
+    Xg = X.reshape(groups, -1, X.shape[-1])
+    rows = Xg.shape[1]
+    out = ((np.concatenate((Xg, Xg), axis=1) if rows == 1 else Xg) @ M)[:, :rows]
+    return out.reshape(X.shape[:-1] + out.shape[2:])
+
+
 def fro_norm(M: np.ndarray) -> float:
     """Frobenius norm of M. When the plain sum of squares overflows or
     underflows to zero, it is taken of M scaled by its largest entry."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import is_positive_definite, rowsum, symmetrize
+from ._linalg import grouped_matmul, is_positive_definite, rowsum, symmetrize
 
 
 class OriginNotDifferentiable(Exception):
@@ -126,8 +126,7 @@ def _log_norms(X, Ps, rk, s_warm):
     on every row except those ``patched`` by the bisection (None if none
     were).
     """
-    m, n = X.shape
-    pn2 = rowsum((X.reshape(len(Ps), -1, n) @ Ps).reshape(m, n) * X)
+    pn2 = rowsum(grouped_matmul(X, Ps, len(Ps)) * X)
     nz = pn2 > 0.0
     s = 0.5 * np.log(np.maximum(pn2, 1e-308))
     if s_warm is not None:
@@ -149,7 +148,7 @@ def _log_norms(X, Ps, rk, s_warm):
             break
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             Y = X * np.exp(-(s[:, None] * rk))
-            PY = (Y.reshape(len(Ps), -1, n) @ Ps).reshape(m, n)
+            PY = grouped_matmul(Y, Ps, len(Ps))
             q2 = rowsum(PY * Y)
             F = 0.5 * np.log(q2)
             g = rowsum(PY * (Y * rk)) / q2

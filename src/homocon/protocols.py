@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import grouped_matmul
 from .homogeneity import (
     HomogeneousNormContext,
     _log_norms,
@@ -174,7 +175,7 @@ def _law(V, Ps, Ks, rk, opm, s_warm):
         )
     finite = np.isfinite(s)
     with np.errstate(over="ignore"):
-        KZ = (Z.reshape(len(Ks), -1, V.shape[1]) @ Ks[:, :, None]).reshape(-1)
+        KZ = grouped_matmul(Z, Ks[:, :, None], len(Ks))[:, 0]
         u = -np.exp(opm * np.where(finite, s, 0.0)) * KZ
     return np.where(finite, u, 0.0), s
 

@@ -1,23 +1,19 @@
 """Deterministic closed-loop simulation of the multi-agent system.
 
 Agents integrate the chain dynamics under a per-axis protocol; the
-leader runs open loop. The implicit Euler scheme exploits the affine
-structure of each step: given the new leader state, a follower's update
-is affine in its (scalar) control w, e = a + w beta, so the implicit
-equation reduces to one root problem per follower per step. For
-homogeneous laws it is solved jointly in w and the log norm s of e: one
-2x2 Newton iteration per row on w = u(e) and log ||d(-s) e||_P = 0,
-with the closed-form derivatives of the canonical norm, started from
-the quadratic through (w, s) at the last three nodes, or from the
-previous node's values where a row was at the origin among them. A
-row stops once its residual is small, or right after a Newton step so
-small that, converging quadratically, the next pass would only confirm
-it. At a fixed s the law is linear in e, so the few rows it leaves
-unsettled solve one scalar equation in s, with w in closed form, by a
-Newton iteration safeguarded by a bracket on s. At points where
-the control law is set-valued (mu = -1 at the origin) the step selects
-the control that lands the error exactly on the discontinuity manifold,
-which reproduces sliding without chattering.
+leader runs open loop. Each implicit Euler step is affine in a
+follower's scalar control w, e = a + w beta. For homogeneous laws the
+law is linear in e at a fixed log norm s, so the control w(s) has a
+closed form and the step is one scalar equation in s,
+F(s) = log ||d(-s)(a + w(s) beta)||_P = 0. One Newton iteration on s
+solves it for every curved row, started from the quadratic through the
+log norms at the last three nodes. A row stops once |F| is small, or
+right after a step so small that the next pass would only confirm it.
+The few rows it cannot resolve (no descending step, or a + w beta
+cancelling below the resolution of F) solve the same equation inside a
+bracket on s. Where the law is set-valued (mu = -1 at the origin) the
+step selects the control that lands the error exactly on the
+discontinuity manifold, which reproduces sliding without chattering.
 
 The homogeneous laws of negative degree are finite-time stable, and the
 implicit step keeps that: undisturbed, their errors reach exactly zero
@@ -26,32 +22,25 @@ errors bit for bit, every later node repeats its errors, controls and
 norms: from there on a recording advances the leaders alone, and a
 batch copies that node's reductions over the rest of the horizon.
 
-Internally the integrator advances the follower errors e_i = x_i - x_0,
-which evolve without reading the leader's state; the leader state is
-advanced only for a recording, whose follower states are reconstructed
-as leader + error. That avoids the catastrophic cancellation of
-differencing two O(10) states once errors shrink toward machine scale.
-A batch, which reduces errors only, never advances the leaders.
+The integrator advances the follower errors e_i = x_i - x_0, which
+evolve without reading the leader's state, so differencing two O(10)
+states never cancels. The leaders are advanced only for a recording,
+whose follower states are leader + error.
 
-Every axis of every batch run shares one integration sweep: their
-follower errors are the rows of one block, so each step makes one joint
-(w, s) solve for all homogeneous rows together. Each axis owns the same
-number of rows, so a matrix product is one stacked matmul over an
-(axes, rows, .) view against the axes' stacked matrices; each axis's
-slice of it is the product that axis would make alone, so an axis
-integrates exactly as it would alone. The law, the norm solve and the
-sphere projection of the cone barrier are the library's own
-(``protocols._law``, ``homogeneity._log_norms``,
-``homogeneity._project_to_sphere``), fed with the stacked matrices.
+Every axis of every batch run shares one sweep: their follower errors
+are the rows of one block, each axis a slice of it, and every product is
+one stacked matmul against the axes' matrices (``_linalg.grouped_matmul``,
+which pads a group of one row to two). A row's product then does not
+depend on the rows beside it, so an axis integrates exactly as it would
+alone and a batch run exactly as ``simulate`` runs it. The law, the
+norm solve and the cone barrier's sphere projection are the library's
+own (``protocols._law``, ``homogeneity._log_norms``,
+``homogeneity._project_to_sphere``).
 
 Runs are deterministic: identical configuration and seed give
-bit-identical trajectories and CSV files. A batch dimension lets many
-initial conditions share the sweep, and each run's reductions equal
-those of `simulate` on that run bit for bit. The per-run reductions
-(overshoot, norms, barrier minimum, squared error) run once per draw
-chunk of nodes, over the stacked (nodes, rows, n) errors of each axis,
-with the calls that `simulate` makes on its full recording, so the step
-loop only stores each node.
+bit-identical trajectories and CSV files. A batch reduces each run
+(overshoot, norms, barrier minimum, squared error) once per draw chunk
+of nodes, with the calls ``simulate`` makes on its full recording.
 """
 
 from __future__ import annotations
@@ -60,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import rowsum
+from ._linalg import grouped_matmul, rowsum
 from .cones import ConeSpec
 from .graphs import DirectedGraph, is_leader_rooted
 from .homogeneity import _log_norms, _project_to_sphere
@@ -229,14 +218,16 @@ class Trajectory:
 # independently of the horizon
 _DRAW_CHUNK = 256
 
-# passes of the joint (w, s) Newton before a row goes to the fallback
+# passes of the log-norm Newton before a row goes to the fallback
 _NEWTON_PASSES = 10
 
-# a row whose Newton step (dw, ds) is within this, relative to 1 + |w|
-# in w and absolute in s, freezes after the step. At 1e-7 a few mu = -1
-# rows near the origin miss |F| <= 1e-13 after such a step; 3e-8 keeps
-# them in the Newton
+# a row whose Newton step in s is within this freezes after the step. At
+# 1e-6 a few mu = -1 rows near the origin miss |F| <= 1e-13 after it
 _NEWTON_STEP = 3e-8
+
+# past this |w dF/dw|, a few ulps of w move F by more than 1e-13 / 3
+# (a + w beta cancels): the Newton cannot resolve F there
+_NEWTON_COND = 50.0
 
 # the fallback's Newton step stop in s and its pass cap (_log_norm_roots)
 _ROOT_STEP = 3e-8
@@ -271,14 +262,15 @@ class _Axis:
                 raise NonConvergentStep("dt too large for the linear implicit step")
         else:
             self.cmax = protocol.sphere_gain_bound()
-            # [y, d(-s) 1] @ jac holds P y, K y, K G y and K d(-s) beta:
-            # one product per pass of the joint Newton
+            self.neg_rk, self.neg_opm = -self.rk, -self.opm
+            # the log-norm residual's products, as a stack of one: [d(-s) a,
+            # d(-s) 1] @ jw holds K d(-s) a and K d(-s) beta, y @ jy holds
+            # P y and K G y, and (Py * y) @ jq holds y'Py and y'P G y
             n = beta.shape[0]
-            self.jac = np.zeros((2 * n, n + 3))
-            self.jac[:n, :n] = self.P
-            self.jac[:n, n] = self.K
-            self.jac[:n, n + 1] = self.K * self.rk
-            self.jac[n:, n + 2] = self.K * beta
+            self.jw = np.zeros((1, 2 * n, 2))
+            self.jw[0, :n, 0], self.jw[0, n:, 1] = self.K, self.K * beta
+            self.jy = np.column_stack((self.P, self.K * self.rk))[None]
+            self.jq = np.column_stack((np.ones(n), self.rk))[None]
             # |w| below this selects the set-valued point of the law
             if protocol.mu == -1.0:
                 self.snap_bound = self.cmax * (1.0 + 1e-9)
@@ -298,7 +290,7 @@ class _Axis:
             return None
         if not self.affine:
             return s[..., self.rows]
-        pn2 = rowsum(E @ self.P * E)
+        pn2 = rowsum(grouped_matmul(E, self.P) * E)
         with np.errstate(divide="ignore"):
             return np.where(pn2 > 0.0, 0.5 * np.log(pn2), -np.inf)
 
@@ -313,10 +305,8 @@ class _Axis:
     def barrier(self, E, s):
         """Cone barrier H z of errors E, z the projection of e onto the
         unit sphere for homogeneous laws and e itself for linear ones."""
-        H_T = self.spec.cone.H.T
-        if self.rk is None:
-            return E @ H_T
-        return _project_to_sphere(E, s, self.rk) @ H_T
+        Z = E if self.rk is None else _project_to_sphere(E, s, self.rk)
+        return grouped_matmul(Z, self.spec.cone.H.T)
 
 
 class _Block:
@@ -327,9 +317,9 @@ class _Block:
     both, B*N and B rows. Every per-axis product is therefore one
     stacked matmul over an (A, rows, .) view of the flat array, against
     the axes' matrices stacked here. Curved axes come first, so their
-    rows are a prefix of the block and share one joint (w, s) Newton
-    solve per step; the block's log norms cover these rows only. Affine
-    axes (linear, and mu = 0) use the closed-form step.
+    rows are a prefix of the block and share one log-norm Newton solve
+    per step; the block's log norms cover these rows only. Affine axes
+    (linear, and mu = 0) use the closed-form step.
     """
 
     def __init__(self, cfg: ScenarioConfig, inits):
@@ -364,7 +354,7 @@ class _Block:
         self.snapped = False  # the last step snapped every curved row
         # the node from which every later node repeats it, once known
         self.settled_node = None
-        # joint Newton calls, passes and step-test stops; fallback rows, passes
+        # Newton calls, passes and step-test stops; fallback rows, passes
         self.newton_calls = self.newton_passes = self.newton_step_stops = 0
         self.fallback_rows = self.fallback_passes = 0
 
@@ -377,19 +367,20 @@ class _Block:
             # stacked matrices and per-row parameters of the curved rows
             self.P = np.stack([g.P for g in self.curved])
             self.K = np.stack([g.K for g in self.curved])
-            self.jac = np.stack([g.jac for g in self.curved])
+            self.jw, self.jy, self.jq = (
+                np.concatenate([getattr(g, j) for g in self.curved]) for j in ("jw", "jy", "jq")
+            )
             self.rk = np.repeat(np.stack([g.rk for g in self.curved]), B * N, axis=0)
-            self.neg_rk = -self.rk
             self.opm = np.repeat([g.opm for g in self.curved], B * N)
+            self.neg_rk, self.neg_opm = -self.rk, -self.opm
             self.snap_bound = np.repeat([g.snap_bound for g in self.curved], B * N)
             # cmax (1 + 1e-9), sqrt(lmax(P)) and ball_exp of each row's axis
             self.ball = np.repeat(
                 [[g.cmax * (1.0 + 1e-9), g.root_lmax, g.ball_exp] for g in self.curved], B * N, axis=0
             )
-            # (w, s) of the curved rows at the two nodes before the
+            # log norms of the curved rows at the two nodes before the
             # previous one, newest first; nan until they are known
-            unknown = np.full(self.m_curved, np.nan)
-            self.older = ((unknown, unknown),) * 2
+            self.older = (np.full(self.m_curved, np.nan),) * 2
         if flat:
             self.K_flat = np.stack([g.K for g in flat])[:, :, None]
             self.lin_den = np.repeat([g.lin_den for g in flat], B * N)
@@ -398,18 +389,19 @@ class _Block:
     def eval(self, E, s_warm):
         """Returns (u, s): the law on every row of the block and the log
         norms of the curved rows."""
-        mc, n = self.m_curved, self.n
+        mc = self.m_curved
         u = np.empty(self.M)
         s = np.empty(0)
         if mc:
             u[:mc], s = _law(E[:mc], self.P, self.K, self.rk, self.opm, s_warm)
         if mc < self.M:
-            u[mc:] = -(E[mc:].reshape(len(self.K_flat), -1, n) @ self.K_flat).reshape(-1)
+            u[mc:] = -grouped_matmul(E[mc:], self.K_flat, len(self.K_flat))[:, 0]
         return u, s
 
     # -- implicit Euler step ------------------------------------------------------
     def step_leader(self, L, q0):
-        """The leaders' open-loop implicit Euler step under disturbance q0."""
+        """The leaders' open-loop implicit Euler step under disturbance q0
+        (for a recording only, so their one-row products stay unpadded)."""
         groups, n = len(self.axes), self.n
         return ((L + self.dt * (q0[:, None] * self.b)).reshape(groups, -1, n) @ self.R.T).reshape(-1, n)
 
@@ -417,24 +409,22 @@ class _Block:
         """The followers' implicit Euler step from errors E under the
         follower-minus-leader disturbances dq; the leaders do not enter
         it. Returns (e_new, w, log_norms)."""
-        groups, n, mc = len(self.axes), self.n, self.m_curved
-        alpha = (E.reshape(groups, -1, n) @ self.R.T).reshape(-1, n) + dq[:, None] * self.beta
+        mc = self.m_curved
+        alpha = grouped_matmul(E, self.R.T) + dq[:, None] * self.beta
         if mc == self.M:
             return self._solve_control_roots(alpha, w_prev, s_warm)
         w = np.empty(self.M)
         e_new = np.empty_like(alpha)
         logr = np.empty(0)
         if mc:
-            e_new[:mc], w[:mc], logr = self._solve_control_roots(
-                alpha[:mc], w_prev[:mc], s_warm
-            )
+            e_new[:mc], w[:mc], logr = self._solve_control_roots(alpha[:mc], w_prev[:mc], s_warm)
         a = alpha[mc:]  # closed form
-        KA = (a.reshape(len(self.K_flat), -1, n) @ self.K_flat).reshape(-1)
+        KA = grouped_matmul(a, self.K_flat, len(self.K_flat))[:, 0]
         w[mc:] = wf = -KA / self.lin_den
         e_new[mc:] = a + wf[:, None] * self.beta
         return e_new, w, logr
 
-    def _solve_control_roots(self, alpha, w_prev, s_warm, tol=1e-12, snap_tol=1e-12):
+    def _solve_control_roots(self, alpha, w_prev, s_warm, snap_tol=1e-12):
         """Per-row scalar solve of w = law(alpha + w*beta) on the curved rows.
 
         Returns (e_new, w, log_norms). When the affine line passes through
@@ -447,9 +437,9 @@ class _Block:
         """
         beta = self.beta
         M = alpha.shape[0]
-        older, self.older = self.older, ((w_prev, s_warm), self.older[0])
+        older, self.older = self.older, (s_warm, self.older[0])
 
-        wpar = (alpha.reshape(len(self.curved), -1, self.n) @ beta).reshape(-1) / -self.btb
+        wpar = grouped_matmul(alpha, beta) / -self.btb
         resid = alpha + wpar[:, None] * beta
         rn = np.sqrt(rowsum(resid * resid))
         anorm = np.sqrt(rowsum(alpha * alpha))
@@ -459,7 +449,7 @@ class _Block:
         self.snapped = bool(snap.all())
         if self.snapped:
             return np.zeros_like(alpha), wpar, np.full(M, -np.inf)
-        w, logr, e_new = self._newton(alpha, w_prev, s_warm, older, ~snap, tol)
+        w, logr, e_new = self._newton(alpha, w_prev, s_warm, older, ~snap)
         # an error the solve leaves within r of the origin is below the
         # resolution of a + w beta, which cancels there: rounding noise
         near = ~snap & (rowsum(e_new * e_new) <= r * r)
@@ -475,83 +465,64 @@ class _Block:
             raise NonConvergentStep("control root solve produced non-finite values")
         return e_new, w, logr
 
-    def _newton(self, a, w_prev, s_prev, older, pending, tol):
-        """Joint Newton on (w, s) on the curved rows, e = a + w beta.
-
-        Solves R1 = w + exp(opm s) K d(-s)(a + w beta) = 0 together with
-        R2 = F = log ||d(-s)(a + w beta)||_P = 0, from the quadratic
-        through (w_prev, s_prev) and the two ``older`` nodes (from
-        (w_prev, s_prev) where one of them is unknown or at the origin),
-        with the closed-form Jacobian
-        (y = d(-s)(a + w beta), q2 = y'Py, G = diag(rk), opm = 1 + mu):
-
-            dR1/dw = 1 + exp(opm s) K d(-s) beta
-            dR1/ds = exp(opm s) (opm K y - K G y)
-            dF/dw  = (Py . d(-s) beta) / q2
-            dF/ds  = -(Py . G y) / q2
-
-        Only ``pending`` rows are solved, and the mask is updated in
-        place; each freezes once |F| <= 1e-13 and |R1| <= tol (1 + |w|),
-        or right after a step with |dw| <= _NEWTON_STEP (1 + |w|) and
-        |ds| <= _NEWTON_STEP: Newton converges quadratically there, so
-        the next pass would only confirm the step. Rows open at the last
-        of the _NEWTON_PASSES passes, or once no open row has a finite s
-        (it then stays so), go to ``_log_norm_roots`` from this Newton's
-        start, once per axis.
+    def _newton(self, a, w_prev, s_prev, older, pending):
+        """Newton on the log norm alone for the ``pending`` curved rows,
+        F(s) = 0 with the closed-form control w(s) (``_log_norm_residual``),
+        from the quadratic through s_prev and the two ``older`` log norms
+        (s_prev where one is unknown or at the origin; a row leaving the
+        origin starts at log ||a + w_prev beta||_P). A row freezes once
+        |F| <= 1e-13, or right after a step |ds| <= _NEWTON_STEP, where
+        the next pass would only confirm it: it then takes w(s) at its
+        new s. Later passes never rewrite a frozen row. Rows that cannot
+        make a resolved descending step (dF >= 0, 1 + c K b <= 0, a value
+        not finite, |w dF/dw| > _NEWTON_COND) or are open after
+        _NEWTON_PASSES passes go to ``_log_norm_roots`` from this
+        Newton's start, once per axis. ``pending`` is updated in place.
         Returns (w, log_norms, e_new).
         """
-        beta, n, rk, neg_rk, opm = self.beta, self.n, self.rk, self.neg_rk, self.opm
-        groups = len(self.curved)
+        beta = self.beta
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             # start from the quadratic through the last three nodes where
             # all of them are known and off the origin
-            (w1, s1), (w2, s2) = older
+            s1, s2 = older
             s = 3.0 * (s_prev - s1) + s2
-            known = np.isfinite(s)
-            w = np.where(known, 3.0 * (w_prev - w1) + w2, w_prev)
-            s = np.where(known, s, s_prev)
+            s = np.where(np.isfinite(s), s, s_prev)
             cold = pending & ~np.isfinite(s)
-            if cold.any():  # rows leaving the origin start at log ||e||_P
-                X = a + w[:, None] * beta
-                pn2 = rowsum((X.reshape(groups, -1, n) @ self.P).reshape(-1, n) * X)
+            if np.count_nonzero(cold):  # rows leaving the origin
+                X = a + w_prev[:, None] * beta
+                pn2 = rowsum(grouped_matmul(X, self.P, len(self.P)) * X)
                 s = np.where(cold, 0.5 * np.log(pn2), s)
-            s_start = s.copy()  # w and s are updated in place
+            s_start = s.copy()  # s is updated in place
+            rough = np.zeros_like(pending)  # rows for the log-norm solve
             self.newton_calls += 1
             for p in range(_NEWTON_PASSES):
                 self.newton_passes += 1
-                ex = np.exp(s[:, None] * neg_rk)  # the bits of exp(-(s rk))
-                Y = (a + w[:, None] * beta) * ex
-                YE = np.concatenate((Y, ex), axis=1).reshape(groups, -1, 2 * n)
-                prod = (YE @ self.jac).reshape(-1, n + 3)
-                PY, KY, KGY, KDb = prod[:, :n], prod[:, n], prod[:, n + 1], prod[:, n + 2]
-                PYY = PY * Y
-                q2 = rowsum(PYY)
-                F = 0.5 * np.log(q2)
-                c = np.exp(opm * s)
-                R1 = w + c * KY
-                scale = 1.0 + np.abs(w)
-                pending &= ~((np.abs(F) <= 1e-13) & (np.abs(R1) <= tol * scale))
-                open_rows = int(np.count_nonzero(pending))
+                wp, F, dF, nden, J21 = _log_norm_residual(self, a, s, beta)
+                if p:  # the rows that stepped take w at their new s
+                    np.copyto(w, wp, where=step)
+                else:
+                    w = wp
+                pending &= ~(np.abs(F) <= 1e-13)
+                stops = 0  # rows stopped by their last step, without w(s)
+                open_rows = np.count_nonzero(pending)
                 if not open_rows or p == _NEWTON_PASSES - 1:
                     break  # the last pass's open rows go to the log-norm solve
-                J11 = 1.0 + c * KDb
-                J12 = c * (opm * KY - KGY)
-                J21 = rowsum(PY * ex * beta) / q2
-                J22 = -rowsum(PYY * rk) / q2
-                det = J11 * J22 - J12 * J21
-                dw = (J12 * F - J22 * R1) / det
-                ds = (J21 * R1 - J11 * F) / det
-                np.add(w, dw, out=w, where=pending)
-                np.add(s, ds, out=s, where=pending)
-                pending &= ~((np.abs(dw) <= _NEWTON_STEP * scale) & (np.abs(ds) <= _NEWTON_STEP))
-                left = int(np.count_nonzero(pending))
-                self.newton_step_stops += open_rows - left
-                # s stays non-finite once s or w is: from the second update
-                # on (most calls end sooner), only finite-s rows go on
-                if not left or p and not (pending & np.isfinite(s)).any():
+                ds = F / dF
+                step = pending & (np.maximum(dF, nden) < 0.0) & (dF > -np.inf)
+                step &= np.abs(J21 * wp) <= _NEWTON_COND
+                steps = np.count_nonzero(step)
+                if steps < open_rows:
+                    rough |= pending & ~step
+                np.subtract(s, ds, out=s, where=step)
+                stopped = step & (np.abs(ds) <= _NEWTON_STEP)
+                np.logical_xor(step, stopped, out=pending)
+                stops = int(np.count_nonzero(stopped))
+                self.newton_step_stops += stops
+                if stops == steps:
                     break
-
-            rough = np.nonzero(pending)[0]
+            if stops:
+                np.copyto(w, _log_norm_residual(self, a, s, beta, True), where=stopped)
+            rough = np.nonzero(rough | pending)[0]
             if rough.size:
                 group = rough // (self.B * self.N)
                 for j in np.unique(group):
@@ -562,61 +533,77 @@ class _Block:
         return w, s, a + w[:, None] * beta
 
 
-def _log_norm_roots(g: _Axis, a, beta, s0):
-    """Safeguarded Newton on the log norm alone, from s0, for the rows
-    of axis g the joint Newton left open.
+def _log_norm_residual(law, a, s, beta, control_only=False):
+    """F(s) = log ||y||_P, y = d(-s)(a + w(s) beta), on the rows of a, with
+    the closed-form control w(s) = -c K d(-s) a / (1 + c K d(-s) beta),
+    c = exp(opm s), which solves w = -c K y at the fixed log norm s; and
+    dF = J22 - J21 J12 / J11, the Schur complement of the Jacobian of
+    (w + c K y, F) in (w, s) (G = diag(rk), q2 = y'Py):
 
-    At a fixed s the law is linear in e: R1 = 0 gives
-    w(s) = -c K y / (1 + c K b) with y = d(-s) a, b = d(-s) beta and
-    c = exp(opm s), and the step reduces to F(s) = log ||y + w b||_P = 0
-    with derivative J22 - J21 J12 / J11, the Schur complement of the
-    joint Jacobian. F changes sign once, from + to -, but is not
-    monotone near its root, so each row keeps a bracket on s, stepped
-    out from s0 in doubling steps (a nan F counts as +). A row bisects
-    or steps out where the Newton step leaves the bracket (or, while an
-    end is open, goes further than the step-out), dF >= 0 or
-    1 + c K b <= 0. It stops at |F| <= 1e-13, right after a Newton step
-    of at most _ROOT_STEP, or at a bracket 1e-14 max(1, |s|) wide;
-    where a + w beta cancels, F may stay near 1e-5 there.
+        J11 = 1 + c K d(-s) beta      J12 = c (opm K y - K G y)
+        J21 = (Py . d(-s) beta) / q2  J22 = -(Py . G y) / q2
+
+    ``law`` is the block's curved rows or one axis. Returns
+    (w, F, dF, nden, J21) with nden = -J11, or w alone when
+    ``control_only``.
+    """
+    ex = np.exp(s[:, None] * law.neg_rk)  # the bits of exp(-(s rk))
+    c = np.exp(law.opm * s)
+    k = grouped_matmul(np.concatenate((a * ex, ex), axis=1), law.jw, len(law.jw))
+    nden = -1.0 - c * k[:, 1]
+    w = c * k[:, 0] / nden
+    if control_only:
+        return w
+    groups = len(law.jy)
+    Y = (a + w[:, None] * beta) * ex
+    prod = grouped_matmul(Y, law.jy, groups)  # P y, K G y
+    PY = prod[:, :-1]
+    q = grouped_matmul(PY * Y, law.jq, groups)  # y'Py, y'P G y
+    q2 = q[:, 0]
+    J21 = grouped_matmul(PY * ex, beta) / q2
+    J12 = law.neg_opm * w - c * prod[:, -1]  # c K y = -w at w(s)
+    dF = J21 * J12 / nden - q[:, 1] / q2
+    return w, 0.5 * np.log(q2), dF, nden, J21
+
+
+def _log_norm_roots(g: _Axis, a, beta, s0):
+    """F(s) = 0 (``_log_norm_residual``) from s0 for the rows of axis g
+    that ``_Block._newton`` left open, by a Newton iteration kept inside
+    a per-row bracket on s: F changes sign once, from + to -, but is not
+    monotone near its root. The bracket steps out from s0 in doubling
+    steps (a nan F counts as +). A row bisects or steps out where the
+    Newton step leaves the bracket (or, while an end is open, goes
+    further than the step-out), dF >= 0 or 1 + c K b <= 0. It stops at
+    |F| <= 1e-13, right after a Newton step of at most _ROOT_STEP, or at
+    the resolution of the step, where a + w beta cancels and F may stay
+    near 1e-5: a bracket 1e-14 max(1, |s|) wide, or with controls at its
+    ends within 1e-13 (1 + |w|).
 
     Returns (w, s, passes): w at the final s, the log norms of
     a + w beta, and the passes made. Raises NonConvergentStep when a row
     is open after _ROOT_PASSES passes.
     """
-    n, jac, rk, opm = beta.shape[0], g.jac, g.rk, g.opm
-
-    def control(a, s):
-        """(w(s), d(-s) 1, exp(opm s), 1 + c K b) on the rows of a."""
-        ex = np.exp(-(s[:, None] * rk))
-        c = np.exp(opm * s)
-        k = np.concatenate((a * ex, ex), axis=1) @ jac
-        den = 1.0 + c * k[:, n + 2]
-        return -c * k[:, n] / den, ex, c, den
-
     s = np.where(np.isfinite(s0), s0, 0.0)
-    lo, hi = np.full_like(s, -np.inf), np.full_like(s, np.inf)
+    # the bracket [lo, hi] on s and the controls at its ends
+    lo, hi, w_lo, w_hi = np.repeat([[-np.inf], [np.inf], [np.nan], [np.nan]], s.size, axis=1)
     out = np.ones_like(s)  # step-out distance
     rows = np.arange(s.size)
     for passes in range(1, _ROOT_PASSES + 1):
         sr, ar, d = s[rows], a[rows], out[rows]
-        w, ex, c, J11 = control(ar, sr)
-        Y = (ar + w[:, None] * beta) * ex
-        prod = Y @ jac[:n]  # P y, K y, K G y
-        PYY = prod[:, :n] * Y
-        q2 = rowsum(PYY)
-        F = 0.5 * np.log(q2)
-        J12 = c * (opm * prod[:, n] - prod[:, n + 1])
-        dF = -(rowsum(PYY * rk) + rowsum(prod[:, :n] * ex * beta) * J12 / J11) / q2
+        w, F, dF, nden, _ = _log_norm_residual(g, ar, sr, beta)
         pos = ~(F <= 0.0)
         lo[rows] = l = np.where(pos, sr, lo[rows])
         hi[rows] = h = np.where(pos, hi[rows], sr)
+        w_lo[rows] = wl = np.where(pos, w, w_lo[rows])
+        w_hi[rows] = wh = np.where(pos, w_hi[rows], w)
         closed = np.isfinite(l) & np.isfinite(h)
         sn = sr - F / dF
-        newton = (dF < 0.0) & (J11 > 0.0) & (sn > l) & (sn < h)
+        newton = (dF < 0.0) & (nden < 0.0) & (sn > l) & (sn < h)
         newton &= closed | (np.abs(sn - sr) <= d)
         bisect = np.where(closed, 0.5 * (l + h), np.where(pos, sr + d, sr - d))
         out[rows] = np.where(closed, d, 2.0 * d)
         settled = (np.abs(F) <= 1e-13) | (h - l <= 1e-14 * np.maximum(1.0, np.abs(sr)))
+        settled |= np.abs(wh - wl) <= 1e-13 * (1.0 + np.abs(w))
         s[rows] = np.where(settled, sr, np.where(newton, sn, bisect))
         settled |= newton & (np.abs(sn - sr) <= _ROOT_STEP)
         rows = rows[~settled]
@@ -624,9 +611,9 @@ def _log_norm_roots(g: _Axis, a, beta, s0):
             break
     else:
         raise NonConvergentStep("the implicit step's log-norm solve did not settle")
-    w = control(a, s)[0]
+    w = _log_norm_residual(g, a, s, beta, True)
     # the errors' own log norms: where a + w beta cancels, F is not small
-    s, _, _ = _log_norms(a + w[:, None] * beta, g.P[None], rk, s)
+    s, _, _ = _log_norms(a + w[:, None] * beta, g.P[None], g.rk, s)
     return w, s, passes
 
 

@@ -303,8 +303,8 @@ def test_criterion_10_iss_boundedness():
 # sha256 of every reproduce-paper output; a refactor that keeps the
 # numerics must keep these, a deliberate numeric change re-records them
 GOLDEN_SHA256 = {
-    "homogeneous_nominal.csv": "8577d8625fb794955ea765541d267a74169ad44ecc538add4f52b1144011e2c7",
-    "homogeneous_robust.csv": "a0a402569d6abc5c7fee7537def73c35510df2c17efae7eb4a4b276a8d234e54",
+    "homogeneous_nominal.csv": "a76ecacaaf1c3e739d3d0a0bdfa797751abb95a2f1d3b6e24b45d41d46c7bef7",
+    "homogeneous_robust.csv": "333287af6913d0a43015e33409f6fde3fcb4308d3d960f3b18556070df5fa399",
     "linear_disturbed.csv": "3cb0e7fe4b20794eb05ea7bdf6e7201e919609621771a84c737041ec0c9ae9b8",
     "linear_nominal.csv": "ed2928e7c66f3dfcddbee14aa27f3b97ea07a1f2db4dacb7798784aabe61405c",
     "summary.csv": "bdb7c92d49d3dbc180439693119be070acb98f477cc2e430bd5ad369a3fbeb87",
@@ -319,10 +319,9 @@ def test_criterion_11_reproduce_paper_determinism(tmp_path):
     assert main(["reproduce-paper", "--output", str(d2)]) == 0
     names = sorted(GOLDEN_SHA256)
     match, mismatch, errors = filecmp.cmpfiles(d1, d2, names, shallow=False)
-    drifted = [
-        name for name in names
-        if hashlib.sha256((d1 / name).read_bytes()).hexdigest() != GOLDEN_SHA256[name]
-    ]
+    # each drifted file with its new digest, for a deliberate re-record
+    digests = {name: hashlib.sha256((d1 / name).read_bytes()).hexdigest() for name in names}
+    drifted = {name: d for name, d in digests.items() if d != GOLDEN_SHA256[name]}
     ok = sorted(match) == names and not mismatch and not errors and not drifted
     report(11, "reproduce-paper twice gives byte-identical outputs matching the digests",
            ok, f"{len(match)}/{len(names)} files identical, drifted {drifted} "
