@@ -543,9 +543,8 @@ def _log_norm_residual(law, a, s, beta, control_only=False):
         J11 = 1 + c K d(-s) beta      J12 = c (opm K y - K G y)
         J21 = (Py . d(-s) beta) / q2  J22 = -(Py . G y) / q2
 
-    ``law`` is the block's curved rows or one axis. Returns
-    (w, F, dF, nden, J21) with nden = -J11, or w alone when
-    ``control_only``.
+    ``law`` is the block's curved rows or one axis. Returns w alone when
+    ``control_only``, else (w, F, dF, nden, J21) with nden = -J11.
     """
     ex = np.exp(s[:, None] * law.neg_rk)  # the bits of exp(-(s rk))
     c = np.exp(law.opm * s)
@@ -577,11 +576,9 @@ def _log_norm_roots(g: _Axis, a, beta, s0):
     |F| <= 1e-13, right after a Newton step of at most _ROOT_STEP, or at
     the resolution of the step, where a + w beta cancels and F may stay
     near 1e-5: a bracket 1e-14 max(1, |s|) wide, or with controls at its
-    ends within 1e-13 (1 + |w|).
-
-    Returns (w, s, passes): w at the final s, the log norms of
-    a + w beta, and the passes made. Raises NonConvergentStep when a row
-    is open after _ROOT_PASSES passes.
+    ends within 1e-13 (1 + |w|). Returns (w, s, passes): w at the final
+    s, the log norms of a + w beta, and the passes made. Raises
+    NonConvergentStep when a row is open after _ROOT_PASSES passes.
     """
     s = np.where(np.isfinite(s0), s0, 0.0)
     # the bracket [lo, hi] on s and the controls at its ends

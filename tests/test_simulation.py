@@ -399,7 +399,7 @@ def _curved_and_linear_cyclic():
 
 
 def _two_degrees():
-    # different degrees per axis: per-row dilation entries in one joint
+    # different degrees per axis: per-row dilation entries in one log-norm
     # Newton
     from homocon.certificates import solve_lmi_xy
     from homocon.protocols import consensus_protocol
@@ -469,7 +469,7 @@ TWO_AXIS_CASES = {
 }
 
 # axes that, integrated alone, slide onto the origin and need the
-# log-norm solve behind the joint Newton
+# bracketed log-norm solve behind the Newton
 SLIDING_AXES = {"mu_minus_one_snap_and_bracket": ("X", "Y"), "four_axes": ("X",)}
 
 
