@@ -170,8 +170,11 @@ def _build_graph(section: dict) -> DirectedGraph:
         raise ConfigError(f"bad graph section: {exc}") from exc
 
 
-def _build_protocol(name: str, sec: dict, n: int):
-    """Returns (ProtocolSpec, ConeSpec or None, margins dict)."""
+def _build_protocol(name: str, sec: dict, n: int, init=None):
+    """Returns (ProtocolSpec, ConeSpec or None, margins dict). With the
+    axis's initial states ``init``, a homogeneous section that sets
+    ``fit_unit_ball`` has its certificate's P rescaled before the norm
+    context is built."""
     if not isinstance(sec, dict):
         raise ConfigError(f"protocol.{name} must be an object")
     _check_keys(
@@ -185,6 +188,16 @@ def _build_protocol(name: str, sec: dict, n: int):
         raise ConfigError(f"{where}.fit_unit_ball must be true or false")
     chain = IntegratorChain(n)
     margins = {}
+
+    def context(P):
+        if init is not None and sec.get("fit_unit_ball"):
+            with np.errstate(over="ignore"):
+                errors = init[1:] - init[0]
+            if not np.all(np.isfinite(errors)):
+                raise ConfigError(f"axis {name}: initial errors must be finite")
+            P = fit_unit_ball(P, errors)
+        return HomogeneousNormContext(gen, P)
+
     if kind == "linear":
         lam = _field(sec, "lambda", where, _number) if "lambda" in sec else None
         if "K" in sec:
@@ -231,8 +244,7 @@ def _build_protocol(name: str, sec: dict, n: int):
             cert = solve_lmi_xy(gen, chain.A, chain.B)
             gain, P = cert.K, cert.P
             margins["xy"] = cert.margins
-        ctx = HomogeneousNormContext(gen, P)
-        return consensus_protocol(gain, ctx), None, margins
+        return consensus_protocol(gain, context(P)), None, margins
 
     lam = _field(sec, "lambda", where, _number)
     K_lin = linear_gain(n, lam)
@@ -246,8 +258,7 @@ def _build_protocol(name: str, sec: dict, n: int):
     else:
         cert = solve_lmi_p(gen, chain.A, chain.B, K_lin)
     margins["p"] = cert.margins
-    ctx = HomogeneousNormContext(gen, cert.P)
-    return nonovershoot_protocol(lam, ctx), ConeSpec(n, lam, mu), margins
+    return nonovershoot_protocol(lam, context(cert.P)), ConeSpec(n, lam, mu), margins
 
 
 def fit_unit_ball(P: np.ndarray, errors: np.ndarray, margin: float = 0.9) -> np.ndarray:
@@ -302,18 +313,7 @@ def build_scenario(cfg: dict, overrides: dict | None = None) -> ScenarioConfig:
             raise ConfigError(f"missing initial states for axis {name!r}")
         sec = cfg["protocol"][name]
         init = _matrix(cfg["initial"][name], (N + 1, n), f"initial.{name}")
-        spec, cone, _ = _build_protocol(name, sec, n)
-        if sec.get("fit_unit_ball") and spec.norm_ctx is not None:
-            with np.errstate(over="ignore"):
-                errors = init[1:] - init[0]
-            if not np.all(np.isfinite(errors)):
-                raise ConfigError(f"axis {name}: initial errors must be finite")
-            P = fit_unit_ball(spec.norm_ctx.P, errors)
-            ctx = HomogeneousNormContext(spec.norm_ctx.gen, P)
-            if spec.kind is ProtocolKind.HOMOGENEOUS_NONOVERSHOOT:
-                spec = nonovershoot_protocol(spec.lam, ctx)
-            else:
-                spec = consensus_protocol(spec.gain, ctx)
+        spec, cone, _ = _build_protocol(name, sec, n, init)
         dist = None
         if name in dist_cfg:
             amps = _matrix(dist_cfg[name], (N + 1,), f"disturbance.{name}")

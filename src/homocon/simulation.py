@@ -14,6 +14,11 @@ cancelling below the resolution of F) solve the same equation inside a
 bracket on s. Where the law is set-valued (mu = -1 at the origin) the
 step selects the control that lands the error exactly on the
 discontinuity manifold, which reproduces sliding without chattering.
+A row is placed on the origin when its line a + w beta passes within
+the snap distance of it and the control that gets closest is within the
+law's bound c there. That needs |a| <= about c |beta|, so the test for
+it runs only on steps where some curved row is that close to the
+origin; on the other steps every row goes to the Newton.
 
 The homogeneous laws of negative degree are finite-time stable, and the
 implicit step keeps that: undisturbed, their errors reach exactly zero
@@ -236,6 +241,10 @@ _ROOT_PASSES = 100
 # largest denominator 1 + K beta of the closed-form affine step
 _LIN_DEN_MAX = 1e8
 
+# a curved row whose line a + w beta passes within
+# _SNAP_TOL (1 + |a| + |wpar| |beta|) of the origin may be placed there
+_SNAP_TOL = 1e-12
+
 
 class _Axis:
     """One axis's place in the row block and its law parameters."""
@@ -354,9 +363,11 @@ class _Block:
         self.snapped = False  # the last step snapped every curved row
         # the node from which every later node repeats it, once known
         self.settled_node = None
-        # Newton calls, passes and step-test stops; fallback rows, passes
+        # Newton calls, passes and step-test stops; fallback rows, passes;
+        # steps that ran the origin test
         self.newton_calls = self.newton_passes = self.newton_step_stops = 0
         self.fallback_rows = self.fallback_passes = 0
+        self.origin_tests = 0
 
         X0 = [inits[g.index] for g in self.axes]
         self.L0 = np.concatenate([x[:, 0, :] for x in X0])
@@ -378,6 +389,13 @@ class _Block:
             self.ball = np.repeat(
                 [[g.cmax * (1.0 + 1e-9), g.root_lmax, g.ball_exp] for g in self.curved], B * N, axis=0
             )
+            # a row is placed on the origin only with |wpar| <= c, and its
+            # line then passes within the snap distance of it, which needs
+            # |a| <= (tol (1 + c |beta|) + c |beta|) / (1 - tol): that bound,
+            # squared, with a margin for rounding
+            cb = np.maximum(self.snap_bound, self.ball[:, 0]) * self.root_btb
+            with np.errstate(over="ignore"):  # an infinite reach tests every step
+                self.reach2 = ((_SNAP_TOL * (1.0 + cb) + cb) / (1.0 - _SNAP_TOL) * (1.0 + 1e-6)) ** 2
             # log norms of the curved rows at the two nodes before the
             # previous one, newest first; nan until they are known
             self.older = (np.full(self.m_curved, np.nan),) * 2
@@ -424,43 +442,49 @@ class _Block:
         e_new[mc:] = a + wf[:, None] * self.beta
         return e_new, w, logr
 
-    def _solve_control_roots(self, alpha, w_prev, s_warm, snap_tol=1e-12):
+    def _solve_control_roots(self, alpha, w_prev, s_warm):
         """Per-row scalar solve of w = law(alpha + w*beta) on the curved rows.
 
         Returns (e_new, w, log_norms). When the affine line passes through
-        the set-valued point of the law (within snap_tol of the origin)
-        and the required control is an admissible selection, the error is
-        placed exactly at the origin: the discrete analogue of sliding.
-        The control is then wpar, which brings a + w beta closest to it.
-        A row the solve leaves within snap_tol of the origin is placed
-        there too when |wpar| is within the law's bound on that ball.
+        the set-valued point of the law (within the snap distance r =
+        _SNAP_TOL (1 + |a| + |wpar| |beta|) of the origin) and the required
+        control is an admissible selection, the error is placed exactly at
+        the origin: the discrete analogue of sliding. The control is then
+        wpar, which brings a + w beta closest to it. A row the solve
+        leaves within r of the origin is placed there too when |wpar| is
+        within the law's bound on that ball. A step whose rows all have
+        |a|^2 above ``reach2`` can place none there, and skips both tests.
         """
-        beta = self.beta
         M = alpha.shape[0]
         older, self.older = self.older, (s_warm, self.older[0])
+        asq = rowsum(alpha * alpha)
+        if (asq > self.reach2).all() and asq.max() < np.inf:
+            self.snapped = False
+            w, logr, e_new = self._newton(alpha, w_prev, s_warm, older, np.ones(M, dtype=bool))
+        else:
+            self.origin_tests += 1
+            beta = self.beta
+            wpar = grouped_matmul(alpha, beta) / -self.btb
+            resid = alpha + wpar[:, None] * beta
+            rn = np.sqrt(rowsum(resid * resid))
+            r = _SNAP_TOL * (1.0 + np.sqrt(asq) + np.abs(wpar) * self.root_btb)
+            snap = (rn <= r) & (np.abs(wpar) <= self.snap_bound)
 
-        wpar = grouped_matmul(alpha, beta) / -self.btb
-        resid = alpha + wpar[:, None] * beta
-        rn = np.sqrt(rowsum(resid * resid))
-        anorm = np.sqrt(rowsum(alpha * alpha))
-        r = snap_tol * (1.0 + anorm + np.abs(wpar) * self.root_btb)
-        snap = (rn <= r) & (np.abs(wpar) <= self.snap_bound)
-
-        self.snapped = bool(snap.all())
-        if self.snapped:
-            return np.zeros_like(alpha), wpar, np.full(M, -np.inf)
-        w, logr, e_new = self._newton(alpha, w_prev, s_warm, older, ~snap)
-        # an error the solve leaves within r of the origin is below the
-        # resolution of a + w beta, which cancels there: rounding noise
-        near = ~snap & (rowsum(e_new * e_new) <= r * r)
-        if near.any():
-            c, root_lmax, ex = self.ball[near].T
-            near[near] = np.abs(wpar[near]) <= c * np.minimum(root_lmax * r[near], 1.0) ** ex
-            snap |= near
-        if snap.any():
-            w = np.where(snap, wpar, w)
-            logr = np.where(snap, -np.inf, logr)
-            e_new = np.where(snap[:, None], 0.0, e_new)
+            self.snapped = bool(snap.all())
+            if self.snapped:
+                return np.zeros_like(alpha), wpar, np.full(M, -np.inf)
+            w, logr, e_new = self._newton(alpha, w_prev, s_warm, older, ~snap)
+            # an error the solve leaves within r of the origin is below the
+            # resolution of a + w beta, which cancels there: rounding noise
+            near = ~snap & (rowsum(e_new * e_new) <= r * r)
+            if near.any():
+                c, root_lmax, ex = self.ball[near].T
+                near[near] = np.abs(wpar[near]) <= c * np.minimum(root_lmax * r[near], 1.0) ** ex
+                snap |= near
+            if snap.any():
+                w = np.where(snap, wpar, w)
+                logr = np.where(snap, -np.inf, logr)
+                e_new = np.where(snap[:, None], 0.0, e_new)
         if not np.isfinite(w).all():
             raise NonConvergentStep("control root solve produced non-finite values")
         return e_new, w, logr
@@ -478,58 +502,63 @@ class _Block:
         not finite, |w dF/dw| > _NEWTON_COND) or are open after
         _NEWTON_PASSES passes go to ``_log_norm_roots`` from this
         Newton's start, once per axis. ``pending`` is updated in place.
+        Runs under ``_integrate``'s errstate, where overflow, invalid
+        values and division by zero make non-finite values silently.
         Returns (w, log_norms, e_new).
         """
         beta = self.beta
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            # start from the quadratic through the last three nodes where
-            # all of them are known and off the origin
-            s1, s2 = older
-            s = 3.0 * (s_prev - s1) + s2
-            s = np.where(np.isfinite(s), s, s_prev)
-            cold = pending & ~np.isfinite(s)
-            if np.count_nonzero(cold):  # rows leaving the origin
-                X = a + w_prev[:, None] * beta
-                pn2 = rowsum(grouped_matmul(X, self.P, len(self.P)) * X)
-                s = np.where(cold, 0.5 * np.log(pn2), s)
-            s_start = s.copy()  # s is updated in place
-            rough = np.zeros_like(pending)  # rows for the log-norm solve
-            self.newton_calls += 1
-            for p in range(_NEWTON_PASSES):
-                self.newton_passes += 1
-                wp, F, dF, nden, J21 = _log_norm_residual(self, a, s, beta)
-                if p:  # the rows that stepped take w at their new s
-                    np.copyto(w, wp, where=step)
-                else:
-                    w = wp
-                pending &= ~(np.abs(F) <= 1e-13)
-                stops = 0  # rows stopped by their last step, without w(s)
-                open_rows = np.count_nonzero(pending)
-                if not open_rows or p == _NEWTON_PASSES - 1:
-                    break  # the last pass's open rows go to the log-norm solve
-                ds = F / dF
-                step = pending & (np.maximum(dF, nden) < 0.0) & (dF > -np.inf)
-                step &= np.abs(J21 * wp) <= _NEWTON_COND
-                steps = np.count_nonzero(step)
-                if steps < open_rows:
-                    rough |= pending & ~step
-                np.subtract(s, ds, out=s, where=step)
-                stopped = step & (np.abs(ds) <= _NEWTON_STEP)
-                np.logical_xor(step, stopped, out=pending)
-                stops = int(np.count_nonzero(stopped))
-                self.newton_step_stops += stops
-                if stops == steps:
-                    break
-            if stops:
-                np.copyto(w, _log_norm_residual(self, a, s, beta, True), where=stopped)
-            rough = np.nonzero(rough | pending)[0]
-            if rough.size:
-                group = rough // (self.B * self.N)
-                for j in np.unique(group):
-                    r = rough[group == j]
-                    w[r], s[r], passes = _log_norm_roots(self.curved[j], a[r], beta, s_start[r])
-                    self.fallback_rows += r.size
-                    self.fallback_passes += passes
+        # start from the quadratic through the last three nodes where all
+        # of them are known and off the origin
+        s1, s2 = older
+        s = 3.0 * (s_prev - s1) + s2
+        s = np.where(np.isfinite(s), s, s_prev)
+        cold = pending & ~np.isfinite(s)
+        if np.count_nonzero(cold):  # rows leaving the origin
+            X = a + w_prev[:, None] * beta
+            pn2 = rowsum(grouped_matmul(X, self.P, len(self.P)) * X)
+            s = np.where(cold, 0.5 * np.log(pn2), s)
+        s_start = s.copy()  # s is updated in place
+        rough = None  # rows for the log-norm solve, once there are any
+        self.newton_calls += 1
+        for p in range(_NEWTON_PASSES):
+            self.newton_passes += 1
+            wp, F, dF, nden, J21 = _log_norm_residual(self, a, s, beta)
+            if p:  # the rows that stepped take w at their new s
+                np.copyto(w, wp, where=step)
+            else:
+                w = wp
+            pending &= ~(np.abs(F) <= 1e-13)
+            stops = 0  # rows stopped by their last step, without w(s)
+            open_rows = np.count_nonzero(pending)
+            if not open_rows:
+                break
+            if p == _NEWTON_PASSES - 1:  # the open rows go to the log-norm solve
+                rough = pending if rough is None else rough | pending
+                break
+            ds = F / dF
+            step = pending & (np.maximum(dF, nden) < 0.0) & (dF > -np.inf)
+            step &= np.abs(J21 * wp) <= _NEWTON_COND
+            steps = np.count_nonzero(step)
+            if steps < open_rows:
+                lost = pending & ~step
+                rough = lost if rough is None else rough | lost
+            np.subtract(s, ds, out=s, where=step)
+            stopped = step & (np.abs(ds) <= _NEWTON_STEP)
+            np.logical_xor(step, stopped, out=pending)
+            stops = int(np.count_nonzero(stopped))
+            self.newton_step_stops += stops
+            if stops == steps:
+                break
+        if stops:
+            np.copyto(w, _log_norm_residual(self, a, s, beta, True), where=stopped)
+        if rough is not None:
+            rough = np.nonzero(rough)[0]
+            group = rough // (self.B * self.N)
+            for j in np.unique(group):
+                r = rough[group == j]
+                w[r], s[r], passes = _log_norm_roots(self.curved[j], a[r], beta, s_start[r])
+                self.fallback_rows += r.size
+                self.fallback_passes += passes
         return w, s, a + w[:, None] * beta
 
 
@@ -796,7 +825,7 @@ def _integrate(cfg: ScenarioConfig, inits, recorder, dist_scales=None):
     L, E = block.L0, block.E0
     q0 = np.zeros((_DRAW_CHUNK, len(block.axes) * block.B))
     dq = np.zeros((_DRAW_CHUNK, block.M))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         w, s = block.eval(E, None)  # node 0: nodal law value
         rec.record(0, L, E, w, s)
         for k0 in range(0, T, _DRAW_CHUNK):

@@ -4,11 +4,12 @@ These deliberately avoid the library's solver paths: norms come from
 plain bisection, fixed points from the Kronecker closed form, gains
 from repeated matrix products, implicit Euler steps of an arbitrary
 field from fixed-point iteration, trajectory CSV files from one %.17g
-field per value.
+field per value, and the implicit step's origin test run on every step.
 """
 
 import numpy as np
 
+from homocon._linalg import grouped_matmul, rowsum
 from homocon.simulation import NonConvergentStep
 
 
@@ -112,3 +113,37 @@ def write_trajectory_csv(traj, path) -> None:
             ks = slice(k0, k0 + 512)
             nodes = np.concatenate([values(ax, ks) for ax in traj.axes], axis=1).tolist()
             fh.write("".join([template % tuple(v) for v in nodes]))
+
+
+def solve_control_roots(block, alpha, w_prev, s_warm, snap_tol=1e-12):
+    """``simulation._Block._solve_control_roots`` with its origin test on
+    every step: the pre-solve snap test and the post-solve near test run
+    whatever the rows' distance to the origin. A method body for
+    ``_Block``, with ``block`` in place of ``self``."""
+    beta = block.beta
+    M = alpha.shape[0]
+    older, block.older = block.older, (s_warm, block.older[0])
+
+    wpar = grouped_matmul(alpha, beta) / -block.btb
+    resid = alpha + wpar[:, None] * beta
+    rn = np.sqrt(rowsum(resid * resid))
+    anorm = np.sqrt(rowsum(alpha * alpha))
+    r = snap_tol * (1.0 + anorm + np.abs(wpar) * block.root_btb)
+    snap = (rn <= r) & (np.abs(wpar) <= block.snap_bound)
+
+    block.snapped = bool(snap.all())
+    if block.snapped:
+        return np.zeros_like(alpha), wpar, np.full(M, -np.inf)
+    w, logr, e_new = block._newton(alpha, w_prev, s_warm, older, ~snap)
+    near = ~snap & (rowsum(e_new * e_new) <= r * r)
+    if near.any():
+        c, root_lmax, ex = block.ball[near].T
+        near[near] = np.abs(wpar[near]) <= c * np.minimum(root_lmax * r[near], 1.0) ** ex
+        snap |= near
+    if snap.any():
+        w = np.where(snap, wpar, w)
+        logr = np.where(snap, -np.inf, logr)
+        e_new = np.where(snap[:, None], 0.0, e_new)
+    if not np.isfinite(w).all():
+        raise NonConvergentStep("control root solve produced non-finite values")
+    return e_new, w, logr

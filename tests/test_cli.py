@@ -535,6 +535,36 @@ def test_fit_unit_ball_scales_into_ball():
         assert np.sqrt(e @ P2 @ e) <= 0.9 + 1e-12
 
 
+def test_fitted_axes_build_one_norm_context_each(monkeypatch):
+    # fit_unit_ball rescales the certificate's P before the axis's norm
+    # context is built, so no context of the unfitted P is built first
+    import homocon.cli as cli
+    from homocon.certificates import solve_lmi_p, solve_lmi_xy
+    from homocon.homogeneity import DilationGenerator
+    from homocon.protocols import IntegratorChain, linear_gain
+
+    built = []
+    context = cli.HomogeneousNormContext
+
+    def counted(gen, P):
+        built.append(P)
+        return context(gen, P)
+
+    monkeypatch.setattr(cli, "HomogeneousNormContext", counted)
+    cfg = _preset_config("homogeneous_robust")
+    cfg["sim"]["horizon"] = 0.01
+    cfg["protocol"]["Y"]["fit_unit_ball"] = True
+    scen = build_scenario(cfg)
+    assert len(built) == 2
+    gen, chain = DilationGenerator(2, -1.0), IntegratorChain(2)
+    certs = (solve_lmi_p(gen, chain.A, chain.B, linear_gain(2, 1.0)),
+             solve_lmi_xy(gen, chain.A, chain.B))
+    for ax, cert in zip(scen.axes, certs):
+        fitted = fit_unit_ball(cert.P, ax.initial[1:] - ax.initial[0])
+        assert not np.array_equal(fitted, cert.P), ax.name
+        assert np.array_equal(ax.protocol.norm_ctx.P, fitted), ax.name
+
+
 def test_preset_configs_build():
     for run in ("homogeneous_nominal", "homogeneous_robust", "linear_disturbed",
                 "linear_nominal"):

@@ -782,6 +782,8 @@ def test_newton_counts_of_the_nominal_preset(monkeypatch):
     assert (block.newton_calls, block.newton_passes, block.newton_step_stops) == (3000, 3002, 17997)
     assert (block.fallback_rows, block.fallback_passes) == (0, 0)
     assert block.settled_node is None  # the preset settles at 5.886 s
+    # no row comes within reach of the origin in the first 3 s
+    assert block.origin_tests == 0
 
 
 def test_newton_and_fallback_counts_of_the_robust_preset(monkeypatch):
@@ -795,6 +797,142 @@ def test_newton_and_fallback_counts_of_the_robust_preset(monkeypatch):
     assert (block.newton_calls, block.newton_passes, block.newton_step_stops) == (3000, 7654, 13830)
     assert (block.fallback_rows, block.fallback_passes) == (4, 17)
     assert block.settled_node is None  # a disturbed block never settles
+    assert block.origin_tests == 881
+
+
+def _near_origin_disturbed():
+    # mu = -0.95, errors of 0.03 under amplitudes of 0.09 to 0.26: a
+    # regime that leans on the bracketed solve behind the Newton, with
+    # its rows within reach of the origin on a third of the steps
+    from homocon.certificates import solve_lmi_p
+    from homocon.protocols import linear_gain
+
+    gen = DilationGenerator(2, -0.95)
+    chain = IntegratorChain(2)
+    cert = solve_lmi_p(gen, chain.A, chain.B, linear_gain(2, 1.0))
+    cone = ConeSpec(2, 1.0, -0.95)
+    rng = np.random.default_rng(0)
+    errors = np.stack([np.linalg.solve(cone.H, rng.uniform(0.5, 1.0, 2)) for _ in range(3)])
+    errors *= 0.03 / np.linalg.norm(errors, axis=1)[:, None]
+    amps = np.concatenate([[0.0], rng.uniform(0.09, 0.26, 3)])
+    ax = AxisSpec("X", nonovershoot_protocol(1.0, HomogeneousNormContext(gen, cert.P)),
+                  np.vstack([np.zeros((1, 2)), errors]), cone, DisturbanceSpec(amps, seed=0))
+    return ScenarioConfig(chain_graph(), 2, (ax,), 1e-3, 1.0)
+
+
+def test_fallback_counts_near_the_origin(monkeypatch):
+    # exact counts of a deterministic run: about one row a step takes the
+    # bracketed solve
+    blocks = _blocks(monkeypatch)
+    simulate(_near_origin_disturbed())
+    (block,) = blocks
+    assert (block.newton_calls, block.newton_passes) == (1000, 1939)
+    assert (block.fallback_rows, block.fallback_passes) == (992, 3103)
+    assert block.origin_tests == 369
+
+
+# -- origin screen ---------------------------------------------------------------------
+# A step skips the origin test only where no row can be placed on the
+# origin: the screened runs must equal, bit for bit, runs that test
+# every step.
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_mu_minus_one, _settling_scenario, lambda: _preset("homogeneous_robust"),
+     _near_origin_disturbed],
+    ids=["mu-1-sliding", "mu-0.2-settling", "mu-1-disturbed", "mu-0.95-near-origin"],
+)
+def test_origin_screen_keeps_every_bit(make, monkeypatch):
+    import homocon.simulation as simulation
+    from oracles import solve_control_roots
+
+    scen = make()
+    blocks = _blocks(monkeypatch)
+    screened = simulate(scen)
+    steps = blocks[0].settled_node or scen.steps
+    # both kinds of step occur
+    assert 0 < blocks[0].origin_tests < steps
+    monkeypatch.setattr(simulation._Block, "_solve_control_roots", solve_control_roots)
+    tested = simulate(scen)
+    counts = ("newton_calls", "newton_passes", "newton_step_stops", "fallback_rows",
+              "fallback_passes", "settled_node")
+    assert [getattr(blocks[0], c) for c in counts] == [getattr(blocks[1], c) for c in counts]
+    assert _same_arrays(screened.times, tested.times)
+    for a, b in zip(screened.axes, tested.axes):
+        for field in ("states", "errors", "controls", "hnorm", "barrier", "disturbance"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert (x is None and y is None) or _same_arrays(x, y), (a.name, field)
+
+
+def _one_row_block(mu, n, dt, reach):
+    """The row block of one nonovershooting follower whose P is scaled so
+    that c |beta| = reach, c = max(snap_bound, cmax (1 + 1e-9)) (cmax
+    scales as P^(-1/2))."""
+    import homocon.simulation as simulation
+    from homocon.certificates import solve_lmi_p
+    from homocon.protocols import linear_gain
+
+    gen = DilationGenerator(n, mu)
+    chain = IntegratorChain(n)
+    P = solve_lmi_p(gen, chain.A, chain.B, linear_gain(n, 1.0)).P
+
+    def block(P):
+        spec = nonovershoot_protocol(1.0, HomogeneousNormContext(gen, P))
+        scen = ScenarioConfig(chain_graph(1), n, (AxisSpec("X", spec, np.zeros((2, n))),), dt, dt)
+        b = simulation._Block(scen, [np.zeros((1, 2, n))])
+        return b, max(b.snap_bound[0], b.ball[0, 0])
+
+    b, c = block(P)
+    b, c = block(P * (c * b.root_btb / reach) ** 2)
+    return b, c
+
+
+@settings(max_examples=60)
+@given(
+    mu=st.floats(-1.0, 0.0, exclude_max=True),
+    n=st.sampled_from([2, 3]),
+    dt=st.floats(1e-3, 0.5),
+    exponent=st.floats(-30.0, 3.0),
+    w_frac=st.floats(-1.0, 1.0),
+    d_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_origin_screen_admits_every_row_within_reach(mu, n, dt, exponent, w_frac, d_frac, seed):
+    # a row a within the snap distance 1e-12 (1 + |a| + |w| |beta|) of
+    # -w beta, |w| <= c, may be placed on the origin: the screen must
+    # leave it to the origin test, at every magnitude c |beta|
+    from homocon._linalg import rowsum
+
+    block, c = _one_row_block(mu, n, dt, 10.0 ** exponent)
+    beta = block.beta
+    w = w_frac * c
+    u = np.random.default_rng(seed).normal(size=n)
+    u /= np.linalg.norm(u)
+    wb = abs(w) * block.root_btb
+    d = d_frac * 1e-12 * (1.0 + 2.0 * wb) * u
+    a = -w * beta + d
+    assume(np.linalg.norm(d) <= 1e-12 * (1.0 + np.linalg.norm(a) + wb))
+    assert np.isfinite(block.reach2[0])
+    assert rowsum(a * a) <= block.reach2[0]  # admitted
+
+
+@pytest.mark.parametrize("mu, n", [(-1.0, 2), (-0.2, 2), (-0.5, 3)])
+@pytest.mark.parametrize("exponent", [-30.0, -6.0, 3.0])
+def test_origin_screen_rejects_rows_at_twice_its_reach(mu, n, exponent):
+    # beyond the screen's reach the origin test could not place the row
+    # there: its line misses the snap distance or |wpar| exceeds c
+    from homocon._linalg import grouped_matmul, rowsum
+
+    block, c = _one_row_block(mu, n, 0.01, 10.0 ** exponent)
+    beta = block.beta
+    for u in np.random.default_rng(7).normal(size=(20, n)):
+        a = (2.0 * np.sqrt(block.reach2[0]) * u / np.linalg.norm(u))[None]
+        assert rowsum(a * a)[0] > block.reach2[0]  # rejected
+        wpar = grouped_matmul(a, beta) / -block.btb
+        resid = a + wpar[:, None] * beta
+        r = 1e-12 * (1.0 + np.sqrt(rowsum(a * a)) + np.abs(wpar) * block.root_btb)
+        assert not (np.sqrt(rowsum(resid * resid)) <= r and np.abs(wpar) <= c)
 
 
 def test_grid_refinement_first_order():
