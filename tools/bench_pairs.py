@@ -37,6 +37,7 @@ from pathlib import Path
 
 WORKLOADS = ("paper_presets", "sweep_nominal", "sweep_disturbed", "cyclic_cli")
 SIDES = ("parent", "change")
+TIMEOUT_S = 300.0  # per run; a 20 s run takes about 30 s
 
 
 def parse_args(argv):
@@ -52,7 +53,6 @@ def parse_args(argv):
     p.add_argument("--parent-commit", help="the parent's commit, for a checkout without git")
     p.add_argument("--change-commit", help="the change's commit, for a checkout without git")
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--timeout", type=float, default=300.0, help="seconds per run")
     return p.parse_args(argv)
 
 
@@ -87,12 +87,11 @@ def machine() -> dict:
             "nproc": os.cpu_count(), "cpu_model": model}
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int,
-             timeout: float) -> dict:
+def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One benchmark process; returns its last JSON line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=timeout)
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=TIMEOUT_S)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{root}: {' '.join(cmd)} exited {proc.returncode}\n{proc.stderr}")
@@ -130,7 +129,7 @@ def series(args, workload: str, seeds: list, trace: int, directions: dict) -> di
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         first.append(order[0])
         for side in order:
-            res = run_once(roots[side], workload, seed, args.seconds, trace, args.timeout)
+            res = run_once(roots[side], workload, seed, args.seconds, trace)
             metrics = {k: v["value"] for k, v in res["metrics"].items()}
             metrics.update(failed=res["failed"], attempted=res["attempted"])
             for name, value in metrics.items():
