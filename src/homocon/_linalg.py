@@ -14,22 +14,37 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def rowsum(x: np.ndarray) -> np.ndarray:
-    """x.sum(axis=-1), bit for bit, for the short rows of the simulator.
+def rowsum(x: np.ndarray, op=np.add) -> np.ndarray:
+    """op.reduce(x, axis=-1), bit for bit, for the short rows of the
+    simulator: x.sum(axis=-1), or with ``np.maximum`` and ``np.minimum``
+    x.max(axis=-1) and x.min(axis=-1).
 
     numpy reduces a short last axis row by row, at a cost per row;
-    adding its columns left to right costs per column instead, which is
-    several times faster on a few hundred rows, and rounds the same way
-    (numpy starts from the identity, so a row of -0.0 sums to 0.0).
-    Small arrays, where numpy's fixed cost is lower, and rows of 8 or
-    more columns, which numpy sums pairwise, go to numpy.
+    combining its columns left to right costs per column instead, which
+    is several times faster on a few hundred rows, and gives the same
+    bits: the same rounding, the same nan, and the same sign of a tie
+    between 0.0 and -0.0 (a sum starts from the identity, so a row of
+    -0.0 sums to 0.0). The one exception is the sign of a nan whose sign
+    bit is set, which numpy's own max and min keep or drop by memory
+    layout. Small arrays, where numpy's fixed cost is lower, and rows of
+    8 or more columns, which numpy sums pairwise, go to numpy.
     """
     n = x.shape[-1]
     if not 0 < n < 8 or x.size < 128:
-        return x.sum(axis=-1)
-    out = 0.0 + x[..., 0]
+        return op.reduce(x, axis=-1)
+    out = 0.0 + x[..., 0] if op is np.add else x[..., 0].copy()
     for j in range(1, n):
-        out += x[..., j]
+        op(out, x[..., j], out=out)
+    return out
+
+
+def outer(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """x[..., None] * v, bit for bit, for a short v (or per-row v, rows
+    along its last axis). numpy broadcasts a short last axis row by row;
+    filling it one column at a time costs per column instead."""
+    out = np.empty(np.broadcast_shapes(x.shape + (1,), v.shape))
+    for j in range(v.shape[-1]):
+        np.multiply(x, v[..., j], out=out[..., j])
     return out
 
 

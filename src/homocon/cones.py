@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import rowsum
 from .homogeneity import (
     DilationGenerator,
     HomogeneousNormContext,
@@ -189,7 +190,7 @@ def invariance_monitor(traj, axis: str | None = None) -> InvarianceReport:
     at = traj.axis(axis)
     if at.barrier is None:
         raise ValueError(f"axis {at.name!r} has no cone")
-    per_time = at.barrier.reshape(at.barrier.shape[0], -1).min(axis=1)
+    per_time = rowsum(at.barrier.reshape(at.barrier.shape[0], -1), np.minimum)
     viol = np.nonzero(per_time < VIOLATION_THRESHOLD)[0]
     violation_time = float(traj.times[viol[0]]) if viol.size else None
     return InvarianceReport(float(per_time.min()), violation_time)

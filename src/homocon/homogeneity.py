@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import grouped_matmul, is_positive_definite, rowsum, symmetrize
+from ._linalg import grouped_matmul, is_positive_definite, outer, rowsum, symmetrize
 
 
 class OriginNotDifferentiable(Exception):
@@ -225,9 +225,11 @@ def _project_to_sphere(X, s, rk):
     s: the projection onto the unit P-sphere, 0 where s is not finite
     (the origin)."""
     finite = np.isfinite(s)
+    every = finite.all()  # no row on the origin: nothing to mask
     with np.errstate(over="ignore", invalid="ignore"):
-        Z = X * np.exp(-(np.where(finite, s, 0.0)[..., None] * rk))
-    Z = np.where(finite[..., None], Z, 0.0)
+        Z = X * np.exp(-outer(s if every else np.where(finite, s, 0.0), rk))
+    if not every:
+        Z = np.where(finite[..., None], Z, 0.0)
     lost = ~np.isfinite(Z)
     if lost.any():
         # d(-s) overflows for rows of subnormal magnitude: scale the

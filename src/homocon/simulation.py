@@ -15,10 +15,12 @@ bracket on s. Where the law is set-valued (mu = -1 at the origin) the
 step selects the control that lands the error exactly on the
 discontinuity manifold, which reproduces sliding without chattering.
 A row is placed on the origin when its line a + w beta passes within
-the snap distance of it and the control that gets closest is within the
-law's bound c there. That needs |a| <= about c |beta|, so the test for
-it runs only on steps where some curved row is that close to the
-origin; on the other steps every row goes to the Newton.
+the snap distance r of it and the control that gets closest is within
+the law's bound c there: for mu = -1 the largest |u| on the unit
+sphere, for mu > -1 the far smaller bound of |u| on the ball of radius
+r. That needs |a| <= about c |beta|, so the test for it runs only on
+steps where some curved row is that close to the origin; on the other
+steps every row goes to the Newton.
 
 The homogeneous laws of negative degree are finite-time stable, and the
 implicit step keeps that: undisturbed, their errors reach exactly zero
@@ -390,12 +392,22 @@ class _Block:
                 [[g.cmax * (1.0 + 1e-9), g.root_lmax, g.ball_exp] for g in self.curved], B * N, axis=0
             )
             # a row is placed on the origin only with |wpar| <= c, and its
-            # line then passes within the snap distance of it, which needs
+            # line then passes within the snap distance r of it, which needs
             # |a| <= (tol (1 + c |beta|) + c |beta|) / (1 - tol): that bound,
-            # squared, with a margin for rounding
-            cb = np.maximum(self.snap_bound, self.ball[:, 0]) * self.root_btb
+            # squared, with a margin for rounding. Each row's c is its law's:
+            # the larger of snap_bound and the near test's bound
+            # cmax (1 + 1e-9) min(sqrt(lmax) r, 1)^ball_exp at the largest r
+            # of a row within the reach for c = cmax (1 + 1e-9). For
+            # mu = -1, ball_exp = 0 and c = cmax (1 + 1e-9)
+            def reach2(c):
+                cb = c * self.root_btb
+                return ((_SNAP_TOL * (1.0 + cb) + cb) / (1.0 - _SNAP_TOL) * (1.0 + 1e-6)) ** 2
+
+            c, root_lmax, ex = self.ball.T
             with np.errstate(over="ignore"):  # an infinite reach tests every step
-                self.reach2 = ((_SNAP_TOL * (1.0 + cb) + cb) / (1.0 - _SNAP_TOL) * (1.0 + 1e-6)) ** 2
+                loose = np.maximum(self.snap_bound, c)
+                r = _SNAP_TOL * (1.0 + np.sqrt(reach2(loose)) + loose * self.root_btb)
+                self.reach2 = reach2(np.maximum(self.snap_bound, c * np.minimum(root_lmax * r, 1.0) ** ex))
             # log norms of the curved rows at the two nodes before the
             # previous one, newest first; nan until they are known
             self.older = (np.full(self.m_curved, np.nan),) * 2
@@ -779,11 +791,11 @@ class _BatchRecord:
             E_ = errors.reshape(count, B, N, n)
             s = g.log_norms(errors, s_all)
             self.hnorm[g][ks] = g.hnorm(errors, s).reshape(count, B, N)
-            self.efirst_max[g][ks] = E_[:, :, :, 0].max(axis=2)
+            self.efirst_max[g][ks] = rowsum(E_[:, :, :, 0], np.maximum)
             self.errsq[g][ks] = np.einsum("tbij,tbij->tb", E_, E_)
             if g.spec.cone is not None:
                 phi = g.barrier(errors, s)
-                self.phimin[g][ks] = phi.reshape(count, B, N * n).min(axis=2)
+                self.phimin[g][ks] = rowsum(phi.reshape(count, B, N * n), np.minimum)
         self.start = self.stop
 
     def repeat(self):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homocon._linalg import (
     clip_psd,
@@ -96,3 +98,33 @@ def test_rowsum_matches_numpy_sum_bit_for_bit(n):
                     got, want = rowsum(v), v.sum(axis=-1)
                 assert got.shape == want.shape
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=80)
+@given(
+    n=st.integers(1, 9),
+    lead=st.sampled_from([(300,), (40,), (8, 30), (3, 5), (20, 16)]),
+    mix=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    view=st.sampled_from(["contiguous", "strided", "reversed"]),
+)
+def test_rowsum_max_and_min_match_numpy_bit_for_bit(n, lead, mix, seed, view):
+    # the batch reductions take the max and min of rows of a few entries,
+    # and settled rows hold barriers of both zero signs, so a tie picks
+    # a sign: with np.maximum and np.minimum every bit must equal
+    # x.max(axis=-1) and x.min(axis=-1), for small arrays and rows of 8
+    # or more columns (numpy's own) too
+    rng = np.random.default_rng(seed)
+    shape = lead + (n,)
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
+    mask = rng.random(shape) < mix
+    x[mask] = rng.choice(special, mask.sum())
+    if view == "strided":  # a column of a wider block, as E[..., 0]
+        x = np.stack([x, -x], axis=-1)[..., 0]
+    elif view == "reversed":
+        x = x[..., ::-1]
+    for op, want in ((np.maximum, x.max(axis=-1)), (np.minimum, x.min(axis=-1))):
+        got = rowsum(x, op)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), op.__name__

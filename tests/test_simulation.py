@@ -580,6 +580,9 @@ def test_settled_block_fast_path_is_bit_exact(monkeypatch):
     fast_traj = simulate(scen)
     # node 720 (t = 7.2) repeats node 719; the leaders ran alone after it
     assert blocks[0].settled_node == 720
+    # the origin test runs from about where the first row comes within
+    # the law's reach of the origin
+    assert blocks[0].origin_tests == 121
     assert len(steps) == 720
     del steps[:]
     nodes = []
@@ -828,7 +831,7 @@ def test_fallback_counts_near_the_origin(monkeypatch):
     (block,) = blocks
     assert (block.newton_calls, block.newton_passes) == (1000, 1939)
     assert (block.fallback_rows, block.fallback_passes) == (992, 3103)
-    assert block.origin_tests == 369
+    assert block.origin_tests == 356
 
 
 # -- origin screen ---------------------------------------------------------------------
@@ -867,8 +870,13 @@ def test_origin_screen_keeps_every_bit(make, monkeypatch):
 
 def _one_row_block(mu, n, dt, reach):
     """The row block of one nonovershooting follower whose P is scaled so
-    that c |beta| = reach, c = max(snap_bound, cmax (1 + 1e-9)) (cmax
-    scales as P^(-1/2))."""
+    that c0 |beta| = reach, c0 = max(snap_bound, cmax (1 + 1e-9)) (cmax
+    scales as P^(-1/2)), and the largest |wpar| with which the origin
+    test can place a row of it on the origin: c0 for mu = -1, else
+    max(snap_bound, cmax (1 + 1e-9) min(sqrt(lmax(P)) r, 1)^ball_exp),
+    the near test's bound at the largest snap distance r of a row with
+    |wpar| <= c0 (its line within r of the origin, so |a| <= about
+    c0 |beta|)."""
     import homocon.simulation as simulation
     from homocon.certificates import solve_lmi_p
     from homocon.protocols import linear_gain
@@ -883,9 +891,12 @@ def _one_row_block(mu, n, dt, reach):
         b = simulation._Block(scen, [np.zeros((1, 2, n))])
         return b, max(b.snap_bound[0], b.ball[0, 0])
 
-    b, c = block(P)
-    b, c = block(P * (c * b.root_btb / reach) ** 2)
-    return b, c
+    b, c0 = block(P)
+    b, c0 = block(P * (c0 * b.root_btb / reach) ** 2)
+    c_ball, root_lmax, ball_exp = b.ball[0]
+    cb = c0 * b.root_btb
+    r = 1e-12 * (1.0 + (1e-12 * (1.0 + cb) + cb) / (1.0 - 1e-12) + cb)
+    return b, max(b.snap_bound[0], c_ball * min(root_lmax * r, 1.0) ** ball_exp)
 
 
 @settings(max_examples=60)
@@ -901,7 +912,8 @@ def _one_row_block(mu, n, dt, reach):
 def test_origin_screen_admits_every_row_within_reach(mu, n, dt, exponent, w_frac, d_frac, seed):
     # a row a within the snap distance 1e-12 (1 + |a| + |w| |beta|) of
     # -w beta, |w| <= c, may be placed on the origin: the screen must
-    # leave it to the origin test, at every magnitude c |beta|
+    # leave it to the origin test, at every magnitude c0 |beta|, with c
+    # for mu > -1 the near test's far smaller bound
     from homocon._linalg import rowsum
 
     block, c = _one_row_block(mu, n, dt, 10.0 ** exponent)

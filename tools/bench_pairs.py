@@ -22,6 +22,8 @@ the parent's interquartile range, signed so that a positive gap is a
 gain. Which way is better comes from ``BENCHMARK.json`` in the change
 checkout; a per-layer metric not listed there is compared as
 lower-is-better. A run that fails to return a result stops the tool.
+``--claim W:M:F`` adds whether the change gained at least the factor F
+on metric M of workload W, in that metric's direction (``claim_met``).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def parse_args(argv):
     p.add_argument("--seconds", type=float, default=20.0)
     p.add_argument("--workloads", default=",".join(WORKLOADS))
     p.add_argument("--trace-pairs", type=int, default=0)
-    p.add_argument("--claim", help="workload:metric:target ratio of medians")
+    p.add_argument("--claim", help="workload:metric:target gain factor of the medians")
     p.add_argument("--what", default="", help="what the change does, for the record")
     p.add_argument("--parent-commit", help="the parent's commit, for a checkout without git")
     p.add_argument("--change-commit", help="the change's commit, for a checkout without git")
@@ -141,9 +143,31 @@ def series(args, workload: str, seeds: list, trace: int, directions: dict) -> di
     out = {"seeds": seeds, "first_in_pair": first}
     for name in values["parent"]:
         if name in values["change"] and len(values["change"][name]) == len(seeds):
-            higher = directions.get(name, name in ("attempted",))
+            higher = higher_is_better(name, directions)
             out[name] = compare(values["parent"][name], values["change"][name], higher)
     return out
+
+
+def higher_is_better(name: str, directions: dict) -> bool:
+    return directions.get(name, name in ("attempted",))
+
+
+def claim_met(got: dict, target: float, higher: bool, pairs: int) -> bool:
+    """A claimed gain of ``target`` (a factor above 1) on one metric's
+    ``compare`` entry: the medians improve by at least that factor (the
+    ratio of medians is at least ``target`` for a higher-is-better
+    metric, at most 1 / ``target`` for a lower-is-better one), the
+    change wins at least 9 in 10 of the ``pairs``, and the median gap
+    exceeds the parent's IQR."""
+    ratio = got.get("ratio_of_medians")
+    if ratio is None or ratio <= 0.0:
+        return False
+    gain = ratio if higher else 1.0 / ratio
+    return bool(
+        gain >= target
+        and got["pairs_change_better"] >= 0.9 * pairs
+        and got.get("median_gap_over_parent_iqr", 0.0) > 1.0
+    )
 
 
 def main(argv=None) -> int:
@@ -172,17 +196,15 @@ def main(argv=None) -> int:
     if args.claim:
         workload, metric, target = args.claim.split(":")
         got = record["workloads"][workload][metric]
+        higher = higher_is_better(metric, directions)
         record["claim"] = {
-            "workload": workload, "metric": metric, "target_ratio": float(target),
+            "workload": workload, "metric": metric, "target_gain": float(target),
+            "better": "higher" if higher else "lower",
             "ratio_of_medians": got.get("ratio_of_medians"),
             "pairs_won": got["pairs_change_better"],
             "median_gap_over_parent_iqr": got.get("median_gap_over_parent_iqr"),
         }
-        record["claim"]["met"] = bool(
-            got.get("ratio_of_medians", 0.0) >= float(target)
-            and got["pairs_change_better"] >= 0.9 * len(seeds)
-            and got.get("median_gap_over_parent_iqr", 0.0) > 1.0
-        )
+        record["claim"]["met"] = claim_met(got, float(target), higher, len(seeds))
     record["load_after"] = os.getloadavg()
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
