@@ -410,6 +410,8 @@ def cmd_simulate(args) -> int:
         out_dir = args.output or "."
         csv_path = os.path.join(out_dir, csv_name)
         summary_path = os.path.join(out_dir, summary_name)
+        if os.path.normpath(csv_path) == os.path.normpath(summary_path):
+            raise ConfigError(f"output.trajectory_csv and output.summary name one file: {csv_name!r}")
     except (ConfigError, ValueError, NotSymmetric, SingularX) as exc:
         return _fail(EXIT_BAD_INPUT, str(exc))
     except Infeasible as exc:

@@ -7,12 +7,12 @@ where s* solves ||d(-s*) x||_P = 1; it is the degree-1 homogeneous
 surrogate for a norm that all protocols and cones in this package are
 built on.
 
-One private kernel solves it for the whole package: a vectorized Newton
+One private solver serves the whole package: a vectorized Newton
 iteration on rows in equal consecutive groups, each with its own P
-(the simulator's axes), so every product is one stacked matmul, with an
-exponent-shifted bisection for rows at extreme magnitudes.
-``_project_to_sphere`` is the one projection d(-s) x onto the unit
-sphere, shared by the law and the cone barriers.
+(the simulator's axes), so every product is one stacked matmul; rows at
+extreme magnitudes take ``_bracketed_roots`` on exponent-shifted
+components. ``_project_to_sphere`` is the one projection d(-s) x onto
+the unit sphere, shared by the law and the cone barriers.
 """
 
 from __future__ import annotations
@@ -119,12 +119,10 @@ def _log_norms(X, Ps, rk, s_warm):
     log ||d(-s) x||_P is smooth and strictly decreasing, and Newton stops
     at |F| <= 1e-13. Rows whose iteration over- or underflows, or has
     not settled after 50 passes, and nonzero rows whose weighted norm
-    underflows, go to the exponent-shifted bisection.
+    underflows, are solved at the end by ``_bracketed_roots``.
 
-    Returns (s, Y, patched): s is -inf at x = 0; Y holds the scaled
-    vectors d(-s) x of the last Newton pass (None if no pass ran), valid
-    on every row except those ``patched`` by the bisection (None if none
-    were).
+    Returns (s, Y): s is -inf at x = 0 and nan where x is not finite; Y
+    holds the scaled vectors d(-s) x, 0 where s is not finite.
     """
     pn2 = rowsum(grouped_matmul(X, Ps, len(Ps)) * X)
     nz = pn2 > 0.0
@@ -133,16 +131,14 @@ def _log_norms(X, Ps, rk, s_warm):
         s = np.where(np.isfinite(s_warm), s_warm, s)
     s = np.where(nz, s, 0.0)
 
-    Y = patched = None
+    Y = rough = None  # rough: the rows Newton cannot resolve, once there are any
     pending = nz.copy()
     if not nz.all():
         # only x = 0 is the origin: nonzero rows whose weighted norm
-        # underflowed go to the bisection
+        # underflowed take the shifted solve
         lost = ~nz & np.any(X != 0.0, axis=1)
         if lost.any():
-            _bisect_rows(X, Ps, rk, s, lost)
-            nz |= lost
-            patched = lost
+            rough = lost
     for _ in range(50):
         if not pending.any():
             break
@@ -156,68 +152,85 @@ def _log_norms(X, Ps, rk, s_warm):
         pending &= ~(fin & (np.abs(F) <= 1e-13))
         broken = pending & ~fin
         if broken.any():
-            _bisect_rows(X, Ps, rk, s, broken)
             pending &= ~broken
-            patched = broken if patched is None else patched | broken
+            rough = broken if rough is None else rough | broken
         move = pending & fin
         s = np.where(move, s + F / np.where(g > 0, g, 1.0), s)
     if pending.any():
-        _bisect_rows(X, Ps, rk, s, pending)
-        patched = pending if patched is None else patched | pending
-    return np.where(nz, s, -np.inf), Y, patched
+        rough = pending if rough is None else rough | pending
+    s = np.where(nz, s, -np.inf)
+    if rough is not None:
+        # one bracketed solve on exponent-shifted components: with t the
+        # row's largest exponent, y = sign(x) exp(log|x| - s rk - t) and
+        # F = t + log ||y||_P cannot over- or underflow. It starts from
+        # max_k log|x_k| / rk_k, and is nan where x is not finite
+        i = np.nonzero(rough)[0]
+        Xi, Pi, rk_i = X[i], Ps[i // (X.shape[0] // len(Ps))], np.broadcast_to(rk, X.shape)[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lx = np.log(np.abs(Xi))  # -inf at zero components
+            s0 = np.where(np.isfinite(Xi).all(axis=1), np.max(lx / rk_i, axis=1), np.nan)
+
+        def residual(rows, s):
+            xi = lx[rows] - s[:, None] * rk_i[rows]
+            t = np.max(xi, axis=1)
+            y = np.sign(Xi[rows]) * np.exp(xi - t[:, None])
+            Py = np.einsum("ijk,ik->ij", Pi[rows], y)
+            q2 = rowsum(Py * y)
+            return t + 0.5 * np.log(q2), -rowsum(Py * (y * rk_i[rows])) / q2, None
+
+        s[i], _, _ = _bracketed_roots(residual, s0, 100)
+        if Y is not None:
+            Y[i] = _project_to_sphere(Xi, s[i], rk_i)
+    if Y is None:  # no Newton pass ran
+        Y = _project_to_sphere(X, s, rk)
+    return s, Y
 
 
-def _bisect_rows(X, Ps, rk, s, mask):
-    """Overwrite s on the masked rows with the bisection's log norms;
-    row i lies in group i // rows of the len(Ps) equal row groups."""
-    rows = X.shape[0] // len(Ps)
-    for i in np.nonzero(mask)[0]:
-        s[i] = _bisect_log_norm(Ps[i // rows], rk if rk.ndim == 1 else rk[i], X[i])
-
-
-def _bisect_log_norm(P, rk, x):
-    """Overflow-safe log norm of one nonzero row x, working with
-    component exponents; nan when x is not finite."""
-    ax = np.abs(x)
-    if not np.all(np.isfinite(ax)):
-        return np.nan
-    sign = np.sign(x)
-    with np.errstate(divide="ignore"):
-        lx = np.log(ax)  # -inf at zero components
-
-    def logq(s: float) -> float:
-        xi = lx - s * rk
-        t = np.max(xi[np.isfinite(xi)])
-        y = np.where(np.isfinite(xi), sign * np.exp(np.minimum(xi - t, 700.0)), 0.0)
-        q2 = float(y @ P @ y)
-        return t + 0.5 * np.log(max(q2, 1e-308))
-
-    # bracket the root of logq(s) = 0 (strictly decreasing)
-    s = float(np.max(lx[np.isfinite(lx)]))
-    step = 1.0
-    lo, hi = -np.inf, np.inf
-    for _ in range(400):
-        v = logq(s)
-        if v > 0:
-            lo = s
-            if np.isfinite(hi):
-                break
-            s += step
-        else:
-            hi = s
-            if np.isfinite(lo):
-                break
-            s -= step
-        step *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if logq(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, abs(mid)):
-            break
-    return 0.5 * (lo + hi)
+def _bracketed_roots(residual, s0, max_passes):
+    """Roots of F(s) = 0 from s0 by a Newton iteration kept inside a
+    per-row bracket on s: F changes sign once, from + to -, but need not
+    be monotone near its root. ``residual(rows, s)`` returns (F, dF, v)
+    on the rows ``rows`` at their s: dF is nan where no Newton step may
+    be taken, and v, when not None, is a value whose agreement at the
+    bracket's ends stops a row. The bracket steps out from s0 in
+    doubling steps (a nan F counts as +). A row bisects or steps out
+    where the Newton step leaves the bracket (or, while an end is open,
+    goes further than the step-out) or dF is not negative. It stops at
+    |F| <= 1e-13, right after a Newton step of at most 3e-8, or at
+    the resolution of F: a bracket 1e-14 max(1, |s|) wide, or with
+    values v at its ends within 1e-13 (1 + |v|). A row whose start is
+    not finite keeps it. Returns (s, passes, open_rows): the roots, the
+    passes made and the indices of the rows still open after max_passes.
+    """
+    s = np.array(s0, dtype=float)
+    # the bracket [lo, hi] on s and the values v at its ends
+    lo, hi, v_lo, v_hi = np.repeat([[-np.inf], [np.inf], [np.nan], [np.nan]], s.size, axis=1)
+    out = np.ones_like(s)  # step-out distance
+    rows = np.nonzero(np.isfinite(s))[0]
+    passes = 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while rows.size and passes < max_passes:
+            passes += 1
+            sr, d = s[rows], out[rows]
+            F, dF, v = residual(rows, sr)
+            pos = ~(F <= 0.0)
+            lo[rows] = l = np.where(pos, sr, lo[rows])
+            hi[rows] = h = np.where(pos, hi[rows], sr)
+            closed = np.isfinite(l) & np.isfinite(h)
+            sn = sr - F / dF
+            newton = (dF < 0.0) & (sn > l) & (sn < h)
+            newton &= closed | (np.abs(sn - sr) <= d)
+            bisect = np.where(closed, 0.5 * (l + h), np.where(pos, sr + d, sr - d))
+            out[rows] = np.where(closed, d, 2.0 * d)
+            settled = (np.abs(F) <= 1e-13) | (h - l <= 1e-14 * np.maximum(1.0, np.abs(sr)))
+            if v is not None:
+                v_lo[rows] = vl = np.where(pos, v, v_lo[rows])
+                v_hi[rows] = vh = np.where(pos, v_hi[rows], v)
+                settled |= np.abs(vh - vl) <= 1e-13 * (1.0 + np.abs(v))
+            s[rows] = np.where(settled, sr, np.where(newton, sn, bisect))
+            settled |= newton & (np.abs(sn - sr) <= 3e-8)
+            rows = rows[~settled]
+    return s, passes, rows
 
 
 def _project_to_sphere(X, s, rk):
@@ -248,17 +261,17 @@ def canonical_norm_many(
     """Canonical homogeneous norms of the rows of X.
 
     Solves F(s) = log ||d(-s) x||_P = 0 per row by Newton's method (F is
-    smooth and strictly decreasing), with an exponent-shifted bisection
-    for rows at extreme magnitudes. ``warm_log`` seeds s from a previous
-    call, which typically cuts the solve to one or two iterations along
-    a trajectory.
+    smooth and strictly decreasing), inside a bracket on exponent-shifted
+    components for rows at extreme magnitudes. ``warm_log`` seeds s from
+    a previous call, which typically cuts the solve to one or two
+    iterations along a trajectory.
 
     Returns (norms, log_norms); only x = 0 gets norm 0 and log norm
     -inf.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
-        s, _, _ = _log_norms(X, ctx.P[None], ctx.gen.diag_entries, warm_log)
+        s, _ = _log_norms(X, ctx.P[None], ctx.gen.diag_entries, warm_log)
         return np.exp(s), s
 
 

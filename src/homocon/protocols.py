@@ -21,12 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import grouped_matmul
-from .homogeneity import (
-    HomogeneousNormContext,
-    _log_norms,
-    _project_to_sphere,
-    unit_sphere_max,
-)
+from .homogeneity import HomogeneousNormContext, _log_norms, unit_sphere_max
 
 
 class DimensionMismatch(Exception):
@@ -166,13 +161,7 @@ def _law(V, Ps, Ks, rk, opm, s_warm):
     Returns (u, log_norms), with u = 0 where the log norm is not finite
     (the origin).
     """
-    s, Z, patched = _log_norms(V, Ps, rk, s_warm)
-    if Z is None:
-        Z = _project_to_sphere(V, s, rk)
-    elif patched is not None:
-        Z[patched] = _project_to_sphere(
-            V[patched], s[patched], rk if rk.ndim == 1 else rk[patched]
-        )
+    s, Z = _log_norms(V, Ps, rk, s_warm)
     finite = np.isfinite(s)
     with np.errstate(over="ignore"):
         KZ = grouped_matmul(Z, Ks[:, :, None], len(Ks))[:, 0]

@@ -10,10 +10,11 @@ solves it for every curved row, started from the quadratic through the
 log norms at the last three nodes. A row stops once |F| is small, or
 right after a step so small that the next pass would only confirm it.
 The few rows it cannot resolve (no descending step, or a + w beta
-cancelling below the resolution of F) solve the same equation inside a
-bracket on s. Where the law is set-valued (mu = -1 at the origin) the
-step selects the control that lands the error exactly on the
-discontinuity manifold, which reproduces sliding without chattering.
+cancelling below the resolution of F) solve the same equation with the
+bracketed Newton of the norm solve. Where the law is set-valued
+(mu = -1 at the origin) the step selects the control that lands the
+error exactly on the discontinuity manifold, which reproduces sliding
+without chattering.
 A row is placed on the origin when its line a + w beta passes within
 the snap distance r of it and the control that gets closest is within
 the law's bound c there: for mu = -1 the largest |u| on the unit
@@ -59,7 +60,7 @@ import numpy as np
 from ._linalg import grouped_matmul, rowsum
 from .cones import ConeSpec
 from .graphs import DirectedGraph, is_leader_rooted
-from .homogeneity import _log_norms, _project_to_sphere
+from .homogeneity import _bracketed_roots, _log_norms, _project_to_sphere
 from .protocols import IntegratorChain, ProtocolSpec, _law
 
 
@@ -236,8 +237,7 @@ _NEWTON_STEP = 3e-8
 # (a + w beta cancels): the Newton cannot resolve F there
 _NEWTON_COND = 50.0
 
-# the fallback's Newton step stop in s and its pass cap (_log_norm_roots)
-_ROOT_STEP = 3e-8
+# the fallback's pass cap (_log_norm_roots)
 _ROOT_PASSES = 100
 
 # largest denominator 1 + K beta of the closed-form affine step
@@ -607,51 +607,25 @@ def _log_norm_residual(law, a, s, beta, control_only=False):
 
 
 def _log_norm_roots(g: _Axis, a, beta, s0):
-    """F(s) = 0 (``_log_norm_residual``) from s0 for the rows of axis g
-    that ``_Block._newton`` left open, by a Newton iteration kept inside
-    a per-row bracket on s: F changes sign once, from + to -, but is not
-    monotone near its root. The bracket steps out from s0 in doubling
-    steps (a nan F counts as +). A row bisects or steps out where the
-    Newton step leaves the bracket (or, while an end is open, goes
-    further than the step-out), dF >= 0 or 1 + c K b <= 0. It stops at
-    |F| <= 1e-13, right after a Newton step of at most _ROOT_STEP, or at
-    the resolution of the step, where a + w beta cancels and F may stay
-    near 1e-5: a bracket 1e-14 max(1, |s|) wide, or with controls at its
-    ends within 1e-13 (1 + |w|). Returns (w, s, passes): w at the final
+    """F(s) = 0 (``_log_norm_residual``) from s0 (0 where it is not
+    finite) for the rows of axis g that ``_Block._newton`` left open, by
+    ``homogeneity._bracketed_roots``: no Newton step where 1 + c K b <= 0,
+    and where a + w beta cancels, F may stay near 1e-5 until the controls
+    at the bracket's ends agree. Returns (w, s, passes): w at the final
     s, the log norms of a + w beta, and the passes made. Raises
     NonConvergentStep when a row is open after _ROOT_PASSES passes.
     """
-    s = np.where(np.isfinite(s0), s0, 0.0)
-    # the bracket [lo, hi] on s and the controls at its ends
-    lo, hi, w_lo, w_hi = np.repeat([[-np.inf], [np.inf], [np.nan], [np.nan]], s.size, axis=1)
-    out = np.ones_like(s)  # step-out distance
-    rows = np.arange(s.size)
-    for passes in range(1, _ROOT_PASSES + 1):
-        sr, ar, d = s[rows], a[rows], out[rows]
-        w, F, dF, nden, _ = _log_norm_residual(g, ar, sr, beta)
-        pos = ~(F <= 0.0)
-        lo[rows] = l = np.where(pos, sr, lo[rows])
-        hi[rows] = h = np.where(pos, hi[rows], sr)
-        w_lo[rows] = wl = np.where(pos, w, w_lo[rows])
-        w_hi[rows] = wh = np.where(pos, w_hi[rows], w)
-        closed = np.isfinite(l) & np.isfinite(h)
-        sn = sr - F / dF
-        newton = (dF < 0.0) & (nden < 0.0) & (sn > l) & (sn < h)
-        newton &= closed | (np.abs(sn - sr) <= d)
-        bisect = np.where(closed, 0.5 * (l + h), np.where(pos, sr + d, sr - d))
-        out[rows] = np.where(closed, d, 2.0 * d)
-        settled = (np.abs(F) <= 1e-13) | (h - l <= 1e-14 * np.maximum(1.0, np.abs(sr)))
-        settled |= np.abs(wh - wl) <= 1e-13 * (1.0 + np.abs(w))
-        s[rows] = np.where(settled, sr, np.where(newton, sn, bisect))
-        settled |= newton & (np.abs(sn - sr) <= _ROOT_STEP)
-        rows = rows[~settled]
-        if not rows.size:
-            break
-    else:
+
+    def residual(rows, s):
+        w, F, dF, nden, _ = _log_norm_residual(g, a[rows], s, beta)
+        return F, np.where(nden < 0.0, dF, np.nan), w
+
+    s, passes, open_rows = _bracketed_roots(residual, np.where(np.isfinite(s0), s0, 0.0), _ROOT_PASSES)
+    if open_rows.size:
         raise NonConvergentStep("the implicit step's log-norm solve did not settle")
     w = _log_norm_residual(g, a, s, beta, True)
     # the errors' own log norms: where a + w beta cancels, F is not small
-    s, _, _ = _log_norms(a + w[:, None] * beta, g.P[None], g.rk, s)
+    s, _ = _log_norms(a + w[:, None] * beta, g.P[None], g.rk, s)
     return w, s, passes
 
 

@@ -344,6 +344,26 @@ def test_bad_input_exits_two_without_partial_files(tmp_path, case):
     assert sorted(p.name for p in out_dir.iterdir()) == before
 
 
+@pytest.mark.parametrize(
+    "csv_name, summary_name",
+    [("same.txt", "same.txt"), ("./a.csv", "a.csv"), ("sub/../a.csv", "a.csv")],
+)
+def test_colliding_output_names_exit_two_before_integrating(
+    tmp_path, monkeypatch, capsys, csv_name, summary_name
+):
+    # the summary would be written over the CSV: refused before the run
+    import homocon.cli as cli
+
+    monkeypatch.setattr(cli, "simulate", lambda scenario: pytest.fail("integrated"))
+    cfg = small_config(output={"trajectory_csv": csv_name, "summary": summary_name})
+    out_dir = tmp_path / "out"
+    argv = ["simulate", "--config", write_config(tmp_path, cfg), "--output", str(out_dir)]
+    assert main(argv) == EXIT_BAD_INPUT
+    assert "name one file" in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_overflowing_step_exits_four_without_files(tmp_path):
     cfg = small_config(output={})
     cfg["sim"].update(dt=1e300, horizon=1e300)

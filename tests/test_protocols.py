@@ -149,9 +149,10 @@ def test_mu_minus_one_bounded_near_origin():
 def test_batch_matches_scalar():
     rng = np.random.default_rng(35)
     V = rng.normal(size=(40, 2)) * rng.uniform(0.01, 10.0, size=(40, 1))
-    # rows whose weighted norm overflows or underflows take the bisection
-    # and the law's patched-row path (subnormal rows also the overflow-safe
-    # sphere projection); the zero row is the origin
+    # rows whose weighted norm overflows or underflows take the bracketed
+    # solve on exponent-shifted components and are projected again
+    # (subnormal rows through the overflow-safe sphere projection); the
+    # zero row is the origin
     z = np.array([-1.3, 0.7])
     V = np.vstack([V, 1e200 * z, 1e-200 * z, 1e-310 * z, np.zeros(2)])
     for mu in (-0.2, -1.0):
