@@ -2,9 +2,9 @@
 
 Subcommands: ``gains``, ``verify-lmi``, ``simulate``, ``reproduce-paper``.
 Configs are strict JSON (unknown keys rejected); every output file is
-written to a temporary path and renamed, and the temporary file is
-removed when a write fails, so failed runs leave nothing partial
-behind. Exit codes: 0 ok, 2 bad input, 3 infeasible certificate,
+written to a new temporary file of a unique name beside it and renamed
+once the run has succeeded, and the temporary files are removed when it
+fails, so failed runs leave nothing partial behind. Exit codes: 0 ok, 2 bad input, 3 infeasible certificate,
 4 integration failure.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import secrets
 import sys
 
 import numpy as np
@@ -46,7 +47,6 @@ from .simulation import (
     overshoot_metric,
     settling_time,
     simulate,
-    write_trajectory_csv,
 )
 
 EXIT_OK = 0
@@ -64,27 +64,49 @@ def _fail(code: int, msg: str) -> int:
     return code
 
 
-def _atomic_write(path: str, write) -> None:
-    """Call ``write(tmp_path)`` and rename the result onto ``path``; on
-    any failure the temporary file is removed and the error re-raised."""
-    tmp = f"{path}.tmp"
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise
+class _Staged:
+    """Output files written under temporary names and renamed together.
 
+    ``path(target)`` creates a new empty file beside ``target``, under a
+    unique name and exclusively, so no other file is overwritten, with
+    the mode that the umask gives a new file; ``commit`` renames each
+    onto its target in order. Leaving the ``with`` block removes every
+    temporary file not renamed, so a failed run leaves nothing partial.
+    """
 
-def _atomic_write_text(path: str, text: str) -> None:
-    def write(tmp: str) -> None:
-        with open(tmp, "w", newline="\n") as fh:
+    def __init__(self):
+        self.files = []  # (temporary, target) pairs not yet renamed
+
+    def __enter__(self):
+        return self
+
+    def path(self, target: str) -> str:
+        head, tail = os.path.split(target)
+        while True:
+            tmp = os.path.join(head, f"{tail}.{secrets.token_hex(4)}.tmp")
+            try:
+                os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            except FileExistsError:
+                continue
+            self.files.append((tmp, target))
+            return tmp
+
+    def text(self, target: str, text: str) -> None:
+        with open(self.path(target), "w", newline="\n") as fh:
             fh.write(text)
 
-    _atomic_write(path, write)
+    def commit(self) -> None:
+        while self.files:
+            os.replace(*self.files[0])
+            self.files.pop(0)
+
+    def __exit__(self, *exc):
+        for tmp, _ in self.files:
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
+        return False
 
 
 def _check_keys(section: dict, allowed: set, where: str) -> None:
@@ -419,19 +441,18 @@ def cmd_simulate(args) -> int:
         return EXIT_INFEASIBLE
 
     try:
-        traj = simulate(scenario)
+        with _Staged() as out:
+            os.makedirs(out_dir, exist_ok=True)
+            traj = simulate(scenario, out.path(csv_path))
+            summary = _summarize(traj, scenario)
+            try:
+                text = _summary_json(summary)
+            except ValueError as exc:
+                return _fail(EXIT_INTEGRATION, f"non-finite summary: {exc}")
+            out.text(summary_path, text)
+            out.commit()
     except NonConvergentStep as exc:
         return _fail(EXIT_INTEGRATION, f"integration failed: {exc}")
-
-    summary = _summarize(traj, scenario)
-    try:
-        text = _summary_json(summary)
-    except ValueError as exc:
-        return _fail(EXIT_INTEGRATION, f"non-finite summary: {exc}")
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        _atomic_write(csv_path, lambda tmp: write_trajectory_csv(traj, tmp))
-        _atomic_write_text(summary_path, text)
     except OSError as exc:
         return _fail(EXIT_BAD_INPUT, f"cannot write output: {exc}")
     line = " ".join(
@@ -515,11 +536,12 @@ PRESET_RUNS = (
 )
 
 
-def _run_preset(run: str):
-    """Returns (trajectory, summary) of one preset run."""
+def _run_preset(run: str, csv: str) -> dict:
+    """Runs one preset, writes its trajectory CSV to ``csv`` and returns
+    its summary."""
     cfg = _preset_config(run)
     scenario = build_scenario(cfg)
-    traj = simulate(scenario)
+    traj = simulate(scenario, csv)
     summary = _summarize(traj, scenario)
     summary["run"] = run
 
@@ -546,7 +568,7 @@ def _run_preset(run: str):
         e0 = ax.initial[1:] - ax.initial[0]
         rep = check_initial_admissible(e0, ax.cone, ax.protocol.norm_ctx)
         summary["initial_admissible"] = rep.admissible_homogeneous
-    return traj, summary
+    return summary
 
 
 def _summary_csv(summaries: list) -> str:
@@ -572,25 +594,24 @@ def _summary_csv(summaries: list) -> str:
 def cmd_reproduce_paper(args) -> int:
     out_dir = args.output or "reproduce_paper"
     try:
-        runs = [_run_preset(r) for r in PRESET_RUNS]
+        with _Staged() as out:
+            os.makedirs(out_dir, exist_ok=True)
+            summaries = [
+                _run_preset(run, out.path(os.path.join(out_dir, f"{run}.csv")))
+                for run in PRESET_RUNS
+            ]
+            try:
+                text = _summary_json(summaries)
+            except ValueError as exc:
+                return _fail(EXIT_INTEGRATION, f"non-finite summary: {exc}")
+            out.text(os.path.join(out_dir, "summary.json"), text)
+            out.text(os.path.join(out_dir, "summary.csv"), _summary_csv(summaries))
+            out.commit()
     except NonConvergentStep as exc:
         return _fail(EXIT_INTEGRATION, f"integration failed: {exc}")
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    summaries = [summary for _, summary in runs]
-    try:
-        text = _summary_json(summaries)
-    except ValueError as exc:
-        return _fail(EXIT_INTEGRATION, f"non-finite summary: {exc}")
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        for run, (traj, _) in zip(PRESET_RUNS, runs):
-            _atomic_write(
-                os.path.join(out_dir, f"{run}.csv"), lambda tmp: write_trajectory_csv(traj, tmp)
-            )
-        _atomic_write_text(os.path.join(out_dir, "summary.json"), text)
-        _atomic_write_text(os.path.join(out_dir, "summary.csv"), _summary_csv(summaries))
     except OSError as exc:
         return _fail(EXIT_BAD_INPUT, f"cannot write output: {exc}")
 

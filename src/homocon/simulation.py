@@ -46,13 +46,23 @@ own (``protocols._law``, ``homogeneity._log_norms``,
 ``homogeneity._project_to_sphere``).
 
 Runs are deterministic: identical configuration and seed give
-bit-identical trajectories and CSV files. A batch reduces each run
+bit-identical trajectories and CSV files. Given a CSV destination,
+``simulate`` has a run longer than one draw chunk formatted by a forked
+writer process while it integrates, on the other core: the
+integration's loop is bound by dispatch, and formatting %.17g fields
+takes about a third of a preset run. A batch reduces each run
 (overshoot, norms, barrier minimum, squared error) once per draw chunk
 of nodes, with the calls ``simulate`` makes on its full recording.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import mmap
+import os
+import signal
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -682,6 +692,7 @@ class _FullRecord:
     keeps_leaders = True
 
     def __init__(self, block: _Block, T: int):
+        self.block = block
         self.L = np.empty((T + 1,) + block.L0.shape)
         self.E = np.empty((T + 1,) + block.E0.shape)
         self.u = np.empty((T + 1, block.M))
@@ -701,21 +712,79 @@ class _FullRecord:
     def reduce(self):
         pass
 
-    def axis(self, g: _Axis) -> AxisTrajectory:
-        """The recorded series of one axis of a single run."""
-        errors = np.ascontiguousarray(self.E[:, g.rows])
-        lead = self.L[:, g.lead.start][:, None, :]
-        s = g.log_norms(errors, self.s)
-        return AxisTrajectory(
-            name=g.spec.name,
+    def series(self, g: _Axis, ks=slice(None)) -> dict:
+        """The recorded series of one axis of a single run at the time
+        nodes ``ks``, by ``AxisTrajectory`` field."""
+        errors = np.ascontiguousarray(self.E[ks, g.rows])
+        lead = self.L[ks, g.lead.start][:, None, :]
+        s = g.log_norms(errors, self.s[ks])
+        return dict(
             states=np.concatenate([lead, lead + errors], axis=1),
             errors=errors,
-            controls=np.ascontiguousarray(self.u[:, g.rows]),
+            controls=np.ascontiguousarray(self.u[ks, g.rows]),
             hnorm=g.hnorm(errors, s),
             # a stack of per-node products, each shaped as in _BatchRecord
             barrier=g.barrier(errors, s) if g.spec.cone is not None else None,
-            disturbance=self.q[g][:, 0],
+            disturbance=self.q[g][ks, 0],
         )
+
+    def finish(self) -> tuple:
+        """Every axis's recorded series, once the final node is set."""
+        return tuple(AxisTrajectory(name=g.spec.name, **self.series(g)) for g in self.block.in_order)
+
+
+class _StreamedRecord(_FullRecord):
+    """A full recording whose trajectory CSV a forked ``_CsvWriter``
+    formats while the integration runs.
+
+    Every axis's recorded series live in one anonymous shared mapping,
+    which the writer, forked here before the first step, reads. At the
+    end of each draw chunk ``reduce`` derives the series of the nodes
+    that are complete, with the calls ``_FullRecord.series`` makes, and
+    sends their range to the writer. A node is complete once its
+    disturbance is drawn, with the chunk that starts at it, so a chunk's
+    last node waits for the next chunk; ``finish`` sends the final node,
+    once ``simulate`` has set its control.
+    """
+
+    def __init__(self, block: _Block, T: int, writer: _CsvWriter):
+        super().__init__(block, T)
+        N, n = block.N, block.n
+        shapes = {
+            "states": (T + 1, N + 1, n), "errors": (T + 1, N, n), "controls": (T + 1, N),
+            "hnorm": (T + 1, N), "barrier": (T + 1, N, n), "disturbance": (T + 1, N + 1),
+        }
+        fields = [(g, k) for g in block.in_order for k in shapes
+                  if k != "barrier" or g.spec.cone is not None]
+        shared = mmap.mmap(-1, 8 * sum(math.prod(shapes[k]) for _, k in fields))
+        arrays, at = {g: dict(barrier=None) for g in block.in_order}, 0
+        for g, k in fields:
+            arrays[g][k] = np.frombuffer(shared, float, math.prod(shapes[k]), at).reshape(shapes[k])
+            at += arrays[g][k].nbytes
+        self.axes = tuple(AxisTrajectory(name=g.spec.name, **arrays[g]) for g in block.in_order)
+        self.writer = writer
+        self.done = self.stop = 0  # nodes handed over, nodes recorded
+        # an axis without a disturbance records q = +0.0 throughout
+        writer.start(_CsvLayout(self.axes, [g.spec.disturbance is not None for g in block.in_order]))
+
+    def record(self, k, L, E, u, s):
+        super().record(k, L, E, u, s)
+        self.stop = k + 1
+
+    def reduce(self, last=1):
+        """Derive and hand over the recorded nodes but the ``last``."""
+        ks = slice(self.done, self.stop - last)
+        for g, ax in zip(self.block.in_order, self.axes):
+            for name, value in self.series(g, ks).items():
+                if value is not None:
+                    getattr(ax, name)[ks] = value
+        self.writer.send(ks.start, ks.stop)
+        self.done = ks.stop
+
+    def finish(self) -> tuple:
+        self.reduce(0)
+        self.writer.finish()
+        return self.axes
 
 
 class _BatchRecord:
@@ -851,19 +920,36 @@ class BatchResult:
     errsq_total: np.ndarray  # (T+1, B) summed over axes
 
 
-def simulate(cfg: ScenarioConfig) -> Trajectory:
-    """Integrate one scenario, recording every node.
+def simulate(cfg: ScenarioConfig, csv=None) -> Trajectory:
+    """Integrate one scenario, recording every node, and with ``csv``
+    write the trajectory CSV there (``write_trajectory_csv``).
 
+    A run of more than one draw chunk of steps has its CSV formatted by
+    a forked writer process while it integrates, where ``os.fork``
+    exists; it is reaped before ``simulate`` returns or raises, and its
+    failure raises OSError. Other runs write the CSV after the
+    integration. Either way the arrays and the file are the same.
     Deterministic: the same configuration and seed produce identical
-    arrays and, downstream, byte-identical CSV files.
+    arrays and byte-identical CSV files.
     """
     times = np.arange(cfg.steps + 1) * cfg.dt
-    block, rec, E, s = _integrate(cfg, [ax.initial[None] for ax in cfg.axes], _FullRecord)
-    # final node control column: repeat the nodal law value
-    with np.errstate(over="ignore", invalid="ignore"):
-        rec.u[-1], _ = block.eval(E, s)
-    axes = tuple(rec.axis(g) for g in block.in_order)
-    return Trajectory(times=times, axes=axes, dt=cfg.dt)
+    inits = [ax.initial[None] for ax in cfg.axes]
+    writer, recorder = None, _FullRecord
+    if csv is not None and cfg.steps > _DRAW_CHUNK and hasattr(os, "fork"):
+        writer = _CsvWriter(csv, times)
+        recorder = functools.partial(_StreamedRecord, writer=writer)
+    try:
+        block, rec, E, s = _integrate(cfg, inits, recorder)
+        # final node control column: repeat the nodal law value
+        with np.errstate(over="ignore", invalid="ignore"):
+            rec.u[-1], _ = block.eval(E, s)
+        traj = Trajectory(times=times, axes=rec.finish(), dt=cfg.dt)
+    finally:
+        if writer is not None:
+            writer.close()
+    if csv is not None and writer is None:
+        write_trajectory_csv(traj, csv)
+    return traj
 
 
 def simulate_batch(
@@ -962,65 +1048,151 @@ def lyapunov_violation(hnorm: np.ndarray, floor: float = 1e-6) -> float:
 # CSV export
 
 
+_F = "%.17g"
+
+
+class _CsvLayout:
+    """The trajectory CSV of a run's axes: its header, and one template
+    per time node, every (axis, agent) row of it, that ``text`` fills
+    for any range of nodes. Only values that vary are formatted: t once
+    per node, and the leader's zeros, the nan barriers and the q of an
+    axis whose ``varies`` is false are written as text."""
+
+    def __init__(self, axes, varies):
+        n = axes[0].states.shape[2]
+        cols = (
+            ["t", "agent", "axis"]
+            + [f"x{i + 1}" for i in range(n)]
+            + ["u"]
+            + [f"e{i + 1}" for i in range(n)]
+            + ["hnorm"]
+            + [f"phi{i + 1}" for i in range(n)]
+            + ["q"]
+        )
+        self.header = ",".join(cols) + "\n"
+        fields = ",".join([_F] * n)
+        zeros, nans = ",".join(["0"] * n), ",".join(["nan"] * n)
+        # the place of each row's t among the node's values
+        template, slots, width = [], [], 0
+        for ax, qv in zip(axes, varies):
+            name, N = ax.name.replace("%", "%%"), ax.errors.shape[1]
+            q = _F if qv else "0"
+            phi = fields if ax.barrier is not None else nans
+            template.append(f"%s,0,{name},{fields},0,{zeros},0,{nans},{q}\n")
+            template += [f"%s,{i},{name},{fields},{_F},{fields},{_F},{phi},{q}\n" for i in range(1, N + 1)]
+            lead = 1 + n + qv
+            row = 2 * n + 3 + (n if ax.barrier is not None else 0) + qv
+            slots += [width] + [width + lead + i * row for i in range(N)]
+            width += lead + N * row
+        self.template, self.slots = "".join(template), slots
+        self.axes, self.varies = axes, varies
+
+    def text(self, times, ks) -> str:
+        """The rows of the time nodes ``ks`` (a slice)."""
+        nodes = np.concatenate([_csv_values(ax, qv, ks) for ax, qv in zip(self.axes, self.varies)], axis=1)
+        nodes = nodes.astype(object)
+        nodes[:, self.slots] = np.array([_F % t for t in times[ks].tolist()], dtype=object)[:, None]
+        return "".join([self.template % tuple(v) for v in nodes.tolist()])
+
+
+def _csv_values(ax, qv, ks):
+    """The numbers of one axis's rows at the time nodes ``ks`` in
+    template order, one line per node, with 0 in the t slots."""
+    states, E = ax.states[ks], ax.errors[ks]
+    lead = [np.zeros((len(E), 1)), states[:, 0]]
+    rows = [np.zeros(E.shape[:2] + (1,)), states[:, 1:], ax.controls[ks][:, :, None], E,
+            ax.hnorm[ks][:, :, None]]
+    if ax.barrier is not None:
+        rows.append(ax.barrier[ks])
+    if qv:
+        lead.append(ax.disturbance[ks][:, :1])
+        rows.append(ax.disturbance[ks][:, 1:, None])
+    return np.concatenate(lead + [np.concatenate(rows, axis=2).reshape(len(E), -1)], axis=1)
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """One row per (time, agent, axis); floats at 17 significant digits.
 
     Columns: t, agent, axis, x1..xn, u, e1..en, hnorm, phi1..phin, q.
     Leader rows carry zero errors and norms; phi columns are nan when no
-    cone was recorded for the axis. Only values that vary are formatted:
-    t once per node, and the leader's zeros, the nan barriers and the q
-    of an axis whose disturbance is +0.0 throughout are written as text.
+    cone was recorded for the axis. The q of an axis whose disturbance
+    is +0.0 throughout is written as text, like every other constant
+    field.
     """
-    n = traj.axes[0].states.shape[2]
-    cols = (
-        ["t", "agent", "axis"]
-        + [f"x{i + 1}" for i in range(n)]
-        + ["u"]
-        + [f"e{i + 1}" for i in range(n)]
-        + ["hnorm"]
-        + [f"phi{i + 1}" for i in range(n)]
-        + ["q"]
-    )
-    f = "%.17g"
-    fields = ",".join([f] * n)
-    zeros, nans = ",".join(["0"] * n), ",".join(["nan"] * n)
-    # an undisturbed axis records q = +0.0 throughout; a -0.0 draw is
-    # still formatted
-    varies = [bool(ax.disturbance.view(np.uint64).any()) for ax in traj.axes]
-    # one template per time node, every (axis, agent) row of it, and the
-    # place of each row's t among the node's values
-    template, slots, width = [], [], 0
-    for ax, qv in zip(traj.axes, varies):
-        name, N = ax.name.replace("%", "%%"), ax.errors.shape[1]
-        q = f if qv else "0"
-        phi = fields if ax.barrier is not None else nans
-        template.append(f"%s,0,{name},{fields},0,{zeros},0,{nans},{q}\n")
-        template += [f"%s,{i},{name},{fields},{f},{fields},{f},{phi},{q}\n" for i in range(1, N + 1)]
-        lead = 1 + n + qv
-        row = 2 * n + 3 + (n if ax.barrier is not None else 0) + qv
-        slots += [width] + [width + lead + i * row for i in range(N)]
-        width += lead + N * row
-    template = "".join(template)
-
-    def values(ax, qv, ks):
-        """The numbers of one axis's rows at the time nodes ``ks`` in
-        template order, one line per node, with 0 in the t slots."""
-        states, E = ax.states[ks], ax.errors[ks]
-        lead = [np.zeros((len(E), 1)), states[:, 0]]
-        rows = [np.zeros(E.shape[:2] + (1,)), states[:, 1:], ax.controls[ks][:, :, None], E,
-                ax.hnorm[ks][:, :, None]]
-        if ax.barrier is not None:
-            rows.append(ax.barrier[ks])
-        if qv:
-            lead.append(ax.disturbance[ks][:, :1])
-            rows.append(ax.disturbance[ks][:, 1:, None])
-        return np.concatenate(lead + [np.concatenate(rows, axis=2).reshape(len(E), -1)], axis=1)
-
+    # a -0.0 draw is still formatted
+    layout = _CsvLayout(traj.axes, [bool(ax.disturbance.view(np.uint64).any()) for ax in traj.axes])
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
+        fh.write(layout.header)
         for k0 in range(0, len(traj.times), 512):
-            ks = slice(k0, k0 + 512)
-            nodes = np.concatenate([values(ax, qv, ks) for ax, qv in zip(traj.axes, varies)], axis=1)
-            nodes = nodes.astype(object)
-            nodes[:, slots] = np.array([f % t for t in traj.times[ks].tolist()], dtype=object)[:, None]
-            fh.write("".join([template % tuple(v) for v in nodes.tolist()]))
+            fh.write(layout.text(traj.times, slice(k0, k0 + 512)))
+
+
+class _CsvWriter:
+    """A forked process that writes a trajectory CSV while ``simulate``
+    integrates (``_StreamedRecord``).
+
+    The file is opened, and truncated, here. ``start`` forks the writer,
+    which writes the header and then, for each node range that ``send``
+    pipes to it, appends the rows ``_CsvLayout.text`` makes of the
+    shared series; it only formats and writes, and ends with
+    ``os._exit``. ``finish`` closes the pipe, waits for the writer and
+    raises OSError with its error when it failed. ``close`` kills and
+    reaps a writer that was not finished and closes every descriptor
+    still open, on every path.
+    """
+
+    def __init__(self, path, times):
+        self.times = times
+        self.pid = None
+        self.fds = {"file": os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)}
+
+    def start(self, layout: _CsvLayout) -> None:
+        fds = self.fds
+        fds["ranges_in"], fds["ranges"] = os.pipe()
+        fds["errors"], fds["errors_out"] = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(fds["ranges"])
+                with open(fds["file"], "w", newline="\n") as fh, open(fds["ranges_in"], "rb") as ranges:
+                    fh.write(layout.header)
+                    while msg := ranges.read(16):
+                        k0, k1 = struct.unpack("2q", msg)
+                        fh.write(layout.text(self.times, slice(k0, k1)))
+                status = 0
+            except BaseException as exc:
+                try:
+                    os.write(fds["errors_out"], str(exc).encode()[:4096])
+                except BaseException:
+                    pass
+            finally:
+                os._exit(status)
+        for name in ("file", "ranges_in", "errors_out"):
+            os.close(fds.pop(name))
+
+    def send(self, k0: int, k1: int) -> None:
+        """Hand the nodes k0..k1-1 of the shared series to the writer."""
+        try:
+            os.write(self.fds["ranges"], struct.pack("2q", k0, k1))
+        except BrokenPipeError:
+            self.finish()  # the writer ended early: raises its error
+            raise
+
+    def finish(self) -> None:
+        os.close(self.fds.pop("ranges"))
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if status:
+            with open(self.fds.pop("errors"), "rb") as fh:
+                error = fh.read().decode(errors="replace")
+            raise OSError(f"trajectory writer failed: {error or os.waitstatus_to_exitcode(status)}")
+
+    def close(self) -> None:
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        for fd in self.fds.values():
+            os.close(fd)
+        self.fds = {}

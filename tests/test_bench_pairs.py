@@ -88,3 +88,21 @@ def test_direction_of_unlisted_metrics():
     assert bench_pairs.higher_is_better("attempted", directions)
     assert not bench_pairs.higher_is_better("failed", directions)
     assert not bench_pairs.higher_is_better("layer.cli.self_s", directions)
+
+
+def test_wall_clock_lines():
+    # the lines perfbench/run.py prints before its JSON line
+    lines = [
+        "workload paper_presets  seed 11  trace 0  ops 8  failed 0  correct True",
+        "setup_s 0.194 s (n=3)",
+        "steps_per_s 15961.2 1/s (n=2)",
+        "steps_per_s.wall 14873.5 1/s (n=2, wall clock, not rescaled)",
+        "setup_s.wall 0.201 s (n=3, wall clock, not rescaled)",
+        "fail_ratio 0 ratio (n=8, 0 failed)",
+        "record: .perfbench/paper_presets-seed11-trace0-pid1.json",
+    ]
+    assert bench_pairs.wall_metrics(lines) == {"steps_per_s.wall": 14873.5, "setup_s.wall": 0.201}
+    assert bench_pairs.wall_metrics(["steps_per_s 1 1/s (n=1)"]) == {}
+    directions = {"steps_per_s": True, "setup_s": False}
+    assert bench_pairs.higher_is_better("steps_per_s.wall", directions)
+    assert not bench_pairs.higher_is_better("setup_s.wall", directions)

@@ -459,6 +459,140 @@ def test_reproduce_paper_nonfinite_summary_exits_four_without_files(tmp_path, mo
     assert list(out_dir.iterdir()) == []
 
 
+def _no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def _count_writers(monkeypatch):
+    """Count the CSV writers that simulate forks."""
+    import homocon.simulation as simulation
+
+    forks = []
+    start = simulation._CsvWriter.start
+    monkeypatch.setattr(simulation._CsvWriter, "start",
+                        lambda self, layout: forks.append(1) or start(self, layout))
+    return forks
+
+
+def _long_config(**overrides):
+    # 400 steps: more than one draw chunk, so the CSV is streamed
+    cfg = small_config(**overrides)
+    cfg["sim"]["horizon"] = 0.4
+    return cfg
+
+
+@pytest.mark.parametrize("config", [small_config, _long_config])
+def test_temporary_names_never_overwrite_other_files(tmp_path, config):
+    # the summary's temporary file once took the CSV's name
+    # "s.json.tmp", and a user's "trajectory.csv.tmp" was overwritten
+    # and then deleted
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "trajectory.csv.tmp").write_text("kept\n")
+    for output in ({"trajectory_csv": "s.json.tmp", "summary": "s.json"}, {}):
+        cfg = config(output=output)
+        argv = ["simulate", "--config", write_config(tmp_path, cfg), "--output", str(out_dir)]
+        assert main(argv) == EXIT_OK
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "s.json", "s.json.tmp", "summary.json", "trajectory.csv", "trajectory.csv.tmp"]
+    assert (out_dir / "trajectory.csv.tmp").read_text() == "kept\n"
+    for csv, summary in (("s.json.tmp", "s.json"), ("trajectory.csv", "summary.json")):
+        assert (out_dir / csv).read_text().startswith("t,agent,axis,")
+        assert "X" in json.loads((out_dir / summary).read_text())
+    assert _no_children()
+
+
+def test_output_files_take_the_umask_mode(tmp_path):
+    out_dir = tmp_path / "out"
+    old = os.umask(0o027)
+    try:
+        for config in (small_config, _long_config):
+            argv = ["simulate", "--config", write_config(tmp_path, config()), "--output", str(out_dir)]
+            assert main(argv) == EXIT_OK
+            for name in ("trajectory.csv", "summary.json"):
+                assert (out_dir / name).stat().st_mode & 0o777 == 0o640, name
+    finally:
+        os.umask(old)
+
+
+def _fail_after_first_chunk(monkeypatch):
+    import homocon.simulation as simulation
+
+    calls = []
+    step = simulation._Block.step_implicit
+
+    def failing(self, *args):
+        calls.append(1)
+        if len(calls) == simulation._DRAW_CHUNK + 44:
+            raise simulation.NonConvergentStep("injected")
+        return step(self, *args)
+
+    monkeypatch.setattr(simulation._Block, "step_implicit", failing)
+
+
+def _fail_in_writer(monkeypatch):
+    import errno
+
+    import homocon.simulation as simulation
+
+    def full(self, times, ks):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(simulation._CsvLayout, "text", full)
+
+
+def _nan_summary(monkeypatch):
+    import homocon.cli as cli
+
+    monkeypatch.setattr(cli, "_summarize", _nan_overshoot(cli._summarize))
+
+
+# each case: (patch, exit code, text on stderr)
+STREAMED_FAILURES = {
+    "nonconvergent_step": (_fail_after_first_chunk, EXIT_INTEGRATION, "integration failed"),
+    "nonfinite_summary": (_nan_summary, EXIT_INTEGRATION, "non-finite summary"),
+    "writer_fails": (_fail_in_writer, EXIT_BAD_INPUT, "cannot write output"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAMED_FAILURES))
+def test_streamed_run_failures_leave_no_file_and_no_process(tmp_path, monkeypatch, capsys, case):
+    patch, code, message = STREAMED_FAILURES[case]
+    forks = _count_writers(monkeypatch)
+    patch(monkeypatch)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    config = write_config(tmp_path, _long_config(output={}))
+    assert main(["simulate", "--config", config, "--output", str(out_dir)]) == code
+    assert message in capsys.readouterr().err
+    assert forks == [1]
+    assert _no_children()
+    assert list(out_dir.iterdir()) == []
+
+
+def test_reproduce_paper_streamed_failure_leaves_no_file_and_no_process(tmp_path, monkeypatch):
+    import homocon.cli as cli
+
+    preset_config = cli._preset_config
+
+    def short(run):
+        cfg = preset_config(run)
+        cfg["sim"]["horizon"] = 0.3  # 300 steps: streamed
+        return cfg
+
+    monkeypatch.setattr(cli, "_preset_config", short)
+    forks = _count_writers(monkeypatch)
+    _nan_summary(monkeypatch)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["reproduce-paper", "--output", str(out_dir)]) == EXIT_INTEGRATION
+    assert len(forks) == len(cli.PRESET_RUNS)
+    assert _no_children()
+    assert list(out_dir.iterdir()) == []
+
+
 def _paths(node, prefix=()):
     """Path of every key and list item below ``node``."""
     items = node.items() if isinstance(node, dict) else enumerate(node)

@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -1220,6 +1221,56 @@ def test_csv_equals_every_field_formatted(tmp_path):
         assert new.read_bytes() == old.read_bytes(), case
     line = (tmp_path / "negative_zero.csv").read_text().splitlines()[1 + 3 * 4 + 2]  # node 3, agent 2
     assert line.endswith(",-0"), line
+
+
+def _streamed_cases():
+    """Scenarios for the streamed CSV: a disturbed axis, an undisturbed
+    one, a disturbed axis whose amplitudes are all 0 and a linear axis
+    without a cone, over horizons on both sides of one draw chunk; and a
+    run that settles into its leader-only tail."""
+    axes = (
+        reference_axis("X%d", disturbance=DisturbanceSpec(np.array([0.0, 0.3, 0.2, 0.1]), seed=4)),
+        reference_axis("Y", mu=-0.5),
+        reference_axis("Z", mu=-1.0, disturbance=DisturbanceSpec(np.zeros(4), seed=5)),
+        AxisSpec("V", linear_protocol(2, 1.0), reference_axis().initial),
+    )
+    cases = {
+        f"steps_{steps}": ScenarioConfig(chain_graph(), 2, axes, 1e-3, steps * 1e-3, "implicit_euler", 3)
+        for steps in (1, _DRAW_CHUNK, _DRAW_CHUNK + 1, 600)
+    }
+    cases["settled"] = _settling_scenario()
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_streamed_cases()))
+def test_streamed_csv_is_the_csv_of_the_same_run(tmp_path, monkeypatch, case):
+    # a run longer than one draw chunk formats its CSV in a forked writer
+    # while it integrates; the file and the arrays are those of a run
+    # without a destination
+    import homocon.simulation as simulation
+    from oracles import write_trajectory_csv as write_every_field
+
+    forks = []
+    start = simulation._CsvWriter.start
+    monkeypatch.setattr(simulation._CsvWriter, "start",
+                        lambda self, layout: forks.append(1) or start(self, layout))
+    scen = _streamed_cases()[case]
+    plain = simulate(scen)
+    streamed = simulate(scen, tmp_path / "streamed.csv")
+    assert len(forks) == (scen.steps > _DRAW_CHUNK)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _same_arrays(plain.times, streamed.times)
+    assert plain.axis_names == streamed.axis_names
+    for a, b in zip(plain.axes, streamed.axes):
+        for name in ("states", "errors", "controls", "hnorm", "barrier", "disturbance"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x is None) == (y is None), (a.name, name)
+            assert x is None or _same_arrays(x, y), (a.name, name)
+    if case == "settled":
+        assert np.all(plain.axes[0].errors[-1] == 0.0) and plain.axes[0].states[-1, 0, 0] != 0.0
+    write_every_field(plain, tmp_path / "oracle.csv")
+    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 # -- config validation ----------------------------------------------------------------

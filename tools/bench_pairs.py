@@ -11,7 +11,10 @@ every workload and seed the two checkouts run ``python3 perfbench/run.py
 --workload W --seed N --seconds S --trace 0`` one after the other, the
 parent first at even positions and the change first at odd ones, so a
 drift of the machine's speed falls on both sides alike. Each run's last
-line of standard output is its JSON result. ``--trace-pairs K`` adds K
+line of standard output is its JSON result; the wall-clock metrics it
+prints before that line (``steps_per_s.wall``, ``setup_s.wall``, not
+rescaled by the reference clock) are kept beside the JSON metrics and
+summarised the same way. ``--trace-pairs K`` adds K
 traced pairs (``--trace 1``) per workload on the first K seeds, for the
 per-layer metrics.
 
@@ -90,14 +93,29 @@ def machine() -> dict:
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One benchmark process; returns its last JSON line."""
+    """One benchmark process; returns its last JSON line, with the
+    wall-clock metrics of the lines before it added to its metrics."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=TIMEOUT_S)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{root}: {' '.join(cmd)} exited {proc.returncode}\n{proc.stderr}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["metrics"].update({k: {"value": v} for k, v in wall_metrics(lines[:-1]).items()})
+    return result
+
+
+def wall_metrics(lines: list) -> dict:
+    """The metrics that ``perfbench/run.py`` prints on the wall clock, not
+    rescaled by its reference clock: lines such as
+    ``steps_per_s.wall 15961.2 1/s (n=8, wall clock, not rescaled)``."""
+    out = {}
+    for line in lines:
+        name, _, rest = line.partition(" ")
+        if name.endswith(".wall") and rest:
+            out[name] = float(rest.split()[0])
+    return out
 
 
 def summary(runs: list) -> dict:
@@ -138,7 +156,8 @@ def series(args, workload: str, seeds: list, trace: int, directions: dict) -> di
                 values[side].setdefault(name, []).append(value)
             print(f"{workload} seed {seed} trace {trace} {side}: "
                   + " ".join(f"{k}={metrics[k]:.6g}" for k in sorted(metrics)
-                             if k in directions or k in ("failed", "attempted")),
+                             if k.removesuffix(".wall") in directions
+                             or k in ("failed", "attempted")),
                   file=sys.stderr, flush=True)
     out = {"seeds": seeds, "first_in_pair": first}
     for name in values["parent"]:
@@ -149,7 +168,8 @@ def series(args, workload: str, seeds: list, trace: int, directions: dict) -> di
 
 
 def higher_is_better(name: str, directions: dict) -> bool:
-    return directions.get(name, name in ("attempted",))
+    """A wall-clock metric ``M.wall`` goes the way of M."""
+    return directions.get(name.removesuffix(".wall"), name in ("attempted",))
 
 
 def claim_met(got: dict, target: float, higher: bool, pairs: int) -> bool:
