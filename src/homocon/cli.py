@@ -80,19 +80,23 @@ class _Staged:
     def __enter__(self):
         return self
 
-    def path(self, target: str) -> str:
+    def _create(self, target: str) -> int:
         head, tail = os.path.split(target)
         while True:
             tmp = os.path.join(head, f"{tail}.{secrets.token_hex(4)}.tmp")
             try:
-                os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             except FileExistsError:
                 continue
             self.files.append((tmp, target))
-            return tmp
+            return fd
+
+    def path(self, target: str) -> str:
+        os.close(self._create(target))
+        return self.files[-1][0]
 
     def text(self, target: str, text: str) -> None:
-        with open(self.path(target), "w", newline="\n") as fh:
+        with open(self._create(target), "w", newline="\n") as fh:
             fh.write(text)
 
     def commit(self) -> None:

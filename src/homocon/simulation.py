@@ -1121,10 +1121,25 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     """
     # a -0.0 draw is still formatted
     layout = _CsvLayout(traj.axes, [bool(ax.disturbance.view(np.uint64).any()) for ax in traj.axes])
-    with open(path, "w", newline="\n") as fh:
+    with open(_open_csv(path), "w", newline="\n") as fh:
         fh.write(layout.header)
         for k0 in range(0, len(traj.times), 512):
             fh.write(layout.text(traj.times, slice(k0, k0 + 512)))
+
+
+def _open_csv(path) -> int:
+    """A descriptor that writes ``path`` from its start, as
+    ``open(path, "w")`` does, but truncates only a file that holds data:
+    ext4 flushes a file that was truncated, even from empty, when it is
+    closed, and the CLI hands over empty temporary files."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        if os.fstat(fd).st_size:
+            os.ftruncate(fd, 0)
+    except BaseException:
+        os.close(fd)
+        raise
+    return fd
 
 
 def _current_cpu():
@@ -1143,7 +1158,7 @@ class _CsvWriter:
     """A forked process that writes a trajectory CSV while ``simulate``
     integrates (``_StreamedRecord``).
 
-    The file is opened, and truncated, here. ``start`` forks the writer,
+    The file is opened here (``_open_csv``). ``start`` forks the writer,
     which writes the header and then, for each node range that ``send``
     pipes to it, appends the rows ``_CsvLayout.text`` makes of the
     shared series; it only formats and writes, and ends with
@@ -1156,7 +1171,7 @@ class _CsvWriter:
     def __init__(self, path, times):
         self.times = times
         self.pid = None
-        self.fds = {"file": os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)}
+        self.fds = {"file": _open_csv(path)}
 
     def start(self, layout: _CsvLayout) -> None:
         fds = self.fds

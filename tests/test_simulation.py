@@ -1245,8 +1245,8 @@ def _streamed_cases():
 @pytest.mark.parametrize("case", sorted(_streamed_cases()))
 def test_streamed_csv_is_the_csv_of_the_same_run(tmp_path, monkeypatch, case):
     # a run longer than one draw chunk formats its CSV in a forked writer
-    # while it integrates; the file and the arrays are those of a run
-    # without a destination
+    # while it integrates; the file, written over a longer one, and the
+    # arrays are those of a run without a destination
     import homocon.simulation as simulation
     from oracles import write_trajectory_csv as write_every_field
 
@@ -1256,6 +1256,7 @@ def test_streamed_csv_is_the_csv_of_the_same_run(tmp_path, monkeypatch, case):
                         lambda self, layout: forks.append(1) or start(self, layout))
     scen = _streamed_cases()[case]
     plain = simulate(scen)
+    (tmp_path / "streamed.csv").write_text("an older, longer file\n" * 200_000)
     streamed = simulate(scen, tmp_path / "streamed.csv")
     assert len(forks) == (scen.steps > _DRAW_CHUNK)
     with pytest.raises(ChildProcessError):
