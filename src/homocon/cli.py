@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import secrets
 import sys
 
 import numpy as np
@@ -69,8 +68,9 @@ class _Staged:
 
     ``path(target)`` creates a new empty file beside ``target``, under a
     unique name and exclusively, so no other file is overwritten, with
-    the mode that the umask gives a new file; ``commit`` renames each
-    onto its target in order. Leaving the ``with`` block removes every
+    the mode that the umask gives a new file, and ``text(target, text)``
+    writes one through the descriptor that created it; ``commit``
+    renames each onto its target in order. Leaving the ``with`` block removes every
     temporary file not renamed, so a failed run leaves nothing partial.
     """
 
@@ -83,7 +83,7 @@ class _Staged:
     def _create(self, target: str) -> int:
         head, tail = os.path.split(target)
         while True:
-            tmp = os.path.join(head, f"{tail}.{secrets.token_hex(4)}.tmp")
+            tmp = os.path.join(head, f"{tail}.{os.urandom(4).hex()}.tmp")
             try:
                 fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             except FileExistsError:

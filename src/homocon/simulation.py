@@ -47,10 +47,10 @@ own (``protocols._law``, ``homogeneity._log_norms``,
 
 Runs are deterministic: identical configuration and seed give
 bit-identical trajectories and CSV files. Given a CSV destination,
-``simulate`` has a run longer than one draw chunk formatted by a forked
-writer process while it integrates, on the other core: the
+``simulate`` has the CSV of a run longer than one draw chunk formatted
+by a forked writer process on another CPU while it integrates: the
 integration's loop is bound by dispatch, and formatting %.17g fields
-takes about a third of a preset run. A batch reduces each run
+takes about a third of a preset run's time. A batch reduces each run
 (overshoot, norms, barrier minimum, squared error) once per draw chunk
 of nodes, with the calls ``simulate`` makes on its full recording.
 """
@@ -1196,6 +1196,8 @@ class _CsvWriter:
                         fh.write(layout.text(self.times, slice(k0, k1)))
                 status = 0
             except BaseException as exc:
+                # reported to the parent: the writer never returns into
+                # the caller's code
                 try:
                     os.write(fds["errors_out"], str(exc).encode()[:4096])
                 except BaseException:
