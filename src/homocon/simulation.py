@@ -46,13 +46,15 @@ own (``protocols._law``, ``homogeneity._log_norms``,
 ``homogeneity._project_to_sphere``).
 
 Runs are deterministic: identical configuration and seed give
-bit-identical trajectories and CSV files. Given a CSV destination,
-``simulate`` has the CSV of a run longer than one draw chunk formatted
-by a forked writer process on another CPU while it integrates: the
-integration's loop is bound by dispatch, and formatting %.17g fields
-takes about a third of a preset run's time. A batch reduces each run
-(overshoot, norms, barrier minimum, squared error) once per draw chunk
-of nodes, with the calls ``simulate`` makes on its full recording.
+bit-identical trajectories and CSV files. Both entry points buffer one
+draw chunk of raw nodes and derive it once the chunk ends: ``simulate``
+into the recorded series it returns, a batch into each run's
+reductions (overshoot, norms, barrier minimum, squared error), with the
+same calls. Given a CSV destination, ``simulate`` has the CSV of a run
+longer than one draw chunk formatted by a forked writer process on
+another CPU while it integrates: the integration's loop is bound by
+dispatch, and formatting %.17g fields takes about a third of a preset
+run's time.
 """
 
 from __future__ import annotations
@@ -127,9 +129,10 @@ class AxisSpec:
 
 
 # Largest run a scenario may ask for, in recorded state values
-# (steps + 1) * (N + 1) * n * axes: a full recording stores about this
-# many floats per series, 0.8 GB each at the bound. reproduce-paper
-# records about 3.2e5.
+# (steps + 1) * (N + 1) * n * axes: ``simulate`` returns about this many
+# floats in its states and as many in its errors and barriers, 0.8 GB
+# each at the bound, and holds besides only one draw chunk of raw nodes.
+# reproduce-paper records about 3.2e5.
 MAX_RECORDED_VALUES = 10**8
 
 
@@ -640,7 +643,7 @@ def _log_norm_roots(g: _Axis, a, beta, s0):
 
 
 # ---------------------------------------------------------------------------
-# the integration loop and its two recorders
+# the integration loop and its chunked recorders
 
 
 class _Draws:
@@ -686,127 +689,114 @@ class _Draws:
         return q0, dq, qhat
 
 
-class _FullRecord:
-    """Every node of every row, for ``simulate`` (a single run)."""
-
-    keeps_leaders = True
-
-    def __init__(self, block: _Block, T: int):
-        self.block = block
-        self.L = np.empty((T + 1,) + block.L0.shape)
-        self.E = np.empty((T + 1,) + block.E0.shape)
-        self.u = np.empty((T + 1, block.M))
-        self.s = np.empty((T + 1, block.m_curved))
-        self.q = {g: np.zeros((T + 1, block.B, block.N + 1)) for g in block.axes}
-
-    def record(self, k, L, E, u, s):
-        self.L[k] = L
-        self.E[k] = E
-        self.u[k] = u
-        self.s[k] = s
-
-    def draws(self, k, qhat):
-        for g, q in qhat.items():
-            self.q[g][k:k + q.shape[0]] = q
-
-    def reduce(self):
-        pass
-
-    def series(self, g: _Axis, ks=slice(None)) -> dict:
-        """The recorded series of one axis of a single run at the time
-        nodes ``ks``, by ``AxisTrajectory`` field."""
-        errors = np.ascontiguousarray(self.E[ks, g.rows])
-        lead = self.L[ks, g.lead.start][:, None, :]
-        s = g.log_norms(errors, self.s[ks])
-        return dict(
-            states=np.concatenate([lead, lead + errors], axis=1),
-            errors=errors,
-            controls=np.ascontiguousarray(self.u[ks, g.rows]),
-            hnorm=g.hnorm(errors, s),
-            # a stack of per-node products, each shaped as in _BatchRecord
-            barrier=g.barrier(errors, s) if g.spec.cone is not None else None,
-            disturbance=self.q[g][ks, 0],
-        )
-
-    def finish(self) -> tuple:
-        """Every axis's recorded series, once the final node is set."""
-        return tuple(AxisTrajectory(name=g.spec.name, **self.series(g)) for g in self.block.in_order)
-
-
-class _StreamedRecord(_FullRecord):
-    """A full recording whose trajectory CSV a forked ``_CsvWriter``
-    formats while the integration runs.
-
-    Every axis's recorded series live in one anonymous shared mapping,
-    which the writer, forked here before the first step, reads. At the
-    end of each draw chunk ``reduce`` derives the series of the nodes
-    that are complete, with the calls ``_FullRecord.series`` makes, and
-    sends their range to the writer. A node is complete once its
-    disturbance is drawn, with the chunk that starts at it, so a chunk's
-    last node waits for the next chunk; ``finish`` sends the final node,
-    once ``simulate`` has set its control.
-    """
-
-    def __init__(self, block: _Block, T: int, writer: _CsvWriter):
-        super().__init__(block, T)
-        N, n = block.N, block.n
-        shapes = {
-            "states": (T + 1, N + 1, n), "errors": (T + 1, N, n), "controls": (T + 1, N),
-            "hnorm": (T + 1, N), "barrier": (T + 1, N, n), "disturbance": (T + 1, N + 1),
-        }
-        fields = [(g, k) for g in block.in_order for k in shapes
-                  if k != "barrier" or g.spec.cone is not None]
-        shared = mmap.mmap(-1, 8 * sum(math.prod(shapes[k]) for _, k in fields))
-        arrays, at = {g: dict(barrier=None) for g in block.in_order}, 0
-        for g, k in fields:
-            arrays[g][k] = np.frombuffer(shared, float, math.prod(shapes[k]), at).reshape(shapes[k])
-            at += arrays[g][k].nbytes
-        self.axes = tuple(AxisTrajectory(name=g.spec.name, **arrays[g]) for g in block.in_order)
-        self.writer = writer
-        self.done = self.stop = 0  # nodes handed over, nodes recorded
-        # an axis without a disturbance records q = +0.0 throughout
-        writer.start(_CsvLayout(self.axes, [g.spec.disturbance is not None for g in block.in_order]))
-
-    def record(self, k, L, E, u, s):
-        super().record(k, L, E, u, s)
-        self.stop = k + 1
-
-    def reduce(self, last=1):
-        """Derive and hand over the recorded nodes but the ``last``."""
-        ks = slice(self.done, self.stop - last)
-        for g, ax in zip(self.block.in_order, self.axes):
-            for name, value in self.series(g, ks).items():
-                if value is not None:
-                    getattr(ax, name)[ks] = value
-        self.writer.send(ks.start, ks.stop)
-        self.done = ks.stop
-
-    def finish(self) -> tuple:
-        self.reduce(0)
-        self.writer.finish()
-        return self.axes
-
-
-class _BatchRecord:
-    """Per-run reductions of every axis, for ``simulate_batch``.
-
-    The reductions read errors only, so the leaders are never advanced.
-    ``record`` only copies each node's errors and curved-row log norms
-    into a buffer of one draw chunk of nodes; ``reduce`` then reduces
-    the whole chunk with one stacked call per axis over its (nodes, rows,
-    n) errors, the calls ``_FullRecord.axis`` makes. A settled chunk,
-    whose nodes all repeat the first one's bits, reduces that node only,
-    and ``repeat`` copies the last reduced node over the nodes after it.
+class _ChunkRecord:
+    """One draw chunk of raw nodes. ``record`` buffers each node's
+    errors and curved-row log norms, and for a recorder that
+    ``keeps_leaders`` its leaders and controls; once the chunk ends,
+    ``reduce`` has ``derive`` turn them into the run's outputs, with one
+    stacked call per axis over their (nodes, rows, n) errors.
     """
 
     keeps_leaders = False
 
-    def __init__(self, block: _Block, T: int):
-        B, N = block.B, block.N
+    def __init__(self, block: _Block):
+        nodes = _DRAW_CHUNK + 1
         self.block = block
-        self.E = np.empty((_DRAW_CHUNK + 1,) + block.E0.shape)
-        self.s = np.empty((_DRAW_CHUNK + 1, block.m_curved))
+        self.E = np.empty((nodes,) + block.E0.shape)
+        self.s = np.empty((nodes, block.m_curved))
+        if self.keeps_leaders:
+            self.L = np.empty((nodes,) + block.L0.shape)
+            self.u = np.empty((nodes, block.M))
         self.start = self.stop = 0  # buffered nodes start..stop-1
+
+    def record(self, k, L, E, u, s):
+        i = k - self.start
+        self.E[i] = E
+        self.s[i] = s
+        if self.keeps_leaders:
+            self.L[i] = L
+            self.u[i] = u
+        self.stop = k + 1
+
+    def draws(self, k, qhat):
+        pass
+
+    def reduce(self):
+        self.derive(slice(self.start, self.stop), self.stop - self.start)
+        self.start = self.stop
+
+
+class _TrajectoryRecord(_ChunkRecord):
+    """Every node of a single run, for ``simulate``: the axes'
+    ``AxisTrajectory`` arrays, into which the draws go directly.
+
+    The final node's control is the law there. With a ``_CsvWriter``,
+    forked here before the first step, the arrays live in anonymous
+    shared mappings, and each chunk sends the writer its complete nodes:
+    a node's disturbance is drawn with the chunk that starts at it, so a
+    chunk's last node waits for the next one. Otherwise they are
+    private: a MAP_SHARED array is not copy-on-write, so a process forked
+    later that wrote to it would change the caller's trajectory.
+    """
+
+    keeps_leaders = True
+
+    def __init__(self, block: _Block, T: int, writer: _CsvWriter | None = None):
+        super().__init__(block)
+
+        def alloc(*shape):  # zeroed: the final node and undisturbed axes draw nothing
+            if writer is None:
+                return np.zeros(shape)
+            return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), float).reshape(shape)
+
+        N, n = block.N, block.n
+        self.axes = {g: AxisTrajectory(
+            g.spec.name, states=alloc(T + 1, N + 1, n), errors=alloc(T + 1, N, n),
+            controls=alloc(T + 1, N), hnorm=alloc(T + 1, N), disturbance=alloc(T + 1, N + 1),
+            barrier=alloc(T + 1, N, n) if g.spec.cone is not None else None,
+        ) for g in block.in_order}
+        self.T, self.writer = T, writer
+        if writer is not None:
+            # an axis without a disturbance records q = +0.0 throughout
+            writer.start(_CsvLayout(tuple(self.axes.values()),
+                                    [g.spec.disturbance is not None for g in block.in_order]))
+
+    def draws(self, k, qhat):
+        for g, q in qhat.items():
+            self.axes[g].disturbance[k:k + q.shape[0]] = q[:, 0]
+
+    def derive(self, ks, count):
+        final = ks.stop == self.T + 1
+        if final:
+            self.u[count - 1], _ = self.block.eval(self.E[count - 1], self.s[count - 1])
+        for g, ax in self.axes.items():
+            errors = np.ascontiguousarray(self.E[:count, g.rows])
+            lead = self.L[:count, g.lead.start][:, None, :]
+            s = g.log_norms(errors, self.s[:count])
+            ax.states[ks] = np.concatenate([lead, lead + errors], axis=1)
+            ax.errors[ks] = errors
+            ax.controls[ks] = self.u[:count, g.rows]
+            ax.hnorm[ks] = g.hnorm(errors, s)
+            if ax.barrier is not None:
+                # a stack of per-node products, each shaped as in _BatchRecord
+                ax.barrier[ks] = g.barrier(errors, s)
+        if self.writer is not None:
+            self.writer.send(max(ks.start - 1, 0), ks.stop if final else ks.stop - 1)
+            if final:
+                self.writer.finish()
+
+
+class _BatchRecord(_ChunkRecord):
+    """Per-run reductions of every axis, for ``simulate_batch``, with
+    the calls of ``_TrajectoryRecord.derive``. They read errors only, so
+    the leaders are never advanced. A settled chunk, whose nodes all
+    repeat the first one's bits, reduces that node only; once the block
+    has settled, the last node's reductions are copied over the rest.
+    """
+
+    def __init__(self, block: _Block, T: int):
+        super().__init__(block)
+        B, N = block.B, block.N
         self.efirst_max = {g: np.empty((T + 1, B)) for g in block.axes}
         self.hnorm = {g: np.empty((T + 1, B, N)) for g in block.axes}
         self.phimin = {
@@ -814,18 +804,8 @@ class _BatchRecord:
         }
         self.errsq = {g: np.empty((T + 1, B)) for g in block.axes}
 
-    def record(self, k, L, E, u, s):
-        self.E[k - self.start] = E
-        self.s[k - self.start] = s
-        self.stop = k + 1
-
-    def draws(self, k, qhat):
-        pass
-
-    def reduce(self):
+    def derive(self, ks, count):
         B, N, n = self.block.B, self.block.N, self.block.n
-        ks = slice(self.start, self.stop)
-        count = self.stop - self.start
         E, s_all = self.E[:count], self.s[:count]
         if _same_bits(E, E[:1]) and _same_bits(s_all, s_all[:1]):
             count, E, s_all = 1, E[:1], s_all[:1]  # broadcast over the chunk
@@ -839,15 +819,11 @@ class _BatchRecord:
             if g.spec.cone is not None:
                 phi = g.barrier(errors, s)
                 self.phimin[g][ks] = rowsum(phi.reshape(count, B, N * n), np.minimum)
-        self.start = self.stop
-
-    def repeat(self):
-        """Every node after the last reduced one repeats its reductions."""
-        k = self.stop - 1
-        for out in (self.efirst_max, self.hnorm, self.phimin, self.errsq):
-            for x in out.values():
-                if x is not None:
-                    x[k + 1:] = x[k]
+        if self.block.settled_node is not None:
+            for out in (self.efirst_max, self.hnorm, self.phimin, self.errsq):
+                for x in out.values():
+                    if x is not None:
+                        x[ks.stop:] = x[ks.stop - 1]
 
 
 def _same_bits(x, y):
@@ -866,7 +842,7 @@ def _integrate(cfg: ScenarioConfig, inits, recorder, dist_scales=None):
     curved row and returns its input errors bit for bit, the next step
     would see the same errors and no warm start, so every later node
     repeats that one (``block.settled_node``): from there on only the
-    kept leaders are stepped, and a batch ends with ``repeat``.
+    kept leaders are stepped, and a batch ends at that node's chunk.
     Raises NonConvergentStep when an error, or a kept leader state, is
     not finite at the end of a draw chunk.
     Returns (block, recorder, final errors, final log norms).
@@ -903,7 +879,6 @@ def _integrate(cfg: ScenarioConfig, inits, recorder, dist_scales=None):
                 raise NonConvergentStep("integration produced non-finite states")
             rec.reduce()
             if block.settled_node is not None and not leaders:
-                rec.repeat()
                 break
     return block, rec, E, s
 
@@ -927,26 +902,24 @@ def simulate(cfg: ScenarioConfig, csv=None) -> Trajectory:
     A run of more than one draw chunk of steps has its CSV formatted by
     a forked writer process while it integrates, where ``os.fork``
     exists; it is reaped before ``simulate`` returns or raises, and its
-    failure raises OSError. Other runs write the CSV after the
-    integration. Either way the arrays and the file are the same.
-    Deterministic: the same configuration and seed produce identical
-    arrays and byte-identical CSV files.
+    failure raises OSError. When such a run fails, whether in the
+    integration or in the writer, the file at ``csv`` is left empty.
+    Other runs write the CSV after the integration, and leave the file
+    untouched when they fail. Either way the arrays and the file are the
+    same. Deterministic: the same configuration and seed produce
+    identical arrays and byte-identical CSV files.
     """
     times = np.arange(cfg.steps + 1) * cfg.dt
     inits = [ax.initial[None] for ax in cfg.axes]
-    writer, recorder = None, _FullRecord
+    writer = None
     if csv is not None and cfg.steps > _DRAW_CHUNK and hasattr(os, "fork"):
         writer = _CsvWriter(csv, times)
-        recorder = functools.partial(_StreamedRecord, writer=writer)
     try:
-        block, rec, E, s = _integrate(cfg, inits, recorder)
-        # final node control column: repeat the nodal law value
-        with np.errstate(over="ignore", invalid="ignore"):
-            rec.u[-1], _ = block.eval(E, s)
-        traj = Trajectory(times=times, axes=rec.finish(), dt=cfg.dt)
+        _, rec, _, _ = _integrate(cfg, inits, functools.partial(_TrajectoryRecord, writer=writer))
     finally:
         if writer is not None:
             writer.close()
+    traj = Trajectory(times=times, axes=tuple(rec.axes.values()), dt=cfg.dt)
     if csv is not None and writer is None:
         write_trajectory_csv(traj, csv)
     return traj
@@ -1156,7 +1129,7 @@ def _current_cpu():
 
 class _CsvWriter:
     """A forked process that writes a trajectory CSV while ``simulate``
-    integrates (``_StreamedRecord``).
+    integrates (``_TrajectoryRecord``).
 
     The file is opened here (``_open_csv``). ``start`` forks the writer,
     which writes the header and then, for each node range that ``send``
@@ -1165,12 +1138,15 @@ class _CsvWriter:
     ``os._exit``. ``finish`` closes the pipe, waits for the writer and
     raises OSError with its error when it failed. ``close`` kills and
     reaps a writer that was not finished and closes every descriptor
-    still open, on every path.
+    still open, on every path; unless ``finish`` succeeded, it first
+    truncates the file to empty, through the descriptor kept here, so
+    that a failed run leaves no partial CSV behind.
     """
 
     def __init__(self, path, times):
         self.times = times
         self.pid = None
+        self.finished = False
         self.fds = {"file": _open_csv(path)}
 
     def start(self, layout: _CsvLayout) -> None:
@@ -1204,7 +1180,7 @@ class _CsvWriter:
                     pass
             finally:
                 os._exit(status)
-        for name in ("file", "ranges_in", "errors_out"):
+        for name in ("ranges_in", "errors_out"):
             os.close(fds.pop(name))
 
     def send(self, k0: int, k1: int) -> None:
@@ -1223,12 +1199,18 @@ class _CsvWriter:
             with open(self.fds.pop("errors"), "rb") as fh:
                 error = fh.read().decode(errors="replace")
             raise OSError(f"trajectory writer failed: {error or os.waitstatus_to_exitcode(status)}")
+        self.finished = True
 
     def close(self) -> None:
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-        for fd in self.fds.values():
-            os.close(fd)
-        self.fds = {}
+        try:
+            if self.pid is not None:
+                os.kill(self.pid, signal.SIGKILL)
+                os.waitpid(self.pid, 0)
+                self.pid = None
+            # a device or pipe has no size, and may not be truncated
+            if not self.finished and os.fstat(self.fds["file"]).st_size:
+                os.ftruncate(self.fds["file"], 0)
+        finally:
+            for fd in self.fds.values():
+                os.close(fd)
+            self.fds = {}

@@ -2,6 +2,7 @@
 benchmark run)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -106,3 +107,65 @@ def test_wall_clock_lines():
     directions = {"steps_per_s": True, "setup_s": False}
     assert bench_pairs.higher_is_better("steps_per_s.wall", directions)
     assert not bench_pairs.higher_is_better("setup_s.wall", directions)
+
+
+def test_reproduce_paper_pairs(tmp_path, monkeypatch):
+    # K alternating pairs of stand-in runs, summarised like the benchmark's
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root in (parent, change):
+        root.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({
+        "end_to_end": [{"name": "peak_rss_mb", "better": "lower"}], "per_layer": []}))
+    calls = []
+
+    def fake(root):
+        calls.append(root.name)
+        k = len(calls)
+        if root == parent:
+            return {"wall_s": 5.0 + 0.1 * k, "peak_rss_mb": 60.0}
+        return {"wall_s": 4.0 + 0.1 * k, "peak_rss_mb": 50.0 + k}
+
+    monkeypatch.setattr(bench_pairs, "run_reproduce_paper", fake)
+    out = tmp_path / "record.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--reproduce-paper", "4",
+            "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    assert calls == ["parent", "change", "change", "parent"] * 2
+    got = json.loads(out.read_text())["reproduce_paper"]
+    assert got["first_in_pair"] == ["parent", "change"] * 2
+    wall = got["wall_s"]
+    assert wall["parent"]["runs"] == pytest.approx([5.1, 5.4, 5.5, 5.8])
+    assert wall["change"]["runs"] == pytest.approx([4.2, 4.3, 4.6, 4.7])
+    assert wall["pairs_change_better"] == 4  # lower is better
+    assert got["peak_rss_mb"]["change"]["runs"] == [52.0, 53.0, 56.0, 57.0]
+    assert got["peak_rss_mb"]["pairs_change_better"] == 4
+    with pytest.raises(SystemExit):
+        bench_pairs.parse_args(argv + ["--seeds", "1-2"])
+    with pytest.raises(SystemExit):
+        bench_pairs.parse_args(["--parent", "p", "--change", "c", "--out", "o"])
+
+
+def _stub_checkout(root, body):
+    """A checkout whose ``homocon.cli`` runs ``body`` (no homocon code)."""
+    package = root / "src" / "homocon"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text("import sys\nfrom pathlib import Path\n" + body)
+    return root
+
+
+def test_reproduce_paper_run_measures_the_child(tmp_path):
+    # the run imports the checkout's src/, writes into a fresh output
+    # directory, and its peak RSS is the child's own
+    ok = _stub_checkout(tmp_path / "ok", (
+        "assert sys.argv[1:3] == ['reproduce-paper', '--output']\n"
+        "assert not any(Path(sys.argv[3]).iterdir())\n"
+        "(Path(sys.argv[3]) / 'summary.json').write_text('{}')\n"
+        "block = bytearray(64 << 20)\n"))
+    got = bench_pairs.run_reproduce_paper(ok)
+    assert set(got) == {"wall_s", "peak_rss_mb"}
+    assert got["wall_s"] > 0.0
+    assert 64.0 < got["peak_rss_mb"] < 1024.0
+    failing = _stub_checkout(tmp_path / "failing", "sys.exit('no presets')\n")
+    with pytest.raises(RuntimeError, match="exited 1"):
+        bench_pairs.run_reproduce_paper(failing)

@@ -11,8 +11,10 @@ from homocon.graphs import DirectedGraph, solve_transmitted
 from homocon.homogeneity import DilationGenerator, HomogeneousNormContext
 from homocon.protocols import (
     IntegratorChain,
+    consensus_protocol,
     control_input,
     control_input_many,
+    linear_gain,
     linear_protocol,
     nonovershoot_protocol,
 )
@@ -1272,6 +1274,89 @@ def test_streamed_csv_is_the_csv_of_the_same_run(tmp_path, monkeypatch, case):
         assert np.all(plain.axes[0].errors[-1] == 0.0) and plain.axes[0].states[-1, 0, 0] != 0.0
     write_every_field(plain, tmp_path / "oracle.csv")
     assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def _fail_integration(monkeypatch, chunks):
+    import homocon.simulation as simulation
+
+    calls = []
+    step = simulation._Block.step_implicit
+
+    def failing(self, *args):
+        calls.append(1)
+        if len(calls) == chunks * _DRAW_CHUNK + 44:
+            raise NonConvergentStep("injected")
+        return step(self, *args)
+
+    monkeypatch.setattr(simulation._Block, "step_implicit", failing)
+    return NonConvergentStep
+
+
+def _fail_writer(monkeypatch, chunks):
+    import errno
+
+    import homocon.simulation as simulation
+
+    calls = []  # counted in the writer process
+    text = simulation._CsvLayout.text
+
+    def full(self, times, ks):
+        calls.append(1)
+        if len(calls) == chunks:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return text(self, times, ks)
+
+    monkeypatch.setattr(simulation._CsvLayout, "text", full)
+    return OSError
+
+
+@pytest.mark.parametrize("fail", [_fail_integration, _fail_writer])
+def test_failed_streamed_run_leaves_an_empty_csv(tmp_path, monkeypatch, fail):
+    # the writer has formatted several chunks when the run fails: the file
+    # is emptied rather than left holding a header and complete-looking
+    # nodes
+    error = fail(monkeypatch, 5)
+    ax = reference_axis(disturbance=DisturbanceSpec(np.array([0.0, 0.3, 0.2, 0.1])))
+    scen = ScenarioConfig(chain_graph(), 2, (ax,), 1e-3, 2.0, "implicit_euler", 3)
+    path = tmp_path / "run.csv"
+    path.write_text("an older file\n")
+    with pytest.raises(error):
+        simulate(scen, path)
+    assert path.read_bytes() == b""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _returned_bytes(traj):
+    fields = ("states", "errors", "controls", "hnorm", "barrier", "disturbance")
+    arrays = [traj.times] + [getattr(ax, f) for ax in traj.axes for f in fields]
+    return sum(x.nbytes for x in arrays if x is not None)
+
+
+def test_simulate_holds_one_draw_chunk_of_raw_nodes(tmp_path):
+    # a 6,500-step run of two axes, as the benchmark's presets: besides
+    # the arrays it returns, simulate holds one draw chunk of raw nodes
+    # and its derivation. With a destination the arrays live in the
+    # writer's shared mapping, which tracemalloc does not see
+    import tracemalloc
+
+    # degree-zero laws, as in the linear presets: cheap steps under tracing
+    axes = (
+        AxisSpec("X", linear_protocol(2, 1.0), reference_axis().initial, ConeSpec(2, 1.0),
+                 DisturbanceSpec(np.array([0.0, 0.3, 0.2, 0.1]))),
+        AxisSpec("Y", consensus_protocol(linear_gain(2, 1.0), HomogeneousNormContext(
+            DilationGenerator(2, 0.0), PUBLISHED_P)), reference_axis().initial, ConeSpec(2, 1.0)),
+    )
+    scen = ScenarioConfig(chain_graph(), 2, axes, 1e-3, 6.5, "implicit_euler", 3)
+    simulate(scen)  # first-call allocations, such as numpy's lazy imports
+    for csv, bound in ((None, 1.2), (tmp_path / "run.csv", 0.25)):
+        tracemalloc.start()
+        try:
+            traj = simulate(scen, csv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * _returned_bytes(traj), (csv, peak / _returned_bytes(traj))
 
 
 # -- config validation ----------------------------------------------------------------
