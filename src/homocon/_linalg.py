@@ -1,7 +1,9 @@
 """Small dense linear-algebra kernels shared across the package.
 
-Everything here targets matrices of size n <= 8. The eigensolver is a
-cyclic Jacobi iteration so that feasibility margins come out identical
+Everything here targets matrices of size n <= 8. Symmetric eigenproblems
+go to LAPACK (``np.linalg.eigvalsh`` and ``eigh``), as everywhere else in
+the package: a certificate's outputs already pass through LAPACK solves
+and BLAS products, so no eigensolver of its own could make them the same
 across platforms and BLAS builds.
 """
 
@@ -74,73 +76,10 @@ def fro_norm(M: np.ndarray) -> float:
     return norm
 
 
-def jacobi_eigh(S: np.ndarray, want_vectors: bool = False, max_sweeps: int = 60):
-    """Eigen-decomposition of a real symmetric matrix by cyclic Jacobi rotations.
-
-    Returns eigenvalues sorted ascending; with ``want_vectors`` also the
-    matching orthonormal eigenvector columns.
-    """
-    A = np.array(S, dtype=float, copy=True)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("square matrix required")
-    V = np.eye(n)
-    if n == 1:
-        return (A.diagonal().copy(), V) if want_vectors else A.diagonal().copy()
-
-    scale = fro_norm(A)
-    if scale == 0.0:
-        w = np.zeros(n)
-        return (w, V) if want_vectors else w
-    tol = 1e-15 * scale
-
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                off = max(off, abs(apq))
-                if abs(apq) <= tol:
-                    continue
-                theta = 0.5 * (A[q, q] - A[p, p]) / apq
-                t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                # plane rotation in the (p, q) plane
-                Ap = A[:, p].copy()
-                Aq = A[:, q].copy()
-                A[:, p] = c * Ap - s * Aq
-                A[:, q] = s * Ap + c * Aq
-                Ap = A[p, :].copy()
-                Aq = A[q, :].copy()
-                A[p, :] = c * Ap - s * Aq
-                A[q, :] = s * Ap + c * Aq
-                Vp = V[:, p].copy()
-                Vq = V[:, q].copy()
-                V[:, p] = c * Vp - s * Vq
-                V[:, q] = s * Vp + c * Vq
-        if off <= tol:
-            break
-
-    w = A.diagonal().copy()
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    if want_vectors:
-        return w, V[:, order]
-    return w
-
-
 def is_positive_definite(S: np.ndarray, rel_tol: float = 1e-12) -> bool:
-    w = jacobi_eigh(symmetrize(S))
+    w = np.linalg.eigvalsh(symmetrize(S))
     scale = max(abs(float(w[0])), abs(float(w[-1])), 1e-300)
     return float(w[0]) > rel_tol * scale
-
-
-def chol_lower(P: np.ndarray) -> np.ndarray:
-    """Cholesky factor of an SPD matrix (lower triangular)."""
-    return np.linalg.cholesky(symmetrize(P))
 
 
 def pencil_eigvals(M: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -149,10 +88,10 @@ def pencil_eigvals(M: np.ndarray, P: np.ndarray) -> np.ndarray:
     Computed via the Cholesky congruence L^{-1} M L^{-T}, which has the
     same spectrum.
     """
-    L = chol_lower(P)
+    L = np.linalg.cholesky(symmetrize(P))
     X = np.linalg.solve(L, symmetrize(M))
     X = np.linalg.solve(L, X.T).T
-    return jacobi_eigh(symmetrize(X))
+    return np.linalg.eigvalsh(symmetrize(X))
 
 
 def lyap_solve(A: np.ndarray, Q: np.ndarray, transposed: bool = False) -> np.ndarray:
@@ -174,6 +113,6 @@ def lyap_solve(A: np.ndarray, Q: np.ndarray, transposed: bool = False) -> np.nda
 
 def clip_psd(S: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """Nearest (Frobenius) symmetric matrix with eigenvalues >= floor."""
-    w, V = jacobi_eigh(symmetrize(S), want_vectors=True)
+    w, V = np.linalg.eigh(symmetrize(S))
     w = np.maximum(w, floor)
     return symmetrize((V * w) @ V.T)

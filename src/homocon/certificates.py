@@ -23,14 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (
-    clip_psd,
-    fro_norm,
-    jacobi_eigh,
-    lyap_solve,
-    pencil_eigvals,
-    symmetrize,
-)
+from ._linalg import clip_psd, fro_norm, lyap_solve, pencil_eigvals, symmetrize
 from .homogeneity import DilationGenerator
 from .protocols import IntegratorChain, linear_gain
 
@@ -95,19 +88,26 @@ class RobustnessConstants:
     q_bound: float
 
 
-def _margins(Z: np.ndarray, G: np.ndarray, W: np.ndarray) -> tuple[tuple, bool]:
+def _margins(Z: np.ndarray, G: np.ndarray, F) -> tuple[tuple, bool]:
     """The three margins lambda_min(Z), lambda_min(Z G + G Z) and
-    -lambda_max(W), and whether all exceed the strictness gap on the
-    scale of Z. Raises ValueError when Z or W is too large for them to
-    be finite."""
+    -lambda_max(F + F'), and whether all exceed the strictness gap on
+    the scale of Z. They are taken at U = Z / c, c = ||Z||_F, where no
+    product overflows, and scaled back; ``F(U, c)`` forms F, which is
+    linear in Z, there. Raises ValueError when one is not finite."""
+    c = max(fro_norm(Z), 1e-300)
+    U = Z / c
     with np.errstate(over="ignore", invalid="ignore"):
-        m1 = float(jacobi_eigh(Z)[0])
-        m2 = float(jacobi_eigh(symmetrize(Z @ G + G @ Z))[0])
-        m3 = -float(jacobi_eigh(symmetrize(W))[-1])
-    if not np.all(np.isfinite((m1, m2, m3))):
+        FU = F(U, c)
+        W = FU + FU.T
+        unit = np.array([
+            np.linalg.eigvalsh(U)[0],
+            np.linalg.eigvalsh(symmetrize(U @ G + G @ U))[0],
+            -np.linalg.eigvalsh(W)[-1],
+        ])
+        margins = c * unit
+    if not (np.all(np.isfinite(W)) and np.all(np.isfinite(margins))):
         raise ValueError("matrix too large: its certificate margins overflow")
-    scale = max(fro_norm(Z), 1e-300)
-    return (m1, m2, m3), all(m > STRICTNESS * scale for m in (m1, m2, m3))
+    return tuple(margins.tolist()), bool(np.all(unit > STRICTNESS))
 
 
 def verify_lmi_p(
@@ -128,9 +128,7 @@ def verify_lmi_p(
     Acl = A - np.asarray(B, dtype=float).reshape(-1, 1) @ np.asarray(
         K_lin, dtype=float
     ).reshape(1, -1)
-    with np.errstate(over="ignore", invalid="ignore"):  # _margins rejects overflow
-        W = P @ Acl + Acl.T @ P
-    margins, feasible = _margins(P, gen.matrix(), W)
+    margins, feasible = _margins(P, gen.matrix(), lambda U, c: U @ Acl)
     return CertificateP(P, margins, feasible)
 
 
@@ -152,9 +150,8 @@ def verify_lmi_xy(
         raise SingularX("X is numerically singular")
     P = symmetrize(np.linalg.inv(X))
     K = (Y @ P).reshape(-1)
-    with np.errstate(over="ignore", invalid="ignore"):  # _margins rejects overflow
-        W = A @ X + X @ A.T - Bc @ Y - Y.T @ Bc.T
-    margins, feasible = _margins(X, gen.matrix(), W)
+    # A X + X A' - B Y - Y' B' = F + F' with F = A X - B Y
+    margins, feasible = _margins(X, gen.matrix(), lambda U, c: A @ U - Bc @ (Y / c))
     return CertificateXY(X, Y.reshape(-1), P, K, margins, feasible)
 
 
@@ -288,7 +285,7 @@ def disturbance_bound(
     P = _require_symmetric(P, "P")
     H = np.asarray(H, dtype=float)
     n = P.shape[0]
-    sqrt_norm = float(np.sqrt(jacobi_eigh(P)[-1]))
+    sqrt_norm = float(np.sqrt(np.linalg.eigvalsh(P)[-1]))
     branch1 = rho / (2.0 * sqrt_norm)
     lam_min_H = float(pencil_eigvals(H.T @ H, P)[0])
     e1 = np.zeros((n, 1))

@@ -904,8 +904,8 @@ def simulate(cfg: ScenarioConfig, csv=None) -> Trajectory:
     exists; it is reaped before ``simulate`` returns or raises, and its
     failure raises OSError. When such a run fails, whether in the
     integration or in the writer, the file at ``csv`` is left empty.
-    Other runs write the CSV after the integration, and leave the file
-    untouched when they fail. Either way the arrays and the file are the
+    Other runs write the CSV after the integration; a failed write
+    leaves the file empty. Either way the arrays and the file are the
     same. Deterministic: the same configuration and seed produce
     identical arrays and byte-identical CSV files.
     """
@@ -1090,25 +1090,38 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     Leader rows carry zero errors and norms; phi columns are nan when no
     cone was recorded for the axis. The q of an axis whose disturbance
     is +0.0 throughout is written as text, like every other constant
-    field.
+    field. A write that fails leaves the file empty, not holding a
+    partial CSV.
     """
     # a -0.0 draw is still formatted
     layout = _CsvLayout(traj.axes, [bool(ax.disturbance.view(np.uint64).any()) for ax in traj.axes])
-    with open(_open_csv(path), "w", newline="\n") as fh:
-        fh.write(layout.header)
-        for k0 in range(0, len(traj.times), 512):
-            fh.write(layout.text(traj.times, slice(k0, k0 + 512)))
+    fd = _open_csv(path)
+    try:
+        with open(fd, "w", newline="\n", closefd=False) as fh:
+            fh.write(layout.header)
+            for k0 in range(0, len(traj.times), 512):
+                fh.write(layout.text(traj.times, slice(k0, k0 + 512)))
+    except BaseException:
+        _empty(fd)  # no partial CSV is left behind
+        raise
+    finally:
+        os.close(fd)
+
+
+def _empty(fd: int) -> None:
+    """Truncate the file behind ``fd`` unless it holds no data: ext4 flushes
+    a file truncated even from empty on close; a device or pipe has no size."""
+    if os.fstat(fd).st_size:
+        os.ftruncate(fd, 0)
 
 
 def _open_csv(path) -> int:
     """A descriptor that writes ``path`` from its start, as
-    ``open(path, "w")`` does, but truncates only a file that holds data:
-    ext4 flushes a file that was truncated, even from empty, when it is
-    closed, and the CLI hands over empty temporary files."""
+    ``open(path, "w")`` does, but truncates only a file that holds data
+    (``_empty``): the CLI hands over empty temporary files."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
-        if os.fstat(fd).st_size:
-            os.ftruncate(fd, 0)
+        _empty(fd)
     except BaseException:
         os.close(fd)
         raise
@@ -1207,9 +1220,8 @@ class _CsvWriter:
                 os.kill(self.pid, signal.SIGKILL)
                 os.waitpid(self.pid, 0)
                 self.pid = None
-            # a device or pipe has no size, and may not be truncated
-            if not self.finished and os.fstat(self.fds["file"]).st_size:
-                os.ftruncate(self.fds["file"], 0)
+            if not self.finished:
+                _empty(self.fds["file"])
         finally:
             for fd in self.fds.values():
                 os.close(fd)

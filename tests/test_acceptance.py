@@ -308,7 +308,7 @@ GOLDEN_SHA256 = {
     "linear_disturbed.csv": "3cb0e7fe4b20794eb05ea7bdf6e7201e919609621771a84c737041ec0c9ae9b8",
     "linear_nominal.csv": "ed2928e7c66f3dfcddbee14aa27f3b97ea07a1f2db4dacb7798784aabe61405c",
     "summary.csv": "bdb7c92d49d3dbc180439693119be070acb98f477cc2e430bd5ad369a3fbeb87",
-    "summary.json": "669cb7821fccc54e53332c3e791710d3e7e281681ace0f698a698d5c9b20ed86",
+    "summary.json": "4b7784a5fbbbcc6e2a20bdf3cdbd7c7b81cb36b02612e40df3438abe98900a69",
 }
 
 

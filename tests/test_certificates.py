@@ -152,6 +152,46 @@ def test_forced_projection_keeps_unit_candidates_and_valid_certificates(case, mo
     assert np.all(np.abs(np.array(norms) - 1.0) <= 1e-12), max(norms)
 
 
+# case grids (n, mu, form) of the certificate search, "p1" and "p2" the
+# P-form with the gain at lambda = 1 and 2, each with the cases it ends
+# Infeasible on: those may be certified or not, every other case must be
+SEARCH_GATE = {
+    "full": (range(2, 9), (-1.0, -0.8, -0.5, -0.2, -0.05, 0.0), ("p1", "p2", "xy"),
+             {(8, -1.0, "xy"), (8, -0.8, "xy")}),
+    "forced": (range(2, 7), (-1.0, -0.7, -0.4, -0.1, 0.1, 0.2, 0.3, 0.45), ("p1", "xy"),
+               {(4, 0.3, "xy"), (6, -1.0, "xy")}),
+}
+
+
+@pytest.mark.parametrize("scan", sorted(SEARCH_GATE))
+def test_certificate_search_gate(scan, monkeypatch):
+    # the full Lyapunov scan, and the alternating projections on their
+    # own behind a scan cut to q = 1: each certificate must re-verify
+    import homocon.certificates as certificates
+
+    ns, mus, forms, known = SEARCH_GATE[scan]
+    if scan == "forced":
+        monkeypatch.setattr(certificates, "_diag_scan", lambda n: iter([np.ones(n)]))
+    cases = [(n, mu, form) for n in ns for mu in mus if mu < 1.0 / (n - 1) for form in forms]
+    assert len(cases) == {"full": 126, "forced": 68}[scan]
+    lost = []
+    for n, mu, form in cases:
+        chain, gen = IntegratorChain(n), DilationGenerator(n, mu)
+        try:
+            if form == "xy":
+                cert = solve_lmi_xy(gen, chain.A, chain.B)
+                ok = verify_lmi_xy(cert.X, cert.Y, gen, chain.A, chain.B).feasible
+            else:
+                K = linear_gain(n, float(form[1:]))
+                cert = solve_lmi_p(gen, chain.A, chain.B, K)
+                ok = verify_lmi_p(cert.P, gen, chain.A, chain.B, K).feasible
+        except Infeasible:
+            ok = False
+        if not ok and (n, mu, form) not in known:
+            lost.append((n, mu, form))
+    assert not lost
+
+
 def test_solve_p_rejects_non_hurwitz_gain():
     with pytest.raises(Infeasible):
         solve_lmi_p(GEN2, CHAIN2.A, CHAIN2.B, np.array([-1.0, -1.0]))

@@ -135,6 +135,17 @@ def test_verify_lmi_negative_p_exit_three(tmp_path):
     assert main(["verify-lmi", "--config", path]) == EXIT_INFEASIBLE
 
 
+def test_verify_lmi_exhaustive_search_exit_three(tmp_path, capsys):
+    # at n = 8, mu = -1 the XY search finds no certificate: the scan and
+    # every projection pass run, and the command ends infeasible
+    cfg = small_config()
+    cfg["system"]["n"] = 8
+    cfg["protocol"] = {"X": {"kind": "homogeneous_consensus", "mu": -1.0}}
+    path = write_config(tmp_path, cfg)
+    assert main(["verify-lmi", "--config", path]) == EXIT_INFEASIBLE
+    assert "infeasible:" in capsys.readouterr().err
+
+
 def test_verify_lmi_malformed_exit_two(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

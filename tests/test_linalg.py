@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from homocon._linalg import (
     clip_psd,
-    jacobi_eigh,
+    is_positive_definite,
     lyap_solve,
     pencil_eigvals,
     rowsum,
@@ -18,32 +18,22 @@ def _random_symmetric(rng, n, scale=1.0):
     return 0.5 * (M + M.T)
 
 
-def test_jacobi_matches_lapack_eigenvalues():
-    rng = np.random.default_rng(1)
-    for n in range(1, 8):
-        for _ in range(20):
-            S = _random_symmetric(rng, n)
-            w = jacobi_eigh(S)
-            w_ref = np.linalg.eigvalsh(S)
-            assert np.allclose(w, w_ref, atol=1e-12 * max(1.0, np.abs(w_ref).max()))
-
-
-def test_jacobi_eigenvalues_scale_at_extreme_magnitudes():
+def test_eigenvalues_scale_at_extreme_magnitudes():
     # 1e200 squares to overflow and 1e-200 to zero in a plain Frobenius
-    # norm, which used to skip every rotation
+    # norm; every kernel must still scale with its input
     rng = np.random.default_rng(5)
-    for S in (np.array([[2.0, 1.0], [1.0, 3.0]]), _random_symmetric(rng, 5)):
-        w = jacobi_eigh(S)
+    L = np.tril(rng.normal(size=(5, 5))) + 3 * np.eye(5)
+    for S, P in (
+        (np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([[1.0, 0.25], [0.25, 2.0]])),
+        (_random_symmetric(rng, 5), L @ L.T),
+    ):
+        w = pencil_eigvals(S, P)
+        C = clip_psd(S, 0.1)
         for c in (1e-200, 1e200):
-            assert np.allclose(jacobi_eigh(c * S), c * w, rtol=1e-12, atol=0.0)
-
-
-def test_jacobi_vectors_reconstruct():
-    rng = np.random.default_rng(2)
-    S = _random_symmetric(rng, 5)
-    w, V = jacobi_eigh(S, want_vectors=True)
-    assert np.allclose(V @ np.diag(w) @ V.T, S, atol=1e-12)
-    assert np.allclose(V.T @ V, np.eye(5), atol=1e-12)
+            assert is_positive_definite(c * P) and not is_positive_definite(-c * P)
+            assert np.allclose(pencil_eigvals(c * S, P), c * w, rtol=1e-12, atol=0.0)
+            assert np.allclose(pencil_eigvals(S, c * P), w / c, rtol=1e-12, atol=0.0)
+            assert np.allclose(clip_psd(c * S, c * 0.1), c * C, rtol=1e-12, atol=1e-12 * c)
 
 
 def test_lyapunov_solve_against_scipy():

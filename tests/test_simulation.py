@@ -1327,6 +1327,26 @@ def test_failed_streamed_run_leaves_an_empty_csv(tmp_path, monkeypatch, fail):
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("writer", ["write_trajectory_csv", "simulate_without_fork"])
+def test_failed_csv_write_leaves_an_empty_file(tmp_path, monkeypatch, writer):
+    # the second 512-node block of a 601-node run fails to format after
+    # the header and the first block were written: they are truncated
+    ax = reference_axis(disturbance=DisturbanceSpec(np.array([0.0, 0.3, 0.2, 0.1])))
+    scen = ScenarioConfig(chain_graph(), 2, (ax,), 1e-3, 0.6, "implicit_euler", 3)
+    traj = simulate(scen)
+    assert len(traj.times) == 601
+    path = tmp_path / "run.csv"
+    path.write_text("an older file\n")
+    error = _fail_writer(monkeypatch, 2)
+    with pytest.raises(error):
+        if writer == "write_trajectory_csv":
+            write_trajectory_csv(traj, path)
+        else:  # simulate writes after the integration where fork is missing
+            monkeypatch.delattr(os, "fork")
+            simulate(scen, path)
+    assert path.read_bytes() == b""
+
+
 def _returned_bytes(traj):
     fields = ("states", "errors", "controls", "hnorm", "barrier", "disturbance")
     arrays = [traj.times] + [getattr(ax, f) for ax in traj.axes for f in fields]
