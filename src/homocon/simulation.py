@@ -45,6 +45,15 @@ norm solve and the cone barrier's sphere projection are the library's
 own (``protocols._law``, ``homogeneity._log_norms``,
 ``homogeneity._project_to_sphere``).
 
+A step makes several dozen numpy calls on a block of a few rows, so
+its time is the cost per call, not the arithmetic. The block therefore
+makes, once, every array that its log-norm residual and Newton write
+(``_Work``), with the stacked views its products take, padded as
+``grouped_matmul`` pads them, and the forcing terms of a whole draw
+chunk are formed at once (``_Draws``). Each value keeps its operations
+and their order, so every bit is that of a new array per operation,
+and a step returns new arrays, never a buffer.
+
 Runs are deterministic: identical configuration and seed give
 bit-identical trajectories and CSV files. Both entry points buffer one
 draw chunk of raw nodes and derive it once the chunk ends: ``simulate``
@@ -286,7 +295,8 @@ class _Axis:
                 raise NonConvergentStep("dt too large for the linear implicit step")
         else:
             self.cmax = protocol.sphere_gain_bound()
-            self.neg_rk, self.neg_opm = -self.rk, -self.opm
+            # s times this is -(s rk) and opm s: one exp gives d(-s) and c
+            self.neg_rko, self.neg_opm = np.append(-self.rk, self.opm), -self.opm
             # the log-norm residual's products, as a stack of one: [d(-s) a,
             # d(-s) 1] @ jw holds K d(-s) a and K d(-s) beta, y @ jy holds
             # P y and K G y, and (Py * y) @ jq holds y'Py and y'P G y
@@ -342,8 +352,9 @@ class _Block:
     stacked matmul over an (A, rows, .) view of the flat array, against
     the axes' matrices stacked here. Curved axes come first, so their
     rows are a prefix of the block and share one log-norm Newton solve
-    per step; the block's log norms cover these rows only. Affine axes
-    (linear, and mu = 0) use the closed-form step.
+    per step, which writes into the block's ``work`` buffers; the
+    block's log norms cover these rows only. Affine axes (linear, and
+    mu = 0) use the closed-form step.
     """
 
     def __init__(self, cfg: ScenarioConfig, inits):
@@ -398,7 +409,8 @@ class _Block:
             )
             self.rk = np.repeat(np.stack([g.rk for g in self.curved]), B * N, axis=0)
             self.opm = np.repeat([g.opm for g in self.curved], B * N)
-            self.neg_rk, self.neg_opm = -self.rk, -self.opm
+            self.neg_rko = np.repeat(np.stack([g.neg_rko for g in self.curved]), B * N, axis=0)
+            self.neg_opm = -self.opm
             self.snap_bound = np.repeat([g.snap_bound for g in self.curved], B * N)
             # cmax (1 + 1e-9), sqrt(lmax(P)) and ball_exp of each row's axis
             self.ball = np.repeat(
@@ -424,6 +436,7 @@ class _Block:
             # log norms of the curved rows at the two nodes before the
             # previous one, newest first; nan until they are known
             self.older = (np.full(self.m_curved, np.nan),) * 2
+            self.work = _Work(self, self.m_curved)
         if flat:
             self.K_flat = np.stack([g.K for g in flat])[:, :, None]
             self.lin_den = np.repeat([g.lin_den for g in flat], B * N)
@@ -442,18 +455,22 @@ class _Block:
         return u, s
 
     # -- implicit Euler step ------------------------------------------------------
-    def step_leader(self, L, q0):
-        """The leaders' open-loop implicit Euler step under disturbance q0
-        (for a recording only, so their one-row products stay unpadded)."""
-        groups, n = len(self.axes), self.n
-        return ((L + self.dt * (q0[:, None] * self.b)).reshape(groups, -1, n) @ self.R.T).reshape(-1, n)
+    def step_leader(self, L, lq):
+        """The leaders' open-loop implicit Euler step, (L + lq) R', under
+        the forcing lq = dt q0 b of their disturbances q0, which
+        ``_Draws`` forms once per draw chunk (for a recording only,
+        so their one-row products stay unpadded)."""
+        return ((L + lq).reshape(len(self.axes), -1, self.n) @ self.R.T).reshape(-1, self.n)
 
-    def step_implicit(self, E, dq, w_prev, s_warm):
-        """The followers' implicit Euler step from errors E under the
-        follower-minus-leader disturbances dq; the leaders do not enter
-        it. Returns (e_new, w, log_norms)."""
+    def step_implicit(self, E, dqb, w_prev, s_warm):
+        """The followers' implicit Euler step from errors E, with the
+        forcing dqb = dq beta of the follower-minus-leader disturbances
+        dq, which ``_Draws`` forms once per draw chunk (a zero row when
+        undisturbed); the leaders do not enter it. Returns fresh
+        arrays (e_new, w, log_norms): no work buffer of the block is
+        among them, so a caller may keep them across steps."""
         mc = self.m_curved
-        alpha = grouped_matmul(E, self.R.T) + dq[:, None] * self.beta
+        alpha = grouped_matmul(E, self.R.T) + dqb
         if mc == self.M:
             return self._solve_control_roots(alpha, w_prev, s_warm)
         w = np.empty(self.M)
@@ -461,10 +478,10 @@ class _Block:
         logr = np.empty(0)
         if mc:
             e_new[:mc], w[:mc], logr = self._solve_control_roots(alpha[:mc], w_prev[:mc], s_warm)
-        a = alpha[mc:]  # closed form
-        KA = grouped_matmul(a, self.K_flat, len(self.K_flat))[:, 0]
-        w[mc:] = wf = -KA / self.lin_den
-        e_new[mc:] = a + wf[:, None] * self.beta
+        a, wf, ef = alpha[mc:], w[mc:], e_new[mc:]  # closed form, written in place
+        np.negative(grouped_matmul(a, self.K_flat, len(self.K_flat))[:, 0], out=wf)
+        np.divide(wf, self.lin_den, out=wf)
+        np.add(a, np.multiply(wf[:, None], self.beta, out=ef), out=ef)
         return e_new, w, logr
 
     def _solve_control_roots(self, alpha, w_prev, s_warm):
@@ -480,12 +497,14 @@ class _Block:
         within the law's bound on that ball. A step whose rows all have
         |a|^2 above ``reach2`` can place none there, and skips both tests.
         """
-        M = alpha.shape[0]
+        M, wk = alpha.shape[0], self.work
         older, self.older = self.older, (s_warm, self.older[0])
-        asq = rowsum(alpha * alpha)
-        if (asq > self.reach2).all() and asq.max() < np.inf:
+        asq = rowsum(np.multiply(alpha, alpha, out=wk.sq))
+        far = np.greater(asq, self.reach2, out=wk.far)
+        if np.count_nonzero(far) == M and asq.max() < np.inf:
             self.snapped = False
-            w, logr, e_new = self._newton(alpha, w_prev, s_warm, older, np.ones(M, dtype=bool))
+            # every row is far from the origin: far is the Newton's pending set
+            w, logr, e_new = self._newton(alpha, w_prev, s_warm, older, far)
         else:
             self.origin_tests += 1
             beta = self.beta
@@ -510,7 +529,7 @@ class _Block:
                 w = np.where(snap, wpar, w)
                 logr = np.where(snap, -np.inf, logr)
                 e_new = np.where(snap[:, None], 0.0, e_new)
-        if not np.isfinite(w).all():
+        if np.count_nonzero(np.isfinite(w, out=wk.hit)) < M:
             raise NonConvergentStep("control root solve produced non-finite values")
         return e_new, w, logr
 
@@ -526,33 +545,37 @@ class _Block:
         make a resolved descending step (dF >= 0, 1 + c K b <= 0, a value
         not finite, |w dF/dw| > _NEWTON_COND) or are open after
         _NEWTON_PASSES passes go to ``_log_norm_roots`` from this
-        Newton's start, once per axis. ``pending`` is updated in place.
-        Runs under ``_integrate``'s errstate, where overflow, invalid
-        values and division by zero make non-finite values silently.
-        Returns (w, log_norms, e_new).
+        Newton's start, once per axis. ``pending`` is updated in place;
+        the residual's values, the masks and the steps live in the
+        block's ``work``. Runs under ``_integrate``'s errstate, where
+        overflow, invalid values and division by zero make non-finite
+        values silently. Returns new arrays (w, log_norms, e_new).
         """
-        beta = self.beta
+        beta, wk = self.beta, self.work
         # start from the quadratic through the last three nodes where all
         # of them are known and off the origin
         s1, s2 = older
         s = 3.0 * (s_prev - s1) + s2
-        s = np.where(np.isfinite(s), s, s_prev)
-        cold = pending & ~np.isfinite(s)
-        if np.count_nonzero(cold):  # rows leaving the origin
-            X = a + w_prev[:, None] * beta
-            pn2 = rowsum(grouped_matmul(X, self.P, len(self.P)) * X)
-            s = np.where(cold, 0.5 * np.log(pn2), s)
+        finite = np.isfinite(s)
+        if not finite.all():
+            s = np.where(finite, s, s_prev)
+            cold = pending & ~np.isfinite(s)
+            if cold.any():  # rows leaving the origin
+                X = a + w_prev[:, None] * beta
+                pn2 = rowsum(grouped_matmul(X, self.P, len(self.P)) * X)
+                s = np.where(cold, 0.5 * np.log(pn2), s)
         s_start = s.copy()  # s is updated in place
         rough = None  # rows for the log-norm solve, once there are any
+        step, stopped, hit, x, ds = wk.step, wk.stopped, wk.hit, wk.x, wk.ds
         self.newton_calls += 1
         for p in range(_NEWTON_PASSES):
             self.newton_passes += 1
-            wp, F, dF, nden, J21 = _log_norm_residual(self, a, s, beta)
+            wp, F, dF, nden, J21 = _log_norm_residual(self, a, s, beta, work=wk)
             if p:  # the rows that stepped take w at their new s
                 np.copyto(w, wp, where=step)
             else:
-                w = wp
-            pending &= ~(np.abs(F) <= 1e-13)
+                w = wp.copy()
+            np.copyto(pending, False, where=np.less_equal(np.abs(F, out=x), 1e-13, out=hit))
             stops = 0  # rows stopped by their last step, without w(s)
             open_rows = np.count_nonzero(pending)
             if not open_rows:
@@ -560,22 +583,25 @@ class _Block:
             if p == _NEWTON_PASSES - 1:  # the open rows go to the log-norm solve
                 rough = pending if rough is None else rough | pending
                 break
-            ds = F / dF
-            step = pending & (np.maximum(dF, nden) < 0.0) & (dF > -np.inf)
-            step &= np.abs(J21 * wp) <= _NEWTON_COND
+            np.divide(F, dF, out=ds)
+            np.less(np.maximum(dF, nden, out=x), 0.0, out=step)
+            step &= pending
+            step &= np.greater(dF, -np.inf, out=hit)
+            step &= np.less_equal(np.abs(np.multiply(J21, wp, out=x), out=x), _NEWTON_COND, out=hit)
             steps = np.count_nonzero(step)
             if steps < open_rows:
                 lost = pending & ~step
                 rough = lost if rough is None else rough | lost
             np.subtract(s, ds, out=s, where=step)
-            stopped = step & (np.abs(ds) <= _NEWTON_STEP)
+            np.less_equal(np.abs(ds, out=x), _NEWTON_STEP, out=stopped)
+            stopped &= step
             np.logical_xor(step, stopped, out=pending)
             stops = int(np.count_nonzero(stopped))
             self.newton_step_stops += stops
             if stops == steps:
                 break
         if stops:
-            np.copyto(w, _log_norm_residual(self, a, s, beta, True), where=stopped)
+            np.copyto(w, _log_norm_residual(self, a, s, beta, True, wk), where=stopped)
         if rough is not None:
             rough = np.nonzero(rough)[0]
             group = rough // (self.B * self.N)
@@ -587,7 +613,44 @@ class _Block:
         return w, s, a + w[:, None] * beta
 
 
-def _log_norm_residual(law, a, s, beta, control_only=False):
+class _Work:
+    """The arrays that ``_log_norm_residual`` and ``_Block._newton`` write
+    for m rows of ``law`` (the block's curved rows or one axis's rows),
+    and views of their columns, made once. The operand of a product,
+    ``*_g``, is a (groups, rows, .) array whose one-row groups are padded
+    to two as ``grouped_matmul`` pads them (a product row reads its own
+    row alone, so the padding stays zero); elementwise ops write its
+    (m, .) view.
+    """
+
+    def __init__(self, law, m):
+        n = law.jq.shape[1]
+
+        def stacked(cols, groups=len(law.jq)):
+            rows = m // groups
+            out = np.zeros((groups, 2 if rows == 1 else rows) + cols)
+            return out, out[:, :rows].reshape((m,) + cols)
+
+        # exp(s [-rk | opm]): d(-s) 1 and c. Contiguous, as F is: numpy's
+        # exp and log take the loop there that they take on a new array
+        self.xc = np.empty((m, n + 1))
+        self.ex, self.c = self.xc[:, :n], self.xc[:, n]
+        self.kin_g, kin = stacked((2 * n,))  # [d(-s) a, d(-s) 1]
+        self.aex, self.kex = kin[:, :n], kin[:, n:]
+        self.k_g, k = stacked((2,))  # K d(-s) a, K d(-s) beta
+        self.y_g, self.y = stacked((n,))  # y, then P y . y
+        self.prod_g, prod = stacked((n + 1,))  # P y, K G y
+        self.q_g, q = stacked((2,))  # y'Py, y'P G y
+        self.pye_g, self.pye = stacked((n,), 1)  # P y . d(-s), against beta
+        self.j21_g, self.j21 = stacked((), 1)
+        self.ka, self.kb, self.q2, self.qg = k[:, 0], k[:, 1], q[:, 0], q[:, 1]
+        self.py, self.kgy = prod[:, :n], prod[:, n]
+        self.w, self.nden, self.F, self.dF, self.j12, self.t, self.x, self.ds = np.empty((8, m))
+        self.step, self.stopped, self.hit, self.far = np.empty((4, m), dtype=bool)
+        self.sq = np.empty((m, n))
+
+
+def _log_norm_residual(law, a, s, beta, control_only=False, work=None):
     """F(s) = log ||y||_P, y = d(-s)(a + w(s) beta), on the rows of a, with
     the closed-form control w(s) = -c K d(-s) a / (1 + c K d(-s) beta),
     c = exp(opm s), which solves w = -c K y at the fixed log norm s; and
@@ -597,26 +660,40 @@ def _log_norm_residual(law, a, s, beta, control_only=False):
         J11 = 1 + c K d(-s) beta      J12 = c (opm K y - K G y)
         J21 = (Py . d(-s) beta) / q2  J22 = -(Py . G y) / q2
 
-    ``law`` is the block's curved rows or one axis. Returns w alone when
+    ``law`` is the block's curved rows or one axis. Every value is
+    written into ``work``, a ``_Work`` for these rows (a new one when
+    None), and the arrays returned are its buffers: w alone when
     ``control_only``, else (w, F, dF, nden, J21) with nden = -J11.
     """
-    ex = np.exp(s[:, None] * law.neg_rk)  # the bits of exp(-(s rk))
-    c = np.exp(law.opm * s)
-    k = grouped_matmul(np.concatenate((a * ex, ex), axis=1), law.jw, len(law.jw))
-    nden = -1.0 - c * k[:, 1]
-    w = c * k[:, 0] / nden
+    wk = _Work(law, len(a)) if work is None else work
+    ex, c, w, nden = wk.ex, wk.c, wk.w, wk.nden
+    np.exp(np.multiply(s[:, None], law.neg_rko, out=wk.xc), out=wk.xc)
+    np.multiply(a, ex, out=wk.aex)
+    wk.kex[...] = ex
+    np.matmul(wk.kin_g, law.jw, out=wk.k_g)
+    np.subtract(-1.0, np.multiply(c, wk.kb, out=nden), out=nden)
+    np.multiply(c, wk.ka, out=w)
+    w /= nden
     if control_only:
         return w
-    groups = len(law.jy)
-    Y = (a + w[:, None] * beta) * ex
-    prod = grouped_matmul(Y, law.jy, groups)  # P y, K G y
-    PY = prod[:, :-1]
-    q = grouped_matmul(PY * Y, law.jq, groups)  # y'Py, y'P G y
-    q2 = q[:, 0]
-    J21 = grouped_matmul(PY * ex, beta) / q2
-    J12 = law.neg_opm * w - c * prod[:, -1]  # c K y = -w at w(s)
-    dF = J21 * J12 / nden - q[:, 1] / q2
-    return w, 0.5 * np.log(q2), dF, nden, J21
+    Y, J21, J12, dF, F, t = wk.y, wk.j21, wk.j12, wk.dF, wk.F, wk.t
+    np.multiply(w[:, None], beta, out=Y)
+    Y += a
+    Y *= ex
+    np.matmul(wk.y_g, law.jy, out=wk.prod_g)
+    Y *= wk.py
+    np.matmul(wk.y_g, law.jq, out=wk.q_g)
+    np.multiply(wk.py, ex, out=wk.pye)
+    np.matmul(wk.pye_g, beta, out=wk.j21_g)
+    J21 /= wk.q2
+    np.multiply(law.neg_opm, w, out=J12)
+    J12 -= np.multiply(c, wk.kgy, out=t)  # c K y = -w at w(s)
+    np.multiply(J21, J12, out=dF)
+    dF /= nden
+    dF -= np.divide(wk.qg, wk.q2, out=t)
+    np.log(wk.q2, out=F)
+    F *= 0.5
+    return w, F, dF, nden, J21
 
 
 def _log_norm_roots(g: _Axis, a, beta, s0):
@@ -627,16 +704,22 @@ def _log_norm_roots(g: _Axis, a, beta, s0):
     at the bracket's ends agree. Returns (w, s, passes): w at the final
     s, the log norms of a + w beta, and the passes made. Raises
     NonConvergentStep when a row is open after _ROOT_PASSES passes.
+    Each pass evaluates every row into one ``_Work``, at the open rows'
+    new s and the others' last one, and reads the open rows: a row's
+    values do not depend on the rows beside it.
     """
+    work = _Work(g, len(a))
+    s_last = np.where(np.isfinite(s0), s0, 0.0)
 
     def residual(rows, s):
-        w, F, dF, nden, _ = _log_norm_residual(g, a[rows], s, beta)
-        return F, np.where(nden < 0.0, dF, np.nan), w
+        s_last[rows] = s
+        w, F, dF, nden, _ = _log_norm_residual(g, a, s_last, beta, work=work)
+        return F[rows], np.where(nden[rows] < 0.0, dF[rows], np.nan), w[rows]
 
-    s, passes, open_rows = _bracketed_roots(residual, np.where(np.isfinite(s0), s0, 0.0), _ROOT_PASSES)
+    s, passes, open_rows = _bracketed_roots(residual, s_last, _ROOT_PASSES)
     if open_rows.size:
         raise NonConvergentStep("the implicit step's log-norm solve did not settle")
-    w = _log_norm_residual(g, a, s, beta, True)
+    w = _log_norm_residual(g, a, s, beta, True, work)
     # the errors' own log norms: where a + w beta cancels, F is not small
     s, _ = _log_norms(a + w[:, None] * beta, g.P[None], g.rk, s)
     return w, s, passes
@@ -648,12 +731,19 @@ def _log_norm_roots(g: _Axis, a, beta, s0):
 
 class _Draws:
     """Matched disturbances for every disturbed axis, drawn per run
-    generator in chunks of steps. A chunk draw continues the generator's
-    stream exactly as one draw per step would."""
+    generator in chunks of steps, and the forcing terms they make, one
+    per step of the chunk: ``lq`` = dt q0 b for the leaders (kept only
+    for a recorder that keeps them) and ``dqb`` = dq beta for the errors,
+    each written in place. Undisturbed rows read +0.0 (b, beta >= 0),
+    which is still added: that turns a -0.0 into +0.0 as a drawn zero
+    does. A chunk draw continues the generator's stream exactly as one
+    draw per step would."""
 
-    def __init__(self, cfg: ScenarioConfig, block: _Block, scales):
+    def __init__(self, cfg: ScenarioConfig, block: _Block, scales, leaders):
         B = block.B
         scales = np.ones(B) if scales is None else np.asarray(scales, float)
+        if scales.shape != (B,) or not np.all(np.isfinite(scales) & (scales >= 0.0)):
+            raise ValueError("disturbance_scales must hold one finite, nonnegative scale per run")
         self.block = block
         self.axes = []
         for g in block.axes:
@@ -666,14 +756,15 @@ class _Draws:
             offsets = np.zeros_like(amps) if d.offsets is None else d.offsets
             per_run = [(amps * scales[b], offsets * scales[b]) for b in range(B)]
             self.axes.append((g, rngs, per_run))
+        self.leaders = leaders and bool(self.axes)
+        self.lq = np.zeros((_DRAW_CHUNK, len(block.axes) * B if self.leaders else 1, block.n))
+        self.dqb = np.zeros((_DRAW_CHUNK, block.M if self.axes else 1, block.n))
 
     def take(self, count):
-        """Returns (q0, dq, qhat): leader disturbances (count, A*B),
-        follower-minus-leader disturbances (count, M), and the raw draws
-        (count, B, N+1) of each disturbed axis."""
+        """Writes the forcing terms of the next ``count`` steps into
+        ``lq`` and ``dqb`` and returns the raw draws (count, B, N+1) of
+        each disturbed axis."""
         block = self.block
-        q0 = np.zeros((count, len(block.axes) * block.B))
-        dq = np.zeros((count, block.M))
         qhat = {}
         for g, rngs, per_run in self.axes:
             q = np.stack(
@@ -683,10 +774,13 @@ class _Draws:
                 ],
                 axis=1,
             )
-            q0[:, g.lead] = q[:, :, 0]
-            dq[:, g.rows] = (q[:, :, 1:] - q[:, :, 0:1]).reshape(count, -1)
+            if self.leaders:
+                lq = np.multiply(q[:, :, :1], block.b, out=self.lq[:count, g.lead])
+                lq *= block.dt
+            dq = (q[:, :, 1:] - q[:, :, 0:1]).reshape(count, -1, 1)
+            np.multiply(dq, block.beta, out=self.dqb[:count, g.rows])
             qhat[g] = q
-        return q0, dq, qhat
+        return qhat
 
 
 class _ChunkRecord:
@@ -838,7 +932,8 @@ def _integrate(cfg: ScenarioConfig, inits, recorder, dist_scales=None):
     ``cfg.axes`` order; ``recorder(block, T)`` receives every node, and
     its ``reduce`` is called at the end of each draw chunk. The errors
     evolve without reading the leaders, so the leaders are advanced only
-    for a recorder that keeps them. Once an undisturbed step snaps every
+    for a recorder that keeps them; ``_Draws`` forms each draw chunk's
+    forcing terms. Once an undisturbed step snaps every
     curved row and returns its input errors bit for bit, the next step
     would see the same errors and no warm start, so every later node
     repeats that one (``block.settled_node``): from there on only the
@@ -850,25 +945,23 @@ def _integrate(cfg: ScenarioConfig, inits, recorder, dist_scales=None):
     block = _Block(cfg, [np.asarray(x, dtype=float) for x in inits])
     T = cfg.steps
     rec = recorder(block, T)
-    draws = _Draws(cfg, block, dist_scales)
     leaders = rec.keeps_leaders
+    draws = _Draws(cfg, block, dist_scales, leaders)
+    lq, dqb = draws.lq, draws.dqb
 
     L, E = block.L0, block.E0
-    q0 = np.zeros((_DRAW_CHUNK, len(block.axes) * block.B))
-    dq = np.zeros((_DRAW_CHUNK, block.M))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         w, s = block.eval(E, None)  # node 0: nodal law value
         rec.record(0, L, E, w, s)
         for k0 in range(0, T, _DRAW_CHUNK):
             count = min(_DRAW_CHUNK, T - k0)
             if draws.axes:
-                q0, dq, qhat = draws.take(count)
-                rec.draws(k0, qhat)
+                rec.draws(k0, draws.take(count))
             for j in range(count):
                 if leaders:
-                    L = block.step_leader(L, q0[j])
+                    L = block.step_leader(L, lq[j])
                 if block.settled_node is None:
-                    E_new, w, s = block.step_implicit(E, dq[j], w, s)
+                    E_new, w, s = block.step_implicit(E, dqb[j], w, s)
                     if not draws.axes and block.snapped and _same_bits(E_new, E):
                         block.settled_node = k0 + j + 1
                     E = E_new
@@ -934,8 +1027,9 @@ def simulate_batch(
     Run b's reductions equal, bit for bit, those of ``simulate`` with
     that run's initial states; disturbed runs use per-run generators
     seeded base + run index, so there ``simulate`` takes the shifted
-    seed. ``disturbance_scales`` (length B) multiplies every disturbance
-    amplitude per run, for amplitude sweeps. The leaders are never
+    seed. ``disturbance_scales`` (B finite, nonnegative values, else
+    ValueError before any step) multiplies every disturbance amplitude
+    and offset per run, for amplitude sweeps. The leaders are never
     advanced, since no reduction reads them: a run whose leader state
     overflows while its errors stay finite returns finite reductions,
     where ``simulate`` raises NonConvergentStep. Once every run has

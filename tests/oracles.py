@@ -4,7 +4,8 @@ These deliberately avoid the library's solver paths: norms come from
 plain bisection, fixed points from the Kronecker closed form, gains
 from repeated matrix products, implicit Euler steps of an arbitrary
 field from fixed-point iteration, trajectory CSV files from one %.17g
-field per value, and the implicit step's origin test run on every step.
+field per value, the implicit step's origin test run on every step, and
+its log-norm residual formed with a new array for every operation.
 """
 
 import numpy as np
@@ -147,3 +148,27 @@ def solve_control_roots(block, alpha, w_prev, s_warm, snap_tol=1e-12):
     if not np.isfinite(w).all():
         raise NonConvergentStep("control root solve produced non-finite values")
     return e_new, w, logr
+
+
+def log_norm_residual(law, a, s, beta, control_only=False):
+    """``simulation._log_norm_residual`` with a new array for every
+    operation, each product through ``grouped_matmul``: its values, in
+    its operations and their order, from ``law``'s rk, opm and product
+    matrices alone. Returns w, or (w, F, dF, nden, J21)."""
+    ex = np.exp(s[:, None] * -law.rk)
+    c = np.exp(law.opm * s)
+    k = grouped_matmul(np.concatenate((a * ex, ex), axis=1), law.jw, len(law.jw))
+    nden = -1.0 - c * k[:, 1]
+    w = c * k[:, 0] / nden
+    if control_only:
+        return w
+    groups = len(law.jy)
+    Y = (a + w[:, None] * beta) * ex
+    prod = grouped_matmul(Y, law.jy, groups)
+    PY = prod[:, :-1]
+    q = grouped_matmul(PY * Y, law.jq, groups)
+    q2 = q[:, 0]
+    J21 = grouped_matmul(PY * ex, beta) / q2
+    J12 = -law.opm * w - c * prod[:, -1]
+    dF = J21 * J12 / nden - q[:, 1] / q2
+    return w, 0.5 * np.log(q2), dF, nden, J21

@@ -1,0 +1,28 @@
+"""The layer timer's record, from one short run of each layer (no timing
+is asserted)."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_layers.py"
+_spec = importlib.util.spec_from_file_location("bench_layers", _PATH)
+bench_layers = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_layers)
+
+
+def test_record_holds_every_block_and_layer(tmp_path, capsys):
+    out = tmp_path / "layers.json"
+    assert bench_layers.main(["--runs", "1", "--seconds", "0.001", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert json.loads(capsys.readouterr().out) == record
+    shapes = {name: (b["rows"], b["groups"], b["n"]) for name, b in record["blocks"].items()}
+    assert shapes == {
+        "presets_6x2": (6, 2, 2), "cyclic_8x2": (8, 2, 3), "cyclic_12x2": (12, 2, 3),
+        "sweep_90x1": (90, 1, 2), "sweep_300x1": (300, 1, 2),
+    }
+    for block in record["blocks"].values():
+        assert set(block["layers"]) == {"residual", "newton", "step_implicit", "step_leader"}
+        for t in block["layers"].values():
+            assert 0.0 < t["q1_us"] <= t["median_us"] <= t["q3_us"]
+            assert t["calls_per_run"] >= 1

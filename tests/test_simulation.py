@@ -837,6 +837,104 @@ def test_fallback_counts_near_the_origin(monkeypatch):
     assert block.origin_tests == 356
 
 
+# -- work buffers ----------------------------------------------------------------------
+# The residual writes into buffers made once per block; its values must
+# be those of a new array for every operation, and nothing a step
+# returns may be one of those buffers.
+
+
+def _residual_block(groups, rows, n, mus, rng):
+    """The row block of ``groups`` curved axes (a non-overshooting law
+    first, consensus laws with random gains after it), each of ``rows``
+    runs of one follower, with random diagonal P."""
+    import homocon.simulation as simulation
+
+    axes = []
+    for j, mu in enumerate(mus[:groups]):
+        ctx = HomogeneousNormContext(DilationGenerator(n, mu), np.diag(rng.uniform(0.2, 5.0, n)))
+        spec = (nonovershoot_protocol(1.0, ctx) if j == 0
+                else consensus_protocol(rng.uniform(0.1, 3.0, n), ctx))
+        axes.append(AxisSpec(f"A{j}", spec, np.zeros((2, n))))
+    scen = ScenarioConfig(chain_graph(1), n, tuple(axes), 1e-2, 1e-2)
+    return simulation._Block(scen, [np.zeros((rows, 2, n))] * groups)
+
+
+_SPECIAL_S = st.sampled_from([np.inf, -np.inf, np.nan, 0.0, -0.0])
+
+
+@settings(max_examples=80)
+@given(
+    groups=st.integers(1, 3),
+    rows=st.integers(1, 40),
+    n=st.sampled_from([2, 3, 4]),
+    mus=st.lists(st.floats(-1.0, -0.01), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@example(groups=2, rows=1, n=2, mus=[-1.0, -0.2, -0.5], seed=0, data=None)
+def test_buffered_residual_equals_the_allocating_one(groups, rows, n, mus, seed, data):
+    import homocon.simulation as simulation
+    from oracles import log_norm_residual
+
+    m = groups * rows
+    rng = np.random.default_rng(seed)
+    block = _residual_block(groups, rows, n, mus, rng)
+    if data is None:
+        s = np.array([np.nan, -0.0])
+    else:
+        s = np.array(data.draw(st.lists(st.one_of(st.floats(-40.0, 40.0), _SPECIAL_S),
+                                        min_size=m, max_size=m)))
+    a = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (m, 1))
+    a[rng.random((m, n)) < 0.1] = -0.0
+    a[rng.random((m, n)) < 0.1] = 0.0
+    beta, g = block.beta, block.curved[0]
+    with np.errstate(all="ignore"):
+        # the block's buffers, once filled from other inputs
+        simulation._log_norm_residual(block, a[::-1].copy(), s[::-1].copy(), beta, work=block.work)
+        outs = [
+            (simulation._log_norm_residual(block, a, s, beta, work=block.work),
+             log_norm_residual(block, a, s, beta)),
+            (simulation._log_norm_residual(block, a, s, beta), log_norm_residual(block, a, s, beta)),
+            ((simulation._log_norm_residual(block, a, s, beta, True, block.work),),
+             (log_norm_residual(block, a, s, beta, True),)),
+        ]
+        # one axis's rows, as the bracket evaluates them: all of them at
+        # once, read at a subset, against that subset alone
+        a1, s1 = a[:rows], s[:rows]
+        sub = np.nonzero(rng.random(rows) < 0.5)[0]
+        if sub.size:
+            whole = simulation._log_norm_residual(g, a1, s1, beta)
+            outs.append((tuple(x[sub] for x in whole), log_norm_residual(g, a1[sub], s1[sub], beta)))
+    for got, want in outs:
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert _same_arrays(np.ascontiguousarray(x), np.ascontiguousarray(y))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _preset("homogeneous_nominal"), _curved_and_linear_cyclic, _mu_minus_one,
+     _near_origin_disturbed],
+    ids=["mu-0.2", "mu-0.5-and-linear", "mu-1-sliding", "mu-0.95-near-origin"],
+)
+def test_step_implicit_returns_arrays_it_does_not_reuse(make):
+    import homocon.simulation as simulation
+
+    scen = make()
+    block = simulation._Block(scen, [ax.initial[None] for ax in scen.axes])
+    buffers = [x for x in vars(block.work).values() if isinstance(x, np.ndarray)]
+    zero = 0.0 * block.beta[None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w, s = block.eval(block.E0, None)
+        first = block.step_implicit(block.E0, zero, w, s)
+        kept = [x.copy() for x in first]
+        second = block.step_implicit(first[0], zero, first[1], first[2])
+    assert not all(_same_arrays(x, y) for x, y in zip(first, second))
+    for x, y in zip(first, kept):
+        assert _same_arrays(x, y)
+        assert not any(np.shares_memory(x, b) for b in buffers)
+
+
 # -- origin screen ---------------------------------------------------------------------
 # A step skips the origin test only where no row can be placed on the
 # origin: the screened runs must equal, bit for bit, runs that test
@@ -1380,6 +1478,37 @@ def test_simulate_holds_one_draw_chunk_of_raw_nodes(tmp_path):
 
 
 # -- config validation ----------------------------------------------------------------
+
+def _disturbed_batch():
+    dist = DisturbanceSpec(np.array([0.0, 0.2, 0.1, 0.3]), seed=3)
+    scen = ScenarioConfig(chain_graph(), 2, (reference_axis(disturbance=dist),), 1e-2, 0.1)
+    return scen, {"X": np.repeat(scen.axes[0].initial[None], 2, axis=0)}
+
+
+@pytest.mark.parametrize(
+    "scales",
+    [[1.0, 0.5, 0.2], [1.0], [[1.0, 0.5]], [1.0, np.nan], [np.inf, 1.0], [1.0, -0.5]],
+    ids=["too-many", "too-few", "two-dimensional", "nan", "inf", "negative"],
+)
+def test_simulate_batch_rejects_bad_disturbance_scales(scales, monkeypatch):
+    import homocon.simulation as simulation
+
+    scen, inits = _disturbed_batch()
+
+    def stepped(*args):
+        raise AssertionError("the batch took a step")
+
+    monkeypatch.setattr(simulation._Block, "step_implicit", stepped)
+    with pytest.raises(ValueError, match="disturbance_scales"):
+        simulate_batch(scen, inits, scales)
+
+
+def test_simulate_batch_takes_zero_disturbance_scales():
+    scen, inits = _disturbed_batch()
+    out = simulate_batch(scen, inits, [0.0, 1.0])
+    nominal = simulate_batch(replace(scen, axes=(replace(scen.axes[0], disturbance=None),)), inits)
+    assert np.array_equal(out.hnorm["X"][:, 0], nominal.hnorm["X"][:, 0])
+    assert not np.array_equal(out.hnorm["X"][:, 1], nominal.hnorm["X"][:, 1])
 
 def test_scenario_rejects_bad_dt():
     ax = reference_axis()
