@@ -3,7 +3,7 @@ printed (or written) as JSON.
 
     python tools/bench_layers.py [--runs 15] [--seconds 0.1] [--out FILE]
 
-It imports ``homocon`` from ``src/`` of the checkout it lies in. Four row
+It imports ``homocon`` from ``src/`` of the checkout it lies in. Five row
 blocks have the shapes of the benchmark's workloads:
 
 - ``presets_6x2``: the ``homogeneous_nominal`` preset, N = 3, axes X and
@@ -20,10 +20,13 @@ Each block is stepped 50 times from its initial errors, so that the
 Newton has warm starts, and the state there is the fixed input. Timed
 per block: ``residual`` (``_log_norm_residual`` on the curved rows, with
 the block's work buffers), ``newton`` (one ``_Block._newton`` call on
-every curved row), ``step_implicit`` and ``step_leader``. A run times a
-loop of calls of about ``--seconds``; the record holds, per layer, the
-median over ``--runs`` runs of the time per call in microseconds, and
-the quartiles.
+every curved row), ``step_implicit`` and ``step_leader``. A run times
+one loop of calls of about ``--seconds`` for every block and layer in
+turn, so that the machine's slow phases fall on all of them alike; the
+record holds, per layer, the median over ``--runs`` runs of the time per
+call in microseconds, and the quartiles. The machine's speed still
+differs between processes: compare two checkouts over several
+alternating runs of the tool.
 """
 
 from __future__ import annotations
@@ -126,26 +129,8 @@ def warm_state(scen, inits, dq):
     return block, L, E, w, s, dqb, lq
 
 
-def time_call(fn, seconds: float, runs: int) -> dict:
-    """Median and quartiles over ``runs`` of the microseconds per call of
-    ``fn`` in loops of about ``seconds``."""
-    fn()
-    t0, calls = time.perf_counter(), 0
-    while time.perf_counter() - t0 < 0.05:
-        fn()
-        calls += 1
-    number = max(1, int(calls * seconds / (time.perf_counter() - t0)))
-    per_call = []
-    for _ in range(runs):
-        t0 = time.perf_counter()
-        for _ in range(number):
-            fn()
-        per_call.append((time.perf_counter() - t0) / number * 1e6)
-    q1, med, q3 = statistics.quantiles(per_call, n=4, method="inclusive") if runs > 1 else [per_call[0]] * 3
-    return {"median_us": med, "q1_us": q1, "q3_us": q3, "calls_per_run": number}
-
-
-def layers(block, L, E, w, s, dqb, lq, seconds, runs) -> dict:
+def layers(block, L, E, w, s, dqb, lq) -> dict:
+    """The timed calls on one block, by layer name."""
     alpha = simulation.grouped_matmul(E, block.R.T) + dqb
     ac, wc, sc = alpha[:block.m_curved], w[:block.m_curved], s
     older = block.older
@@ -163,11 +148,34 @@ def layers(block, L, E, w, s, dqb, lq, seconds, runs) -> dict:
     def step_leader():
         return block.step_leader(L, lq)
 
+    return {"residual": residual, "newton": newton, "step_implicit": step_implicit,
+            "step_leader": step_leader}
+
+
+def time_calls(fns: dict, seconds: float, runs: int) -> dict:
+    """Median and quartiles over ``runs`` of the microseconds per call of
+    each function in ``fns``, timed in loops of about ``seconds``. Each
+    run times every function once, in turn, so that a slow phase of the
+    machine falls on all of them alike."""
+    numbers = {}
+    for key, fn in fns.items():
+        fn()
+        t0, calls = time.perf_counter(), 0
+        while time.perf_counter() - t0 < 0.05:
+            fn()
+            calls += 1
+        numbers[key] = max(1, int(calls * seconds / (time.perf_counter() - t0)))
+    per_call = {key: [] for key in fns}
+    for _ in range(runs):
+        for key, fn in fns.items():
+            t0 = time.perf_counter()
+            for _ in range(numbers[key]):
+                fn()
+            per_call[key].append((time.perf_counter() - t0) / numbers[key] * 1e6)
     out = {}
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for name, fn in (("residual", residual), ("newton", newton),
-                         ("step_implicit", step_implicit), ("step_leader", step_leader)):
-            out[name] = time_call(fn, seconds, runs)
+    for key, xs in per_call.items():
+        q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive") if runs > 1 else xs * 3
+        out[key] = {"median_us": med, "q1_us": q1, "q3_us": q3, "calls_per_run": numbers[key]}
     return out
 
 
@@ -181,12 +189,16 @@ def main(argv=None) -> int:
                     "processor": platform.processor() or platform.machine()},
         "blocks": {},
     }
+    fns = {}
     for name, scen, inits, dq in blocks():
         block, *state = warm_state(scen, inits, dq)
-        record["blocks"][name] = {
-            "rows": block.m_curved, "groups": len(block.curved), "n": block.n,
-            "layers": layers(block, *state, args.seconds, args.runs),
-        }
+        record["blocks"][name] = {"rows": block.m_curved, "groups": len(block.curved),
+                                  "n": block.n, "layers": {}}
+        fns.update({(name, layer): fn for layer, fn in layers(block, *state).items()})
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        timed = time_calls(fns, args.seconds, args.runs)
+    for (name, layer), t in timed.items():
+        record["blocks"][name]["layers"][layer] = t
     text = json.dumps(record, indent=1)
     if args.out is not None:
         args.out.write_text(text + "\n")
