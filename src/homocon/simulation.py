@@ -930,14 +930,14 @@ def _integrate(cfg: ScenarioConfig, inits, recorder, dist_scales=None):
 
     ``inits`` lists each axis's (B, N+1, n) initial states in
     ``cfg.axes`` order; ``recorder(block, T)`` receives every node, and
-    its ``reduce`` is called at the end of each draw chunk. The errors
-    evolve without reading the leaders, so the leaders are advanced only
-    for a recorder that keeps them; ``_Draws`` forms each draw chunk's
-    forcing terms. Once an undisturbed step snaps every
-    curved row and returns its input errors bit for bit, the next step
-    would see the same errors and no warm start, so every later node
-    repeats that one (``block.settled_node``): from there on only the
-    kept leaders are stepped, and a batch ends at that node's chunk.
+    its ``reduce`` is called at the end of each draw chunk, whose forcing
+    terms ``_Draws`` forms at its start. The errors evolve without
+    reading the leaders, so the leaders are advanced only for a recorder
+    that keeps them. Once an undisturbed step snaps every curved row and
+    returns its input errors bit for bit, the next step would see the
+    same errors and no warm start, so every later node repeats that one
+    (``block.settled_node``): from there on only the kept leaders are
+    stepped, and a batch ends at that node's chunk.
     Raises NonConvergentStep when an error, or a kept leader state, is
     not finite at the end of a draw chunk.
     Returns (block, recorder, final errors, final log norms).
