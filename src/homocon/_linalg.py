@@ -40,13 +40,17 @@ def rowsum(x: np.ndarray, op=np.add) -> np.ndarray:
     return out
 
 
-def outer(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """x[..., None] * v, bit for bit, for a short v (or per-row v, rows
-    along its last axis). numpy broadcasts a short last axis row by row;
-    filling it one column at a time costs per column instead."""
-    out = np.empty(np.broadcast_shapes(x.shape + (1,), v.shape))
-    for j in range(v.shape[-1]):
-        np.multiply(x, v[..., j], out=out[..., j])
+def outer(x: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x[..., None] * v, bit for bit, written into ``out`` when given, for
+    a short v: (n,), or (k, n) against a one-dimensional x of k elements.
+    numpy broadcasts a short last axis row by row; one call on views with
+    that axis first runs its inner loop along x's last axis instead."""
+    if out is None:
+        out = np.empty(x.shape + v.shape[-1:])
+    if x.ndim == 1:  # the implicit step's rows
+        np.multiply(x, v.T if v.ndim > 1 else v[:, None], out=out.T, order="C")
+    else:
+        np.multiply(x, v.reshape((-1,) + (1,) * x.ndim), out=np.moveaxis(out, -1, 0), order="C")
     return out
 
 

@@ -45,14 +45,15 @@ norm solve and the cone barrier's sphere projection are the library's
 own (``protocols._law``, ``homogeneity._log_norms``,
 ``homogeneity._project_to_sphere``).
 
-A step makes several dozen numpy calls on a block of a few rows, so
-its time is the cost per call, not the arithmetic. The block therefore
-makes, once, every array that its log-norm residual and Newton write
-(``_Work``), with the stacked views its products take, padded as
-``grouped_matmul`` pads them, and the forcing terms of a whole draw
-chunk are formed at once (``_Draws``). Each value keeps its operations
-and their order, so every bit is that of a new array per operation,
-and a step returns new arrays, never a buffer.
+A step makes several dozen numpy calls, so on a few rows its time is
+the cost per call. The block makes once every array that its log-norm
+residual and Newton write (``_Work``), with its products' stacked
+views padded as ``grouped_matmul`` pads them; ``_Draws`` forms the
+forcing of a draw chunk at once. Ops that pair the rows with their n
+columns take transposed views, so numpy loops along the rows, not over
+n once per row (``_Work``, ``_linalg.outer``). Each value keeps its
+operations and their order, so every bit is that of a new array per
+operation, and a step returns new arrays, never a buffer.
 
 Runs are deterministic: identical configuration and seed give
 bit-identical trajectories and CSV files. Both entry points buffer one
@@ -78,7 +79,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import grouped_matmul, rowsum
+from ._linalg import grouped_matmul, outer, rowsum
 from .cones import ConeSpec
 from .graphs import DirectedGraph, is_leader_rooted
 from .homogeneity import _bracketed_roots, _log_norms, _project_to_sphere
@@ -295,8 +296,8 @@ class _Axis:
                 raise NonConvergentStep("dt too large for the linear implicit step")
         else:
             self.cmax = protocol.sphere_gain_bound()
-            # s times this is -(s rk) and opm s: one exp gives d(-s) and c
-            self.neg_rko, self.neg_opm = np.append(-self.rk, self.opm), -self.opm
+            # s times this column is -(s rk) and opm s: one exp gives d(-s) and c
+            self.neg_rko, self.neg_opm = np.append(-self.rk, self.opm)[:, None], -self.opm
             # the log-norm residual's products, as a stack of one: [d(-s) a,
             # d(-s) 1] @ jw holds K d(-s) a and K d(-s) beta, y @ jy holds
             # P y and K G y, and (Py * y) @ jq holds y'Py and y'P G y
@@ -359,10 +360,10 @@ class _Block:
 
     def __init__(self, cfg: ScenarioConfig, inits):
         n, dt = cfg.n, cfg.dt
-        B = inits[0].shape[0]
-        if any(X0.shape[0] != B for X0 in inits):
-            raise ValueError("every axis needs the same number of runs")
         N = cfg.graph.num_followers
+        B = len(inits[0]) if inits[0].ndim else 0
+        if not B or any(X0.shape != (B, N + 1, n) for X0 in inits):
+            raise ValueError(f"every axis needs initial states of one shape (B, {N + 1}, {n}), B >= 1")
         chain = IntegratorChain(n)
         self.dt = dt
         self.b = chain.B.reshape(-1)
@@ -397,8 +398,10 @@ class _Block:
 
         X0 = [inits[g.index] for g in self.axes]
         self.L0 = np.concatenate([x[:, 0, :] for x in X0])
-        with np.errstate(over="ignore"):  # overflowing errors fail the integration
+        with np.errstate(over="ignore", invalid="ignore"):
             self.E0 = np.concatenate([(x[:, 1:, :] - x[:, 0:1, :]).reshape(B * N, n) for x in X0])
+        if not np.isfinite(self.E0).all():
+            raise ValueError("initial errors must be finite")
 
         if self.curved:
             # stacked matrices and per-row parameters of the curved rows
@@ -409,7 +412,7 @@ class _Block:
             )
             self.rk = np.repeat(np.stack([g.rk for g in self.curved]), B * N, axis=0)
             self.opm = np.repeat([g.opm for g in self.curved], B * N)
-            self.neg_rko = np.repeat(np.stack([g.neg_rko for g in self.curved]), B * N, axis=0)
+            self.neg_rko = np.repeat(np.hstack([g.neg_rko for g in self.curved]), B * N, axis=1)
             self.neg_opm = -self.opm
             self.snap_bound = np.repeat([g.snap_bound for g in self.curved], B * N)
             # cmax (1 + 1e-9), sqrt(lmax(P)) and ball_exp of each row's axis
@@ -465,7 +468,7 @@ class _Block:
     def step_implicit(self, E, dqb, w_prev, s_warm):
         """The followers' implicit Euler step from errors E, with the
         forcing dqb = dq beta of the follower-minus-leader disturbances
-        dq, which ``_Draws`` forms once per draw chunk (a zero row when
+        dq, which ``_Draws`` forms once per draw chunk (zeros when
         undisturbed); the leaders do not enter it. Returns fresh
         arrays (e_new, w, log_norms): no work buffer of the block is
         among them, so a caller may keep them across steps."""
@@ -481,7 +484,7 @@ class _Block:
         a, wf, ef = alpha[mc:], w[mc:], e_new[mc:]  # closed form, written in place
         np.negative(grouped_matmul(a, self.K_flat, len(self.K_flat))[:, 0], out=wf)
         np.divide(wf, self.lin_den, out=wf)
-        np.add(a, np.multiply(wf[:, None], self.beta, out=ef), out=ef)
+        np.add(a, outer(wf, self.beta, ef), out=ef)
         return e_new, w, logr
 
     def _solve_control_roots(self, alpha, w_prev, s_warm):
@@ -507,9 +510,8 @@ class _Block:
             w, logr, e_new = self._newton(alpha, w_prev, s_warm, older, far)
         else:
             self.origin_tests += 1
-            beta = self.beta
-            wpar = grouped_matmul(alpha, beta) / -self.btb
-            resid = alpha + wpar[:, None] * beta
+            wpar = grouped_matmul(alpha, self.beta) / -self.btb
+            resid = alpha + outer(wpar, self.beta)
             rn = np.sqrt(rowsum(resid * resid))
             r = _SNAP_TOL * (1.0 + np.sqrt(asq) + np.abs(wpar) * self.root_btb)
             snap = (rn <= r) & (np.abs(wpar) <= self.snap_bound)
@@ -561,7 +563,7 @@ class _Block:
             s = np.where(finite, s, s_prev)
             cold = pending & ~np.isfinite(s)
             if cold.any():  # rows leaving the origin
-                X = a + w_prev[:, None] * beta
+                X = a + outer(w_prev, beta)
                 pn2 = rowsum(grouped_matmul(X, self.P, len(self.P)) * X)
                 s = np.where(cold, 0.5 * np.log(pn2), s)
         s_start = s.copy()  # s is updated in place
@@ -610,17 +612,17 @@ class _Block:
                 w[r], s[r], passes = _log_norm_roots(self.curved[j], a[r], beta, s_start[r])
                 self.fallback_rows += r.size
                 self.fallback_passes += passes
-        return w, s, a + w[:, None] * beta
+        return w, s, a + outer(w, beta)
 
 
 class _Work:
     """The arrays that ``_log_norm_residual`` and ``_Block._newton`` write
     for m rows of ``law`` (the block's curved rows or one axis's rows),
-    and views of their columns, made once. The operand of a product,
-    ``*_g``, is a (groups, rows, .) array whose one-row groups are padded
-    to two as ``grouped_matmul`` pads them (a product row reads its own
-    row alone, so the padding stays zero); elementwise ops write its
-    (m, .) view.
+    made once. A product's operand ``*_g`` is (groups, rows, .), one-row
+    groups padded to two (kept zero) as ``grouped_matmul`` pads them, and
+    elementwise ops write its (m, .) view. The exponentials are held by
+    rows, (n + 1, m), and ops pair them with transposed (m, n) views
+    (``*_t``), so that numpy's inner loop runs along the m rows.
     """
 
     def __init__(self, law, m):
@@ -631,20 +633,20 @@ class _Work:
             out = np.zeros((groups, 2 if rows == 1 else rows) + cols)
             return out, out[:, :rows].reshape((m,) + cols)
 
-        # exp(s [-rk | opm]): d(-s) 1 and c. Contiguous, as F is: numpy's
-        # exp and log take the loop there that they take on a new array
-        self.xc = np.empty((m, n + 1))
-        self.ex, self.c = self.xc[:, :n], self.xc[:, n]
+        # exp(s [-rk | opm]), d(-s) 1 and c: contiguous, so exp takes its new-array loop
+        self.xc = np.empty((n + 1, m))
+        self.ex, self.c = self.xc[:n], self.xc[n]
         self.kin_g, kin = stacked((2 * n,))  # [d(-s) a, d(-s) 1]
-        self.aex, self.kex = kin[:, :n], kin[:, n:]
+        self.aex_t, self.kex_t = kin[:, :n].T, kin[:, n:].T
         self.k_g, k = stacked((2,))  # K d(-s) a, K d(-s) beta
         self.y_g, self.y = stacked((n,))  # y, then P y . y
         self.prod_g, prod = stacked((n + 1,))  # P y, K G y
         self.q_g, q = stacked((2,))  # y'Py, y'P G y
-        self.pye_g, self.pye = stacked((n,), 1)  # P y . d(-s), against beta
+        self.pye_g, pye = stacked((n,), 1)  # P y . d(-s), against beta
         self.j21_g, self.j21 = stacked((), 1)
         self.ka, self.kb, self.q2, self.qg = k[:, 0], k[:, 1], q[:, 0], q[:, 1]
         self.py, self.kgy = prod[:, :n], prod[:, n]
+        self.y_t, self.py_t, self.pye_t = self.y.T, self.py.T, pye.T
         self.w, self.nden, self.F, self.dF, self.j12, self.t, self.x, self.ds = np.empty((8, m))
         self.step, self.stopped, self.hit, self.far = np.empty((4, m), dtype=bool)
         self.sq = np.empty((m, n))
@@ -667,9 +669,9 @@ def _log_norm_residual(law, a, s, beta, control_only=False, work=None):
     """
     wk = _Work(law, len(a)) if work is None else work
     ex, c, w, nden = wk.ex, wk.c, wk.w, wk.nden
-    np.exp(np.multiply(s[:, None], law.neg_rko, out=wk.xc), out=wk.xc)
-    np.multiply(a, ex, out=wk.aex)
-    wk.kex[...] = ex
+    np.exp(np.multiply(s, law.neg_rko, out=wk.xc), out=wk.xc)
+    np.multiply(a.T, ex, out=wk.aex_t)
+    wk.kex_t[...] = ex
     np.matmul(wk.kin_g, law.jw, out=wk.k_g)
     np.subtract(-1.0, np.multiply(c, wk.kb, out=nden), out=nden)
     np.multiply(c, wk.ka, out=w)
@@ -677,13 +679,12 @@ def _log_norm_residual(law, a, s, beta, control_only=False, work=None):
     if control_only:
         return w
     Y, J21, J12, dF, F, t = wk.y, wk.j21, wk.j12, wk.dF, wk.F, wk.t
-    np.multiply(w[:, None], beta, out=Y)
-    Y += a
-    Y *= ex
+    np.add(outer(w, beta, Y), a, out=Y)
+    np.multiply(wk.y_t, ex, out=wk.y_t)
     np.matmul(wk.y_g, law.jy, out=wk.prod_g)
     Y *= wk.py
     np.matmul(wk.y_g, law.jq, out=wk.q_g)
-    np.multiply(wk.py, ex, out=wk.pye)
+    np.multiply(wk.py_t, ex, out=wk.pye_t)
     np.matmul(wk.pye_g, beta, out=wk.j21_g)
     J21 /= wk.q2
     np.multiply(law.neg_opm, w, out=J12)
@@ -721,7 +722,7 @@ def _log_norm_roots(g: _Axis, a, beta, s0):
         raise NonConvergentStep("the implicit step's log-norm solve did not settle")
     w = _log_norm_residual(g, a, s, beta, True, work)
     # the errors' own log norms: where a + w beta cancels, F is not small
-    s, _ = _log_norms(a + w[:, None] * beta, g.P[None], g.rk, s)
+    s, _ = _log_norms(a + outer(w, beta), g.P[None], g.rk, s)
     return w, s, passes
 
 
@@ -758,7 +759,8 @@ class _Draws:
             self.axes.append((g, rngs, per_run))
         self.leaders = leaders and bool(self.axes)
         self.lq = np.zeros((_DRAW_CHUNK, len(block.axes) * B if self.leaders else 1, block.n))
-        self.dqb = np.zeros((_DRAW_CHUNK, block.M if self.axes else 1, block.n))
+        shape = (_DRAW_CHUNK, block.M, block.n)  # undisturbed: one zero block
+        self.dqb = np.zeros(shape) if self.axes else np.broadcast_to(np.zeros(shape[1:]), shape)
 
     def take(self, count):
         """Writes the forcing terms of the next ``count`` steps into
@@ -1022,7 +1024,9 @@ def simulate_batch(
     cfg: ScenarioConfig, initial_batches: dict, disturbance_scales=None
 ) -> BatchResult:
     """Integrate many runs of one scenario that differ only in their
-    initial states; ``initial_batches`` maps axis name -> (B, N+1, n).
+    initial states; ``initial_batches`` maps axis name -> (B, N+1, n),
+    one B >= 1 for every axis, with finite initial errors (else
+    ValueError before any step).
 
     Run b's reductions equal, bit for bit, those of ``simulate`` with
     that run's initial states; disturbed runs use per-run generators
@@ -1038,7 +1042,7 @@ def simulate_batch(
     """
     times = np.arange(cfg.steps + 1) * cfg.dt
     block, rec, _, _ = _integrate(
-        cfg, [initial_batches[ax.name] for ax in cfg.axes], _BatchRecord, disturbance_scales
+        cfg, [initial_batches.get(ax.name) for ax in cfg.axes], _BatchRecord, disturbance_scales
     )
     axes = block.in_order
     total = None

@@ -26,3 +26,9 @@ def test_record_holds_every_block_and_layer(tmp_path, capsys):
         for t in block["layers"].values():
             assert 0.0 < t["q1_us"] <= t["median_us"] <= t["q3_us"]
             assert t["calls_per_run"] >= 1
+    assert set(record["derive"]) == {"sweep_90x1", "sweep_300x1"}
+    for t in record["derive"].values():
+        assert t["nodes"] == 257 and 0.0 < t["median_us"]
+    csv = record["csv"]
+    assert csv["nodes"] == 512 and csv["bytes"] > 512 * 100
+    assert csv["mb_per_s"] == csv["bytes"] / csv["median_us"] > 0.0

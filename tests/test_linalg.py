@@ -8,6 +8,7 @@ from homocon._linalg import (
     clip_psd,
     is_positive_definite,
     lyap_solve,
+    outer,
     pencil_eigvals,
     rowsum,
 )
@@ -118,3 +119,30 @@ def test_rowsum_max_and_min_match_numpy_bit_for_bit(n, lead, mix, seed, view):
         got = rowsum(x, op)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), op.__name__
+
+
+@pytest.mark.parametrize(
+    "xshape, vshape",
+    [((), (3,)), ((1,), (2,)), ((6,), (2,)), ((300,), (2,)), ((257, 300), (2,)), ((40,), (40, 4)),
+     ((300,), (300, 2))],
+)
+def test_outer_matches_numpy_bit_for_bit(xshape, vshape):
+    # x[..., None] * v, every bit, the sign of zero and nan included,
+    # into a new array and into a strided view, as the implicit step's
+    # buffers are
+    rng = np.random.default_rng(len(xshape) + 7 * vshape[-1])
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    x, v = (np.array(rng.standard_normal(s) * 10.0 ** rng.uniform(-200, 200, s)) for s in (xshape, vshape))
+    for a in (x, v):
+        mask = rng.random(a.shape) < 0.2
+        a[mask] = rng.choice(special, mask.sum())
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        want = x[..., None] * v
+        got = outer(x, v)
+        wide = np.full(want.shape[:-1] + (2 * vshape[-1],), 7.0)
+        into = outer(x, v, wide[..., 1::2])
+    assert got.flags.c_contiguous and into.base is not None
+    for y in (got, np.ascontiguousarray(into)):
+        assert y.shape == want.shape
+        assert np.array_equal(y.view(np.uint64), want.view(np.uint64))
+    assert (wide[..., ::2] == 7.0).all()

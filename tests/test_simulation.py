@@ -872,6 +872,9 @@ _SPECIAL_S = st.sampled_from([np.inf, -np.inf, np.nan, 0.0, -0.0])
     data=st.data(),
 )
 @example(groups=2, rows=1, n=2, mus=[-1.0, -0.2, -0.5], seed=0, data=None)
+# the block shapes of the sweeps: 30 runs of mu = -1 and 100 of mu = -0.2
+@example(groups=1, rows=90, n=2, mus=[-1.0, -0.2, -0.5], seed=1, data=None)
+@example(groups=1, rows=300, n=2, mus=[-0.2, -1.0, -0.5], seed=2, data=None)
 def test_buffered_residual_equals_the_allocating_one(groups, rows, n, mus, seed, data):
     import homocon.simulation as simulation
     from oracles import log_norm_residual
@@ -879,8 +882,9 @@ def test_buffered_residual_equals_the_allocating_one(groups, rows, n, mus, seed,
     m = groups * rows
     rng = np.random.default_rng(seed)
     block = _residual_block(groups, rows, n, mus, rng)
-    if data is None:
-        s = np.array([np.nan, -0.0])
+    if data is None:  # the specials first, then log norms from a generator of their own
+        s = np.random.default_rng([seed, 1]).uniform(-40.0, 40.0, m)
+        s[:5] = [np.nan, -0.0, np.inf, -np.inf, 0.0][:m]
     else:
         s = np.array(data.draw(st.lists(st.one_of(st.floats(-40.0, 40.0), _SPECIAL_S),
                                         min_size=m, max_size=m)))
@@ -1503,6 +1507,45 @@ def test_simulate_batch_rejects_bad_disturbance_scales(scales, monkeypatch):
         simulate_batch(scen, inits, scales)
 
 
+def _batch_of(shape, fill=0.5, leader=0.0):
+    """Initial states of ``shape``, the leader's at ``leader`` and the
+    followers' at ``fill``."""
+    x = np.full(shape, fill)
+    x[..., 0, :] = leader
+    return x
+
+
+@pytest.mark.parametrize(
+    "inits",
+    [
+        {"X": _batch_of((2, 3, 3))},  # ran at the parent, reshaped into other errors
+        {"X": _batch_of((2, 7, 1))},  # ran at the parent, reshaped into other errors
+        {"X": _batch_of((2, 4, 3))},  # numpy's "cannot reshape" at the parent
+        {"X": _batch_of((4, 2))},  # no run axis
+        {"X": _batch_of((0, 4, 2))},
+        {},  # KeyError at the parent
+        {"X": _batch_of((2, 4, 2)), "Y": _batch_of((3, 4, 2))},
+        {"X": _batch_of((2, 4, 2), np.nan)},  # NonConvergentStep mid-run at the parent
+        {"X": _batch_of((2, 4, 2), -np.inf)},
+        {"X": _batch_of((2, 4, 2), 1.7e308, -1.7e308)},
+    ],
+    ids=["3x3", "7x1", "4x3", "two-dimensional", "no-runs", "missing-axis", "runs-differ",
+         "nan", "inf", "overflowing-errors"],
+)
+def test_simulate_batch_rejects_bad_initial_batches(inits, monkeypatch):
+    import homocon.simulation as simulation
+
+    axes = (reference_axis(), reference_axis("Y")) if "Y" in inits else (reference_axis(),)
+    scen = ScenarioConfig(chain_graph(), 2, axes, 1e-2, 0.1)
+
+    def stepped(*args):
+        raise AssertionError("the batch took a step")
+
+    monkeypatch.setattr(simulation._Block, "step_implicit", stepped)
+    with pytest.raises(ValueError, match="initial"):
+        simulate_batch(scen, inits)
+
+
 def test_simulate_batch_takes_zero_disturbance_scales():
     scen, inits = _disturbed_batch()
     out = simulate_batch(scen, inits, [0.0, 1.0])
@@ -1546,10 +1589,10 @@ def test_initial_errors_that_overflow():
     init = np.array([[1.7e308, 0.0], [-1.7e308, 0.0], [-3.5, 1.0], [-5.0, 1.0]])
     with pytest.raises(ValueError, match="initial errors must be finite"):
         ScenarioConfig(chain_graph(), 2, (reference_axis(init=init),), 1e-3, 0.01)
-    # batch inputs skip that check; the integrator fails on them without
-    # a RuntimeWarning
+    # batch inputs are held to the same check, before any step and
+    # without a RuntimeWarning
     scen = ScenarioConfig(chain_graph(), 2, (reference_axis(),), 1e-3, 0.01)
-    with pytest.raises(NonConvergentStep):
+    with pytest.raises(ValueError, match="initial errors must be finite"):
         simulate_batch(scen, {"X": init[None]})
 
 

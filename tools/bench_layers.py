@@ -20,7 +20,17 @@ Each block is stepped 50 times from its initial errors, so that the
 Newton has warm starts, and the state there is the fixed input. Timed
 per block: ``residual`` (``_log_norm_residual`` on the curved rows, with
 the block's work buffers), ``newton`` (one ``_Block._newton`` call on
-every curved row), ``step_implicit`` and ``step_leader``. A run times
+every curved row), ``step_implicit`` and ``step_leader``. Also timed, in
+the same runs:
+
+- ``derive``: ``_BatchRecord.derive`` of one full draw chunk (257
+  nodes, stepped on from that state) on each sweep block, whose axis has
+  a cone as the benchmark's sweeps have, so the barrier is derived too;
+- ``csv``: ``_CsvLayout.text`` of a 512-node range of the
+  ``homogeneous_nominal`` preset, with the text's size and its rate in
+  MB/s (10^6 bytes per second at the median time).
+
+A run times
 one loop of calls of about ``--seconds`` for every block and layer in
 turn, so that the machine's slow phases fall on all of them alike; the
 record holds, per layer, the median over ``--runs`` runs of the time per
@@ -37,6 +47,7 @@ import platform
 import statistics
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +59,7 @@ import homocon as hc  # noqa: E402
 from homocon import cli, simulation  # noqa: E402
 
 WARM_STEPS = 50
+CSV_NODES = 512
 CHAIN_EDGES = [[1, 0, 1.0], [2, 1, 1.0], [3, 2, 1.0]]
 
 
@@ -96,7 +108,7 @@ def _sweep(runs: int, mu: float, disturbed: bool):
     inits = np.zeros((runs, 4, 2))
     inits[:, 1:] = errors
     axis = hc.AxisSpec("X", hc.nonovershoot_protocol(1.0, hc.HomogeneousNormContext(gen, P)),
-                       inits[0])
+                       inits[0], hc.ConeSpec(2, 1.0, mu))
     scen = hc.ScenarioConfig(hc.DirectedGraph.from_edges(3, CHAIN_EDGES), 2, (axis,), 1e-3, 1.0)
     dq = rng.uniform(-0.4, 0.4, runs * 3) if disturbed else np.zeros(runs * 3)
     return scen, [inits], dq
@@ -152,6 +164,31 @@ def layers(block, L, E, w, s, dqb, lq) -> dict:
             "step_leader": step_leader}
 
 
+def derive_chunk(scen, inits, dq):
+    """``_BatchRecord.derive`` of one full draw chunk: the block's warm
+    state and the nodes of the steps that follow it."""
+    block, L, E, w, s, dqb, _ = warm_state(scen, inits, dq)
+    nodes = simulation._DRAW_CHUNK + 1
+    rec = simulation._BatchRecord(block, nodes - 1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rec.record(0, L, E, w, s)
+        for k in range(1, nodes):
+            E, w, s = block.step_implicit(E, dqb, w, s)
+            rec.record(k, L, E, w, s)
+    return lambda: rec.derive(slice(0, nodes), nodes)
+
+
+def csv_text():
+    """``_CsvLayout.text`` of CSV_NODES nodes of the preset, as
+    ``write_trajectory_csv`` lays it out, and the text's size in bytes."""
+    scen = cli.build_scenario(cli._preset_config("homogeneous_nominal"))
+    traj = hc.simulate(replace(scen, horizon=CSV_NODES * scen.dt))
+    layout = simulation._CsvLayout(traj.axes, [bool(ax.disturbance.view(np.uint64).any())
+                                               for ax in traj.axes])
+    ks = slice(0, CSV_NODES)
+    return (lambda: layout.text(traj.times, ks)), len(layout.text(traj.times, ks).encode())
+
+
 def time_calls(fns: dict, seconds: float, runs: int) -> dict:
     """Median and quartiles over ``runs`` of the microseconds per call of
     each function in ``fns``, timed in loops of about ``seconds``. Each
@@ -188,6 +225,7 @@ def main(argv=None) -> int:
         "machine": {"python": platform.python_version(), "numpy": np.__version__,
                     "processor": platform.processor() or platform.machine()},
         "blocks": {},
+        "derive": {},
     }
     fns = {}
     for name, scen, inits, dq in blocks():
@@ -195,10 +233,19 @@ def main(argv=None) -> int:
         record["blocks"][name] = {"rows": block.m_curved, "groups": len(block.curved),
                                   "n": block.n, "layers": {}}
         fns.update({(name, layer): fn for layer, fn in layers(block, *state).items()})
+        if name.startswith("sweep"):
+            fns[(name, "derive")] = derive_chunk(scen, inits, dq)
+    fns[("presets_6x2", "csv")], size = csv_text()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         timed = time_calls(fns, args.seconds, args.runs)
     for (name, layer), t in timed.items():
-        record["blocks"][name]["layers"][layer] = t
+        if layer == "derive":
+            record["derive"][name] = {"nodes": simulation._DRAW_CHUNK + 1, **t}
+        elif layer == "csv":
+            record["csv"] = {"preset": "homogeneous_nominal", "nodes": CSV_NODES, "bytes": size,
+                             **t, "mb_per_s": size / t["median_us"]}
+        else:
+            record["blocks"][name]["layers"][layer] = t
     text = json.dumps(record, indent=1)
     if args.out is not None:
         args.out.write_text(text + "\n")
