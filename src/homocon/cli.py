@@ -354,13 +354,9 @@ def build_scenario(cfg: dict, overrides: dict | None = None) -> ScenarioConfig:
 
 
 def cmd_gains(args) -> int:
-    try:
-        n = int(args.n)
-        lam = float(args.lam)
-        gain = linear_gain(n, lam)
-        gen = DilationGenerator(n, float(args.mu))
-    except ValueError as exc:
-        return _fail(EXIT_BAD_INPUT, str(exc))
+    n = int(args.n)
+    gain = linear_gain(n, float(args.lam))
+    gen = DilationGenerator(n, float(args.mu))
     chain = IntegratorChain(n)
     Acl = chain.A - chain.B @ gain.reshape(1, -1)
     eigs = np.sort_complex(np.linalg.eigvals(Acl))
@@ -371,27 +367,16 @@ def cmd_gains(args) -> int:
 
 
 def cmd_verify_lmi(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        n = _field(cfg["system"], "n", "system", _integer)
-        any_protocol = False
-        for name, sec in cfg["protocol"].items():
-            spec, _, margins = _build_protocol(name, sec, n)
-            any_protocol = True
-            for label, m in margins.items():
-                print(
-                    f"{name} [{label}] margins: "
-                    f"{m[0]:.6e} {m[1]:.6e} {m[2]:.6e} feasible=True"
-                )
-            if not margins:
-                print(f"{name}: linear protocol, nothing to verify")
-        if not any_protocol:
-            return _fail(EXIT_BAD_INPUT, "no protocols in config")
-    except (ConfigError, ValueError, NotSymmetric, SingularX) as exc:
-        return _fail(EXIT_BAD_INPUT, str(exc))
-    except Infeasible as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    cfg = load_config(args.config)
+    n = _field(cfg["system"], "n", "system", _integer)
+    if not cfg["protocol"]:
+        return _fail(EXIT_BAD_INPUT, "no protocols in config")
+    for name, sec in cfg["protocol"].items():
+        _, _, margins = _build_protocol(name, sec, n)
+        for label, m in margins.items():
+            print(f"{name} [{label}] margins: {m[0]:.6e} {m[1]:.6e} {m[2]:.6e} feasible=True")
+        if not margins:
+            print(f"{name}: linear protocol, nothing to verify")
     return EXIT_OK
 
 
@@ -419,46 +404,35 @@ def _summary_json(summary) -> str:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        overrides = {
-            k: v
-            for k, v in (("dt", args.dt), ("horizon", args.horizon), ("seed", args.seed))
-            if v is not None
-        }
-        scenario = build_scenario(cfg, overrides)
-        out_cfg = cfg.get("output", {})
-        _check_keys(out_cfg, {"trajectory_csv", "summary"}, "output")
-        csv_name = out_cfg.get("trajectory_csv", "trajectory.csv")
-        summary_name = out_cfg.get("summary", "summary.json")
-        if not (isinstance(csv_name, str) and isinstance(summary_name, str)):
-            raise ConfigError("output file names must be strings")
-        out_dir = args.output or "."
-        csv_path = os.path.join(out_dir, csv_name)
-        summary_path = os.path.join(out_dir, summary_name)
-        if os.path.normpath(csv_path) == os.path.normpath(summary_path):
-            raise ConfigError(f"output.trajectory_csv and output.summary name one file: {csv_name!r}")
-    except (ConfigError, ValueError, NotSymmetric, SingularX) as exc:
-        return _fail(EXIT_BAD_INPUT, str(exc))
-    except Infeasible as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    cfg = load_config(args.config)
+    overrides = {
+        k: v
+        for k, v in (("dt", args.dt), ("horizon", args.horizon), ("seed", args.seed))
+        if v is not None
+    }
+    scenario = build_scenario(cfg, overrides)
+    out_cfg = cfg.get("output", {})
+    _check_keys(out_cfg, {"trajectory_csv", "summary"}, "output")
+    csv_name = out_cfg.get("trajectory_csv", "trajectory.csv")
+    summary_name = out_cfg.get("summary", "summary.json")
+    if not (isinstance(csv_name, str) and isinstance(summary_name, str)):
+        raise ConfigError("output file names must be strings")
+    out_dir = args.output or "."
+    csv_path = os.path.join(out_dir, csv_name)
+    summary_path = os.path.join(out_dir, summary_name)
+    if os.path.normpath(csv_path) == os.path.normpath(summary_path):
+        raise ConfigError(f"output.trajectory_csv and output.summary name one file: {csv_name!r}")
 
-    try:
-        with _Staged() as out:
-            os.makedirs(out_dir, exist_ok=True)
-            traj = simulate(scenario, out.path(csv_path))
-            summary = _summarize(traj, scenario)
-            try:
-                text = _summary_json(summary)
-            except ValueError as exc:
-                return _fail(EXIT_INTEGRATION, f"non-finite summary: {exc}")
-            out.text(summary_path, text)
-            out.commit()
-    except NonConvergentStep as exc:
-        return _fail(EXIT_INTEGRATION, f"integration failed: {exc}")
-    except OSError as exc:
-        return _fail(EXIT_BAD_INPUT, f"cannot write output: {exc}")
+    with _Staged() as out:
+        os.makedirs(out_dir, exist_ok=True)
+        traj = simulate(scenario, out.path(csv_path))
+        summary = _summarize(traj, scenario)
+        try:
+            text = _summary_json(summary)
+        except ValueError as exc:
+            return _fail(EXIT_INTEGRATION, f"non-finite summary: {exc}")
+        out.text(summary_path, text)
+        out.commit()
     line = " ".join(
         f"{ax}:overshoot={summary[ax]['overshoot']:.3e}" for ax in traj.axis_names
     )
@@ -597,28 +571,19 @@ def _summary_csv(summaries: list) -> str:
 
 def cmd_reproduce_paper(args) -> int:
     out_dir = args.output or "reproduce_paper"
-    try:
-        with _Staged() as out:
-            os.makedirs(out_dir, exist_ok=True)
-            summaries = [
-                _run_preset(run, out.path(os.path.join(out_dir, f"{run}.csv")))
-                for run in PRESET_RUNS
-            ]
-            try:
-                text = _summary_json(summaries)
-            except ValueError as exc:
-                return _fail(EXIT_INTEGRATION, f"non-finite summary: {exc}")
-            out.text(os.path.join(out_dir, "summary.json"), text)
-            out.text(os.path.join(out_dir, "summary.csv"), _summary_csv(summaries))
-            out.commit()
-    except NonConvergentStep as exc:
-        return _fail(EXIT_INTEGRATION, f"integration failed: {exc}")
-    except Infeasible as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except OSError as exc:
-        return _fail(EXIT_BAD_INPUT, f"cannot write output: {exc}")
-
+    with _Staged() as out:
+        os.makedirs(out_dir, exist_ok=True)
+        summaries = [
+            _run_preset(run, out.path(os.path.join(out_dir, f"{run}.csv")))
+            for run in PRESET_RUNS
+        ]
+        try:
+            text = _summary_json(summaries)
+        except ValueError as exc:
+            return _fail(EXIT_INTEGRATION, f"non-finite summary: {exc}")
+        out.text(os.path.join(out_dir, "summary.json"), text)
+        out.text(os.path.join(out_dir, "summary.csv"), _summary_csv(summaries))
+        out.commit()
     for s in summaries:
         print(
             f"{s['run']}: X overshoot={s['X']['overshoot']:.3e} "
@@ -660,7 +625,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else 0
-    return args.func(args)
+    # the exit code of each exception that a subcommand raises
+    try:
+        return args.func(args)
+    except (ConfigError, ValueError, NotSymmetric, SingularX) as exc:
+        return _fail(EXIT_BAD_INPUT, str(exc))
+    except Infeasible as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except NonConvergentStep as exc:
+        return _fail(EXIT_INTEGRATION, f"integration failed: {exc}")
+    except OSError as exc:
+        return _fail(EXIT_BAD_INPUT, f"cannot write output: {exc}")
 
 
 if __name__ == "__main__":

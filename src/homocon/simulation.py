@@ -46,14 +46,14 @@ own (``protocols._law``, ``homogeneity._log_norms``,
 ``homogeneity._project_to_sphere``).
 
 A step makes several dozen numpy calls, so on a few rows its time is
-the cost per call. The block makes once every array that its log-norm
-residual and Newton write (``_Work``), with its products' stacked
-views padded as ``grouped_matmul`` pads them; ``_Draws`` forms the
-forcing of a draw chunk at once. Ops that pair the rows with their n
-columns take transposed views, so numpy loops along the rows, not over
-n once per row (``_Work``, ``_linalg.outer``). Each value keeps its
-operations and their order, so every bit is that of a new array per
-operation, and a step returns new arrays, never a buffer.
+the cost per call. The block alone holds its laws' parameters, and it
+makes once the arrays that its log-norm residual writes (``_Work``),
+for the Newton and for the one bracketed solve a step makes over every
+axis's open rows alike; ``_Draws`` forms the forcing of a draw chunk at
+once. Ops that pair the rows with their n columns take transposed
+views, so numpy loops along the rows (``_Work``, ``_linalg.outer``).
+Each value keeps its operations and their order, so every bit is that
+of a new array per operation, and a step returns new arrays.
 
 Runs are deterministic: identical configuration and seed give
 bit-identical trajectories and CSV files. Both entry points buffer one
@@ -102,6 +102,8 @@ class DisturbanceSpec:
     offsets: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.seed is not None and self.seed < 0:
+            raise ValueError("disturbance seed must be nonnegative")
         a = np.asarray(self.amplitudes, dtype=float)
         if not np.all(np.isfinite(a)):
             raise ValueError("amplitudes must be finite")
@@ -176,6 +178,8 @@ class ScenarioConfig:
             )
         if self.integrator != "implicit_euler":
             raise ValueError("integrator must be 'implicit_euler'")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         for ax in self.axes:
             if ax.protocol.n != self.n:
                 raise ValueError(f"axis {ax.name}: protocol dimension mismatch")
@@ -272,7 +276,7 @@ _SNAP_TOL = 1e-12
 
 
 class _Axis:
-    """One axis's place in the row block and its law parameters."""
+    """One axis's place in the row block and what its recorders and affine step read."""
 
     def __init__(self, index: int, spec: AxisSpec, rows: slice, lead: slice, beta):
         protocol = spec.protocol
@@ -284,7 +288,6 @@ class _Axis:
         self.K = protocol.gain
         self.P = ctx.P if ctx is not None else None
         self.rk = ctx.gen.diag_entries if ctx is not None else None
-        self.opm = 1.0 + protocol.mu
         # at degree zero the dilation is uniform: the law collapses to
         # -K v and the norm has the closed form ||v||_P
         self.affine = protocol.mu == 0.0
@@ -294,28 +297,6 @@ class _Axis:
             self.lin_den = 1.0 + float(protocol.gain @ beta)
             if not 0.0 < self.lin_den <= _LIN_DEN_MAX:
                 raise NonConvergentStep("dt too large for the linear implicit step")
-        else:
-            self.cmax = protocol.sphere_gain_bound()
-            # s times this column is -(s rk) and opm s: one exp gives d(-s) and c
-            self.neg_rko, self.neg_opm = np.append(-self.rk, self.opm)[:, None], -self.opm
-            # the log-norm residual's products, as a stack of one: [d(-s) a,
-            # d(-s) 1] @ jw holds K d(-s) a and K d(-s) beta, y @ jy holds
-            # P y and K G y, and (Py * y) @ jq holds y'Py and y'P G y
-            n = beta.shape[0]
-            self.jw = np.zeros((1, 2 * n, 2))
-            self.jw[0, :n, 0], self.jw[0, n:, 1] = self.K, self.K * beta
-            self.jy = np.column_stack((self.P, self.K * self.rk))[None]
-            self.jq = np.column_stack((np.ones(n), self.rk))[None]
-            # |w| below this selects the set-valued point of the law
-            if protocol.mu == -1.0:
-                self.snap_bound = self.cmax * (1.0 + 1e-9)
-            else:
-                self.snap_bound = 1e-9 * (1.0 + self.cmax)
-            # on the ball |e| <= r with sqrt(lmax(P)) r <= 1 the log norm is
-            # at most log(sqrt(lmax) r) / max(rk), so there
-            # |u| <= cmax (sqrt(lmax) r)^ball_exp
-            self.root_lmax = float(np.sqrt(np.linalg.eigvalsh(self.P)[-1]))
-            self.ball_exp = self.opm / float(self.rk.max())
 
     def log_norms(self, E, s):
         """Log norms of this axis's errors E (rows in the last axis): its
@@ -404,25 +385,30 @@ class _Block:
             raise ValueError("initial errors must be finite")
 
         if self.curved:
-            # stacked matrices and per-row parameters of the curved rows
+            # the curved axes' matrices, stacked, and their laws' parameters
+            laws = [g.spec.protocol for g in self.curved]
+            mu, cmax = np.array([[law.mu, law.sphere_gain_bound()] for law in laws]).T
+            rk, opm = np.stack([g.rk for g in self.curved]), 1.0 + mu
             self.P = np.stack([g.P for g in self.curved])
             self.K = np.stack([g.K for g in self.curved])
-            self.jw, self.jy, self.jq = (
-                np.concatenate([getattr(g, j) for g in self.curved]) for j in ("jw", "jy", "jq")
-            )
-            self.rk = np.repeat(np.stack([g.rk for g in self.curved]), B * N, axis=0)
-            self.opm = np.repeat([g.opm for g in self.curved], B * N)
-            self.neg_rko = np.repeat(np.hstack([g.neg_rko for g in self.curved]), B * N, axis=1)
-            self.neg_opm = -self.opm
-            self.snap_bound = np.repeat([g.snap_bound for g in self.curved], B * N)
-            # cmax (1 + 1e-9), sqrt(lmax(P)) and ball_exp of each row's axis
-            self.ball = np.repeat(
-                [[g.cmax * (1.0 + 1e-9), g.root_lmax, g.ball_exp] for g in self.curved], B * N, axis=0
-            )
+            # the log-norm residual's products, one per axis: [d(-s) a,
+            # d(-s) 1] @ jw holds K d(-s) a and K d(-s) beta, y @ jy holds
+            # P y and K G y, and (Py * y) @ jq holds y'Py and y'P G y
+            self.jw = np.zeros((len(rk), 2 * n, 2))
+            self.jw[:, :n, 0], self.jw[:, n:, 1] = self.K, self.K * self.beta
+            self.jy = np.concatenate((self.P, (self.K * rk)[:, :, None]), axis=2)
+            self.jq = np.stack((np.ones_like(rk), rk), axis=2)
+            # |w| below this selects the set-valued point of the law
+            bound = np.where(mu == -1.0, cmax * (1.0 + 1e-9), 1e-9 * (1.0 + cmax))
+            # on the ball |e| <= r with sqrt(lmax(P)) r <= 1 the log norm is
+            # at most log(sqrt(lmax) r) / max(rk), so there
+            # |u| <= cmax (sqrt(lmax) r)^ball_exp, ball_exp = opm / max(rk)
+            c, ex = cmax * (1.0 + 1e-9), opm / rk.max(axis=1)
+            root_lmax = np.sqrt(np.linalg.eigvalsh(self.P)[:, -1])
             # a row is placed on the origin only with |wpar| <= c, and its
             # line then passes within the snap distance r of it, which needs
             # |a| <= (tol (1 + c |beta|) + c |beta|) / (1 - tol): that bound,
-            # squared, with a margin for rounding. Each row's c is its law's:
+            # squared, with a margin for rounding. Each axis's c is its law's:
             # the larger of snap_bound and the near test's bound
             # cmax (1 + 1e-9) min(sqrt(lmax) r, 1)^ball_exp at the largest r
             # of a row within the reach for c = cmax (1 + 1e-9). For
@@ -431,15 +417,19 @@ class _Block:
                 cb = c * self.root_btb
                 return ((_SNAP_TOL * (1.0 + cb) + cb) / (1.0 - _SNAP_TOL) * (1.0 + 1e-6)) ** 2
 
-            c, root_lmax, ex = self.ball.T
             with np.errstate(over="ignore"):  # an infinite reach tests every step
-                loose = np.maximum(self.snap_bound, c)
+                loose = np.maximum(bound, c)
                 r = _SNAP_TOL * (1.0 + np.sqrt(reach2(loose)) + loose * self.root_btb)
-                self.reach2 = reach2(np.maximum(self.snap_bound, c * np.minimum(root_lmax * r, 1.0) ** ex))
+                reach = reach2(np.maximum(bound, c * np.minimum(root_lmax * r, 1.0) ** ex))
+            # one per row; s times a neg_rko column is -(s rk) and opm s: one exp gives d(-s) and c
+            self.rk, self.opm = np.repeat(rk, B * N, axis=0), np.repeat(opm, B * N)
+            self.neg_rko, self.neg_opm = np.repeat(np.column_stack((-rk, opm)).T, B * N, axis=1), -self.opm
+            self.snap_bound, self.reach2 = np.repeat(bound, B * N), np.repeat(reach, B * N)
+            self.ball = np.repeat(np.column_stack((c, root_lmax, ex)), B * N, axis=0)
             # log norms of the curved rows at the two nodes before the
             # previous one, newest first; nan until they are known
             self.older = (np.full(self.m_curved, np.nan),) * 2
-            self.work = _Work(self, self.m_curved)
+            self.work = _Work(self)
         if flat:
             self.K_flat = np.stack([g.K for g in flat])[:, :, None]
             self.lin_den = np.repeat([g.lin_den for g in flat], B * N)
@@ -547,7 +537,7 @@ class _Block:
         make a resolved descending step (dF >= 0, 1 + c K b <= 0, a value
         not finite, |w dF/dw| > _NEWTON_COND) or are open after
         _NEWTON_PASSES passes go to ``_log_norm_roots`` from this
-        Newton's start, once per axis. ``pending`` is updated in place;
+        Newton's start, all in one call. ``pending`` is updated in place;
         the residual's values, the masks and the steps live in the
         block's ``work``. Runs under ``_integrate``'s errstate, where
         overflow, invalid values and division by zero make non-finite
@@ -572,7 +562,7 @@ class _Block:
         self.newton_calls += 1
         for p in range(_NEWTON_PASSES):
             self.newton_passes += 1
-            wp, F, dF, nden, J21 = _log_norm_residual(self, a, s, beta, work=wk)
+            wp, F, dF, nden, J21 = _log_norm_residual(self, a, s)
             if p:  # the rows that stepped take w at their new s
                 np.copyto(w, wp, where=step)
             else:
@@ -603,32 +593,29 @@ class _Block:
             if stops == steps:
                 break
         if stops:
-            np.copyto(w, _log_norm_residual(self, a, s, beta, True, wk), where=stopped)
+            np.copyto(w, _log_norm_residual(self, a, s, True), where=stopped)
         if rough is not None:
-            rough = np.nonzero(rough)[0]
-            group = rough // (self.B * self.N)
-            for j in np.unique(group):
-                r = rough[group == j]
-                w[r], s[r], passes = _log_norm_roots(self.curved[j], a[r], beta, s_start[r])
-                self.fallback_rows += r.size
-                self.fallback_passes += passes
+            rows = np.nonzero(rough)[0]
+            w[rows], s[rows], passes = _log_norm_roots(self, a, s, s_start, rows)
+            self.fallback_rows += rows.size
+            self.fallback_passes += passes
         return w, s, a + outer(w, beta)
 
 
 class _Work:
     """The arrays that ``_log_norm_residual`` and ``_Block._newton`` write
-    for m rows of ``law`` (the block's curved rows or one axis's rows),
-    made once. A product's operand ``*_g`` is (groups, rows, .), one-row
-    groups padded to two (kept zero) as ``grouped_matmul`` pads them, and
-    elementwise ops write its (m, .) view. The exponentials are held by
-    rows, (n + 1, m), and ops pair them with transposed (m, n) views
-    (``*_t``), so that numpy's inner loop runs along the m rows.
+    for the block's m curved rows, made once with it. A product's operand
+    ``*_g`` is (groups, rows, .), one-row groups padded to two (kept zero)
+    as ``grouped_matmul`` pads them, and elementwise ops write its (m, .)
+    view. The exponentials are held by rows, (n + 1, m), and ops pair them
+    with transposed (m, n) views (``*_t``), so that numpy's inner loop
+    runs along the m rows.
     """
 
-    def __init__(self, law, m):
-        n = law.jq.shape[1]
+    def __init__(self, block):
+        m, n = block.m_curved, block.n
 
-        def stacked(cols, groups=len(law.jq)):
+        def stacked(cols, groups=len(block.curved)):
             rows = m // groups
             out = np.zeros((groups, 2 if rows == 1 else rows) + cols)
             return out, out[:, :rows].reshape((m,) + cols)
@@ -652,27 +639,26 @@ class _Work:
         self.sq = np.empty((m, n))
 
 
-def _log_norm_residual(law, a, s, beta, control_only=False, work=None):
-    """F(s) = log ||y||_P, y = d(-s)(a + w(s) beta), on the rows of a, with
-    the closed-form control w(s) = -c K d(-s) a / (1 + c K d(-s) beta),
-    c = exp(opm s), which solves w = -c K y at the fixed log norm s; and
-    dF = J22 - J21 J12 / J11, the Schur complement of the Jacobian of
-    (w + c K y, F) in (w, s) (G = diag(rk), q2 = y'Py):
+def _log_norm_residual(block, a, s, control_only=False):
+    """F(s) = log ||y||_P, y = d(-s)(a + w(s) beta), on the block's curved
+    rows a, with the closed-form control w(s) = -c K d(-s) a / (1 + c K
+    d(-s) beta), c = exp(opm s), which solves w = -c K y at the fixed log
+    norm s; and dF = J22 - J21 J12 / J11, the Schur complement of the
+    Jacobian of (w + c K y, F) in (w, s) (G = diag(rk), q2 = y'Py):
 
         J11 = 1 + c K d(-s) beta      J12 = c (opm K y - K G y)
         J21 = (Py . d(-s) beta) / q2  J22 = -(Py . G y) / q2
 
-    ``law`` is the block's curved rows or one axis. Every value is
-    written into ``work``, a ``_Work`` for these rows (a new one when
-    None), and the arrays returned are its buffers: w alone when
-    ``control_only``, else (w, F, dF, nden, J21) with nden = -J11.
+    Every value is written into the block's ``work``, and the arrays
+    returned are its buffers: w alone when ``control_only``, else
+    (w, F, dF, nden, J21) with nden = -J11.
     """
-    wk = _Work(law, len(a)) if work is None else work
+    beta, wk = block.beta, block.work
     ex, c, w, nden = wk.ex, wk.c, wk.w, wk.nden
-    np.exp(np.multiply(s, law.neg_rko, out=wk.xc), out=wk.xc)
+    np.exp(np.multiply(s, block.neg_rko, out=wk.xc), out=wk.xc)
     np.multiply(a.T, ex, out=wk.aex_t)
     wk.kex_t[...] = ex
-    np.matmul(wk.kin_g, law.jw, out=wk.k_g)
+    np.matmul(wk.kin_g, block.jw, out=wk.k_g)
     np.subtract(-1.0, np.multiply(c, wk.kb, out=nden), out=nden)
     np.multiply(c, wk.ka, out=w)
     w /= nden
@@ -681,13 +667,13 @@ def _log_norm_residual(law, a, s, beta, control_only=False, work=None):
     Y, J21, J12, dF, F, t = wk.y, wk.j21, wk.j12, wk.dF, wk.F, wk.t
     np.add(outer(w, beta, Y), a, out=Y)
     np.multiply(wk.y_t, ex, out=wk.y_t)
-    np.matmul(wk.y_g, law.jy, out=wk.prod_g)
+    np.matmul(wk.y_g, block.jy, out=wk.prod_g)
     Y *= wk.py
-    np.matmul(wk.y_g, law.jq, out=wk.q_g)
+    np.matmul(wk.y_g, block.jq, out=wk.q_g)
     np.multiply(wk.py_t, ex, out=wk.pye_t)
     np.matmul(wk.pye_g, beta, out=wk.j21_g)
     J21 /= wk.q2
-    np.multiply(law.neg_opm, w, out=J12)
+    np.multiply(block.neg_opm, w, out=J12)
     J12 -= np.multiply(c, wk.kgy, out=t)  # c K y = -w at w(s)
     np.multiply(J21, J12, out=dF)
     dF /= nden
@@ -697,33 +683,35 @@ def _log_norm_residual(law, a, s, beta, control_only=False, work=None):
     return w, F, dF, nden, J21
 
 
-def _log_norm_roots(g: _Axis, a, beta, s0):
-    """F(s) = 0 (``_log_norm_residual``) from s0 (0 where it is not
-    finite) for the rows of axis g that ``_Block._newton`` left open, by
-    ``homogeneity._bracketed_roots``: no Newton step where 1 + c K b <= 0,
-    and where a + w beta cancels, F may stay near 1e-5 until the controls
-    at the bracket's ends agree. Returns (w, s, passes): w at the final
-    s, the log norms of a + w beta, and the passes made. Raises
-    NonConvergentStep when a row is open after _ROOT_PASSES passes.
-    Each pass evaluates every row into one ``_Work``, at the open rows'
-    new s and the others' last one, and reads the open rows: a row's
-    values do not depend on the rows beside it.
-    """
-    work = _Work(g, len(a))
-    s_last = np.where(np.isfinite(s0), s0, 0.0)
+def _log_norm_roots(block, a, s, s0, rows):
+    """F(s) = 0 (``_log_norm_residual``) on the curved ``rows``, of any
+    axes, that ``_Block._newton`` left open, from s0 (0 where not finite)
+    by ``homogeneity._bracketed_roots``: no Newton step where
+    1 + c K b <= 0, and where a + w beta cancels, F may stay near 1e-5
+    until the controls at the bracket's ends agree. A pass evaluates
+    every curved row into the block's ``work``, the open rows at their
+    new s and the others at s, and reads the open rows: a row's values do
+    not depend on the rows beside it. Returns, on ``rows``, w at the
+    final s, the log norms of a + w beta and the passes made. Raises
+    NonConvergentStep when a row is open after _ROOT_PASSES passes."""
+    s_last = s.copy()
+    s_last[rows] = np.where(np.isfinite(s0[rows]), s0[rows], 0.0)
 
-    def residual(rows, s):
-        s_last[rows] = s
-        w, F, dF, nden, _ = _log_norm_residual(g, a, s_last, beta, work=work)
-        return F[rows], np.where(nden[rows] < 0.0, dF[rows], np.nan), w[rows]
+    def residual(open_rows, s_open):
+        r = rows[open_rows]
+        s_last[r] = s_open
+        w, F, dF, nden, _ = _log_norm_residual(block, a, s_last)
+        return F[r], np.where(nden[r] < 0.0, dF[r], np.nan), w[r]
 
-    s, passes, open_rows = _bracketed_roots(residual, s_last, _ROOT_PASSES)
+    s_rows, passes, open_rows = _bracketed_roots(residual, s_last[rows], _ROOT_PASSES)
     if open_rows.size:
         raise NonConvergentStep("the implicit step's log-norm solve did not settle")
-    w = _log_norm_residual(g, a, s, beta, True, work)
+    s_last[rows] = s_rows
+    w = _log_norm_residual(block, a, s_last, True)[rows]
     # the errors' own log norms: where a + w beta cancels, F is not small
-    s, _ = _log_norms(a + outer(w, beta), g.P[None], g.rk, s)
-    return w, s, passes
+    P = block.P[rows // (block.B * block.N)]  # one per row
+    s_rows, _ = _log_norms(a[rows] + outer(w, block.beta), P, block.rk[rows], s_rows)
+    return w, s_rows, passes
 
 
 # ---------------------------------------------------------------------------

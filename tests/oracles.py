@@ -150,25 +150,26 @@ def solve_control_roots(block, alpha, w_prev, s_warm, snap_tol=1e-12):
     return e_new, w, logr
 
 
-def log_norm_residual(law, a, s, beta, control_only=False):
+def log_norm_residual(block, a, s, control_only=False):
     """``simulation._log_norm_residual`` with a new array for every
     operation, each product through ``grouped_matmul``: its values, in
-    its operations and their order, from ``law``'s rk, opm and product
-    matrices alone. Returns w, or (w, F, dF, nden, J21)."""
-    ex = np.exp(s[:, None] * -law.rk)
-    c = np.exp(law.opm * s)
-    k = grouped_matmul(np.concatenate((a * ex, ex), axis=1), law.jw, len(law.jw))
+    its operations and their order, from the block's beta, rk, opm and
+    product matrices alone. Returns w, or (w, F, dF, nden, J21)."""
+    beta = block.beta
+    ex = np.exp(s[:, None] * -block.rk)
+    c = np.exp(block.opm * s)
+    k = grouped_matmul(np.concatenate((a * ex, ex), axis=1), block.jw, len(block.jw))
     nden = -1.0 - c * k[:, 1]
     w = c * k[:, 0] / nden
     if control_only:
         return w
-    groups = len(law.jy)
+    groups = len(block.jy)
     Y = (a + w[:, None] * beta) * ex
-    prod = grouped_matmul(Y, law.jy, groups)
+    prod = grouped_matmul(Y, block.jy, groups)
     PY = prod[:, :-1]
-    q = grouped_matmul(PY * Y, law.jq, groups)
+    q = grouped_matmul(PY * Y, block.jq, groups)
     q2 = q[:, 0]
     J21 = grouped_matmul(PY * ex, beta) / q2
-    J12 = -law.opm * w - c * prod[:, -1]
+    J12 = -block.opm * w - c * prod[:, -1]
     dF = J21 * J12 / nden - q[:, 1] / q2
     return w, 0.5 * np.log(q2), dF, nden, J21

@@ -22,7 +22,8 @@ def test_record_holds_every_block_and_layer(tmp_path, capsys):
         "sweep_90x1": (90, 1, 2), "sweep_300x1": (300, 1, 2),
     }
     for block in record["blocks"].values():
-        assert set(block["layers"]) == {"residual", "newton", "step_implicit", "step_leader"}
+        assert set(block["layers"]) == {"residual", "newton", "log_norms_cold", "log_norms_warm",
+                                        "step_implicit", "step_leader"}
         for t in block["layers"].values():
             assert 0.0 < t["q1_us"] <= t["median_us"] <= t["q3_us"]
             assert t["calls_per_run"] >= 1

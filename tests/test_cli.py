@@ -262,6 +262,12 @@ BAD_INPUTS = {
         "simulate",
         lambda cfg, out: cfg.update(disturbance={"X": [0.0, 0.1], "seed": 1.7}),
     ),
+    # numpy's generators take only nonnegative seeds
+    "sim_seed_negative": ("simulate", lambda cfg, out: cfg["sim"].update(seed=-1)),
+    "disturbance_seed_negative": (
+        "simulate",
+        lambda cfg, out: cfg.update(disturbance={"X": [0.0, 0.1], "seed": -3}),
+    ),
     # only a JSON boolean switches the P rescaling on or off
     "fit_unit_ball_string": (
         "simulate", lambda cfg, out: cfg["protocol"]["X"].update(fit_unit_ball="no"),
@@ -669,6 +675,17 @@ def test_mutated_config_exits_cleanly(command, edits):
         if code == 0 and command == "simulate":
             with open(os.path.join(out_dir, "summary.json")) as fh:
                 _strict_json(fh.read())
+
+
+def test_negative_seed_flag_exits_two_without_files(tmp_path):
+    # the robust preset draws its disturbances from the run's seed
+    cfg = _preset_config("homogeneous_robust")
+    cfg["sim"]["horizon"] = 0.01
+    out_dir = tmp_path / "out"
+    argv = ["simulate", "--config", write_config(tmp_path, cfg), "--output", str(out_dir),
+            "--seed", "-5"]
+    assert main(argv) == EXIT_BAD_INPUT
+    assert not out_dir.exists()
 
 
 def test_simulate_cli_flag_overrides(tmp_path):

@@ -636,23 +636,24 @@ def test_fast_path_waits_for_undisturbed_settled_rows(monkeypatch):
 
 
 def _fallback_calls(monkeypatch, scen):
-    """Integrate ``scen`` and record, per _log_norm_roots call, its axis,
-    rows, result and passes."""
+    """Integrate ``scen`` and record, per _log_norm_roots call, its
+    block, rows, their errors a, result and passes. Returns (calls,
+    block, trajectory)."""
     import homocon.simulation as simulation
 
     calls = []
     solve = simulation._log_norm_roots
 
-    def recorded(g, a, beta, s0):
-        w, s, passes = solve(g, a, beta, s0)
-        calls.append({"g": g, "a": a.copy(), "beta": beta, "w": w.copy(), "s": s.copy(),
-                      "passes": passes})
-        return w, s, passes
+    def recorded(block, a, s, s0, rows):
+        w, s_rows, passes = solve(block, a, s, s0, rows)
+        calls.append({"block": block, "rows": rows.copy(), "a": a[rows], "w": w.copy(),
+                      "s": s_rows.copy(), "passes": passes})
+        return w, s_rows, passes
 
     monkeypatch.setattr(simulation, "_log_norm_roots", recorded)
     blocks = _blocks(monkeypatch)
-    simulate(scen)
-    return calls, blocks[0]
+    traj = simulate(scen)
+    return calls, blocks[0], traj
 
 
 @pytest.mark.parametrize(
@@ -661,31 +662,50 @@ def _fallback_calls(monkeypatch, scen):
     ids=["mu-1-sliding", "mu-1-disturbed"],
 )
 def test_fallback_passes_are_bounded(make, bound, monkeypatch):
-    calls, block = _fallback_calls(monkeypatch, make())
+    calls, block, _ = _fallback_calls(monkeypatch, make())
     passes = [c["passes"] for c in calls]
     assert passes and max(passes) <= bound, passes
     assert (block.fallback_rows, block.fallback_passes) == (
-        sum(c["a"].shape[0] for c in calls), sum(passes)
+        sum(c["rows"].size for c in calls), sum(passes)
     )
+
+
+def test_one_bracket_call_per_step_across_axes(monkeypatch):
+    # two copies of one axis leave rows open on the same steps: one
+    # bracketed solve a step takes the rows of both, in the passes that
+    # one copy alone takes (18 with a solve per axis)
+    x = _mu_minus_one_axes()[0]
+    alone = replace(_mu_minus_one(), axes=(x,))
+    calls, block, traj = _fallback_calls(monkeypatch, replace(alone, axes=(x, replace(x, name="X2"))))
+    assert (block.fallback_rows, block.fallback_passes) == (4, 9)
+    assert all(np.unique(c["rows"] // (block.B * block.N)).size == 2 for c in calls)
+    single = simulate(alone).axis("X")
+    for name in ("X", "X2"):
+        for field in ("states", "errors", "controls", "hnorm", "barrier", "disturbance"):
+            assert _same_arrays(getattr(traj.axis(name), field), getattr(single, field)), (name, field)
 
 
 def test_bracket_returns_a_root_or_a_sign_change(monkeypatch):
     from homocon.homogeneity import canonical_norm_many
 
-    calls, _ = _fallback_calls(monkeypatch, _mu_minus_one())
+    calls, _, _ = _fallback_calls(monkeypatch, _mu_minus_one())
     assert calls
     for c in calls:
-        g, a, beta, w, s = c["g"], c["a"], c["beta"], c["w"], c["s"]
+        block = c["block"]
+        beta, axis = block.beta, c["rows"] // (block.B * block.N)
+        for j in np.unique(axis):
+            protocol = block.curved[j].spec.protocol
+            a, w, s = c["a"][axis == j], c["w"][axis == j], c["s"][axis == j]
 
-        def residual(w):
-            return w - control_input_many(g.spec.protocol, a + w[:, None] * beta)[0]
+            def residual(w):
+                return w - control_input_many(protocol, a + w[:, None] * beta)[0]
 
-        solved = np.abs(residual(w)) <= 1e-12 * (1.0 + np.abs(w))
-        h = 1e-13 * (1.0 + np.abs(w))
-        f_lo, f_hi = residual(w - h), residual(w + h)
-        assert np.all(solved | (f_lo * f_hi <= 0.0)), (residual(w), f_lo, f_hi)
-        _, log_norms = canonical_norm_many(g.spec.protocol.norm_ctx, a + w[:, None] * beta)
-        assert np.all(np.abs(s - log_norms) <= 1e-12), (s, log_norms)
+            solved = np.abs(residual(w)) <= 1e-12 * (1.0 + np.abs(w))
+            h = 1e-13 * (1.0 + np.abs(w))
+            f_lo, f_hi = residual(w - h), residual(w + h)
+            assert np.all(solved | (f_lo * f_hi <= 0.0)), (residual(w), f_lo, f_hi)
+            _, log_norms = canonical_norm_many(protocol.norm_ctx, a + w[:, None] * beta)
+            assert np.all(np.abs(s - log_norms) <= 1e-12), (s, log_norms)
 
 
 def test_fallback_pass_cap_raises(monkeypatch):
@@ -891,24 +911,13 @@ def test_buffered_residual_equals_the_allocating_one(groups, rows, n, mus, seed,
     a = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (m, 1))
     a[rng.random((m, n)) < 0.1] = -0.0
     a[rng.random((m, n)) < 0.1] = 0.0
-    beta, g = block.beta, block.curved[0]
     with np.errstate(all="ignore"):
         # the block's buffers, once filled from other inputs
-        simulation._log_norm_residual(block, a[::-1].copy(), s[::-1].copy(), beta, work=block.work)
+        simulation._log_norm_residual(block, a[::-1].copy(), s[::-1].copy())
         outs = [
-            (simulation._log_norm_residual(block, a, s, beta, work=block.work),
-             log_norm_residual(block, a, s, beta)),
-            (simulation._log_norm_residual(block, a, s, beta), log_norm_residual(block, a, s, beta)),
-            ((simulation._log_norm_residual(block, a, s, beta, True, block.work),),
-             (log_norm_residual(block, a, s, beta, True),)),
+            (simulation._log_norm_residual(block, a, s), log_norm_residual(block, a, s)),
+            ((simulation._log_norm_residual(block, a, s, True),), (log_norm_residual(block, a, s, True),)),
         ]
-        # one axis's rows, as the bracket evaluates them: all of them at
-        # once, read at a subset, against that subset alone
-        a1, s1 = a[:rows], s[:rows]
-        sub = np.nonzero(rng.random(rows) < 0.5)[0]
-        if sub.size:
-            whole = simulation._log_norm_residual(g, a1, s1, beta)
-            outs.append((tuple(x[sub] for x in whole), log_norm_residual(g, a1[sub], s1[sub], beta)))
     for got, want in outs:
         assert len(got) == len(want)
         for x, y in zip(got, want):
@@ -1608,6 +1617,13 @@ def test_specs_reject_nonfinite_values():
         replace(linear_protocol(2, 1.0), gain=np.array([np.nan, 1.0]))
     with pytest.raises(ValueError, match="finite"):
         DirectedGraph.from_edges(1, [[1, 0, np.inf]])
+
+
+def test_specs_reject_negative_seeds():
+    with pytest.raises(ValueError, match="seed"):
+        DisturbanceSpec(np.full(4, 0.1), seed=-3)
+    with pytest.raises(ValueError, match="seed"):
+        ScenarioConfig(chain_graph(), 2, (reference_axis(),), 1e-3, 0.01, seed=-1)
 
 
 def test_scenario_rejects_dimension_mismatch():

@@ -20,8 +20,10 @@ Each block is stepped 50 times from its initial errors, so that the
 Newton has warm starts, and the state there is the fixed input. Timed
 per block: ``residual`` (``_log_norm_residual`` on the curved rows, with
 the block's work buffers), ``newton`` (one ``_Block._newton`` call on
-every curved row), ``step_implicit`` and ``step_leader``. Also timed, in
-the same runs:
+every curved row), ``log_norms_cold`` and ``log_norms_warm``
+(``homogeneity._log_norms`` of the curved rows' errors, started from
+their weighted norms and from the block's log norms there),
+``step_implicit`` and ``step_leader``. Also timed, in the same runs:
 
 - ``derive``: ``_BatchRecord.derive`` of one full draw chunk (257
   nodes, stepped on from that state) on each sweep block, whose axis has
@@ -56,7 +58,7 @@ ROOT = Path(__file__).resolve().parent.parent  # the checkout
 sys.path.insert(0, str(ROOT / "src"))
 
 import homocon as hc  # noqa: E402
-from homocon import cli, simulation  # noqa: E402
+from homocon import cli, homogeneity, simulation  # noqa: E402
 
 WARM_STEPS = 50
 CSV_NODES = 512
@@ -148,10 +150,13 @@ def layers(block, L, E, w, s, dqb, lq) -> dict:
     older = block.older
 
     def residual():
-        return simulation._log_norm_residual(block, ac, sc, block.beta, work=block.work)
+        return simulation._log_norm_residual(block, ac, sc)
 
     def newton():
         return block._newton(ac, wc, sc, older, np.ones(block.m_curved, dtype=bool))
+
+    def log_norms(s_warm):
+        return lambda: homogeneity._log_norms(E[:block.m_curved], block.P, block.rk, s_warm)
 
     def step_implicit():
         block.older = older  # the step shifts it
@@ -160,7 +165,8 @@ def layers(block, L, E, w, s, dqb, lq) -> dict:
     def step_leader():
         return block.step_leader(L, lq)
 
-    return {"residual": residual, "newton": newton, "step_implicit": step_implicit,
+    return {"residual": residual, "newton": newton, "log_norms_cold": log_norms(None),
+            "log_norms_warm": log_norms(s), "step_implicit": step_implicit,
             "step_leader": step_leader}
 
 
