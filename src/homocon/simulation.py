@@ -46,14 +46,14 @@ own (``protocols._law``, ``homogeneity._log_norms``,
 ``homogeneity._project_to_sphere``).
 
 A step makes several dozen numpy calls, so on a few rows its time is
-the cost per call. The block alone holds its laws' parameters, and it
-makes once the arrays that its log-norm residual writes (``_Work``),
-for the Newton and for the one bracketed solve a step makes over every
-axis's open rows alike; ``_Draws`` forms the forcing of a draw chunk at
-once. Ops that pair the rows with their n columns take transposed
-views, so numpy loops along the rows (``_Work``, ``_linalg.outer``).
-Each value keeps its operations and their order, so every bit is that
-of a new array per operation, and a step returns new arrays.
+the cost per call. The block alone holds its laws' parameters and makes
+once the arrays its log-norm residual writes (``_Work``), for the Newton
+and for a step's one bracketed solve over every axis's open rows;
+``_Draws`` forms the forcing of a draw chunk at once. Ops that pair the
+rows with their n columns take transposed views, so numpy loops along
+the rows (``_Work``, ``_linalg.outer``). Each value keeps its operations
+and their order, so every bit is that of a new array per operation, and
+a step returns new arrays, never a buffer.
 
 Runs are deterministic: identical configuration and seed give
 bit-identical trajectories and CSV files. Both entry points buffer one

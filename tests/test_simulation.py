@@ -673,7 +673,7 @@ def test_fallback_passes_are_bounded(make, bound, monkeypatch):
 def test_one_bracket_call_per_step_across_axes(monkeypatch):
     # two copies of one axis leave rows open on the same steps: one
     # bracketed solve a step takes the rows of both, in the passes that
-    # one copy alone takes (18 with a solve per axis)
+    # one copy alone takes
     x = _mu_minus_one_axes()[0]
     alone = replace(_mu_minus_one(), axes=(x,))
     calls, block, traj = _fallback_calls(monkeypatch, replace(alone, axes=(x, replace(x, name="X2"))))
