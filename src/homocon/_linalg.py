@@ -80,10 +80,10 @@ def fro_norm(M: np.ndarray) -> float:
     return norm
 
 
-def is_positive_definite(S: np.ndarray, rel_tol: float = 1e-12) -> bool:
+def is_positive_definite(S: np.ndarray) -> bool:
     w = np.linalg.eigvalsh(symmetrize(S))
     scale = max(abs(float(w[0])), abs(float(w[-1])), 1e-300)
-    return float(w[0]) > rel_tol * scale
+    return float(w[0]) > 1e-12 * scale
 
 
 def pencil_eigvals(M: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -98,15 +98,15 @@ def pencil_eigvals(M: np.ndarray, P: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(symmetrize(X))
 
 
-def lyap_solve(A: np.ndarray, Q: np.ndarray, transposed: bool = False) -> np.ndarray:
-    """Solve A'P + PA = -Q (or AP + PA' = -Q with ``transposed``).
+def lyap_solve(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Solve A'P + PA = -Q.
 
     Direct Kronecker solve; fine for the n <= 8 sizes used here. A must
     have no eigenvalue pair summing to zero (Hurwitz A qualifies).
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    At = A if transposed else A.T
+    At = A.T
     Inn = np.eye(n)
     # vec(M X + X M') = (I (x) M + M (x) I) vec(X) for column-major vec;
     # row-major reshape flips the Kronecker order, handled below.

@@ -155,10 +155,10 @@ def verify_lmi_xy(
     return CertificateXY(X, Y.reshape(-1), P, K, margins, feasible)
 
 
-def _diag_scan(n: int, max_ratio: int = 3):
+def _diag_scan(n: int):
     """Deterministic family of diagonal Q matrices, identity first."""
     yield np.ones(n)
-    exps = np.arange(-max_ratio, max_ratio + 1, dtype=float)
+    exps = np.arange(-3, 4, dtype=float)
     for a in exps:
         if a == 0.0:
             continue

@@ -58,6 +58,10 @@ class ConfigError(Exception):
     pass
 
 
+class NonFiniteSummary(Exception):
+    """A run's summary holds a NaN or an infinity."""
+
+
 def _fail(code: int, msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return code
@@ -189,9 +193,9 @@ def load_config(path: str) -> dict:
 def _build_graph(section: dict) -> DirectedGraph:
     _check_keys(section, {"num_followers", "edges"}, "graph")
     try:
-        return DirectedGraph.from_edges(
-            _integer(section["num_followers"]), section["edges"]
-        )
+        # agent indices are JSON integers and weights JSON numbers
+        edges = [(_integer(i), _integer(j), _number(w)) for i, j, w in section["edges"]]
+        return DirectedGraph.from_edges(_integer(section["num_followers"]), edges)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad graph section: {exc}") from exc
 
@@ -287,9 +291,9 @@ def _build_protocol(name: str, sec: dict, n: int, init=None):
     return nonovershoot_protocol(lam, context(cert.P)), ConeSpec(n, lam, mu), margins
 
 
-def fit_unit_ball(P: np.ndarray, errors: np.ndarray, margin: float = 0.9) -> np.ndarray:
+def fit_unit_ball(P: np.ndarray, errors: np.ndarray) -> np.ndarray:
     """Rescale P (certificates are scale-invariant) so every row of
-    ``errors`` has weighted norm at most ``margin``. Raises ValueError
+    ``errors`` has weighted norm at most 0.9. Raises ValueError
     when a weighted norm overflows or a nonzero entry of the rescaled P
     is below the normal range of floats."""
     worst = 0.0
@@ -298,9 +302,9 @@ def fit_unit_ball(P: np.ndarray, errors: np.ndarray, margin: float = 0.9) -> np.
             worst = max(worst, float(np.sqrt(e @ P @ e)))
     if not np.isfinite(worst):
         raise ValueError("initial errors too large to fit into the unit ball")
-    if worst <= margin:
+    if worst <= 0.9:
         return P
-    scaled = P * (margin / worst) ** 2
+    scaled = P * (0.9 / worst) ** 2
     if not np.all(np.abs(scaled[P != 0]) >= np.finfo(float).tiny):
         raise ValueError("initial errors too large to fit into the unit ball")
     return scaled
@@ -398,9 +402,12 @@ def _summarize(traj, scenario: ScenarioConfig) -> dict:
 
 
 def _summary_json(summary) -> str:
-    """Strict JSON text of a summary; ValueError when it holds a NaN or
-    an infinity."""
-    return json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Strict JSON text of a summary; NonFiniteSummary when it holds a
+    NaN or an infinity."""
+    try:
+        return json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NonFiniteSummary(str(exc)) from exc
 
 
 def cmd_simulate(args) -> int:
@@ -427,11 +434,7 @@ def cmd_simulate(args) -> int:
         os.makedirs(out_dir, exist_ok=True)
         traj = simulate(scenario, out.path(csv_path))
         summary = _summarize(traj, scenario)
-        try:
-            text = _summary_json(summary)
-        except ValueError as exc:
-            return _fail(EXIT_INTEGRATION, f"non-finite summary: {exc}")
-        out.text(summary_path, text)
+        out.text(summary_path, _summary_json(summary))
         out.commit()
     line = " ".join(
         f"{ax}:overshoot={summary[ax]['overshoot']:.3e}" for ax in traj.axis_names
@@ -577,11 +580,7 @@ def cmd_reproduce_paper(args) -> int:
             _run_preset(run, out.path(os.path.join(out_dir, f"{run}.csv")))
             for run in PRESET_RUNS
         ]
-        try:
-            text = _summary_json(summaries)
-        except ValueError as exc:
-            return _fail(EXIT_INTEGRATION, f"non-finite summary: {exc}")
-        out.text(os.path.join(out_dir, "summary.json"), text)
+        out.text(os.path.join(out_dir, "summary.json"), _summary_json(summaries))
         out.text(os.path.join(out_dir, "summary.csv"), _summary_csv(summaries))
         out.commit()
     for s in summaries:
@@ -635,6 +634,8 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
     except NonConvergentStep as exc:
         return _fail(EXIT_INTEGRATION, f"integration failed: {exc}")
+    except NonFiniteSummary as exc:
+        return _fail(EXIT_INTEGRATION, f"non-finite summary: {exc}")
     except OSError as exc:
         return _fail(EXIT_BAD_INPUT, f"cannot write output: {exc}")
 

@@ -59,17 +59,17 @@ def gamma_matrix(gen: DilationGenerator, lam: float) -> np.ndarray:
     return gen.matrix() + lam * np.diag(-gen.mu * (k - 1)) @ chain.A.T
 
 
-def metzler_check(M: np.ndarray, tol: float = 1e-12) -> bool:
-    """True iff all off-diagonal entries are >= -tol."""
+def metzler_check(M: np.ndarray) -> bool:
+    """True iff all off-diagonal entries are >= -1e-12."""
     M = np.asarray(M, dtype=float)
     off = M - np.diag(np.diagonal(M))
-    return bool(np.min(off) >= -tol)
+    return bool(np.min(off) >= -1e-12)
 
 
 @dataclass(frozen=True)
 class ConeSpec:
-    """Barrier matrix H for (n, lam), plus the Gamma structure matrix
-    when a homogeneity degree is supplied."""
+    """Barrier matrix H for (n, lam), of an axis whose law has the
+    homogeneity degree ``mu`` when one is given."""
 
     n: int
     lam: float
@@ -82,20 +82,10 @@ class ConeSpec:
             raise ValueError("barrier matrix is numerically singular")
         H.setflags(write=False)
         object.__setattr__(self, "_H", H)
-        if self.mu is not None:
-            Gm = gamma_matrix(DilationGenerator(self.n, self.mu), self.lam)
-            Gm.setflags(write=False)
-            object.__setattr__(self, "_Gamma", Gm)
 
     @property
     def H(self) -> np.ndarray:
         return self._H
-
-    @property
-    def Gamma(self) -> np.ndarray:
-        if self.mu is None:
-            raise ValueError("Gamma requires a homogeneity degree")
-        return self._Gamma
 
 
 def linear_barrier(spec: ConeSpec, e: np.ndarray) -> np.ndarray:

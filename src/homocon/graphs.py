@@ -7,7 +7,7 @@ Agent 0 is the leader; it receives nothing, so row 0 is all zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,8 +53,12 @@ class DirectedGraph:
     @staticmethod
     def from_edges(num_followers: int, edges) -> "DirectedGraph":
         """Build from (receiver, sender, weight) triples; agent indices
-        must be integers in [0, num_followers]."""
-        N = num_followers
+        must be integers in [0, num_followers]. Every follower needs an
+        incoming edge, so fewer edges than followers raise ValueError
+        before the weight matrix is allocated."""
+        N, edges = num_followers, list(edges)
+        if N > len(edges):
+            raise ValueError(f"{N} followers need at least {N} edges, got {len(edges)}")
         W = np.zeros((N + 1, N + 1))
         for i, j, w in edges:
             for k in (i, j):
@@ -68,10 +72,9 @@ class DirectedGraph:
 class LaplacianDecomposition:
     full_laplacian: np.ndarray
     follower_block: np.ndarray
-    min_singular_value: float = field(default=0.0)
 
 
-def laplacian(g: DirectedGraph, rel_tol: float = 1e-9) -> LaplacianDecomposition:
+def laplacian(g: DirectedGraph) -> LaplacianDecomposition:
     """Graph Laplacian and its follower block.
 
     L has off-diagonal entries -w_ij and diagonal row sums; deleting the
@@ -79,7 +82,7 @@ def laplacian(g: DirectedGraph, rel_tol: float = 1e-9) -> LaplacianDecomposition
     exactly when the leader roots the graph.
 
     Raises SingularFollowerBlock when the minimum singular value of the
-    follower block falls below ``rel_tol`` times its spectral norm.
+    follower block falls below 1e-9 times its spectral norm.
     """
     W = g.weights
     L = np.where(W > 0, -W, 0.0)  # avoids negative zeros
@@ -87,14 +90,14 @@ def laplacian(g: DirectedGraph, rel_tol: float = 1e-9) -> LaplacianDecomposition
     Lt = L[1:, 1:]
     svals = np.linalg.svd(Lt, compute_uv=False)
     smin, smax = float(svals[-1]), float(svals[0])
-    if smin <= rel_tol * max(smax, 1e-300):
+    if smin <= 1e-9 * max(smax, 1e-300):
         raise SingularFollowerBlock(
             f"follower block singular (sigma_min={smin:.3e}); graph is not leader-rooted"
         )
     L.setflags(write=False)
     Ltv = Lt.copy()
     Ltv.setflags(write=False)
-    return LaplacianDecomposition(L, Ltv, smin)
+    return LaplacianDecomposition(L, Ltv)
 
 
 def is_leader_rooted(g: DirectedGraph) -> bool:

@@ -254,24 +254,20 @@ def _project_to_sphere(X, s, rk):
 
 
 def canonical_norm_many(
-    ctx: HomogeneousNormContext,
-    X: np.ndarray,
-    warm_log: np.ndarray | None = None,
+    ctx: HomogeneousNormContext, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Canonical homogeneous norms of the rows of X.
 
     Solves F(s) = log ||d(-s) x||_P = 0 per row by Newton's method (F is
     smooth and strictly decreasing), inside a bracket on exponent-shifted
-    components for rows at extreme magnitudes. ``warm_log`` seeds s from
-    a previous call, which typically cuts the solve to one or two
-    iterations along a trajectory.
+    components for rows at extreme magnitudes.
 
     Returns (norms, log_norms); only x = 0 gets norm 0 and log norm
     -inf.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
-        s, _ = _log_norms(X, ctx.P[None], ctx.gen.diag_entries, warm_log)
+        s, _ = _log_norms(X, ctx.P[None], ctx.gen.diag_entries, None)
         return np.exp(s), s
 
 

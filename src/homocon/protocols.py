@@ -169,11 +169,7 @@ def _law(V, Ps, Ks, rk, opm, s_warm):
     return np.where(finite, u, 0.0), s
 
 
-def control_input_many(
-    spec: ProtocolSpec,
-    V: np.ndarray,
-    warm_log: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def control_input_many(spec: ProtocolSpec, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Control inputs for a batch of transmitted vectors (rows of V).
 
     Returns (u, log_norms); log norms are -inf at the origin, where the
@@ -186,9 +182,7 @@ def control_input_many(
         return -(V @ spec.gain), np.full(V.shape[0], -np.inf)
     ctx = spec.norm_ctx
     with np.errstate(over="ignore", invalid="ignore"):
-        return _law(
-            V, ctx.P[None], spec.gain[None], ctx.gen.diag_entries, 1.0 + spec.mu, warm_log
-        )
+        return _law(V, ctx.P[None], spec.gain[None], ctx.gen.diag_entries, 1.0 + spec.mu, None)
 
 
 def control_input(spec: ProtocolSpec, v: np.ndarray) -> float:

@@ -69,13 +69,14 @@ run's time.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import mmap
 import os
 import signal
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,7 +125,9 @@ class DisturbanceSpec:
 @dataclass(frozen=True, eq=False)
 class AxisSpec:
     """One motion axis: protocol, initial agent states, optional safety
-    cone to record barriers against, optional disturbance."""
+    cone to record barriers against, optional disturbance. The name is a
+    field of the trajectory CSV, so it may not hold a comma, a double
+    quote or a line break."""
 
     name: str
     protocol: ProtocolSpec
@@ -133,6 +136,8 @@ class AxisSpec:
     disturbance: DisturbanceSpec | None = None
 
     def __post_init__(self):
+        if any(c in self.name for c in ',"\r\n'):
+            raise ValueError(f"axis name {self.name!r} holds a comma, a quote or a line break")
         X0 = np.array(self.initial, dtype=float)
         if not np.all(np.isfinite(X0)):
             raise ValueError(f"axis {self.name}: initial states must be finite")
@@ -230,7 +235,6 @@ class AxisTrajectory:
 class Trajectory:
     times: np.ndarray
     axes: tuple
-    dt: float = field(default=0.0)
 
     def axis(self, name: str | None = None) -> AxisTrajectory:
         if name is None:
@@ -815,21 +819,23 @@ class _TrajectoryRecord(_ChunkRecord):
     ``AxisTrajectory`` arrays, into which the draws go directly.
 
     The final node's control is the law there. With a ``_CsvWriter``,
-    forked here before the first step, the arrays live in anonymous
-    shared mappings, and each chunk sends the writer its complete nodes:
-    a node's disturbance is drawn with the chunk that starts at it, so a
-    chunk's last node waits for the next one. Otherwise they are
-    private: a MAP_SHARED array is not copy-on-write, so a process forked
-    later that wrote to it would change the caller's trajectory.
+    started here, each chunk sends it its complete nodes: a node's
+    disturbance is drawn with the chunk that starts at it, so a chunk's
+    last node waits for the next one. A run of more than one draw chunk
+    forks the writer where ``os.fork`` exists, and its arrays live in
+    anonymous shared mappings. Otherwise they are private: a MAP_SHARED
+    array is not copy-on-write, so a process forked later that wrote to
+    it would change the caller's trajectory.
     """
 
     keeps_leaders = True
 
     def __init__(self, block: _Block, T: int, writer: _CsvWriter | None = None):
         super().__init__(block)
+        fork = writer is not None and T > _DRAW_CHUNK and hasattr(os, "fork")
 
         def alloc(*shape):  # zeroed: the final node and undisturbed axes draw nothing
-            if writer is None:
+            if not fork:
                 return np.zeros(shape)
             return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), float).reshape(shape)
 
@@ -843,7 +849,7 @@ class _TrajectoryRecord(_ChunkRecord):
         if writer is not None:
             # an axis without a disturbance records q = +0.0 throughout
             writer.start(_CsvLayout(tuple(self.axes.values()),
-                                    [g.spec.disturbance is not None for g in block.in_order]))
+                                    [g.spec.disturbance is not None for g in block.in_order]), fork)
 
     def draws(self, k, qhat):
         for g, q in qhat.items():
@@ -982,30 +988,20 @@ def simulate(cfg: ScenarioConfig, csv=None) -> Trajectory:
     """Integrate one scenario, recording every node, and with ``csv``
     write the trajectory CSV there (``write_trajectory_csv``).
 
-    A run of more than one draw chunk of steps has its CSV formatted by
-    a forked writer process while it integrates, where ``os.fork``
-    exists; it is reaped before ``simulate`` returns or raises, and its
-    failure raises OSError. When such a run fails, whether in the
-    integration or in the writer, the file at ``csv`` is left empty.
-    Other runs write the CSV after the integration; a failed write
-    leaves the file empty. Either way the arrays and the file are the
-    same. Deterministic: the same configuration and seed produce
-    identical arrays and byte-identical CSV files.
+    The file is opened before the first step. A run of more than one
+    draw chunk of steps has its CSV formatted by a forked writer process
+    while it integrates, where ``os.fork`` exists; it is reaped before
+    ``simulate`` returns or raises, and its failure raises OSError.
+    Other runs format each chunk here. Any failure, in the integration
+    or in the write, leaves the file at ``csv`` empty. Deterministic:
+    the same configuration and seed produce identical arrays and
+    byte-identical CSV files.
     """
     times = np.arange(cfg.steps + 1) * cfg.dt
     inits = [ax.initial[None] for ax in cfg.axes]
-    writer = None
-    if csv is not None and cfg.steps > _DRAW_CHUNK and hasattr(os, "fork"):
-        writer = _CsvWriter(csv, times)
-    try:
+    with contextlib.nullcontext() if csv is None else _CsvWriter(csv, times) as writer:
         _, rec, _, _ = _integrate(cfg, inits, functools.partial(_TrajectoryRecord, writer=writer))
-    finally:
-        if writer is not None:
-            writer.close()
-    traj = Trajectory(times=times, axes=tuple(rec.axes.values()), dt=cfg.dt)
-    if csv is not None and writer is None:
-        write_trajectory_csv(traj, csv)
-    return traj
+    return Trajectory(times=times, axes=tuple(rec.axes.values()))
 
 
 def simulate_batch(
@@ -1026,8 +1022,11 @@ def simulate_batch(
     overflows while its errors stay finite returns finite reductions,
     where ``simulate`` raises NonConvergentStep. Once every run has
     settled undisturbed, the last node's reductions are copied over the
-    rest of the horizon.
+    rest of the horizon. The axes' names key the reductions, so they
+    must differ (else ValueError before any step).
     """
+    if len({ax.name for ax in cfg.axes}) != len(cfg.axes):
+        raise ValueError("simulate_batch needs distinct axis names")
     times = np.arange(cfg.steps + 1) * cfg.dt
     block, rec, _, _ = _integrate(
         cfg, [initial_batches.get(ax.name) for ax in cfg.axes], _BatchRecord, disturbance_scales
@@ -1179,19 +1178,12 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     field. A write that fails leaves the file empty, not holding a
     partial CSV.
     """
-    # a -0.0 draw is still formatted
-    layout = _CsvLayout(traj.axes, [bool(ax.disturbance.view(np.uint64).any()) for ax in traj.axes])
-    fd = _open_csv(path)
-    try:
-        with open(fd, "w", newline="\n", closefd=False) as fh:
-            fh.write(layout.header)
-            for k0 in range(0, len(traj.times), 512):
-                fh.write(layout.text(traj.times, slice(k0, k0 + 512)))
-    except BaseException:
-        _empty(fd)  # no partial CSV is left behind
-        raise
-    finally:
-        os.close(fd)
+    with _CsvWriter(path, traj.times) as writer:
+        # a -0.0 draw is still formatted
+        writer.start(_CsvLayout(traj.axes, [bool(ax.disturbance.view(np.uint64).any())
+                                            for ax in traj.axes]), fork=False)
+        writer.send(0, len(traj.times))
+        writer.finish()
 
 
 def _empty(fd: int) -> None:
@@ -1199,19 +1191,6 @@ def _empty(fd: int) -> None:
     a file truncated even from empty on close; a device or pipe has no size."""
     if os.fstat(fd).st_size:
         os.ftruncate(fd, 0)
-
-
-def _open_csv(path) -> int:
-    """A descriptor that writes ``path`` from its start, as
-    ``open(path, "w")`` does, but truncates only a file that holds data
-    (``_empty``): the CLI hands over empty temporary files."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        _empty(fd)
-    except BaseException:
-        os.close(fd)
-        raise
-    return fd
 
 
 def _current_cpu():
@@ -1227,28 +1206,44 @@ def _current_cpu():
 
 
 class _CsvWriter:
-    """A forked process that writes a trajectory CSV while ``simulate``
-    integrates (``_TrajectoryRecord``).
+    """The writer of a trajectory CSV, in this process or a forked one.
 
-    The file is opened here (``_open_csv``). ``start`` forks the writer,
-    which writes the header and then, for each node range that ``send``
-    pipes to it, appends the rows ``_CsvLayout.text`` makes of the
-    shared series; it only formats and writes, and ends with
-    ``os._exit``. ``finish`` closes the pipe, waits for the writer and
-    raises OSError with its error when it failed. ``close`` kills and
-    reaps a writer that was not finished and closes every descriptor
-    still open, on every path; unless ``finish`` succeeded, it first
-    truncates the file to empty, through the descriptor kept here, so
-    that a failed run leaves no partial CSV behind.
+    The file is opened here and written from its start, but truncated
+    only when it holds data (``_empty``): the CLI hands over empty
+    temporary files. ``start`` writes the header, or with ``fork`` forks
+    a writer process that does; ``send`` appends the rows of a range of
+    nodes, or pipes the range to the writer, whose loop sends each range
+    it reads. ``finish`` completes the file, and raises OSError with a
+    forked writer's error. ``close`` kills and reaps a writer that was
+    not finished and closes what is still open; unless ``finish``
+    succeeded, it then empties the file, so that a failed run or write
+    leaves no partial CSV behind.
     """
 
     def __init__(self, path, times):
         self.times = times
-        self.pid = None
+        self.pid = self.fh = None
         self.finished = False
-        self.fds = {"file": _open_csv(path)}
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            _empty(fd)
+        except BaseException:
+            os.close(fd)
+            raise
+        self.fds = {"file": fd}
 
-    def start(self, layout: _CsvLayout) -> None:
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def start(self, layout: _CsvLayout, fork: bool) -> None:
+        self.layout = layout
+        if not fork:
+            self.fh = open(self.fds["file"], "w", newline="\n", closefd=False)
+            self.fh.write(layout.header)
+            return
         fds = self.fds
         fds["ranges_in"], fds["ranges"] = os.pipe()
         fds["errors"], fds["errors_out"] = os.pipe()
@@ -1264,11 +1259,11 @@ class _CsvWriter:
                 if others:
                     os.sched_setaffinity(0, others)
                 os.close(fds["ranges"])
-                with open(fds["file"], "w", newline="\n") as fh, open(fds["ranges_in"], "rb") as ranges:
-                    fh.write(layout.header)
+                self.start(layout, fork=False)
+                with open(fds["ranges_in"], "rb") as ranges:
                     while msg := ranges.read(16):
-                        k0, k1 = struct.unpack("2q", msg)
-                        fh.write(layout.text(self.times, slice(k0, k1)))
+                        self.send(*struct.unpack("2q", msg))
+                self.finish()
                 status = 0
             except BaseException as exc:
                 # reported to the parent: the writer never returns into
@@ -1283,7 +1278,11 @@ class _CsvWriter:
             os.close(fds.pop(name))
 
     def send(self, k0: int, k1: int) -> None:
-        """Hand the nodes k0..k1-1 of the shared series to the writer."""
+        """Append the rows of the nodes k0..k1-1."""
+        if self.fh is not None:
+            for k in range(k0, k1, 512):
+                self.fh.write(self.layout.text(self.times, slice(k, min(k + 512, k1))))
+            return
         try:
             os.write(self.fds["ranges"], struct.pack("2q", k0, k1))
         except BrokenPipeError:
@@ -1291,13 +1290,17 @@ class _CsvWriter:
             raise
 
     def finish(self) -> None:
-        os.close(self.fds.pop("ranges"))
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        if status:
-            with open(self.fds.pop("errors"), "rb") as fh:
-                error = fh.read().decode(errors="replace")
-            raise OSError(f"trajectory writer failed: {error or os.waitstatus_to_exitcode(status)}")
+        if self.fh is not None:
+            fh, self.fh = self.fh, None
+            fh.close()
+        else:
+            os.close(self.fds.pop("ranges"))
+            _, status = os.waitpid(self.pid, 0)
+            self.pid = None
+            if status:
+                with open(self.fds.pop("errors"), "rb") as fh:
+                    error = fh.read().decode(errors="replace")
+                raise OSError(f"trajectory writer failed: {error or os.waitstatus_to_exitcode(status)}")
         self.finished = True
 
     def close(self) -> None:
@@ -1306,6 +1309,11 @@ class _CsvWriter:
                 os.kill(self.pid, signal.SIGKILL)
                 os.waitpid(self.pid, 0)
                 self.pid = None
+            if self.fh is not None:
+                # buffered rows land before the truncation, not after it
+                fh, self.fh = self.fh, None
+                with contextlib.suppress(OSError):
+                    fh.close()
             if not self.finished:
                 _empty(self.fds["file"])
         finally:

@@ -23,13 +23,18 @@ def test_record_holds_every_block_and_layer(tmp_path, capsys):
     }
     for block in record["blocks"].values():
         assert set(block["layers"]) == {"residual", "newton", "log_norms_cold", "log_norms_warm",
-                                        "step_implicit", "step_leader"}
+                                        "control_input_many", "step_implicit", "step_leader"}
         for t in block["layers"].values():
             assert 0.0 < t["q1_us"] <= t["median_us"] <= t["q3_us"]
             assert t["calls_per_run"] >= 1
     assert set(record["derive"]) == {"sweep_90x1", "sweep_300x1"}
     for t in record["derive"].values():
         assert t["nodes"] == 257 and 0.0 < t["median_us"]
+    certs = record["certificates"]
+    assert certs["mu"] == -0.5
+    for solver in ("solve_lmi_p", "solve_lmi_xy"):
+        assert set(certs[solver]) == {f"n{n}" for n in range(2, 9)}
+        assert all(0.0 < t["median_us"] for t in certs[solver].values())
     csv = record["csv"]
     assert csv["nodes"] == 512 and csv["bytes"] > 512 * 100
     assert csv["mb_per_s"] == csv["bytes"] / csv["median_us"] > 0.0

@@ -237,6 +237,12 @@ def _fit_subnormal_p(cfg, out):
     cfg["initial"]["X"] = [[0.0, 0.0], [3e154, 0.0]]
 
 
+def _axis_name_comma(cfg, out):
+    cfg["system"]["axes"] = ["X,Y"]
+    for section in ("protocol", "initial"):
+        cfg[section]["X,Y"] = cfg[section].pop("X")
+
+
 # each case: (command, edit applied to the config and the output directory)
 BAD_INPUTS = {
     "unknown_output_key": ("simulate", lambda cfg, out: cfg["output"].update(typo="x.csv")),
@@ -285,6 +291,13 @@ BAD_INPUTS = {
     "edge_index_float": (
         "simulate", lambda cfg, out: cfg["graph"].update(edges=[[1.5, 0, 1.0]]),
     ),
+    # agent indices are JSON integers and weights JSON numbers
+    "edge_index_bool": ("simulate", lambda cfg, out: cfg["graph"].update(edges=[[True, False, 1.0]])),
+    "edge_weight_string": ("simulate", lambda cfg, out: cfg["graph"].update(edges=[[1, 0, "1.0"]])),
+    # every follower needs an incoming edge: refused before the weights are allocated
+    "num_followers_huge": ("simulate", lambda cfg, out: cfg["graph"].update(num_followers=10**9)),
+    # a comma in an axis name would add a field to the CSV's data rows
+    "axis_name_comma": ("simulate", _axis_name_comma),
     "edge_index_out_of_range": (
         "simulate", lambda cfg, out: cfg["graph"].update(edges=[[1, 0, 1.0], [2, 0, 1.0]]),
     ),
@@ -488,8 +501,13 @@ def _count_writers(monkeypatch):
 
     forks = []
     start = simulation._CsvWriter.start
-    monkeypatch.setattr(simulation._CsvWriter, "start",
-                        lambda self, layout: forks.append(1) or start(self, layout))
+
+    def counting(self, layout, fork):
+        if fork:
+            forks.append(1)
+        start(self, layout, fork)
+
+    monkeypatch.setattr(simulation._CsvWriter, "start", counting)
     return forks
 
 

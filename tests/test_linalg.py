@@ -47,7 +47,7 @@ def test_lyapunov_solve_against_scipy():
         assert np.allclose(A.T @ P + P @ A, -Q, atol=1e-10)
         P_ref = scipy.linalg.solve_continuous_lyapunov(A.T, -Q)
         assert np.allclose(P, P_ref, atol=1e-9)
-        X = lyap_solve(A, Q, transposed=True)
+        X = lyap_solve(A.T, Q)
         assert np.allclose(A @ X + X @ A.T, -Q, atol=1e-10)
 
 

@@ -1366,12 +1366,12 @@ def test_streamed_csv_is_the_csv_of_the_same_run(tmp_path, monkeypatch, case):
     forks = []
     start = simulation._CsvWriter.start
     monkeypatch.setattr(simulation._CsvWriter, "start",
-                        lambda self, layout: forks.append(1) or start(self, layout))
+                        lambda self, layout, fork: forks.append(fork) or start(self, layout, fork))
     scen = _streamed_cases()[case]
     plain = simulate(scen)
     (tmp_path / "streamed.csv").write_text("an older, longer file\n" * 200_000)
     streamed = simulate(scen, tmp_path / "streamed.csv")
-    assert len(forks) == (scen.steps > _DRAW_CHUNK)
+    assert forks == [scen.steps > _DRAW_CHUNK]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert _same_arrays(plain.times, streamed.times)
@@ -1438,6 +1438,23 @@ def test_failed_streamed_run_leaves_an_empty_csv(tmp_path, monkeypatch, fail):
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("steps, fork", [(100, True), (600, False)])
+def test_failed_unforked_run_leaves_an_empty_csv(tmp_path, monkeypatch, steps, fork):
+    # a run of one draw chunk, or any run without fork, formats its CSV
+    # in this process: a failed integration empties the file as a
+    # streamed run's does, not leaving it as it was
+    _fail_integration(monkeypatch, 0)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    ax = reference_axis(disturbance=DisturbanceSpec(np.array([0.0, 0.3, 0.2, 0.1])))
+    scen = ScenarioConfig(chain_graph(), 2, (ax,), 1e-3, steps * 1e-3, "implicit_euler", 3)
+    path = tmp_path / "run.csv"
+    path.write_text("an older file\n")
+    with pytest.raises(NonConvergentStep):
+        simulate(scen, path)
+    assert path.read_bytes() == b""
+
+
 @pytest.mark.parametrize("writer", ["write_trajectory_csv", "simulate_without_fork"])
 def test_failed_csv_write_leaves_an_empty_file(tmp_path, monkeypatch, writer):
     # the second 512-node block of a 601-node run fails to format after
@@ -1452,7 +1469,7 @@ def test_failed_csv_write_leaves_an_empty_file(tmp_path, monkeypatch, writer):
     with pytest.raises(error):
         if writer == "write_trajectory_csv":
             write_trajectory_csv(traj, path)
-        else:  # simulate writes after the integration where fork is missing
+        else:  # simulate formats each chunk in process where fork is missing
             monkeypatch.delattr(os, "fork")
             simulate(scen, path)
     assert path.read_bytes() == b""
@@ -1555,6 +1572,22 @@ def test_simulate_batch_rejects_bad_initial_batches(inits, monkeypatch):
         simulate_batch(scen, inits)
 
 
+def test_simulate_batch_rejects_repeated_axis_names(monkeypatch):
+    # the second axis's reductions overwrote the first one's under their
+    # one name, while the squared error summed both
+    import homocon.simulation as simulation
+
+    scen = ScenarioConfig(chain_graph(), 2, (reference_axis(), reference_axis()), 1e-2, 0.1)
+    simulate(scen)  # a scenario may repeat names; its trajectory keeps both axes
+
+    def stepped(*args):
+        raise AssertionError("the batch took a step")
+
+    monkeypatch.setattr(simulation._Block, "step_implicit", stepped)
+    with pytest.raises(ValueError, match="distinct axis names"):
+        simulate_batch(scen, {"X": _batch_of((2, 4, 2))})
+
+
 def test_simulate_batch_takes_zero_disturbance_scales():
     scen, inits = _disturbed_batch()
     out = simulate_batch(scen, inits, [0.0, 1.0])
@@ -1624,6 +1657,13 @@ def test_specs_reject_negative_seeds():
         DisturbanceSpec(np.full(4, 0.1), seed=-3)
     with pytest.raises(ValueError, match="seed"):
         ScenarioConfig(chain_graph(), 2, (reference_axis(),), 1e-3, 0.01, seed=-1)
+
+
+@pytest.mark.parametrize("name", ["X,Y", 'X"', "X\nY", "X\r"])
+def test_axis_names_exclude_csv_delimiters(name):
+    # a comma in a name gave data rows more fields than the header
+    with pytest.raises(ValueError, match="axis name"):
+        reference_axis(name)
 
 
 def test_scenario_rejects_dimension_mismatch():

@@ -23,14 +23,19 @@ the block's work buffers), ``newton`` (one ``_Block._newton`` call on
 every curved row), ``log_norms_cold`` and ``log_norms_warm``
 (``homogeneity._log_norms`` of the curved rows' errors, started from
 their weighted norms and from the block's log norms there),
-``step_implicit`` and ``step_leader``. Also timed, in the same runs:
+``control_input_many`` (``protocols.control_input_many`` of each curved
+axis's errors, the public law evaluation), ``step_implicit`` and
+``step_leader``. Also timed, in the same runs:
 
 - ``derive``: ``_BatchRecord.derive`` of one full draw chunk (257
   nodes, stepped on from that state) on each sweep block, whose axis has
   a cone as the benchmark's sweeps have, so the barrier is derived too;
 - ``csv``: ``_CsvLayout.text`` of a 512-node range of the
   ``homogeneous_nominal`` preset, with the text's size and its rate in
-  MB/s (10^6 bytes per second at the median time).
+  MB/s (10^6 bytes per second at the median time);
+- ``certificates``: ``solve_lmi_p`` (the lambda = 1 gain) and
+  ``solve_lmi_xy`` on the integrator chain with n = 2..8 and
+  mu = -0.5, each of which finds its certificate on the Lyapunov scan.
 
 A run times
 one loop of calls of about ``--seconds`` for every block and layer in
@@ -44,6 +49,7 @@ alternating runs of the tool.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import platform
 import statistics
@@ -58,10 +64,12 @@ ROOT = Path(__file__).resolve().parent.parent  # the checkout
 sys.path.insert(0, str(ROOT / "src"))
 
 import homocon as hc  # noqa: E402
-from homocon import cli, homogeneity, simulation  # noqa: E402
+from homocon import cli, homogeneity, protocols, simulation  # noqa: E402
 
 WARM_STEPS = 50
 CSV_NODES = 512
+CERT_DIMS = range(2, 9)
+CERT_MU = -0.5
 CHAIN_EDGES = [[1, 0, 1.0], [2, 1, 1.0], [3, 2, 1.0]]
 
 
@@ -158,6 +166,9 @@ def layers(block, L, E, w, s, dqb, lq) -> dict:
     def log_norms(s_warm):
         return lambda: homogeneity._log_norms(E[:block.m_curved], block.P, block.rk, s_warm)
 
+    def control_input_many():
+        return [protocols.control_input_many(g.spec.protocol, E[g.rows]) for g in block.curved]
+
     def step_implicit():
         block.older = older  # the step shifts it
         return block.step_implicit(E, dqb, w, s)
@@ -166,8 +177,8 @@ def layers(block, L, E, w, s, dqb, lq) -> dict:
         return block.step_leader(L, lq)
 
     return {"residual": residual, "newton": newton, "log_norms_cold": log_norms(None),
-            "log_norms_warm": log_norms(s), "step_implicit": step_implicit,
-            "step_leader": step_leader}
+            "log_norms_warm": log_norms(s), "control_input_many": control_input_many,
+            "step_implicit": step_implicit, "step_leader": step_leader}
 
 
 def derive_chunk(scen, inits, dq):
@@ -193,6 +204,17 @@ def csv_text():
                                                for ax in traj.axes])
     ks = slice(0, CSV_NODES)
     return (lambda: layout.text(traj.times, ks)), len(layout.text(traj.times, ks).encode())
+
+
+def certificate_solves() -> dict:
+    """The certificate searches by (solver, n)."""
+    fns = {}
+    for n in CERT_DIMS:
+        gen, chain = hc.DilationGenerator(n, CERT_MU), hc.IntegratorChain(n)
+        fns[("solve_lmi_p", n)] = functools.partial(
+            hc.solve_lmi_p, gen, chain.A, chain.B, hc.linear_gain(n, 1.0))
+        fns[("solve_lmi_xy", n)] = functools.partial(hc.solve_lmi_xy, gen, chain.A, chain.B)
+    return fns
 
 
 def time_calls(fns: dict, seconds: float, runs: int) -> dict:
@@ -232,6 +254,7 @@ def main(argv=None) -> int:
                     "processor": platform.processor() or platform.machine()},
         "blocks": {},
         "derive": {},
+        "certificates": {"mu": CERT_MU, "solve_lmi_p": {}, "solve_lmi_xy": {}},
     }
     fns = {}
     for name, scen, inits, dq in blocks():
@@ -242,10 +265,13 @@ def main(argv=None) -> int:
         if name.startswith("sweep"):
             fns[(name, "derive")] = derive_chunk(scen, inits, dq)
     fns[("presets_6x2", "csv")], size = csv_text()
+    fns.update(certificate_solves())
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         timed = time_calls(fns, args.seconds, args.runs)
     for (name, layer), t in timed.items():
-        if layer == "derive":
+        if name in record["certificates"]:
+            record["certificates"][name][f"n{layer}"] = t
+        elif layer == "derive":
             record["derive"][name] = {"nodes": simulation._DRAW_CHUNK + 1, **t}
         elif layer == "csv":
             record["csv"] = {"preset": "homogeneous_nominal", "nodes": CSV_NODES, "bytes": size,
