@@ -27,13 +27,15 @@ The homogeneous laws of negative degree are finite-time stable, and the
 implicit step keeps that: undisturbed, their errors reach exactly zero
 and stay there. Once a step snaps every curved row and returns its input
 errors bit for bit, every later node repeats its errors, controls and
-norms: from there on a recording advances the leaders alone, and a
-batch copies that node's reductions over the rest of the horizon.
+norms: both entry points stop integrating there, a recording derives
+the rest of the horizon from that node, and a batch copies that node's
+reductions over it.
 
-The integrator advances the follower errors e_i = x_i - x_0, which
+The integrator advances the follower errors e_i = x_i - x_0 alone, which
 evolve without reading the leader's state, so differencing two O(10)
-states never cancels. The leaders are advanced only for a recording,
-whose follower states are leader + error.
+states never cancels. The leaders run open loop, and only a recording
+reads them: it steps them from the draws it records, and its follower
+states are leader + error.
 
 Every axis of every batch run shares one sweep: their follower errors
 are the rows of one block, each axis a slice of it, and every product is
@@ -282,13 +284,12 @@ _SNAP_TOL = 1e-12
 class _Axis:
     """One axis's place in the row block and what its recorders and affine step read."""
 
-    def __init__(self, index: int, spec: AxisSpec, rows: slice, lead: slice, beta):
+    def __init__(self, index: int, spec: AxisSpec, rows: slice, beta):
         protocol = spec.protocol
         ctx = protocol.norm_ctx
         self.index = index  # position in ScenarioConfig.axes
         self.spec = spec
         self.rows = rows    # follower error rows, run-major
-        self.lead = lead    # leader rows, one per run
         self.K = protocol.gain
         self.P = ctx.P if ctx is not None else None
         self.rk = ctx.gen.diag_entries if ctx is not None else None
@@ -332,9 +333,9 @@ class _Axis:
 class _Block:
     """Every axis of every batch run as one row block.
 
-    Follower errors form an (M, n) array, M = A*B*N, and leader states
-    an (A*B, n) array; each axis owns a contiguous run-major slice of
-    both, B*N and B rows. Every per-axis product is therefore one
+    Follower errors form an (M, n) array, M = A*B*N, and each axis owns
+    a contiguous run-major slice of it, B*N rows; the leaders are not
+    part of the block. Every per-axis product is therefore one
     stacked matmul over an (A, rows, .) view of the flat array, against
     the axes' matrices stacked here. Curved axes come first, so their
     rows are a prefix of the block and share one log-norm Newton solve
@@ -365,8 +366,7 @@ class _Block:
         self.axes = []
         for j, i in enumerate(order):
             rows = slice(j * B * N, (j + 1) * B * N)
-            lead = slice(j * B, (j + 1) * B)
-            self.axes.append(_Axis(i, cfg.axes[i], rows, lead, self.beta))
+            self.axes.append(_Axis(i, cfg.axes[i], rows, self.beta))
         self.in_order = sorted(self.axes, key=lambda g: g.index)
         self.curved = [g for g in self.axes if not g.affine]
         flat = self.axes[len(self.curved):]
@@ -382,7 +382,6 @@ class _Block:
         self.origin_tests = 0
 
         X0 = [inits[g.index] for g in self.axes]
-        self.L0 = np.concatenate([x[:, 0, :] for x in X0])
         with np.errstate(over="ignore", invalid="ignore"):
             self.E0 = np.concatenate([(x[:, 1:, :] - x[:, 0:1, :]).reshape(B * N, n) for x in X0])
         if not np.isfinite(self.E0).all():
@@ -452,13 +451,6 @@ class _Block:
         return u, s
 
     # -- implicit Euler step ------------------------------------------------------
-    def step_leader(self, L, lq):
-        """The leaders' open-loop implicit Euler step, (L + lq) R', under
-        the forcing lq = dt q0 b of their disturbances q0, which
-        ``_Draws`` forms once per draw chunk (for a recording only,
-        so their one-row products stay unpadded)."""
-        return ((L + lq).reshape(len(self.axes), -1, self.n) @ self.R.T).reshape(-1, self.n)
-
     def step_implicit(self, E, dqb, w_prev, s_warm):
         """The followers' implicit Euler step from errors E, with the
         forcing dqb = dq beta of the follower-minus-leader disturbances
@@ -724,15 +716,13 @@ def _log_norm_roots(block, a, s, s0, rows):
 
 class _Draws:
     """Matched disturbances for every disturbed axis, drawn per run
-    generator in chunks of steps, and the forcing terms they make, one
-    per step of the chunk: ``lq`` = dt q0 b for the leaders (kept only
-    for a recorder that keeps them) and ``dqb`` = dq beta for the errors,
-    each written in place. Undisturbed rows read +0.0 (b, beta >= 0),
-    which is still added: that turns a -0.0 into +0.0 as a drawn zero
-    does. A chunk draw continues the generator's stream exactly as one
-    draw per step would."""
+    generator in chunks of steps, and the errors' forcing ``dqb`` = dq
+    beta they make, one per step of the chunk, written in place.
+    Undisturbed rows read +0.0 (beta >= 0), which is still added: that
+    turns a -0.0 into +0.0 as a drawn zero does. A chunk draw continues
+    the generator's stream exactly as one draw per step would."""
 
-    def __init__(self, cfg: ScenarioConfig, block: _Block, scales, leaders):
+    def __init__(self, cfg: ScenarioConfig, block: _Block, scales):
         B = block.B
         scales = np.ones(B) if scales is None else np.asarray(scales, float)
         if scales.shape != (B,) or not np.all(np.isfinite(scales) & (scales >= 0.0)):
@@ -749,15 +739,12 @@ class _Draws:
             offsets = np.zeros_like(amps) if d.offsets is None else d.offsets
             per_run = [(amps * scales[b], offsets * scales[b]) for b in range(B)]
             self.axes.append((g, rngs, per_run))
-        self.leaders = leaders and bool(self.axes)
-        self.lq = np.zeros((_DRAW_CHUNK, len(block.axes) * B if self.leaders else 1, block.n))
         shape = (_DRAW_CHUNK, block.M, block.n)  # undisturbed: one zero block
         self.dqb = np.zeros(shape) if self.axes else np.broadcast_to(np.zeros(shape[1:]), shape)
 
     def take(self, count):
-        """Writes the forcing terms of the next ``count`` steps into
-        ``lq`` and ``dqb`` and returns the raw draws (count, B, N+1) of
-        each disturbed axis."""
+        """Writes the forcing of the next ``count`` steps into ``dqb``
+        and returns the raw draws (count, B, N+1) of each disturbed axis."""
         block = self.block
         qhat = {}
         for g, rngs, per_run in self.axes:
@@ -768,9 +755,6 @@ class _Draws:
                 ],
                 axis=1,
             )
-            if self.leaders:
-                lq = np.multiply(q[:, :, :1], block.b, out=self.lq[:count, g.lead])
-                lq *= block.dt
             dq = (q[:, :, 1:] - q[:, :, 0:1]).reshape(count, -1, 1)
             np.multiply(dq, block.beta, out=self.dqb[:count, g.rows])
             qhat[g] = q
@@ -779,31 +763,24 @@ class _Draws:
 
 class _ChunkRecord:
     """One draw chunk of raw nodes. ``record`` buffers each node's
-    errors and curved-row log norms, and for a recorder that
-    ``keeps_leaders`` its leaders and controls; once the chunk ends,
+    errors, curved-row log norms and controls; once the chunk ends,
     ``reduce`` has ``derive`` turn them into the run's outputs, with one
     stacked call per axis over their (nodes, rows, n) errors.
     """
-
-    keeps_leaders = False
 
     def __init__(self, block: _Block):
         nodes = _DRAW_CHUNK + 1
         self.block = block
         self.E = np.empty((nodes,) + block.E0.shape)
         self.s = np.empty((nodes, block.m_curved))
-        if self.keeps_leaders:
-            self.L = np.empty((nodes,) + block.L0.shape)
-            self.u = np.empty((nodes, block.M))
+        self.u = np.empty((nodes, block.M))
         self.start = self.stop = 0  # buffered nodes start..stop-1
 
-    def record(self, k, L, E, u, s):
+    def record(self, k, E, u, s):
         i = k - self.start
         self.E[i] = E
         self.s[i] = s
-        if self.keeps_leaders:
-            self.L[i] = L
-            self.u[i] = u
+        self.u[i] = u
         self.stop = k + 1
 
     def draws(self, k, qhat):
@@ -818,17 +795,22 @@ class _TrajectoryRecord(_ChunkRecord):
     """Every node of a single run, for ``simulate``: the axes'
     ``AxisTrajectory`` arrays, into which the draws go directly.
 
-    The final node's control is the law there. With a ``_CsvWriter``,
-    started here, each chunk sends it its complete nodes: a node's
-    disturbance is drawn with the chunk that starts at it, so a chunk's
-    last node waits for the next one. A run of more than one draw chunk
-    forks the writer where ``os.fork`` exists, and its arrays live in
-    anonymous shared mappings. Otherwise they are private: a MAP_SHARED
-    array is not copy-on-write, so a process forked later that wrote to
-    it would change the caller's trajectory.
-    """
+    The leaders run open loop, and only the recorded states read them:
+    ``derive`` steps them node by node from the recorded draws, L_{k+1} =
+    (L_k + dt q0_k b) R', every axis's (1, n) leader stacked, and raises
+    NonConvergentStep when one is not finite. Once the block has
+    settled, ``reduce`` derives the rest of the horizon chunk by chunk
+    from the settled node's errors, log norms and control, which every
+    later node repeats. The final node's control is the law there.
 
-    keeps_leaders = True
+    With a ``_CsvWriter``, started here, each chunk sends it its complete
+    nodes: a node's disturbance is drawn with the chunk that starts at
+    it, so a chunk's last node waits for the next one. A run of more than
+    one draw chunk forks the writer where ``os.fork`` exists, and its
+    arrays live in anonymous shared mappings. Otherwise they are private:
+    a MAP_SHARED array is not copy-on-write, so a process forked later
+    that wrote to it would change the caller's trajectory.
+    """
 
     def __init__(self, block: _Block, T: int, writer: _CsvWriter | None = None):
         super().__init__(block)
@@ -846,6 +828,8 @@ class _TrajectoryRecord(_ChunkRecord):
             barrier=alloc(T + 1, N, n) if g.spec.cone is not None else None,
         ) for g in block.in_order}
         self.T, self.writer = T, writer
+        # the leaders at the last derived node, (A, 1, n) in the order of self.axes
+        self.L = np.stack([g.spec.initial[:1] for g in self.axes])
         if writer is not None:
             # an axis without a disturbance records q = +0.0 throughout
             writer.start(_CsvLayout(tuple(self.axes.values()),
@@ -855,13 +839,33 @@ class _TrajectoryRecord(_ChunkRecord):
         for g, q in qhat.items():
             self.axes[g].disturbance[k:k + q.shape[0]] = q[:, 0]
 
+    def reduce(self):
+        count = self.stop - self.start
+        super().reduce()
+        if self.block.settled_node is not None:  # the last node buffered
+            for x in (self.E, self.s, self.u):
+                x[:] = x[count - 1]
+            while self.start <= self.T:
+                self.stop = min(self.start + len(self.E), self.T + 1)
+                super().reduce()
+
     def derive(self, ks, count):
-        final = ks.stop == self.T + 1
+        block, final = self.block, ks.stop == self.T + 1
+        k1 = ks.start or 1  # the first node a step reaches
+        q0 = np.stack([ax.disturbance[k1 - 1:ks.stop - 1, :1] for ax in self.axes.values()], axis=1)
+        lq = q0[..., None] * block.b
+        lq *= block.dt
+        leads = np.empty((count,) + self.L.shape)
+        leads[0] = self.L  # node 0, else overwritten by the step that reaches it
+        for i, lq_k in enumerate(lq, k1 - ks.start):
+            leads[i] = self.L = (self.L + lq_k) @ block.R.T
+        if not np.isfinite(self.L).all():
+            raise NonConvergentStep("integration produced non-finite states")
         if final:
-            self.u[count - 1], _ = self.block.eval(self.E[count - 1], self.s[count - 1])
-        for g, ax in self.axes.items():
+            self.u[count - 1], _ = block.eval(self.E[count - 1], self.s[count - 1])
+        for a, (g, ax) in enumerate(self.axes.items()):
             errors = np.ascontiguousarray(self.E[:count, g.rows])
-            lead = self.L[:count, g.lead.start][:, None, :]
+            lead = leads[:, a]
             s = g.log_norms(errors, self.s[:count])
             ax.states[ks] = np.concatenate([lead, lead + errors], axis=1)
             ax.errors[ks] = errors
@@ -879,7 +883,7 @@ class _TrajectoryRecord(_ChunkRecord):
 class _BatchRecord(_ChunkRecord):
     """Per-run reductions of every axis, for ``simulate_batch``, with
     the calls of ``_TrajectoryRecord.derive``. They read errors only, so
-    the leaders are never advanced. A settled chunk, whose nodes all
+    the leaders are never stepped. A settled chunk, whose nodes all
     repeat the first one's bits, reduces that node only; once the block
     has settled, the last node's reductions are copied over the rest.
     """
@@ -922,54 +926,49 @@ def _same_bits(x, y):
 
 
 def _integrate(cfg: ScenarioConfig, inits, recorder, dist_scales=None):
-    """Advance every axis of every run as one row block.
+    """Advance the follower errors of every axis of every run as one row
+    block; the leaders do not enter the errors' steps.
 
     ``inits`` lists each axis's (B, N+1, n) initial states in
-    ``cfg.axes`` order; ``recorder(block, T)`` receives every node, and
-    its ``reduce`` is called at the end of each draw chunk, whose forcing
-    terms ``_Draws`` forms at its start. The errors evolve without
-    reading the leaders, so the leaders are advanced only for a recorder
-    that keeps them. Once an undisturbed step snaps every curved row and
-    returns its input errors bit for bit, the next step would see the
-    same errors and no warm start, so every later node repeats that one
-    (``block.settled_node``): from there on only the kept leaders are
-    stepped, and a batch ends at that node's chunk.
-    Raises NonConvergentStep when an error, or a kept leader state, is
-    not finite at the end of a draw chunk.
-    Returns (block, recorder, final errors, final log norms).
+    ``cfg.axes`` order; ``recorder(block, T)`` receives every node
+    integrated, and its ``reduce`` is called at the end of each draw
+    chunk, whose forcing ``_Draws`` forms at its start. Once an
+    undisturbed step snaps every curved row and returns its input errors
+    bit for bit, the next step would see the same errors and no warm
+    start, so every later node repeats that one (``block.settled_node``):
+    the integration ends there, and the recorder's ``reduce`` fills in
+    the rest of the horizon. Raises NonConvergentStep when an error is
+    not finite at the end of a draw chunk. Returns the recorder, whose
+    ``block`` is the row block.
     """
     block = _Block(cfg, [np.asarray(x, dtype=float) for x in inits])
     T = cfg.steps
     rec = recorder(block, T)
-    leaders = rec.keeps_leaders
-    draws = _Draws(cfg, block, dist_scales, leaders)
-    lq, dqb = draws.lq, draws.dqb
+    draws = _Draws(cfg, block, dist_scales)
+    dqb = draws.dqb
 
-    L, E = block.L0, block.E0
+    E = block.E0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         w, s = block.eval(E, None)  # node 0: nodal law value
-        rec.record(0, L, E, w, s)
+        rec.record(0, E, w, s)
         for k0 in range(0, T, _DRAW_CHUNK):
             count = min(_DRAW_CHUNK, T - k0)
             if draws.axes:
                 rec.draws(k0, draws.take(count))
             for j in range(count):
-                if leaders:
-                    L = block.step_leader(L, lq[j])
-                if block.settled_node is None:
-                    E_new, w, s = block.step_implicit(E, dqb[j], w, s)
-                    if not draws.axes and block.snapped and _same_bits(E_new, E):
-                        block.settled_node = k0 + j + 1
-                    E = E_new
-                elif not leaders:
-                    break  # the batch ends at the settled node
-                rec.record(k0 + j + 1, L, E, w, s)
-            if not np.isfinite(E).all() or leaders and not np.isfinite(L).all():
+                E_new, w, s = block.step_implicit(E, dqb[j], w, s)
+                settled = not draws.axes and block.snapped and _same_bits(E_new, E)
+                E = E_new
+                rec.record(k0 + j + 1, E, w, s)
+                if settled:
+                    block.settled_node = k0 + j + 1
+                    break
+            if not np.isfinite(E).all():
                 raise NonConvergentStep("integration produced non-finite states")
             rec.reduce()
-            if block.settled_node is not None and not leaders:
+            if block.settled_node is not None:
                 break
-    return block, rec, E, s
+    return rec
 
 
 @dataclass(frozen=True, eq=False)
@@ -1000,7 +999,7 @@ def simulate(cfg: ScenarioConfig, csv=None) -> Trajectory:
     times = np.arange(cfg.steps + 1) * cfg.dt
     inits = [ax.initial[None] for ax in cfg.axes]
     with contextlib.nullcontext() if csv is None else _CsvWriter(csv, times) as writer:
-        _, rec, _, _ = _integrate(cfg, inits, functools.partial(_TrajectoryRecord, writer=writer))
+        rec = _integrate(cfg, inits, functools.partial(_TrajectoryRecord, writer=writer))
     return Trajectory(times=times, axes=tuple(rec.axes.values()))
 
 
@@ -1028,10 +1027,10 @@ def simulate_batch(
     if len({ax.name for ax in cfg.axes}) != len(cfg.axes):
         raise ValueError("simulate_batch needs distinct axis names")
     times = np.arange(cfg.steps + 1) * cfg.dt
-    block, rec, _, _ = _integrate(
+    rec = _integrate(
         cfg, [initial_batches.get(ax.name) for ax in cfg.axes], _BatchRecord, disturbance_scales
     )
-    axes = block.in_order
+    axes = rec.block.in_order
     total = None
     for g in axes:
         total = rec.errsq[g] if total is None else total + rec.errsq[g]

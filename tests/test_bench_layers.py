@@ -23,7 +23,7 @@ def test_record_holds_every_block_and_layer(tmp_path, capsys):
     }
     for block in record["blocks"].values():
         assert set(block["layers"]) == {"residual", "newton", "log_norms_cold", "log_norms_warm",
-                                        "control_input_many", "step_implicit", "step_leader"}
+                                        "control_input_many", "step_implicit"}
         for t in block["layers"].values():
             assert 0.0 < t["q1_us"] <= t["median_us"] <= t["q3_us"]
             assert t["calls_per_run"] >= 1

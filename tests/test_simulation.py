@@ -556,7 +556,7 @@ def _blocks(monkeypatch):
 
     def collected(*args):
         out = integrate(*args)
-        blocks.append(out[0])
+        blocks.append(out.block)
         return out
 
     monkeypatch.setattr(simulation, "_integrate", collected)
@@ -1432,6 +1432,25 @@ def test_failed_streamed_run_leaves_an_empty_csv(tmp_path, monkeypatch, fail):
     path = tmp_path / "run.csv"
     path.write_text("an older file\n")
     with pytest.raises(error):
+        simulate(scen, path)
+    assert path.read_bytes() == b""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_leader_overflow_after_settling_fails_and_leaves_an_empty_csv(tmp_path, monkeypatch):
+    # the errors settle at node 720, where the integration ends, but the
+    # leaders move on: Y's, whose followers sit on it, leaves the float
+    # range at t = 11.5, in the last chunk the recording derives after it
+    huge = np.array([[1.7e308, 8.5e305]] * 4)
+    scen = _settling_scenario((reference_axis("Y", init=huge),))
+    blocks = _blocks(monkeypatch)
+    short = simulate(replace(scen, horizon=11.0))
+    assert blocks[0].settled_node == 720
+    assert np.isfinite(short.axis("Y").states).all()
+    path = tmp_path / "run.csv"
+    path.write_text("an older file\n")
+    with pytest.raises(NonConvergentStep, match="non-finite states"):
         simulate(scen, path)
     assert path.read_bytes() == b""
     with pytest.raises(ChildProcessError):

@@ -24,8 +24,8 @@ every curved row), ``log_norms_cold`` and ``log_norms_warm``
 (``homogeneity._log_norms`` of the curved rows' errors, started from
 their weighted norms and from the block's log norms there),
 ``control_input_many`` (``protocols.control_input_many`` of each curved
-axis's errors, the public law evaluation), ``step_implicit`` and
-``step_leader``. Also timed, in the same runs:
+axis's errors, the public law evaluation) and ``step_implicit``. Also
+timed, in the same runs:
 
 - ``derive``: ``_BatchRecord.derive`` of one full draw chunk (257
   nodes, stepped on from that state) on each sweep block, whose axis has
@@ -136,22 +136,21 @@ def blocks():
 
 
 def warm_state(scen, inits, dq):
-    """The block and its state after WARM_STEPS steps: (block, L, E, w,
-    s, dqb, lq), with the forcing terms as ``_integrate`` passes them."""
+    """The block and its state after WARM_STEPS steps: (block, E, w, s,
+    dqb), with the forcing as ``_integrate`` passes it."""
     if inits is None:
         inits = [ax.initial[None] for ax in scen.axes]
     block = simulation._Block(scen, [np.asarray(x, dtype=float) for x in inits])
     dqb = (np.zeros(block.M) if dq is None else dq)[:, None] * block.beta
-    lq = block.dt * (np.zeros(len(block.axes) * block.B)[:, None] * block.b)
-    L, E = block.L0, block.E0
+    E = block.E0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         w, s = block.eval(E, None)
         for _ in range(WARM_STEPS):
             E, w, s = block.step_implicit(E, dqb, w, s)
-    return block, L, E, w, s, dqb, lq
+    return block, E, w, s, dqb
 
 
-def layers(block, L, E, w, s, dqb, lq) -> dict:
+def layers(block, E, w, s, dqb) -> dict:
     """The timed calls on one block, by layer name."""
     alpha = simulation.grouped_matmul(E, block.R.T) + dqb
     ac, wc, sc = alpha[:block.m_curved], w[:block.m_curved], s
@@ -173,25 +172,22 @@ def layers(block, L, E, w, s, dqb, lq) -> dict:
         block.older = older  # the step shifts it
         return block.step_implicit(E, dqb, w, s)
 
-    def step_leader():
-        return block.step_leader(L, lq)
-
     return {"residual": residual, "newton": newton, "log_norms_cold": log_norms(None),
             "log_norms_warm": log_norms(s), "control_input_many": control_input_many,
-            "step_implicit": step_implicit, "step_leader": step_leader}
+            "step_implicit": step_implicit}
 
 
 def derive_chunk(scen, inits, dq):
     """``_BatchRecord.derive`` of one full draw chunk: the block's warm
     state and the nodes of the steps that follow it."""
-    block, L, E, w, s, dqb, _ = warm_state(scen, inits, dq)
+    block, E, w, s, dqb = warm_state(scen, inits, dq)
     nodes = simulation._DRAW_CHUNK + 1
     rec = simulation._BatchRecord(block, nodes - 1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rec.record(0, L, E, w, s)
+        rec.record(0, E, w, s)
         for k in range(1, nodes):
             E, w, s = block.step_implicit(E, dqb, w, s)
-            rec.record(k, L, E, w, s)
+            rec.record(k, E, w, s)
     return lambda: rec.derive(slice(0, nodes), nodes)
 
 
