@@ -489,16 +489,8 @@ def _preset_config(run: str) -> dict:
             },
             "Y": {"kind": "homogeneous_consensus", "mu": -1.0},
         }
-        base["disturbance"] = {"X": PUBLISHED_DIST_X, "Y": PUBLISHED_DIST_Y}
-    elif run == "linear_disturbed":
+    elif run in ("linear_disturbed", "linear_nominal"):
         # degree zero turns both homogeneous laws into their linear forms
-        base["protocol"] = {
-            "X": {"kind": "linear", "lambda": 1.0},
-            "Y": {"kind": "homogeneous_consensus", "mu": 0.0,
-                   "X": PUBLISHED_X, "Y": PUBLISHED_Y},
-        }
-        base["disturbance"] = {"X": PUBLISHED_DIST_X, "Y": PUBLISHED_DIST_Y}
-    elif run == "linear_nominal":
         base["protocol"] = {
             "X": {"kind": "linear", "lambda": 1.0},
             "Y": {"kind": "homogeneous_consensus", "mu": 0.0,
@@ -506,6 +498,8 @@ def _preset_config(run: str) -> dict:
         }
     else:
         raise ValueError(f"unknown preset run {run!r}")
+    if run in ("homogeneous_robust", "linear_disturbed"):
+        base["disturbance"] = {"X": PUBLISHED_DIST_X, "Y": PUBLISHED_DIST_Y}
     return base
 
 

@@ -28,16 +28,21 @@ class DimensionMismatch(Exception):
     pass
 
 
+# Largest chain dimension: the certificates' Lyapunov solve
+# (``_linalg.lyap_solve``) forms an n^2 x n^2 Kronecker system, 128 MiB at 64
+MAX_CHAIN_DIM = 64
+
+
 @dataclass(frozen=True)
 class IntegratorChain:
-    """Canonical chain of n integrators: A the upper shift, B the last
-    basis vector."""
+    """Canonical chain of n integrators, 1 <= n <= MAX_CHAIN_DIM: A the
+    upper shift, B the last basis vector."""
 
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if not 1 <= self.n <= MAX_CHAIN_DIM:
+            raise ValueError(f"n must be between 1 and {MAX_CHAIN_DIM}")
 
     @property
     def A(self) -> np.ndarray:

@@ -828,7 +828,7 @@ class _TrajectoryRecord(_ChunkRecord):
             barrier=alloc(T + 1, N, n) if g.spec.cone is not None else None,
         ) for g in block.in_order}
         self.T, self.writer = T, writer
-        # the leaders at the last derived node, (A, 1, n) in the order of self.axes
+        # the leaders at the last derived node, (A, 1, n); simulate starts from the axes' initial states
         self.L = np.stack([g.spec.initial[:1] for g in self.axes])
         if writer is not None:
             # an axis without a disturbance records q = +0.0 throughout
@@ -842,7 +842,7 @@ class _TrajectoryRecord(_ChunkRecord):
     def reduce(self):
         count = self.stop - self.start
         super().reduce()
-        if self.block.settled_node is not None:  # the last node buffered
+        if self.block.settled_node is not None:  # the last node buffered is it
             for x in (self.E, self.s, self.u):
                 x[:] = x[count - 1]
             while self.start <= self.T:

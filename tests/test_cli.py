@@ -76,6 +76,8 @@ def test_gains_cubic_case(capsys):
 def test_gains_bad_arguments_exit_two():
     assert main(["gains", "--n", "2", "--lambda", "-1"]) == EXIT_BAD_INPUT
     assert main(["gains", "--n", "2", "--lambda", "1", "--mu", "1.5"]) == EXIT_BAD_INPUT
+    # rejected before the chain's (n, n) matrices are allocated
+    assert main(["gains", "--n", str(10**6), "--lambda", "1"]) == EXIT_BAD_INPUT
 
 
 # -- verify-lmi ---------------------------------------------------------------------
@@ -260,6 +262,7 @@ BAD_INPUTS = {
     # counts and seeds must be JSON integers, not truncated floats
     "n_float": ("simulate", lambda cfg, out: cfg["system"].update(n=2.9)),
     "verify_n_float": ("verify-lmi", lambda cfg, out: cfg["system"].update(n=2.9)),
+    "verify_huge_n": ("verify-lmi", lambda cfg, out: cfg["system"].update(n=10**6)),
     "num_followers_float": (
         "simulate", lambda cfg, out: cfg["graph"].update(num_followers=1.5),
     ),
