@@ -336,7 +336,7 @@ def build_scenario(cfg: dict, overrides: dict | None = None) -> ScenarioConfig:
     dist_seed = _field(dist_cfg, "seed", "disturbance", _integer) if "seed" in dist_cfg else None
 
     axes = []
-    for name in axis_names:
+    for i, name in enumerate(axis_names):
         if name not in cfg["protocol"]:
             raise ConfigError(f"missing protocol for axis {name!r}")
         if name not in cfg["initial"]:
@@ -347,7 +347,8 @@ def build_scenario(cfg: dict, overrides: dict | None = None) -> ScenarioConfig:
         dist = None
         if name in dist_cfg:
             amps = _matrix(dist_cfg[name], (N + 1,), f"disturbance.{name}")
-            dist = DisturbanceSpec(amps, dist_seed)
+            # each axis its own stream, offset as simulation._Draws offsets sim.seed
+            dist = DisturbanceSpec(amps, None if dist_seed is None else dist_seed + 7919 * i)
         axes.append(AxisSpec(name, spec, init, cone, dist))
 
     return ScenarioConfig(graph, n, tuple(axes), dt, horizon, integrator, seed)

@@ -723,6 +723,22 @@ def test_simulate_cli_flag_overrides(tmp_path):
 
 # -- scenario building ------------------------------------------------------------------
 
+def test_disturbance_seed_gives_each_axis_its_own_stream():
+    # axis i draws from disturbance.seed + 7919 i, as it does from
+    # sim.seed + 7919 i without one
+    from homocon.simulation import simulate
+
+    cfg = _preset_config("homogeneous_robust")
+    cfg["sim"]["horizon"] = 0.01
+    cfg["disturbance"]["seed"] = 5
+    scen = build_scenario(cfg)
+    assert [ax.disturbance.seed for ax in scen.axes] == [5, 5 + 7919]
+    traj = simulate(scen)
+    x, y = (traj.axis(ax.name).disturbance[:-1, 1:] / ax.disturbance.amplitudes[1:]
+            for ax in scen.axes)
+    assert np.abs(x - y).min() > 1e-6
+
+
 def test_build_scenario_solves_when_matrices_absent():
     cfg = small_config()
     del cfg["protocol"]["X"]["P"]
