@@ -20,8 +20,9 @@ the snap distance r of it and the control that gets closest is within
 the law's bound c there: for mu = -1 the largest |u| on the unit
 sphere, for mu > -1 the far smaller bound of |u| on the ball of radius
 r. That needs |a| <= about c |beta|, so the test for it runs only on
-steps where some curved row is that close to the origin; on the other
-steps every row goes to the Newton.
+steps where some curved row is that close to the origin but for an
+undisturbed row resting on it, which it would place there again; on the
+other steps every row not at rest goes to the Newton.
 
 The homogeneous laws of negative degree are finite-time stable, and the
 implicit step keeps that: undisturbed, their errors reach exactly zero
@@ -59,14 +60,14 @@ a step returns new arrays, never a buffer.
 
 Runs are deterministic: identical configuration and seed give
 bit-identical trajectories and CSV files. Both entry points buffer one
-draw chunk of raw nodes and derive it once the chunk ends: ``simulate``
-into the recorded series it returns, a batch into each run's
-reductions (overshoot, norms, barrier minimum, squared error), with the
-same calls. Given a CSV destination, ``simulate`` has the CSV of a run
-longer than one draw chunk formatted by a forked writer process on
-another CPU while it integrates: the integration's loop is bound by
-dispatch, and formatting %.17g fields takes about a third of a preset
-run's time.
+draw chunk of raw nodes, the controls only ``simulate``, and derive it
+once the chunk ends: ``simulate`` into the recorded series it returns, a
+batch into each run's reductions (overshoot, norms, barrier minimum,
+squared error), with the same calls. Given a CSV destination,
+``simulate`` has the CSV of a run longer than one draw chunk formatted
+by a forked writer process on another CPU while it integrates: the
+integration's loop is bound by dispatch, and formatting %.17g fields
+takes about a third of a preset run's time.
 """
 
 from __future__ import annotations
@@ -264,11 +265,14 @@ _NEWTON_PASSES = 10
 
 # a row whose Newton step in s is within this freezes after the step. At
 # 1e-6 a few mu = -1 rows near the origin miss |F| <= 1e-13 after it
-_NEWTON_STEP = 3e-8
+_NEWTON_STEP = np.array(3e-8)
 
 # past this |w dF/dw|, a few ulps of w move F by more than 1e-13 / 3
 # (a + w beta cancels): the Newton cannot resolve F there
-_NEWTON_COND = 50.0
+_NEWTON_COND = np.array(50.0)
+
+# 0-d arrays, as the two above: numpy converts a float operand on every call
+_F_TOL, _ZERO, _HALF, _MINUS_ONE, _NEG_INF = map(np.array, (1e-13, 0.0, 0.5, -1.0, -np.inf))
 
 # the fallback's pass cap (_log_norm_roots)
 _ROOT_PASSES = 100
@@ -429,6 +433,9 @@ class _Block:
             self.neg_rko, self.neg_opm = np.repeat(np.column_stack((-rk, opm)).T, B * N, axis=1), -self.opm
             self.snap_bound, self.reach2 = np.repeat(bound, B * N), np.repeat(reach, B * N)
             self.ball = np.repeat(np.column_stack((c, root_lmax, ex)), B * N, axis=0)
+            # the rows of undisturbed axes, which rest on the origin once there; None if none
+            calm = np.repeat([g.spec.disturbance is None for g in self.curved], B * N)
+            self.calm = calm if calm.any() else None
             # log norms of the curved rows at the two nodes before the
             # previous one, newest first; nan until they are known
             self.older = (np.full(self.m_curved, np.nan),) * 2
@@ -483,40 +490,44 @@ class _Block:
         the origin: the discrete analogue of sliding. The control is then
         wpar, which brings a + w beta closest to it. A row the solve
         leaves within r of the origin is placed there too when |wpar| is
-        within the law's bound on that ball. A step whose rows all have
-        |a|^2 above ``reach2`` can place none there, and skips both tests.
+        within the law's bound on that ball. A step skips both tests when
+        each row has |a|^2 above ``reach2``, too far to be placed there, or
+        rests: a row of an undisturbed axis whose log norm was -inf has
+        a = +0.0, which the test would place there again (wpar = -0.0).
         """
         M, wk = alpha.shape[0], self.work
         older, self.older = self.older, (s_warm, self.older[0])
         asq = rowsum(np.multiply(alpha, alpha, out=wk.sq))
         far = np.greater(asq, self.reach2, out=wk.far)
-        if np.count_nonzero(far) == M and asq.max() < np.inf:
-            self.snapped = False
-            # every row is far from the origin: far is the Newton's pending set
-            w, logr, e_new = self._newton(alpha, w_prev, s_warm, older, far)
-        else:
+        far &= np.isfinite(asq, out=wk.hit)
+        snap, wpar, clear = None, -0.0, np.count_nonzero(far)
+        if clear < M and self.calm is not None:  # the rows at rest
+            snap = np.logical_and(np.equal(s_warm, _NEG_INF, out=wk.rest), self.calm, out=wk.rest)
+            clear += np.count_nonzero(snap)
+        if clear < M:
             self.origin_tests += 1
             wpar = grouped_matmul(alpha, self.beta) / -self.btb
             resid = alpha + outer(wpar, self.beta)
             rn = np.sqrt(rowsum(resid * resid))
             r = _SNAP_TOL * (1.0 + np.sqrt(asq) + np.abs(wpar) * self.root_btb)
             snap = (rn <= r) & (np.abs(wpar) <= self.snap_bound)
-
-            self.snapped = bool(snap.all())
-            if self.snapped:
-                return np.zeros_like(alpha), wpar, np.full(M, -np.inf)
-            w, logr, e_new = self._newton(alpha, w_prev, s_warm, older, ~snap)
+        self.snapped = snap is not None and np.count_nonzero(snap) == M
+        if self.snapped:
+            return np.zeros_like(alpha), np.full(M, wpar), np.full(M, -np.inf)
+        # far is the pending set of a step that skips the tests
+        w, logr, e_new = self._newton(alpha, w_prev, s_warm, older, far if clear == M else ~snap)
+        if clear < M:
             # an error the solve leaves within r of the origin is below the
             # resolution of a + w beta, which cancels there: rounding noise
             near = ~snap & (rowsum(e_new * e_new) <= r * r)
-            if near.any():
+            if np.count_nonzero(near):
                 c, root_lmax, ex = self.ball[near].T
                 near[near] = np.abs(wpar[near]) <= c * np.minimum(root_lmax * r[near], 1.0) ** ex
                 snap |= near
-            if snap.any():
-                w = np.where(snap, wpar, w)
-                logr = np.where(snap, -np.inf, logr)
-                e_new = np.where(snap[:, None], 0.0, e_new)
+        if snap is not None and np.count_nonzero(snap):
+            w = np.where(snap, wpar, w)
+            logr = np.where(snap, -np.inf, logr)
+            e_new = np.where(snap[:, None], 0.0, e_new)
         if np.count_nonzero(np.isfinite(w, out=wk.hit)) < M:
             raise NonConvergentStep("control root solve produced non-finite values")
         return e_new, w, logr
@@ -545,10 +556,10 @@ class _Block:
         s1, s2 = older
         s = 3.0 * (s_prev - s1) + s2
         finite = np.isfinite(s)
-        if not finite.all():
+        if np.count_nonzero(finite) < len(s):
             s = np.where(finite, s, s_prev)
             cold = pending & ~np.isfinite(s)
-            if cold.any():  # rows leaving the origin
+            if np.count_nonzero(cold):  # rows leaving the origin
                 X = a + outer(w_prev, beta)
                 pn2 = rowsum(grouped_matmul(X, self.P, len(self.P)) * X)
                 s = np.where(cold, 0.5 * np.log(pn2), s)
@@ -563,7 +574,7 @@ class _Block:
                 np.copyto(w, wp, where=step)
             else:
                 w = wp.copy()
-            np.copyto(pending, False, where=np.less_equal(np.abs(F, out=x), 1e-13, out=hit))
+            np.copyto(pending, False, where=np.less_equal(np.abs(F, out=x), _F_TOL, out=hit))
             stops = 0  # rows stopped by their last step, without w(s)
             open_rows = np.count_nonzero(pending)
             if not open_rows:
@@ -572,9 +583,9 @@ class _Block:
                 rough = pending if rough is None else rough | pending
                 break
             np.divide(F, dF, out=ds)
-            np.less(np.maximum(dF, nden, out=x), 0.0, out=step)
+            np.less(np.maximum(dF, nden, out=x), _ZERO, out=step)
             step &= pending
-            step &= np.greater(dF, -np.inf, out=hit)
+            step &= np.greater(dF, _NEG_INF, out=hit)
             step &= np.less_equal(np.abs(np.multiply(J21, wp, out=x), out=x), _NEWTON_COND, out=hit)
             steps = np.count_nonzero(step)
             if steps < open_rows:
@@ -631,8 +642,9 @@ class _Work:
         self.py, self.kgy = prod[:, :n], prod[:, n]
         self.y_t, self.py_t, self.pye_t = self.y.T, self.py.T, pye.T
         self.w, self.nden, self.F, self.dF, self.j12, self.t, self.x, self.ds = np.empty((8, m))
-        self.step, self.stopped, self.hit, self.far = np.empty((4, m), dtype=bool)
+        self.step, self.stopped, self.hit, self.far, self.rest = np.empty((5, m), dtype=bool)
         self.sq = np.empty((m, n))
+        self.beta_col = block.beta[:, None]
 
 
 def _log_norm_residual(block, a, s, control_only=False):
@@ -655,13 +667,13 @@ def _log_norm_residual(block, a, s, control_only=False):
     np.multiply(a.T, ex, out=wk.aex_t)
     wk.kex_t[...] = ex
     np.matmul(wk.kin_g, block.jw, out=wk.k_g)
-    np.subtract(-1.0, np.multiply(c, wk.kb, out=nden), out=nden)
+    np.subtract(_MINUS_ONE, np.multiply(c, wk.kb, out=nden), out=nden)
     np.multiply(c, wk.ka, out=w)
     w /= nden
     if control_only:
         return w
     Y, J21, J12, dF, F, t = wk.y, wk.j21, wk.j12, wk.dF, wk.F, wk.t
-    np.add(outer(w, beta, Y), a, out=Y)
+    np.add(np.multiply(w, wk.beta_col, out=wk.y_t, order="C").T, a, out=Y)  # w beta + a
     np.multiply(wk.y_t, ex, out=wk.y_t)
     np.matmul(wk.y_g, block.jy, out=wk.prod_g)
     Y *= wk.py
@@ -675,7 +687,7 @@ def _log_norm_residual(block, a, s, control_only=False):
     dF /= nden
     dF -= np.divide(wk.qg, wk.q2, out=t)
     np.log(wk.q2, out=F)
-    F *= 0.5
+    F *= _HALF
     return w, F, dF, nden, J21
 
 
@@ -763,9 +775,9 @@ class _Draws:
 
 class _ChunkRecord:
     """One draw chunk of raw nodes. ``record`` buffers each node's
-    errors, curved-row log norms and controls; once the chunk ends,
-    ``reduce`` has ``derive`` turn them into the run's outputs, with one
-    stacked call per axis over their (nodes, rows, n) errors.
+    errors and curved-row log norms (a recording its controls too); once
+    the chunk ends, ``reduce`` has ``derive`` turn them into the run's
+    outputs, with one stacked call per axis over their (nodes, rows, n) errors.
     """
 
     def __init__(self, block: _Block):
@@ -773,14 +785,12 @@ class _ChunkRecord:
         self.block = block
         self.E = np.empty((nodes,) + block.E0.shape)
         self.s = np.empty((nodes, block.m_curved))
-        self.u = np.empty((nodes, block.M))
         self.start = self.stop = 0  # buffered nodes start..stop-1
 
     def record(self, k, E, u, s):
         i = k - self.start
         self.E[i] = E
         self.s[i] = s
-        self.u[i] = u
         self.stop = k + 1
 
     def draws(self, k, qhat):
@@ -814,6 +824,7 @@ class _TrajectoryRecord(_ChunkRecord):
 
     def __init__(self, block: _Block, T: int, writer: _CsvWriter | None = None):
         super().__init__(block)
+        self.u = np.empty((len(self.E), block.M))  # the controls, which the batch never reads
         fork = writer is not None and T > _DRAW_CHUNK and hasattr(os, "fork")
 
         def alloc(*shape):  # zeroed: the final node and undisturbed axes draw nothing
@@ -834,6 +845,10 @@ class _TrajectoryRecord(_ChunkRecord):
             # an axis without a disturbance records q = +0.0 throughout
             writer.start(_CsvLayout(tuple(self.axes.values()),
                                     [g.spec.disturbance is not None for g in block.in_order]), fork)
+
+    def record(self, k, E, u, s):
+        super().record(k, E, u, s)
+        self.u[k - self.start] = u
 
     def draws(self, k, qhat):
         for g, q in qhat.items():

@@ -19,7 +19,7 @@ def test_record_holds_every_block_and_layer(tmp_path, capsys):
     shapes = {name: (b["rows"], b["groups"], b["n"]) for name, b in record["blocks"].items()}
     assert shapes == {
         "presets_6x2": (6, 2, 2), "cyclic_8x2": (8, 2, 3), "cyclic_12x2": (12, 2, 3),
-        "sweep_90x1": (90, 1, 2), "sweep_300x1": (300, 1, 2),
+        "sweep_90x1": (90, 1, 2), "sweep_300x1": (300, 1, 2), "sweep_300x1_rest": (300, 1, 2),
     }
     for block in record["blocks"].values():
         assert set(block["layers"]) == {"residual", "newton", "log_norms_cold", "log_norms_warm",
@@ -27,7 +27,7 @@ def test_record_holds_every_block_and_layer(tmp_path, capsys):
         for t in block["layers"].values():
             assert 0.0 < t["q1_us"] <= t["median_us"] <= t["q3_us"]
             assert t["calls_per_run"] >= 1
-    assert set(record["derive"]) == {"sweep_90x1", "sweep_300x1"}
+    assert set(record["derive"]) == {"sweep_90x1", "sweep_300x1", "sweep_300x1_rest"}
     for t in record["derive"].values():
         assert t["nodes"] == 257 and 0.0 < t["median_us"]
     certs = record["certificates"]

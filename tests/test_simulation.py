@@ -526,6 +526,20 @@ def _settling_scenario(axes=()):
     return ScenarioConfig(chain_graph(), 2, (reference_axis(init=init),) + axes, 1e-2, 12.0)
 
 
+def _resting_follower(disturbed=False):
+    # the first follower starts on its leader, so its error rests on the
+    # origin from node 0; a disturbed second axis starts the same way but
+    # is pushed off it by its draws
+    scen = _settling_scenario()
+    init = scen.axes[0].initial.copy()
+    init[1] = init[0]
+    axes = (replace(scen.axes[0], initial=init),)
+    if disturbed:
+        dist = DisturbanceSpec(np.array([0.0, 0.3, 0.3, 0.3]), seed=3)
+        axes += (reference_axis("Y", init=init, disturbance=dist),)
+    return replace(scen, axes=axes)
+
+
 def _implicit_steps(monkeypatch):
     """Record, per implicit step, whether it snapped every curved row and
     returned its input errors bit for bit."""
@@ -584,8 +598,11 @@ def test_settled_block_fast_path_is_bit_exact(monkeypatch):
     # node 720 (t = 7.2) repeats node 719; the leaders ran alone after it
     assert blocks[0].settled_node == 720
     # the origin test runs from about where the first row comes within
-    # the law's reach of the origin
-    assert blocks[0].origin_tests == 121
+    # the law's reach of the origin until the last row reaches it: a row
+    # resting there skips it, so the steps with only resting rows within
+    # reach (104 of the 121 that the test ran before rows at rest skipped
+    # it) do not count
+    assert blocks[0].origin_tests == 17
     assert len(steps) == 720
     del steps[:]
     nodes = []
@@ -950,15 +967,16 @@ def test_step_implicit_returns_arrays_it_does_not_reuse(make):
 
 # -- origin screen ---------------------------------------------------------------------
 # A step skips the origin test only where no row can be placed on the
-# origin: the screened runs must equal, bit for bit, runs that test
-# every step.
+# origin but those of undisturbed axes already resting there: the
+# screened runs must equal, bit for bit, runs that test every step.
 
 
 @pytest.mark.parametrize(
     "make",
     [_mu_minus_one, _settling_scenario, lambda: _preset("homogeneous_robust"),
-     _near_origin_disturbed],
-    ids=["mu-1-sliding", "mu-0.2-settling", "mu-1-disturbed", "mu-0.95-near-origin"],
+     _near_origin_disturbed, _resting_follower, lambda: _resting_follower(True)],
+    ids=["mu-1-sliding", "mu-0.2-settling", "mu-1-disturbed", "mu-0.95-near-origin",
+         "mu-0.2-resting", "mu-0.2-resting-and-disturbed"],
 )
 def test_origin_screen_keeps_every_bit(make, monkeypatch):
     import homocon.simulation as simulation

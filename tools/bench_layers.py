@@ -3,7 +3,7 @@ printed (or written) as JSON.
 
     python tools/bench_layers.py [--runs 15] [--seconds 0.1] [--out FILE]
 
-It imports ``homocon`` from ``src/`` of the checkout it lies in. Five row
+It imports ``homocon`` from ``src/`` of the checkout it lies in. Six row
 blocks have the shapes of the benchmark's workloads:
 
 - ``presets_6x2``: the ``homogeneous_nominal`` preset, N = 3, axes X and
@@ -14,13 +14,16 @@ blocks have the shapes of the benchmark's workloads:
 - ``sweep_90x1``: 30 runs of the mu = -1 chain under disturbance, as in
   ``sweep_disturbed``;
 - ``sweep_300x1``: 100 runs of the mu = -0.2 chain, as in
-  ``sweep_nominal``.
+  ``sweep_nominal``;
+- ``sweep_300x1_rest``: the same with its first 33 runs started on the
+  origin, where their rows rest, as ``sweep_nominal``'s settled runs do
+  while the others still move.
 
 Each block is stepped 50 times from its initial errors, so that the
 Newton has warm starts, and the state there is the fixed input. Timed
 per block: ``residual`` (``_log_norm_residual`` on the curved rows, with
 the block's work buffers), ``newton`` (one ``_Block._newton`` call on
-every curved row), ``log_norms_cold`` and ``log_norms_warm``
+every curved row off the origin), ``log_norms_cold`` and ``log_norms_warm``
 (``homogeneity._log_norms`` of the curved rows' errors, started from
 their weighted norms and from the block's log norms there),
 ``control_input_many`` (``protocols.control_input_many`` of each curved
@@ -121,6 +124,8 @@ def _sweep(runs: int, mu: float, disturbed: bool):
                        inits[0], hc.ConeSpec(2, 1.0, mu))
     scen = hc.ScenarioConfig(hc.DirectedGraph.from_edges(3, CHAIN_EDGES), 2, (axis,), 1e-3, 1.0)
     dq = rng.uniform(-0.4, 0.4, runs * 3) if disturbed else np.zeros(runs * 3)
+    if disturbed:  # declared, so the block knows its rows disturbed; the forcing is dq
+        scen = replace(scen, axes=(replace(axis, disturbance=hc.DisturbanceSpec(np.full(4, 0.2))),))
     return scen, [inits], dq
 
 
@@ -132,6 +137,9 @@ def blocks():
         out.append((f"cyclic_{2 * N}x2", _cyclic_scenario(N), None, None))
     out.append(("sweep_90x1",) + _sweep(30, -1.0, True))
     out.append(("sweep_300x1",) + _sweep(100, -0.2, False))
+    scen, inits, dq = _sweep(100, -0.2, False)
+    inits[0][:33, 1:] = 0.0
+    out.append(("sweep_300x1_rest", scen, inits, dq))
     return out
 
 
@@ -159,8 +167,8 @@ def layers(block, E, w, s, dqb) -> dict:
     def residual():
         return simulation._log_norm_residual(block, ac, sc)
 
-    def newton():
-        return block._newton(ac, wc, sc, older, np.ones(block.m_curved, dtype=bool))
+    def newton():  # the pending set of a step that skips the origin test
+        return block._newton(ac, wc, sc, older, np.isfinite(sc))
 
     def log_norms(s_warm):
         return lambda: homogeneity._log_norms(E[:block.m_curved], block.P, block.rk, s_warm)
