@@ -597,11 +597,8 @@ def test_settled_block_fast_path_is_bit_exact(monkeypatch):
     fast_traj = simulate(scen)
     # node 720 (t = 7.2) repeats node 719; the leaders ran alone after it
     assert blocks[0].settled_node == 720
-    # the origin test runs from about where the first row comes within
-    # the law's reach of the origin until the last row reaches it: a row
-    # resting there skips it, so the steps with only resting rows within
-    # reach (104 of the 121 that the test ran before rows at rest skipped
-    # it) do not count
+    # the origin test runs only on steps where a row that does not yet
+    # rest on the origin is within the law's reach of it
     assert blocks[0].origin_tests == 17
     assert len(steps) == 720
     del steps[:]

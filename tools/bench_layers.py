@@ -110,7 +110,9 @@ def _cyclic_scenario(N: int) -> hc.ScenarioConfig:
 
 def _sweep(runs: int, mu: float, disturbed: bool):
     """A chain scenario with ``runs`` initial states and its per-row
-    disturbance terms (zero when not ``disturbed``)."""
+    disturbance terms (zero when not ``disturbed``). A disturbed axis
+    declares a disturbance, so that the block does not take its rows for
+    undisturbed ones at rest; the timed calls read the terms alone."""
     rng = np.random.default_rng(runs)
     gen = hc.DilationGenerator(2, mu)
     chain = hc.IntegratorChain(2)
@@ -121,11 +123,10 @@ def _sweep(runs: int, mu: float, disturbed: bool):
     inits = np.zeros((runs, 4, 2))
     inits[:, 1:] = errors
     axis = hc.AxisSpec("X", hc.nonovershoot_protocol(1.0, hc.HomogeneousNormContext(gen, P)),
-                       inits[0], hc.ConeSpec(2, 1.0, mu))
+                       inits[0], hc.ConeSpec(2, 1.0, mu),
+                       hc.DisturbanceSpec(np.full(4, 0.2)) if disturbed else None)
     scen = hc.ScenarioConfig(hc.DirectedGraph.from_edges(3, CHAIN_EDGES), 2, (axis,), 1e-3, 1.0)
     dq = rng.uniform(-0.4, 0.4, runs * 3) if disturbed else np.zeros(runs * 3)
-    if disturbed:  # declared, so the block knows its rows disturbed; the forcing is dq
-        scen = replace(scen, axes=(replace(axis, disturbance=hc.DisturbanceSpec(np.full(4, 0.2))),))
     return scen, [inits], dq
 
 
