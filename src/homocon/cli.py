@@ -1,11 +1,14 @@
 """Command line front end.
 
 Subcommands: ``gains``, ``verify-lmi``, ``simulate``, ``reproduce-paper``.
-Configs are strict JSON (unknown keys rejected); every output file is
-written to a new temporary file of a unique name beside it and renamed
-once the run has succeeded, and the temporary files are removed when it
-fails, so failed runs leave nothing partial behind. Exit codes: 0 ok, 2 bad input, 3 infeasible certificate,
-4 integration failure.
+Configs are strict JSON. Unknown keys are rejected: each protocol kind
+takes only the keys it reads (``_PROTOCOL_KEYS``), and ``simulate`` takes
+``protocol`` and ``initial`` entries only for the axes it runs. Every
+output file is written to a new temporary file of a unique name beside
+it and renamed once the run has succeeded, and the temporary files are
+removed when it fails, so failed runs leave nothing partial behind.
+Exit codes: 0 ok, 2 bad input, 3 infeasible certificate, 4 integration
+failure.
 """
 
 from __future__ import annotations
@@ -200,20 +203,29 @@ def _build_graph(section: dict) -> DirectedGraph:
         raise ConfigError(f"bad graph section: {exc}") from exc
 
 
+# the keys each protocol kind reads; a homogeneous_consensus section
+# gives X with Y, P with K, or none of the four (a solved certificate)
+_PROTOCOL_KEYS = {
+    "linear": {"kind", "lambda", "K"},
+    "homogeneous_nonovershooting": {"kind", "mu", "lambda", "P", "fit_unit_ball"},
+    "homogeneous_consensus": {"kind", "mu", "fit_unit_ball", "X", "Y", "P", "K"},
+}
+_CONSENSUS_CERTIFICATES = ({"X", "Y"}, {"P", "K"}, set())
+
+
 def _build_protocol(name: str, sec: dict, n: int, init=None):
     """Returns (ProtocolSpec, ConeSpec or None, margins dict). With the
     axis's initial states ``init``, a homogeneous section that sets
     ``fit_unit_ball`` has its certificate's P rescaled before the norm
     context is built."""
-    if not isinstance(sec, dict):
-        raise ConfigError(f"protocol.{name} must be an object")
-    _check_keys(
-        sec,
-        {"kind", "mu", "lambda", "P", "X", "Y", "K", "fit_unit_ball"},
-        f"protocol.{name}",
-    )
-    kind = sec.get("kind")
     where = f"protocol.{name}"
+    if not isinstance(sec, dict):
+        raise ConfigError(f"{where} must be an object")
+    kind = sec.get("kind")
+    # any JSON value may stand here, a list too, which cannot be hashed
+    if not (isinstance(kind, str) and kind in _PROTOCOL_KEYS):
+        raise ConfigError(f"{where}: unknown kind {kind!r}")
+    _check_keys(sec, _PROTOCOL_KEYS[kind], where)
     if not isinstance(sec.get("fit_unit_ball", False), bool):
         raise ConfigError(f"{where}.fit_unit_ball must be true or false")
     chain = IntegratorChain(n)
@@ -222,10 +234,7 @@ def _build_protocol(name: str, sec: dict, n: int, init=None):
     def context(P):
         if init is not None and sec.get("fit_unit_ball"):
             with np.errstate(over="ignore"):
-                errors = init[1:] - init[0]
-            if not np.all(np.isfinite(errors)):
-                raise ConfigError(f"axis {name}: initial errors must be finite")
-            P = fit_unit_ball(P, errors)
+                P = fit_unit_ball(P, init[1:] - init[0])
         return HomogeneousNormContext(gen, P)
 
     if kind == "linear":
@@ -236,38 +245,36 @@ def _build_protocol(name: str, sec: dict, n: int, init=None):
             gain = linear_gain(n, lam)
         else:
             raise ConfigError(f"{where}: linear kind needs 'lambda' or 'K'")
-        spec = ProtocolSpec(ProtocolKind.LINEAR, n, gain, 0.0, lam)
+        spec = ProtocolSpec(ProtocolKind.LINEAR, n, gain)
         cone = ConeSpec(n, lam) if lam is not None else None
         return spec, cone, margins
 
-    if kind not in ("homogeneous_consensus", "homogeneous_nonovershooting"):
-        raise ConfigError(f"protocol.{name}: unknown kind {kind!r}")
     mu = _field(sec, "mu", where, _number)
     gen = DilationGenerator(n, mu)
 
     if kind == "homogeneous_consensus":
-        if "X" in sec or "Y" in sec:
-            if not ("X" in sec and "Y" in sec):
-                raise ConfigError(f"protocol.{name}: need both X and Y")
+        if {"X", "Y", "P", "K"} & set(sec) not in _CONSENSUS_CERTIFICATES:
+            raise ConfigError(f"{where}: give X with Y, P with K, or none of the four")
+        if "X" in sec:
             cert = verify_lmi_xy(
-                _matrix(sec["X"], (n, n), f"protocol.{name}.X"),
-                _matrix(sec["Y"], (n,), f"protocol.{name}.Y"),
+                _matrix(sec["X"], (n, n), f"{where}.X"),
+                _matrix(sec["Y"], (n,), f"{where}.Y"),
                 gen, chain.A, chain.B,
             )
             if not cert.feasible:
-                raise Infeasible(f"protocol.{name}: (X, Y) certificate infeasible")
+                raise Infeasible(f"{where}: (X, Y) certificate infeasible")
             gain, P = cert.K, cert.P
             margins["xy"] = cert.margins
-        elif "P" in sec and "K" in sec:
+        elif "P" in sec:
             # explicit gain plus shape matrix: the congruence-transformed
             # form of the design inequality, checkable as the P-form
-            gain = _matrix(sec["K"], (n,), f"protocol.{name}.K")
+            gain = _matrix(sec["K"], (n,), f"{where}.K")
             cert = verify_lmi_p(
-                _matrix(sec["P"], (n, n), f"protocol.{name}.P"),
+                _matrix(sec["P"], (n, n), f"{where}.P"),
                 gen, chain.A, chain.B, gain,
             )
             if not cert.feasible:
-                raise Infeasible(f"protocol.{name}: (P, K) certificate infeasible")
+                raise Infeasible(f"{where}: (P, K) certificate infeasible")
             P = cert.P
             margins["p"] = cert.margins
         else:
@@ -280,11 +287,11 @@ def _build_protocol(name: str, sec: dict, n: int, init=None):
     K_lin = linear_gain(n, lam)
     if "P" in sec:
         cert = verify_lmi_p(
-            _matrix(sec["P"], (n, n), f"protocol.{name}.P"),
+            _matrix(sec["P"], (n, n), f"{where}.P"),
             gen, chain.A, chain.B, K_lin,
         )
         if not cert.feasible:
-            raise Infeasible(f"protocol.{name}: P certificate infeasible")
+            raise Infeasible(f"{where}: P certificate infeasible")
     else:
         cert = solve_lmi_p(gen, chain.A, chain.B, K_lin)
     margins["p"] = cert.margins
@@ -293,12 +300,15 @@ def _build_protocol(name: str, sec: dict, n: int, init=None):
 
 def fit_unit_ball(P: np.ndarray, errors: np.ndarray) -> np.ndarray:
     """Rescale P (certificates are scale-invariant) so every row of
-    ``errors`` has weighted norm at most 0.9. Raises ValueError
-    when a weighted norm overflows or a nonzero entry of the rescaled P
-    is below the normal range of floats."""
+    ``errors`` has weighted norm at most 0.9. Raises ValueError when
+    an error is not finite, a weighted norm overflows or a nonzero
+    entry of the rescaled P is below the normal range of floats."""
+    errors = np.atleast_2d(errors)
+    if not np.all(np.isfinite(errors)):
+        raise ValueError("initial errors must be finite")
     worst = 0.0
     with np.errstate(over="ignore"):
-        for e in np.atleast_2d(errors):
+        for e in errors:
             worst = max(worst, float(np.sqrt(e @ P @ e)))
     if not np.isfinite(worst):
         raise ValueError("initial errors too large to fit into the unit ball")
@@ -329,14 +339,22 @@ def build_scenario(cfg: dict, overrides: dict | None = None) -> ScenarioConfig:
     dt = _field(sim, "dt", "sim", _number)
     horizon = _field(sim, "horizon", "sim", _number)
     seed = _field(sim, "seed", "sim", _integer) if "seed" in sim else 0
+    if seed < 0:
+        raise ConfigError("sim.seed must be nonnegative")
     integrator = sim.get("integrator", "implicit_euler")
 
     dist_cfg = dict(cfg.get("disturbance", {}))
     _check_keys(dist_cfg, set(axis_names) | {"seed"}, "disturbance")
-    dist_seed = _field(dist_cfg, "seed", "disturbance", _integer) if "seed" in dist_cfg else None
+    if "seed" in dist_cfg:
+        # the scenario's seed seeds nothing but the draws, axis i's from
+        # seed + 7919 i (simulation._Draws)
+        seed = _field(dist_cfg, "seed", "disturbance", _integer)
+    # simulate runs only the axes it names
+    _check_keys(cfg["protocol"], set(axis_names), "protocol")
+    _check_keys(cfg["initial"], set(axis_names), "initial")
 
     axes = []
-    for i, name in enumerate(axis_names):
+    for name in axis_names:
         if name not in cfg["protocol"]:
             raise ConfigError(f"missing protocol for axis {name!r}")
         if name not in cfg["initial"]:
@@ -346,9 +364,7 @@ def build_scenario(cfg: dict, overrides: dict | None = None) -> ScenarioConfig:
         spec, cone, _ = _build_protocol(name, sec, n, init)
         dist = None
         if name in dist_cfg:
-            amps = _matrix(dist_cfg[name], (N + 1,), f"disturbance.{name}")
-            # each axis its own stream, offset as simulation._Draws offsets sim.seed
-            dist = DisturbanceSpec(amps, None if dist_seed is None else dist_seed + 7919 * i)
+            dist = DisturbanceSpec(_matrix(dist_cfg[name], (N + 1,), f"disturbance.{name}"))
         axes.append(AxisSpec(name, spec, init, cone, dist))
 
     return ScenarioConfig(graph, n, tuple(axes), dt, horizon, integrator, seed)

@@ -78,18 +78,19 @@ class ProtocolKind(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class ProtocolSpec:
-    """Validated controller parameters.
+    """Validated controller parameters: the five values the law reads.
 
     ``gain`` is the 1xn row applied inside the law; homogeneous kinds
-    carry the norm context whose P certifies them. Use the factory
-    functions below rather than constructing directly.
+    carry the norm context whose P certifies them. A pole-placement
+    lambda is not kept: the gain holds it, and a safety cone keeps its
+    own (``ConeSpec.lam``). Use the factory functions below rather than
+    constructing directly.
     """
 
     kind: ProtocolKind
     n: int
     gain: np.ndarray
     mu: float = 0.0
-    lam: float | None = None
     norm_ctx: HomogeneousNormContext | None = None
 
     def __post_init__(self):
@@ -127,33 +128,22 @@ class ProtocolSpec:
 
 
 def linear_protocol(n: int, lam: float) -> ProtocolSpec:
-    return ProtocolSpec(ProtocolKind.LINEAR, n, linear_gain(n, lam), 0.0, lam)
+    return ProtocolSpec(ProtocolKind.LINEAR, n, linear_gain(n, lam))
 
 
 def consensus_protocol(gain: np.ndarray, norm_ctx: HomogeneousNormContext) -> ProtocolSpec:
     """Homogeneous consensus law from a designed gain and its certified
     norm context (typically K = Y X^{-1}, P = X^{-1})."""
-    return ProtocolSpec(
-        ProtocolKind.HOMOGENEOUS_CONSENSUS,
-        norm_ctx.gen.n,
-        gain,
-        norm_ctx.gen.mu,
-        None,
-        norm_ctx,
-    )
+    gen = norm_ctx.gen
+    return ProtocolSpec(ProtocolKind.HOMOGENEOUS_CONSENSUS, gen.n, gain, gen.mu, norm_ctx)
 
 
 def nonovershoot_protocol(lam: float, norm_ctx: HomogeneousNormContext) -> ProtocolSpec:
     """Homogeneous non-overshooting law: pole-placement gain scaled by the
     dilation, certified by the norm context's P."""
-    n = norm_ctx.gen.n
+    gen = norm_ctx.gen
     return ProtocolSpec(
-        ProtocolKind.HOMOGENEOUS_NONOVERSHOOT,
-        n,
-        linear_gain(n, lam),
-        norm_ctx.gen.mu,
-        lam,
-        norm_ctx,
+        ProtocolKind.HOMOGENEOUS_NONOVERSHOOT, gen.n, linear_gain(gen.n, lam), gen.mu, norm_ctx
     )
 
 
@@ -203,7 +193,7 @@ def control_input(spec: ProtocolSpec, v: np.ndarray) -> float:
 
 def error_field(
     system: IntegratorChain,
-    specs,
+    spec: ProtocolSpec,
     e: np.ndarray,
     q: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -211,8 +201,7 @@ def error_field(
 
     ``e`` stacks N follower errors of dimension n; block i evolves as
     A e_i + B u_i(e_i) + q_i, with the transmitted vector resolved
-    algebraically to e_i. ``specs`` is a single ProtocolSpec shared by
-    all followers or a list of N of them.
+    algebraically to e_i and every follower running the law ``spec``.
     """
     n = system.n
     e = np.asarray(e, dtype=float).reshape(-1)
@@ -228,16 +217,7 @@ def error_field(
             raise DimensionMismatch("disturbance must match the stacked error")
         Q = q.reshape(N, n)
 
-    spec_list = list(specs) if isinstance(specs, (list, tuple)) else [specs] * N
-    if len(spec_list) != N:
-        raise DimensionMismatch(f"need {N} protocol specs, got {len(spec_list)}")
-
     out = E @ system.A.T + Q
-    b = system.B.reshape(-1)
-    if all(s is spec_list[0] for s in spec_list):
-        u, _ = control_input_many(spec_list[0], E)
-        out += np.outer(u, b)
-    else:
-        for i, s in enumerate(spec_list):
-            out[i] += b * control_input(s, E[i])
+    u, _ = control_input_many(spec, E)
+    out += np.outer(u, system.B.reshape(-1))
     return out.reshape(-1)

@@ -273,6 +273,11 @@ BAD_INPUTS = {
     ),
     # numpy's generators take only nonnegative seeds
     "sim_seed_negative": ("simulate", lambda cfg, out: cfg["sim"].update(seed=-1)),
+    "sim_seed_negative_beside_disturbance_seed": (
+        "simulate",
+        lambda cfg, out: (cfg["sim"].update(seed=-1),
+                          cfg.update(disturbance={"X": [0.0, 0.1], "seed": 3})),
+    ),
     "disturbance_seed_negative": (
         "simulate",
         lambda cfg, out: cfg.update(disturbance={"X": [0.0, 0.1], "seed": -3}),
@@ -360,6 +365,38 @@ BAD_INPUTS = {
         lambda cfg, out: cfg["protocol"]["X"].update(P=[[1.7e308, 0.0005], [0.0005, 0.0012]]),
     ),
 }
+
+
+# each protocol kind takes only the keys it reads
+IGNORED_KEYS = {
+    "linear_mu": {"kind": "linear", "lambda": 1.0, "mu": -0.2},
+    "linear_fit_unit_ball": {"kind": "linear", "lambda": 1.0, "fit_unit_ball": True},
+    "linear_p": {"kind": "linear", "lambda": 1.0, "P": PUBLISHED_P},
+    "nonovershooting_k": {"kind": "homogeneous_nonovershooting", "mu": -0.2, "lambda": 1.0,
+                          "K": [1.0, 2.0]},
+    "nonovershooting_xy": {"kind": "homogeneous_nonovershooting", "mu": -0.2, "lambda": 1.0,
+                           "X": PUBLISHED_X, "Y": PUBLISHED_Y},
+    # P without K would be dropped for a solved certificate
+    "consensus_p_alone": {"kind": "homogeneous_consensus", "mu": -0.2, "P": PUBLISHED_P},
+    "consensus_k_alone": {"kind": "homogeneous_consensus", "mu": -0.2, "K": [1.263, 0.9517]},
+    "consensus_lambda": {"kind": "homogeneous_consensus", "mu": -0.2, "lambda": 1.0},
+}
+BAD_INPUTS.update(
+    (f"{prefix}protocol_{case}",
+     (command, lambda cfg, out, sec=sec: cfg["protocol"].update(X=sec)))
+    for case, sec in IGNORED_KEYS.items()
+    for prefix, command in (("", "simulate"), ("verify_", "verify-lmi"))
+)
+# simulate runs only the axes in system.axes and takes no entry for another
+BAD_INPUTS["protocol_for_other_axis"] = (
+    "simulate", lambda cfg, out: cfg["protocol"].update(Z={"kind": "linear", "lambda": 1.0}),
+)
+BAD_INPUTS["protocol_of_unknown_kind_for_other_axis"] = (
+    "simulate", lambda cfg, out: cfg["protocol"].update(Z={"kind": "pid"}),
+)
+BAD_INPUTS["initial_for_other_axis"] = (
+    "simulate", lambda cfg, out: cfg["initial"].update(Z=[[0.0, 0.0], [1.0, 0.0]]),
+)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -724,15 +761,16 @@ def test_simulate_cli_flag_overrides(tmp_path):
 # -- scenario building ------------------------------------------------------------------
 
 def test_disturbance_seed_gives_each_axis_its_own_stream():
-    # axis i draws from disturbance.seed + 7919 i, as it does from
-    # sim.seed + 7919 i without one
+    # disturbance.seed becomes the scenario's seed, which seeds only the
+    # draws: axis i draws from it + 7919 i, as from sim.seed without one
     from homocon.simulation import simulate
 
     cfg = _preset_config("homogeneous_robust")
     cfg["sim"]["horizon"] = 0.01
     cfg["disturbance"]["seed"] = 5
     scen = build_scenario(cfg)
-    assert [ax.disturbance.seed for ax in scen.axes] == [5, 5 + 7919]
+    assert scen.seed == 5
+    assert [ax.disturbance.seed for ax in scen.axes] == [None, None]
     traj = simulate(scen)
     x, y = (traj.axis(ax.name).disturbance[:-1, 1:] / ax.disturbance.amplitudes[1:]
             for ax in scen.axes)
@@ -752,6 +790,10 @@ def test_fit_unit_ball_scales_into_ball():
     P2 = fit_unit_ball(P, errors)
     for e in errors:
         assert np.sqrt(e @ P2 @ e) <= 0.9 + 1e-12
+    # a NaN row has no norm to fit, in either row order
+    for errors in ([[NAN, 0.0], [1.0, 1.0]], [[1.0, 1.0], [NAN, 0.0]]):
+        with pytest.raises(ValueError, match="must be finite"):
+            fit_unit_ball(0.01 * np.eye(2), np.array(errors))
 
 
 def test_fitted_axes_build_one_norm_context_each(monkeypatch):

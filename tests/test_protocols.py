@@ -191,8 +191,6 @@ def test_field_dimension_mismatch():
     spec = linear_protocol(2, 1.0)
     with pytest.raises(DimensionMismatch):
         error_field(chain, spec, np.zeros(5))
-    with pytest.raises(DimensionMismatch):
-        error_field(chain, [spec, spec, spec], np.zeros(4))
 
 
 def test_field_block_homogeneity():
