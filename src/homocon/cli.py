@@ -1,9 +1,9 @@
 """Command line front end.
 
 Subcommands: ``gains``, ``verify-lmi``, ``simulate``, ``reproduce-paper``.
-Configs are strict JSON. Unknown keys are rejected: each protocol kind
-takes only the keys it reads (``_PROTOCOL_KEYS``), and ``simulate`` takes
-``protocol`` and ``initial`` entries only for the axes it runs. Every
+Configs are strict JSON. Unknown keys are rejected (``_SECTION_KEYS``):
+each protocol kind takes only the keys it reads (``_PROTOCOL_KEYS``), and
+``simulate`` takes axis entries only for the axes it runs. Every
 output file is written to a new temporary file of a unique name beside
 it and renamed once the run has succeeded, and the temporary files are
 removed when it fails, so failed runs leave nothing partial behind.
@@ -171,6 +171,17 @@ def _matrix(value, shape, where: str) -> np.ndarray:
 # config loading
 
 
+# the config's sections and their keys, which every subcommand checks;
+# None for the sections keyed by axis name, checked against system.axes
+_SECTION_KEYS = {
+    "graph": {"num_followers", "edges"},
+    "system": {"n", "axes"},
+    "sim": {"dt", "horizon", "integrator", "seed"},
+    "output": {"trajectory_csv", "summary"},
+    "protocol": None, "initial": None, "disturbance": None,
+}
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -179,22 +190,19 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
-    _check_keys(
-        cfg,
-        {"graph", "system", "protocol", "initial", "disturbance", "sim", "output"},
-        "config",
-    )
+    _check_keys(cfg, set(_SECTION_KEYS), "config")
     for key in ("graph", "system", "protocol", "initial", "sim"):
         if key not in cfg:
             raise ConfigError(f"missing config section '{key}'")
     for key, section in cfg.items():
         if not isinstance(section, dict):
             raise ConfigError(f"config section '{key}' must be an object")
+        if _SECTION_KEYS[key] is not None:
+            _check_keys(section, _SECTION_KEYS[key], key)
     return cfg
 
 
 def _build_graph(section: dict) -> DirectedGraph:
-    _check_keys(section, {"num_followers", "edges"}, "graph")
     try:
         # agent indices are JSON integers and weights JSON numbers
         edges = [(_integer(i), _integer(j), _number(w)) for i, j, w in section["edges"]]
@@ -325,7 +333,6 @@ def build_scenario(cfg: dict, overrides: dict | None = None) -> ScenarioConfig:
     graph = _build_graph(cfg["graph"])
     N = graph.num_followers
 
-    _check_keys(cfg["system"], {"n", "axes"}, "system")
     n = _field(cfg["system"], "n", "system", _integer)
     axis_names = _field(cfg["system"], "axes", "system", list)
     if not all(isinstance(name, str) for name in axis_names):
@@ -333,22 +340,21 @@ def build_scenario(cfg: dict, overrides: dict | None = None) -> ScenarioConfig:
     if len(set(axis_names)) != len(axis_names):
         raise ConfigError("duplicate axis names")
 
-    sim = dict(cfg["sim"])
-    _check_keys(sim, {"dt", "horizon", "integrator", "seed"}, "sim")
-    sim.update(overrides)
+    sim = {**cfg["sim"], **overrides}
     dt = _field(sim, "dt", "sim", _number)
     horizon = _field(sim, "horizon", "sim", _number)
-    seed = _field(sim, "seed", "sim", _integer) if "seed" in sim else 0
-    if seed < 0:
-        raise ConfigError("sim.seed must be nonnegative")
     integrator = sim.get("integrator", "implicit_euler")
 
-    dist_cfg = dict(cfg.get("disturbance", {}))
+    dist_cfg = cfg.get("disturbance", {})
     _check_keys(dist_cfg, set(axis_names) | {"seed"}, "disturbance")
-    if "seed" in dist_cfg:
-        # the scenario's seed seeds nothing but the draws, axis i's from
-        # seed + 7919 i (simulation._Draws)
-        seed = _field(dist_cfg, "seed", "disturbance", _integer)
+    # the scenario's seed seeds nothing but the draws, axis i's from seed +
+    # 7919 i (simulation._Draws): the last given of sim.seed,
+    # disturbance.seed and --seed, else 0; each given is checked
+    seeds = [_field(sec, "seed", where, _integer) for sec, where in
+             ((cfg["sim"], "sim"), (dist_cfg, "disturbance"), (overrides, "--seed")) if "seed" in sec]
+    if min(seeds, default=0) < 0:
+        raise ConfigError("sim.seed, disturbance.seed and --seed must be nonnegative")
+    seed = seeds[-1] if seeds else 0
     # simulate runs only the axes it names
     _check_keys(cfg["protocol"], set(axis_names), "protocol")
     _check_keys(cfg["initial"], set(axis_names), "initial")
@@ -436,7 +442,6 @@ def cmd_simulate(args) -> int:
     }
     scenario = build_scenario(cfg, overrides)
     out_cfg = cfg.get("output", {})
-    _check_keys(out_cfg, {"trajectory_csv", "summary"}, "output")
     csv_name = out_cfg.get("trajectory_csv", "trajectory.csv")
     summary_name = out_cfg.get("summary", "summary.json")
     if not (isinstance(csv_name, str) and isinstance(summary_name, str)):

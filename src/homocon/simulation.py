@@ -28,9 +28,8 @@ The homogeneous laws of negative degree are finite-time stable, and the
 implicit step keeps that: undisturbed, their errors reach exactly zero
 and stay there. Once a step snaps every curved row and returns its input
 errors bit for bit, every later node repeats its errors, controls and
-norms: both entry points stop integrating there, a recording derives
-the rest of the horizon from that node, and a batch copies that node's
-reductions over it.
+norms: both entry points stop integrating there, and both recorders
+derive each later chunk of nodes from that node alone.
 
 The integrator advances the follower errors e_i = x_i - x_0 alone, which
 evolve without reading the leader's state, so differencing two O(10)
@@ -61,13 +60,13 @@ a step returns new arrays, never a buffer.
 Runs are deterministic: identical configuration and seed give
 bit-identical trajectories and CSV files. Both entry points buffer one
 draw chunk of raw nodes, the controls only ``simulate``, and derive it
-once the chunk ends: ``simulate`` into the recorded series it returns, a
-batch into each run's reductions (overshoot, norms, barrier minimum,
-squared error), with the same calls. Given a CSV destination,
-``simulate`` has the CSV of a run longer than one draw chunk formatted
-by a forked writer process on another CPU while it integrates: the
-integration's loop is bound by dispatch, and formatting %.17g fields
-takes about a third of a preset run's time.
+once the chunk ends with the same calls (``_ChunkRecord.series``):
+``simulate`` into the recorded series it returns, a batch into each
+run's reductions (overshoot, norms, barrier minimum, squared error).
+Given a CSV destination, ``simulate`` has the CSV of a run longer than
+one draw chunk formatted by a forked writer process on another CPU while
+it integrates: the integration's loop is bound by dispatch, and
+formatting %.17g fields takes about a third of a preset run's time.
 """
 
 from __future__ import annotations
@@ -215,10 +214,11 @@ class AxisTrajectory:
     """Recorded series for one axis; time is the leading dimension.
 
     ``controls[k]`` is the law at node k: the implicit Euler control
-    applied on [t_{k-1}, t_k), and at node 0 the nodal law value. Where
-    the step placed an error exactly on the origin it is the control
-    that brings the step closest to it: a value of the set-valued law
-    there for mu = -1, otherwise one within the law's bound near it.
+    applied on [t_{k-1}, t_k), and at node 0 and the final node the
+    nodal law value. Where the step placed an error exactly on the
+    origin it is the control that brings the step closest to it: a
+    value of the set-valued law there for mu = -1, otherwise one within
+    the law's bound near it.
     ``disturbance[k]`` is the draw applied on [t_k, t_{k+1}), zero at
     the final node.
     No transmitted vectors are stored: at the distributed fixed point
@@ -775,29 +775,54 @@ class _Draws:
 
 class _ChunkRecord:
     """One draw chunk of raw nodes. ``record`` buffers each node's
-    errors and curved-row log norms (a recording its controls too); once
-    the chunk ends, ``reduce`` has ``derive`` turn them into the run's
-    outputs, with one stacked call per axis over their (nodes, rows, n) errors.
+    errors, curved-row log norms and, where ``u`` is a buffer (a
+    recording's), controls; once the chunk ends, ``reduce`` has
+    ``derive`` turn them into the run's outputs from ``series``. Once the
+    block has settled, ``reduce`` moves the settled node, which every
+    later node repeats, to the buffer's first row and derives each later
+    chunk from it alone (``count`` 1), broadcast over the chunk's nodes.
     """
 
-    def __init__(self, block: _Block):
+    def __init__(self, block: _Block, T: int, controls: bool):
         nodes = _DRAW_CHUNK + 1
-        self.block = block
+        self.block, self.T = block, T
         self.E = np.empty((nodes,) + block.E0.shape)
         self.s = np.empty((nodes, block.m_curved))
+        self.u = np.empty((nodes, block.M)) if controls else None
         self.start = self.stop = 0  # buffered nodes start..stop-1
 
     def record(self, k, E, u, s):
         i = k - self.start
         self.E[i] = E
         self.s[i] = s
+        if self.u is not None:
+            self.u[i] = u
         self.stop = k + 1
 
     def draws(self, k, qhat):
         pass
 
+    def series(self, count):
+        """For each axis, in ``cfg.axes`` order, (axis, errors, norms,
+        barrier or None) of the first ``count`` buffered nodes; the
+        errors are a view of the buffer."""
+        E, s_all = self.E[:count], self.s[:count]
+        for g in self.block.in_order:
+            errors = E[:, g.rows]
+            s = g.log_norms(errors, s_all)
+            barrier = g.barrier(errors, s) if g.spec.cone is not None else None
+            yield g, errors, g.hnorm(errors, s), barrier
+
     def reduce(self):
-        self.derive(slice(self.start, self.stop), self.stop - self.start)
+        count = self.stop - self.start
+        self.derive(slice(self.start, self.stop), count)
+        if self.block.settled_node is not None:
+            for x in (self.E, self.s, self.u):
+                if x is not None:
+                    x[0] = x[count - 1]
+            while self.stop <= self.T:
+                self.start, self.stop = self.stop, min(self.stop + len(self.E), self.T + 1)
+                self.derive(slice(self.start, self.stop), 1)
         self.start = self.stop
 
 
@@ -808,10 +833,9 @@ class _TrajectoryRecord(_ChunkRecord):
     The leaders run open loop, and only the recorded states read them:
     ``derive`` steps them node by node from the recorded draws, L_{k+1} =
     (L_k + dt q0_k b) R', every axis's (1, n) leader stacked, and raises
-    NonConvergentStep when one is not finite. Once the block has
-    settled, ``reduce`` derives the rest of the horizon chunk by chunk
-    from the settled node's errors, log norms and control, which every
-    later node repeats. The final node's control is the law there.
+    NonConvergentStep when one is not finite; it does so over the
+    settled tail too, where the followers' errors are broadcast. The
+    final node's control is the law there.
 
     With a ``_CsvWriter``, started here, each chunk sends it its complete
     nodes: a node's disturbance is drawn with the chunk that starts at
@@ -823,8 +847,7 @@ class _TrajectoryRecord(_ChunkRecord):
     """
 
     def __init__(self, block: _Block, T: int, writer: _CsvWriter | None = None):
-        super().__init__(block)
-        self.u = np.empty((len(self.E), block.M))  # the controls, which the batch never reads
+        super().__init__(block, T, True)
         fork = writer is not None and T > _DRAW_CHUNK and hasattr(os, "fork")
 
         def alloc(*shape):  # zeroed: the final node and undisturbed axes draw nothing
@@ -838,7 +861,7 @@ class _TrajectoryRecord(_ChunkRecord):
             controls=alloc(T + 1, N), hnorm=alloc(T + 1, N), disturbance=alloc(T + 1, N + 1),
             barrier=alloc(T + 1, N, n) if g.spec.cone is not None else None,
         ) for g in block.in_order}
-        self.T, self.writer = T, writer
+        self.writer = writer
         # the leaders at the last derived node, (A, 1, n); simulate starts from the axes' initial states
         self.L = np.stack([g.spec.initial[:1] for g in self.axes])
         if writer is not None:
@@ -846,23 +869,9 @@ class _TrajectoryRecord(_ChunkRecord):
             writer.start(_CsvLayout(tuple(self.axes.values()),
                                     [g.spec.disturbance is not None for g in block.in_order]), fork)
 
-    def record(self, k, E, u, s):
-        super().record(k, E, u, s)
-        self.u[k - self.start] = u
-
     def draws(self, k, qhat):
         for g, q in qhat.items():
             self.axes[g].disturbance[k:k + q.shape[0]] = q[:, 0]
-
-    def reduce(self):
-        count = self.stop - self.start
-        super().reduce()
-        if self.block.settled_node is not None:  # the last node buffered is it
-            for x in (self.E, self.s, self.u):
-                x[:] = x[count - 1]
-            while self.start <= self.T:
-                self.stop = min(self.start + len(self.E), self.T + 1)
-                super().reduce()
 
     def derive(self, ks, count):
         block, final = self.block, ks.stop == self.T + 1
@@ -870,25 +879,24 @@ class _TrajectoryRecord(_ChunkRecord):
         q0 = np.stack([ax.disturbance[k1 - 1:ks.stop - 1, :1] for ax in self.axes.values()], axis=1)
         lq = q0[..., None] * block.b
         lq *= block.dt
-        leads = np.empty((count,) + self.L.shape)
+        leads = np.empty((ks.stop - ks.start,) + self.L.shape)
         leads[0] = self.L  # node 0, else overwritten by the step that reaches it
         for i, lq_k in enumerate(lq, k1 - ks.start):
             leads[i] = self.L = (self.L + lq_k) @ block.R.T
         if not np.isfinite(self.L).all():
             raise NonConvergentStep("integration produced non-finite states")
         if final:
-            self.u[count - 1], _ = block.eval(self.E[count - 1], self.s[count - 1])
-        for a, (g, ax) in enumerate(self.axes.items()):
-            errors = np.ascontiguousarray(self.E[:count, g.rows])
-            lead = leads[:, a]
-            s = g.log_norms(errors, self.s[:count])
+            u_final, _ = block.eval(self.E[count - 1], self.s[count - 1])
+        for a, (g, errors, hnorm, barrier) in enumerate(self.series(count)):
+            ax, lead = self.axes[g], leads[:, a]
             ax.states[ks] = np.concatenate([lead, lead + errors], axis=1)
             ax.errors[ks] = errors
             ax.controls[ks] = self.u[:count, g.rows]
-            ax.hnorm[ks] = g.hnorm(errors, s)
-            if ax.barrier is not None:
-                # a stack of per-node products, each shaped as in _BatchRecord
-                ax.barrier[ks] = g.barrier(errors, s)
+            if final:
+                ax.controls[-1] = u_final[g.rows]
+            ax.hnorm[ks] = hnorm
+            if barrier is not None:
+                ax.barrier[ks] = barrier
         if self.writer is not None:
             self.writer.send(max(ks.start - 1, 0), ks.stop if final else ks.stop - 1)
             if final:
@@ -896,43 +904,30 @@ class _TrajectoryRecord(_ChunkRecord):
 
 
 class _BatchRecord(_ChunkRecord):
-    """Per-run reductions of every axis, for ``simulate_batch``, with
-    the calls of ``_TrajectoryRecord.derive``. They read errors only, so
-    the leaders are never stepped. A settled chunk, whose nodes all
-    repeat the first one's bits, reduces that node only; once the block
-    has settled, the last node's reductions are copied over the rest.
+    """Per-run reductions of every axis, for ``simulate_batch``, keyed by
+    axis name, of what ``series`` derives; the squared errors of the axes
+    are summed in ``cfg.axes`` order. They read errors only, so the
+    leaders are never stepped.
     """
 
     def __init__(self, block: _Block, T: int):
-        super().__init__(block)
+        super().__init__(block, T, False)
         B, N = block.B, block.N
-        self.efirst_max = {g: np.empty((T + 1, B)) for g in block.axes}
-        self.hnorm = {g: np.empty((T + 1, B, N)) for g in block.axes}
-        self.phimin = {
-            g: np.empty((T + 1, B)) if g.spec.cone is not None else None for g in block.axes
-        }
-        self.errsq = {g: np.empty((T + 1, B)) for g in block.axes}
+        axes = [g.spec for g in block.in_order]
+        self.efirst_max = {ax.name: np.empty((T + 1, B)) for ax in axes}
+        self.hnorm = {ax.name: np.empty((T + 1, B, N)) for ax in axes}
+        self.phimin = {ax.name: np.empty((T + 1, B)) if ax.cone is not None else None for ax in axes}
+        self.errsq = np.zeros((T + 1, B))  # 0.0 + x is x, for every x >= 0, inf and nan
 
     def derive(self, ks, count):
         B, N, n = self.block.B, self.block.N, self.block.n
-        E, s_all = self.E[:count], self.s[:count]
-        if _same_bits(E, E[:1]) and _same_bits(s_all, s_all[:1]):
-            count, E, s_all = 1, E[:1], s_all[:1]  # broadcast over the chunk
-        for g in self.block.axes:
-            errors = E[:, g.rows]
-            E_ = errors.reshape(count, B, N, n)
-            s = g.log_norms(errors, s_all)
-            self.hnorm[g][ks] = g.hnorm(errors, s).reshape(count, B, N)
-            self.efirst_max[g][ks] = rowsum(E_[:, :, :, 0], np.maximum)
-            self.errsq[g][ks] = np.einsum("tbij,tbij->tb", E_, E_)
-            if g.spec.cone is not None:
-                phi = g.barrier(errors, s)
-                self.phimin[g][ks] = rowsum(phi.reshape(count, B, N * n), np.minimum)
-        if self.block.settled_node is not None:
-            for out in (self.efirst_max, self.hnorm, self.phimin, self.errsq):
-                for x in out.values():
-                    if x is not None:
-                        x[ks.stop:] = x[ks.stop - 1]
+        for g, errors, hnorm, barrier in self.series(count):
+            name, E_ = g.spec.name, errors.reshape(count, B, N, n)
+            self.hnorm[name][ks] = hnorm.reshape(count, B, N)
+            self.efirst_max[name][ks] = rowsum(E_[:, :, :, 0], np.maximum)
+            self.errsq[ks] += np.einsum("tbij,tbij->tb", E_, E_)
+            if barrier is not None:
+                self.phimin[name][ks] = rowsum(barrier.reshape(count, B, N * n), np.minimum)
 
 
 def _same_bits(x, y):
@@ -1035,8 +1030,8 @@ def simulate_batch(
     advanced, since no reduction reads them: a run whose leader state
     overflows while its errors stay finite returns finite reductions,
     where ``simulate`` raises NonConvergentStep. Once every run has
-    settled undisturbed, the last node's reductions are copied over the
-    rest of the horizon. The axes' names key the reductions, so they
+    settled undisturbed, the rest of the horizon is reduced from the
+    settled node alone. The axes' names key the reductions, so they
     must differ (else ValueError before any step).
     """
     if len({ax.name for ax in cfg.axes}) != len(cfg.axes):
@@ -1045,17 +1040,8 @@ def simulate_batch(
     rec = _integrate(
         cfg, [initial_batches.get(ax.name) for ax in cfg.axes], _BatchRecord, disturbance_scales
     )
-    axes = rec.block.in_order
-    total = None
-    for g in axes:
-        total = rec.errsq[g] if total is None else total + rec.errsq[g]
     return BatchResult(
-        times,
-        tuple(g.spec.name for g in axes),
-        {g.spec.name: rec.efirst_max[g] for g in axes},
-        {g.spec.name: rec.hnorm[g] for g in axes},
-        {g.spec.name: rec.phimin[g] for g in axes},
-        total,
+        times, tuple(ax.name for ax in cfg.axes), rec.efirst_max, rec.hnorm, rec.phimin, rec.errsq
     )
 
 

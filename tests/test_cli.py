@@ -150,8 +150,10 @@ def test_verify_lmi_exhaustive_search_exit_three(tmp_path, capsys):
 
 def test_verify_lmi_malformed_exit_two(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    assert main(["verify-lmi", "--config", str(path)]) == EXIT_BAD_INPUT
+    # not JSON, and a root that is not an object
+    for text in ("{not json", json.dumps([small_config()])):
+        path.write_text(text)
+        assert main(["verify-lmi", "--config", str(path)]) == EXIT_BAD_INPUT
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -237,6 +239,13 @@ def _fit_subnormal_p(cfg, out):
     # e' P e is finite, but P scaled to fit it is subnormal
     cfg["protocol"]["X"]["fit_unit_ball"] = True
     cfg["initial"]["X"] = [[0.0, 0.0], [3e154, 0.0]]
+
+
+def _second_axis(cfg, section):
+    """Adds axis Y to system.axes and gives it a copy of X's entry in
+    ``section`` only."""
+    cfg["system"]["axes"] = ["X", "Y"]
+    cfg[section]["Y"] = cfg[section]["X"]
 
 
 def _axis_name_comma(cfg, out):
@@ -397,11 +406,28 @@ BAD_INPUTS["protocol_of_unknown_kind_for_other_axis"] = (
 BAD_INPUTS["initial_for_other_axis"] = (
     "simulate", lambda cfg, out: cfg["initial"].update(Z=[[0.0, 0.0], [1.0, 0.0]]),
 )
+BAD_INPUTS.update({
+    "duplicate_axis_names": ("simulate", lambda cfg, out: cfg["system"].update(axes=["X", "X"])),
+    "missing_protocol_for_axis": ("simulate", lambda cfg, out: _second_axis(cfg, "initial")),
+    "missing_initial_for_axis": ("simulate", lambda cfg, out: _second_axis(cfg, "protocol")),
+    "protocol_entry_list": (
+        "simulate", lambda cfg, out: cfg["protocol"].update(X=[cfg["protocol"]["X"]]),
+    ),
+    "linear_without_lambda_or_k": (
+        "simulate", lambda cfg, out: cfg["protocol"].update(X={"kind": "linear"}),
+    ),
+    "trajectory_csv_number": ("simulate", lambda cfg, out: cfg["output"].update(trajectory_csv=3)),
+    # verify-lmi checks the keys of the sections it does not read too
+    "verify_unknown_graph_key": ("verify-lmi", lambda cfg, out: cfg.update(graph={"x": 1})),
+    "verify_unknown_system_key": ("verify-lmi", lambda cfg, out: cfg["system"].update(bogus=1)),
+    "verify_unknown_sim_key": ("verify-lmi", lambda cfg, out: cfg["sim"].update(bogus=1)),
+    "verify_unknown_output_key": ("verify-lmi", lambda cfg, out: cfg["output"].update(bogus=1)),
+})
 
 
-@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_exits_two_without_partial_files(tmp_path, case):
-    command, edit = BAD_INPUTS[case]
+def _exit_code_without_files(tmp_path, command, edit):
+    """Exit code of ``command`` on ``small_config`` changed by ``edit``;
+    asserts that the run left its output directory as it was."""
     cfg = small_config(output={})
     out_dir = tmp_path / "out"
     out_dir.mkdir()
@@ -410,8 +436,30 @@ def test_bad_input_exits_two_without_partial_files(tmp_path, case):
     argv = [command, "--config", write_config(tmp_path, cfg)]
     if command == "simulate":
         argv += ["--output", str(out_dir)]
-    assert main(argv) == EXIT_BAD_INPUT
+    code = main(argv)
     assert sorted(p.name for p in out_dir.iterdir()) == before
+    return code
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_two_without_partial_files(tmp_path, case):
+    assert _exit_code_without_files(tmp_path, *BAD_INPUTS[case]) == EXIT_BAD_INPUT
+
+
+# consensus certificates whose gain has the wrong sign
+INFEASIBLE_CERTIFICATES = {
+    "xy": {"kind": "homogeneous_consensus", "mu": -0.2, "X": PUBLISHED_X, "Y": [-0.7502, -0.5]},
+    "pk": {"kind": "homogeneous_consensus", "mu": -0.2,
+           "P": [[1.3791, 0.4569], [0.4569, 1.2178]], "K": [-1.263, -0.9517]},
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify-lmi"])
+@pytest.mark.parametrize("case", sorted(INFEASIBLE_CERTIFICATES))
+def test_infeasible_certificate_exits_three_without_files(tmp_path, case, command):
+    sec = INFEASIBLE_CERTIFICATES[case]
+    code = _exit_code_without_files(tmp_path, command, lambda cfg, out: cfg["protocol"].update(X=sec))
+    assert code == EXIT_INFEASIBLE
 
 
 @pytest.mark.parametrize(
@@ -756,6 +804,23 @@ def test_simulate_cli_flag_overrides(tmp_path):
     assert rc == EXIT_OK
     lines = open(os.path.join(out_dir, "trajectory.csv")).read().splitlines()
     assert len(lines) == 1 + 11 * 2  # 11 nodes, 2 agents
+
+
+def test_draws_take_seed_flag_then_disturbance_seed_then_sim_seed(tmp_path):
+    runs = iter(range(8))
+
+    def q_column(cfg, *flags):
+        out_dir = tmp_path / f"out{next(runs)}"
+        argv = ["simulate", "--config", write_config(tmp_path, cfg), "--output", str(out_dir)]
+        assert main(argv + list(flags)) == EXIT_OK
+        rows = (out_dir / "trajectory.csv").read_text().splitlines()[1:]
+        return [row.rsplit(",", 1)[1] for row in rows]
+
+    unseeded = small_config(disturbance={"X": [0.0, 0.1]})  # sim.seed is 1
+    seeded = small_config(disturbance={"X": [0.0, 0.1], "seed": 3})
+    assert q_column(seeded) == q_column(seeded, "--seed", "3")
+    assert q_column(seeded, "--seed", "5") != q_column(seeded, "--seed", "9")
+    assert q_column(unseeded) == q_column(seeded, "--seed", "1") != q_column(seeded)
 
 
 # -- scenario building ------------------------------------------------------------------

@@ -418,7 +418,9 @@ def _two_degrees():
 
 
 def _batch_mixed_kinds():
-    # a discontinuous law beside a degree-zero (closed-form) one
+    # a discontinuous law and a mu = -0.5 one about a degree-zero
+    # (closed-form) one: the block puts the curved axes first, out of
+    # cfg.axes order
     from homocon.certificates import verify_lmi_xy
     from homocon.protocols import consensus_protocol
 
@@ -432,7 +434,10 @@ def _batch_mixed_kinds():
     dist_y = DisturbanceSpec(np.array([0.03, 0.428, 0.533, 0.441]), seed=21)
     ax_y = AxisSpec("Y", consensus_protocol(cert.K, HomogeneousNormContext(gen, cert.P)),
                     init_y, None, dist_y)
-    return ScenarioConfig(chain_graph(), 2, (ax_x, ax_y), 1e-3, 0.6)
+    ax_w = reference_axis(
+        "W", mu=-0.5, init=np.array([[0.0, 0.0], [-1.0, 0.5], [-2.0, 0.5], [-3.0, 1.0]])
+    )
+    return ScenarioConfig(chain_graph(), 2, (ax_x, ax_y, ax_w), 1e-3, 0.6)
 
 
 def _four_axes():
@@ -492,7 +497,8 @@ def test_two_axes_equal_each_axis_alone(case, monkeypatch):
             for field in ("efirst_max", "hnorm", "phimin"):
                 x, y = getattr(both, field)[ax.name], getattr(single, field)[ax.name]
                 assert (x is None and y is None) or np.array_equal(x, y), field
-        total = singles[0].errsq_total + singles[1].errsq_total
+        # summed in cfg.axes order
+        total = singles[0].errsq_total + singles[1].errsq_total + singles[2].errsq_total
         assert np.array_equal(both.errsq_total, total)
         return
 
@@ -612,10 +618,11 @@ def test_settled_block_fast_path_is_bit_exact(monkeypatch):
     monkeypatch.setattr(simulation._Axis, "hnorm", counted)
     fast_batch = simulate_batch(scen, inits)
     # the largest run settles last, at the same node; the third chunk
-    # reduces its nodes up to it and the batch ends
+    # reduces its nodes up to it, the batch ends, and each of the two
+    # later chunks is reduced from the settled node alone
     assert blocks[1].settled_node == 720
     assert len(steps) == 720
-    assert nodes == [_DRAW_CHUNK + 1, _DRAW_CHUNK, 720 - 2 * _DRAW_CHUNK]
+    assert nodes == [_DRAW_CHUNK + 1, _DRAW_CHUNK, 720 - 2 * _DRAW_CHUNK, 1, 1]
     _without_shortcuts(monkeypatch)
     traj, batch = simulate(scen), simulate_batch(scen, inits)
     assert blocks[2].settled_node is None and blocks[3].settled_node is None
