@@ -5,8 +5,8 @@ Configs are strict JSON. Unknown keys are rejected (``_SECTION_KEYS``):
 each protocol kind takes only the keys it reads (``_PROTOCOL_KEYS``), and
 ``simulate`` takes axis entries only for the axes it runs. Every
 output file is written to a new temporary file of a unique name beside
-it and renamed once the run has succeeded, and the temporary files are
-removed when it fails, so failed runs leave nothing partial behind.
+it and renamed once the run has succeeded; a failure, SIGINT, SIGTERM or
+SIGHUP removes the temporary files, so a run leaves nothing partial behind.
 Exit codes: 0 ok, 2 bad input, 3 infeasible certificate, 4 integration
 failure.
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 
 import numpy as np
@@ -63,6 +64,10 @@ class ConfigError(Exception):
 
 class NonFiniteSummary(Exception):
     """A run's summary holds a NaN or an infinity."""
+
+
+class _Terminated(BaseException):
+    """SIGTERM or SIGHUP in a subcommand: unwinds every cleanup, as KeyboardInterrupt does."""
 
 
 def _fail(code: int, msg: str) -> int:
@@ -640,6 +645,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else 0
+    pid, caught = os.getpid(), {}
+
+    def terminate(signum, frame):
+        if os.getpid() != pid:  # a forked writer: the run's process cleans up
+            os._exit(1)
+        for sig in caught:  # a second signal does not cut the cleanup short
+            signal.signal(sig, signal.SIG_IGN)
+        raise _Terminated(signum)
+
+    for name in ("SIGTERM", "SIGHUP"):  # where they exist and are not ignored
+        if hasattr(signal, name) and signal.getsignal(sig := getattr(signal, name)) is signal.SIG_DFL:
+            caught[sig] = signal.signal(sig, terminate)
     # the exit code of each exception that a subcommand raises
     try:
         return args.func(args)
@@ -654,6 +671,14 @@ def main(argv=None) -> int:
         return _fail(EXIT_INTEGRATION, f"non-finite summary: {exc}")
     except OSError as exc:
         return _fail(EXIT_BAD_INPUT, f"cannot write output: {exc}")
+    except _Terminated as exc:
+        signum = exc.args[0]
+    finally:
+        for sig, handler in caught.items():
+            signal.signal(sig, handler)
+    sys.stdout.flush()
+    signal.raise_signal(signum)  # the signal's own status, as an uncaught SIGINT gives
+    return 128 + signum
 
 
 if __name__ == "__main__":

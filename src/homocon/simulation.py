@@ -26,7 +26,10 @@ other steps every row not at rest goes to the Newton.
 
 The homogeneous laws of negative degree are finite-time stable, and the
 implicit step keeps that: undisturbed, their errors reach exactly zero
-and stay there. Once a step snaps every curved row and returns its input
+and stay there. Such a row leaves the step's working set at the end of
+its draw chunk, and the step writes for it the values it would compute
+again, so the screen, the Newton and the residual work on the rows that
+still move. Once a step snaps every curved row and returns its input
 errors bit for bit, every later node repeats its errors, controls and
 norms: both entry points stop integrating there, and both recorders
 derive each later chunk of nodes from that node alone.
@@ -346,6 +349,16 @@ class _Block:
     per step, which writes into the block's ``work`` buffers; the
     block's log norms cover these rows only. Affine axes (linear, and
     mu = 0) use the closed-form step.
+
+    A curved row of an undisturbed axis with e = +0.0 and s = -inf rests
+    on the origin for good: its a is +0.0, and every step places it there
+    again (e = +0.0, w = -0.0, s = -inf). ``retire``, called at the end of
+    each draw chunk, takes such rows out of the working set (``active``,
+    None while every curved row works): the screen, the Newton, the
+    residual, their per-row arrays and ``work`` then cover the working
+    rows alone, and ``step_implicit`` writes the retired rows' values.
+    Every curved axis keeps the same number of working rows
+    (``group_rows``), so that its products keep one stacked layout.
     """
 
     def __init__(self, cfg: ScenarioConfig, inits):
@@ -384,6 +397,8 @@ class _Block:
         self.newton_calls = self.newton_passes = self.newton_step_stops = 0
         self.fallback_rows = self.fallback_passes = 0
         self.origin_tests = 0
+        self.retired_rows = 0  # curved rows out of the working set
+        self.active = None  # the working rows of the curved prefix, None for all
 
         X0 = [inits[g.index] for g in self.axes]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -428,21 +443,54 @@ class _Block:
                 loose = np.maximum(bound, c)
                 r = _SNAP_TOL * (1.0 + np.sqrt(reach2(loose)) + loose * self.root_btb)
                 reach = reach2(np.maximum(bound, c * np.minimum(root_lmax * r, 1.0) ** ex))
-            # one per row; s times a neg_rko column is -(s rk) and opm s: one exp gives d(-s) and c
-            self.rk, self.opm = np.repeat(rk, B * N, axis=0), np.repeat(opm, B * N)
-            self.neg_rko, self.neg_opm = np.repeat(np.column_stack((-rk, opm)).T, B * N, axis=1), -self.opm
-            self.snap_bound, self.reach2 = np.repeat(bound, B * N), np.repeat(reach, B * N)
-            self.ball = np.repeat(np.column_stack((c, root_lmax, ex)), B * N, axis=0)
-            # the rows of undisturbed axes, which rest on the origin once there; None if none
-            calm = np.repeat([g.spec.disturbance is None for g in self.curved], B * N)
-            self.calm = calm if calm.any() else None
-            # log norms of the curved rows at the two nodes before the
+            # per axis; calm: undisturbed, its rows rest on the origin once there
+            calm = np.array([g.spec.disturbance is None for g in self.curved])
+            self.laws = rk, opm, bound, reach, np.column_stack((c, root_lmax, ex)), calm
+            self.eval_law = np.repeat(rk, B * N, axis=0), np.repeat(opm, B * N)
+            # log norms of the working rows at the two nodes before the
             # previous one, newest first; nan until they are known
-            self.older = (np.full(self.m_curved, np.nan),) * 2
-            self.work = _Work(self)
+            self._activate(B * N, (np.full(self.m_curved, np.nan),) * 2)
         if flat:
             self.K_flat = np.stack([g.K for g in flat])[:, :, None]
             self.lin_den = np.repeat([g.lin_den for g in flat], B * N)
+
+    def _activate(self, rows, older):
+        """The per-row arrays of ``rows`` working rows of each curved axis,
+        whose log norms at the two nodes before the previous one are
+        ``older``, and a ``_Work`` for them."""
+        rk, opm, bound, reach, ball, calm = self.laws
+        self.group_rows, self.older = rows, older
+        # s times a neg_rko column is -(s rk) and opm s: one exp gives d(-s) and c
+        self.rk, self.opm = np.repeat(rk, rows, axis=0), np.repeat(opm, rows)
+        self.neg_rko, self.neg_opm = np.repeat(np.column_stack((-rk, opm)).T, rows, axis=1), -self.opm
+        self.snap_bound, self.reach2, self.ball = (np.repeat(x, rows, axis=0) for x in (bound, reach, ball))
+        calm = np.repeat(calm, rows)
+        self.calm = calm if calm.any() else None
+        self.work = _Work(self)
+
+    def retire(self, E, s):
+        """Takes the curved rows that rest on the origin for good out of
+        the working set, given the errors E and curved log norms s of the
+        last node: the rows of undisturbed axes with e = +0.0 and s = -inf,
+        which every step places there again. Each curved axis keeps the
+        largest number of rows that still move on any of them, at least
+        one: an axis with fewer keeps some resting rows working."""
+        mc, calm = self.m_curved, self.laws[-1] if self.curved else None
+        if calm is None or not calm.all():  # a disturbed axis keeps every row
+            return
+        zero = (E[:mc] == 0.0).all(axis=1) & ~np.signbit(E[:mc]).any(axis=1)
+        moving = ~(zero & (s == -np.inf)).reshape(len(calm), -1)
+        rows = max(1, int(moving.sum(axis=1).max()))
+        if rows >= self.group_rows:
+            return
+        # each axis's moving rows first, then its resting ones, in row order
+        keep = np.sort(np.argsort(~moving, axis=1, kind="stable")[:, :rows], axis=1)
+        active = (keep + np.arange(len(calm))[:, None] * moving.shape[1]).ravel()
+        older = np.full((2, mc), -np.inf)  # a retired row's log norms
+        older[:, slice(None) if self.active is None else self.active] = self.older
+        self.active, self.retired_rows = active, mc - active.size
+        self.active_cells = (active[:, None] * self.n + np.arange(self.n)).ravel()
+        self._activate(rows, tuple(older[:, active]))
 
     # -- law on the whole block ---------------------------------------------------
     def eval(self, E, s_warm):
@@ -452,7 +500,7 @@ class _Block:
         u = np.empty(self.M)
         s = np.empty(0)
         if mc:
-            u[:mc], s = _law(E[:mc], self.P, self.K, self.rk, self.opm, s_warm)
+            u[:mc], s = _law(E[:mc], self.P, self.K, *self.eval_law, s_warm)
         if mc < self.M:
             u[mc:] = -grouped_matmul(E[mc:], self.K_flat, len(self.K_flat))[:, 0]
         return u, s
@@ -465,23 +513,28 @@ class _Block:
         undisturbed); the leaders do not enter it. Returns fresh
         arrays (e_new, w, log_norms): no work buffer of the block is
         among them, so a caller may keep them across steps."""
-        mc = self.m_curved
+        mc, act = self.m_curved, self.active
         alpha = grouped_matmul(E, self.R.T) + dqb
-        if mc == self.M:
+        if mc == self.M and act is None:
             return self._solve_control_roots(alpha, w_prev, s_warm)
         w = np.empty(self.M)
         e_new = np.empty_like(alpha)
         logr = np.empty(0)
-        if mc:
+        if act is not None:  # the retired rows stay on the origin
+            e_new[:mc], w[:mc], logr = 0.0, -0.0, np.full(mc, -np.inf)
+            e, w[act], logr[act] = self._solve_control_roots(alpha.take(act, axis=0), w_prev[act], s_warm[act])
+            e_new.reshape(-1)[self.active_cells] = e.reshape(-1)  # e_new[act] = e, at a third of the cost
+        elif mc:
             e_new[:mc], w[:mc], logr = self._solve_control_roots(alpha[:mc], w_prev[:mc], s_warm)
-        a, wf, ef = alpha[mc:], w[mc:], e_new[mc:]  # closed form, written in place
-        np.negative(grouped_matmul(a, self.K_flat, len(self.K_flat))[:, 0], out=wf)
-        np.divide(wf, self.lin_den, out=wf)
-        np.add(a, outer(wf, self.beta, ef), out=ef)
+        if mc < self.M:
+            a, wf, ef = alpha[mc:], w[mc:], e_new[mc:]  # closed form, written in place
+            np.negative(grouped_matmul(a, self.K_flat, len(self.K_flat))[:, 0], out=wf)
+            np.divide(wf, self.lin_den, out=wf)
+            np.add(a, outer(wf, self.beta, ef), out=ef)
         return e_new, w, logr
 
     def _solve_control_roots(self, alpha, w_prev, s_warm):
-        """Per-row scalar solve of w = law(alpha + w*beta) on the curved rows.
+        """Per-row scalar solve of w = law(alpha + w*beta) on the working rows.
 
         Returns (e_new, w, log_norms). When the affine line passes through
         the set-valued point of the law (within the snap distance r =
@@ -611,7 +664,7 @@ class _Block:
 
 class _Work:
     """The arrays that ``_log_norm_residual`` and ``_Block._newton`` write
-    for the block's m curved rows, made once with it. A product's operand
+    for the block's m working rows, made with them. A product's operand
     ``*_g`` is (groups, rows, .), one-row groups padded to two (kept zero)
     as ``grouped_matmul`` pads them, and elementwise ops write its (m, .)
     view. The exponentials are held by rows, (n + 1, m), and ops pair them
@@ -620,7 +673,7 @@ class _Work:
     """
 
     def __init__(self, block):
-        m, n = block.m_curved, block.n
+        m, n = len(block.curved) * block.group_rows, block.n
 
         def stacked(cols, groups=len(block.curved)):
             rows = m // groups
@@ -697,7 +750,7 @@ def _log_norm_roots(block, a, s, s0, rows):
     by ``homogeneity._bracketed_roots``: no Newton step where
     1 + c K b <= 0, and where a + w beta cancels, F may stay near 1e-5
     until the controls at the bracket's ends agree. A pass evaluates
-    every curved row into the block's ``work``, the open rows at their
+    every working row into the block's ``work``, the open rows at their
     new s and the others at s, and reads the open rows: a row's values do
     not depend on the rows beside it. Returns, on ``rows``, w at the
     final s, the log norms of a + w beta and the passes made. Raises
@@ -717,7 +770,7 @@ def _log_norm_roots(block, a, s, s0, rows):
     s_last[rows] = s_rows
     w = _log_norm_residual(block, a, s_last, True)[rows]
     # the errors' own log norms: where a + w beta cancels, F is not small
-    P = block.P[rows // (block.B * block.N)]  # one per row
+    P = block.P[rows // block.group_rows]  # one per row
     s_rows, _ = _log_norms(a[rows] + outer(w, block.beta), P, block.rk[rows], s_rows)
     return w, s_rows, passes
 
@@ -978,6 +1031,7 @@ def _integrate(cfg: ScenarioConfig, inits, recorder, dist_scales=None):
             rec.reduce()
             if block.settled_node is not None:
                 break
+            block.retire(E, s)
     return rec
 
 

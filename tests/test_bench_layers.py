@@ -16,10 +16,11 @@ def test_record_holds_every_block_and_layer(tmp_path, capsys):
     assert bench_layers.main(["--runs", "1", "--seconds", "0.001", "--out", str(out)]) == 0
     record = json.loads(out.read_text())
     assert json.loads(capsys.readouterr().out) == record
-    shapes = {name: (b["rows"], b["groups"], b["n"]) for name, b in record["blocks"].items()}
+    shapes = {name: (b["rows"], b["retired"], b["groups"], b["n"]) for name, b in record["blocks"].items()}
+    # the 99 resting rows of sweep_300x1_rest leave its working set
     assert shapes == {
-        "presets_6x2": (6, 2, 2), "cyclic_8x2": (8, 2, 3), "cyclic_12x2": (12, 2, 3),
-        "sweep_90x1": (90, 1, 2), "sweep_300x1": (300, 1, 2), "sweep_300x1_rest": (300, 1, 2),
+        "presets_6x2": (6, 0, 2, 2), "cyclic_8x2": (8, 0, 2, 3), "cyclic_12x2": (12, 0, 2, 3),
+        "sweep_90x1": (90, 0, 1, 2), "sweep_300x1": (300, 0, 1, 2), "sweep_300x1_rest": (201, 99, 1, 2),
     }
     for block in record["blocks"].values():
         assert set(block["layers"]) == {"residual", "newton", "log_norms_cold", "log_norms_warm",

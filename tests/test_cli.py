@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import json
 import os
@@ -713,6 +714,67 @@ def test_reproduce_paper_streamed_failure_leaves_no_file_and_no_process(tmp_path
     assert main(["reproduce-paper", "--output", str(out_dir)]) == EXIT_INTEGRATION
     assert len(forks) == len(cli.PRESET_RUNS)
     assert _no_children()
+    assert list(out_dir.iterdir()) == []
+
+
+# -- signals and real write failures, in child processes --------------------------------
+
+
+def _reproduce_paper(out_dir, **popen):
+    """``homocon reproduce-paper`` as a child process in a session of its
+    own, so that its process group holds it and its writers alone."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.Popen([sys.executable, "-m", "homocon.cli", "reproduce-paper", "--output", str(out_dir)],
+                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                            start_new_session=True, **popen)
+
+
+def _staged_bytes(out_dir):
+    total = 0
+    for f in out_dir.glob("*.tmp"):
+        with contextlib.suppress(FileNotFoundError):
+            total += f.stat().st_size
+    return total
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the CSV writer forks")
+def test_sigterm_leaves_no_staged_file_and_no_writer(tmp_path):
+    import signal
+    import time
+
+    out_dir = tmp_path / "out"
+    proc = _reproduce_paper(out_dir)
+    # the forked writer has formatted rows into a staged CSV
+    deadline = time.monotonic() + 60.0
+    while _staged_bytes(out_dir) < 10**6 and proc.poll() is None and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert proc.poll() is None, proc.stderr.read()
+    proc.send_signal(signal.SIGTERM)
+    proc.communicate(timeout=60)
+    assert proc.returncode == -signal.SIGTERM
+    assert list(out_dir.iterdir()) == []
+    with pytest.raises(ProcessLookupError):  # nothing is left in its process group
+        os.killpg(proc.pid, 0)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the CSV writer forks")
+def test_file_size_limit_exits_2_and_leaves_nothing(tmp_path):
+    resource = pytest.importorskip("resource")
+
+    def limit():  # in the child alone
+        resource.setrlimit(resource.RLIMIT_FSIZE, (2**20, 2**20))
+
+    out_dir = tmp_path / "out"
+    proc = _reproduce_paper(out_dir, preexec_fn=limit)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert b"File too large" in err
     assert list(out_dir.iterdir()) == []
 
 

@@ -653,6 +653,88 @@ def test_fast_path_waits_for_undisturbed_settled_rows(monkeypatch):
     assert any(steps)
 
 
+# -- retired rows ----------------------------------------------------------------------
+# A curved row of an undisturbed axis that rests on the origin leaves the
+# block's working set at the next draw-chunk boundary: the runs must equal,
+# bit for bit, runs that keep every row working, with the same counts.
+
+_STEP_COUNTS = ("newton_calls", "newton_passes", "newton_step_stops", "fallback_rows",
+                "fallback_passes", "origin_tests", "settled_node")
+
+
+def _without_retirement(monkeypatch):
+    import homocon.simulation as simulation
+
+    monkeypatch.setattr(simulation._Block, "retire", lambda self, E, s: None)
+
+
+def _working_rows(monkeypatch):
+    """Record, after each chunk's ``retire``, the block's retired rows and
+    its working curved rows."""
+    import homocon.simulation as simulation
+
+    rows = []
+    retire = simulation._Block.retire
+
+    def recorded(self, E, s):
+        retire(self, E, s)
+        rows.append((self.retired_rows, len(self.curved) * self.group_rows))
+
+    monkeypatch.setattr(simulation._Block, "retire", recorded)
+    return rows
+
+
+def test_retired_rows_keep_every_bit_of_a_batch(monkeypatch):
+    # smaller runs settle sooner: rows leave the working set at the
+    # chunk boundaries 256 and 512, and the batch settles at node 720
+    scen = _settling_scenario()
+    inits = {"X": scen.axes[0].initial[None] * np.array([1.0, 0.3, 0.01, 0.001])[:, None, None]}
+    blocks = _blocks(monkeypatch)
+    rows = _working_rows(monkeypatch)
+    fast = simulate_batch(scen, inits)
+    assert rows == [(3, 9), (7, 5)]
+    _without_retirement(monkeypatch)
+    slow = simulate_batch(scen, inits)
+    assert blocks[1].retired_rows == 0
+    assert blocks[0].settled_node == 720
+    assert [getattr(blocks[0], c) for c in _STEP_COUNTS] == [getattr(blocks[1], c) for c in _STEP_COUNTS]
+    for field in ("efirst_max", "hnorm", "phimin"):
+        assert _same_arrays(getattr(fast, field)["X"], getattr(slow, field)["X"]), field
+    assert _same_arrays(fast.errsq_total, slow.errsq_total)
+
+
+@pytest.mark.parametrize(
+    "make, rows",
+    [
+        # X rests from about 6 s and Y moves on: both axes keep the
+        # largest moving count of Y, X with resting rows among them
+        (lambda: replace(_preset("homogeneous_nominal"), horizon=13.0), [(0, 6)] * 45 + [(2, 4)] * 3 + [(4, 2)] * 3),
+        # the curved rows retire while the linear axis moves on; one of
+        # them, at rest, stays working
+        (lambda: _settling_scenario((AxisSpec("Y", linear_protocol(2, 1.0), np.array(
+            [[0.0, 0.0], [-1.0, 0.5], [-2.0, 0.5], [-3.0, 1.0]])),)), [(0, 3)] * 2 + [(2, 1)] * 3),
+        (_resting_follower, [(1, 2), (1, 2)]),
+        # a disturbed curved axis keeps every row working
+        (lambda: _resting_follower(True), [(0, 6)] * 5),
+    ],
+    ids=["mu-0.2-two-axes", "mu-0.2-and-linear", "mu-0.2-resting", "mu-0.2-resting-and-disturbed"],
+)
+def test_retired_rows_keep_every_bit(make, rows, monkeypatch):
+    scen = make()
+    blocks = _blocks(monkeypatch)
+    working = _working_rows(monkeypatch)
+    fast = simulate(scen)
+    assert working == rows
+    _without_retirement(monkeypatch)
+    slow = simulate(scen)
+    assert blocks[1].retired_rows == 0
+    assert [getattr(blocks[0], c) for c in _STEP_COUNTS] == [getattr(blocks[1], c) for c in _STEP_COUNTS]
+    for a, b in zip(fast.axes, slow.axes):
+        for field in ("states", "errors", "controls", "hnorm", "barrier", "disturbance"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert (x is None and y is None) or _same_arrays(x, y), (a.name, field)
+
+
 # -- log-norm fallback ---------------------------------------------------------------
 
 

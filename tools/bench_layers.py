@@ -20,12 +20,17 @@ blocks have the shapes of the benchmark's workloads:
   while the others still move.
 
 Each block is stepped 50 times from its initial errors, so that the
-Newton has warm starts, and the state there is the fixed input. Timed
-per block: ``residual`` (``_log_norm_residual`` on the curved rows, with
-the block's work buffers), ``newton`` (one ``_Block._newton`` call on
-every curved row off the origin), ``log_norms_cold`` and ``log_norms_warm``
-(``homogeneity._log_norms`` of the curved rows' errors, started from
-their weighted norms and from the block's log norms there),
+Newton has warm starts, and then retires the curved rows that rest on
+the origin (``_Block.retire``, which ``_integrate`` calls at each draw
+chunk's end): ``sweep_300x1_rest`` works on its 201 moving rows, the
+other blocks on all their rows. That state is the fixed input. The
+record gives each block's working curved ``rows`` and its ``retired``
+ones. Timed per block: ``residual`` (``_log_norm_residual`` on the
+working rows, with the block's work buffers), ``newton`` (one
+``_Block._newton`` call on every working row off the origin),
+``log_norms_cold`` and ``log_norms_warm`` (``homogeneity._log_norms`` of
+the working rows' errors, started from their weighted norms and from the
+block's log norms there),
 ``control_input_many`` (``protocols.control_input_many`` of each curved
 axis's errors, the public law evaluation) and ``step_implicit``. Also
 timed, in the same runs:
@@ -145,8 +150,9 @@ def blocks():
 
 
 def warm_state(scen, inits, dq):
-    """The block and its state after WARM_STEPS steps: (block, E, w, s,
-    dqb), with the forcing as ``_integrate`` passes it."""
+    """The block and its state after WARM_STEPS steps, its resting rows
+    retired: (block, E, w, s, dqb), with the forcing as ``_integrate``
+    passes it."""
     if inits is None:
         inits = [ax.initial[None] for ax in scen.axes]
     block = simulation._Block(scen, [np.asarray(x, dtype=float) for x in inits])
@@ -156,13 +162,15 @@ def warm_state(scen, inits, dq):
         w, s = block.eval(E, None)
         for _ in range(WARM_STEPS):
             E, w, s = block.step_implicit(E, dqb, w, s)
+    block.retire(E, s)
     return block, E, w, s, dqb
 
 
 def layers(block, E, w, s, dqb) -> dict:
     """The timed calls on one block, by layer name."""
     alpha = simulation.grouped_matmul(E, block.R.T) + dqb
-    ac, wc, sc = alpha[:block.m_curved], w[:block.m_curved], s
+    act = slice(block.m_curved) if block.active is None else block.active  # the working rows
+    ac, wc, sc = alpha[act], w[act], s[act]
     older = block.older
 
     def residual():
@@ -172,7 +180,7 @@ def layers(block, E, w, s, dqb) -> dict:
         return block._newton(ac, wc, sc, older, np.isfinite(sc))
 
     def log_norms(s_warm):
-        return lambda: homogeneity._log_norms(E[:block.m_curved], block.P, block.rk, s_warm)
+        return lambda: homogeneity._log_norms(E[act], block.P, block.rk, s_warm)
 
     def control_input_many():
         return [protocols.control_input_many(g.spec.protocol, E[g.rows]) for g in block.curved]
@@ -182,7 +190,7 @@ def layers(block, E, w, s, dqb) -> dict:
         return block.step_implicit(E, dqb, w, s)
 
     return {"residual": residual, "newton": newton, "log_norms_cold": log_norms(None),
-            "log_norms_warm": log_norms(s), "control_input_many": control_input_many,
+            "log_norms_warm": log_norms(sc), "control_input_many": control_input_many,
             "step_implicit": step_implicit}
 
 
@@ -264,7 +272,8 @@ def main(argv=None) -> int:
     fns = {}
     for name, scen, inits, dq in blocks():
         block, *state = warm_state(scen, inits, dq)
-        record["blocks"][name] = {"rows": block.m_curved, "groups": len(block.curved),
+        record["blocks"][name] = {"rows": len(block.curved) * block.group_rows,
+                                  "retired": block.retired_rows, "groups": len(block.curved),
                                   "n": block.n, "layers": {}}
         fns.update({(name, layer): fn for layer, fn in layers(block, *state).items()})
         if name.startswith("sweep"):
