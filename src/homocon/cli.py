@@ -18,6 +18,7 @@ import json
 import os
 import signal
 import sys
+import threading
 
 import numpy as np
 
@@ -646,7 +647,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else 0
     pid, caught = os.getpid(), {}
-
     def terminate(signum, frame):
         if os.getpid() != pid:  # a forked writer: the run's process cleans up
             os._exit(1)
@@ -654,7 +654,8 @@ def main(argv=None) -> int:
             signal.signal(sig, signal.SIG_IGN)
         raise _Terminated(signum)
 
-    for name in ("SIGTERM", "SIGHUP"):  # where they exist and are not ignored
+    # where they exist and are not ignored; only the main thread may set handlers
+    for name in ("SIGTERM", "SIGHUP") if threading.current_thread() is threading.main_thread() else ():
         if hasattr(signal, name) and signal.getsignal(sig := getattr(signal, name)) is signal.SIG_DFL:
             caught[sig] = signal.signal(sig, terminate)
     # the exit code of each exception that a subcommand raises

@@ -743,6 +743,17 @@ def _staged_bytes(out_dir):
     return total
 
 
+def test_main_runs_outside_the_main_thread():
+    # only the main thread may set signal handlers: main sets none there
+    import threading
+
+    codes = []
+    worker = threading.Thread(target=lambda: codes.append(main(["gains", "--n", "2", "--lambda", "1"])))
+    worker.start()
+    worker.join(timeout=60)
+    assert codes == [EXIT_OK]
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the CSV writer forks")
 def test_sigterm_leaves_no_staged_file_and_no_writer(tmp_path):
     import signal
