@@ -716,8 +716,14 @@ def test_retired_rows_keep_every_bit_of_a_batch(monkeypatch):
         (_resting_follower, [(1, 2), (1, 2)]),
         # a disturbed curved axis keeps every row working
         (lambda: _resting_follower(True), [(0, 6)] * 5),
+        # undisturbed mu = -1 axes: the bracketed solve runs on working
+        # rows of both axes after some rows retired
+        (lambda: replace(_mu_minus_one(), horizon=3.0, axes=tuple(
+            replace(ax, disturbance=None) for ax in _mu_minus_one_axes())),
+         [(0, 6)] * 3 + [(2, 4)] * 2 + [(4, 2)]),
     ],
-    ids=["mu-0.2-two-axes", "mu-0.2-and-linear", "mu-0.2-resting", "mu-0.2-resting-and-disturbed"],
+    ids=["mu-0.2-two-axes", "mu-0.2-and-linear", "mu-0.2-resting", "mu-0.2-resting-and-disturbed",
+         "mu-1-undisturbed"],
 )
 def test_retired_rows_keep_every_bit(make, rows, monkeypatch):
     scen = make()
