@@ -23,6 +23,8 @@ import numpy as np
 
 from ._linalg import grouped_matmul, is_positive_definite, outer, rowsum, symmetrize
 
+_NORM_PASSES = 50  # passes of the norm's Newton before a row goes to the bracketed solve
+
 
 class OriginNotDifferentiable(Exception):
     """The homogeneous norm has no gradient at x = 0."""
@@ -118,8 +120,8 @@ def _log_norms(X, Ps, rk, s_warm):
     the dilation entries, shared (n,) or per row (m, n). F(s) =
     log ||d(-s) x||_P is smooth and strictly decreasing, and Newton stops
     at |F| <= 1e-13. Rows whose iteration over- or underflows, or has
-    not settled after 50 passes, and nonzero rows whose weighted norm
-    underflows, are solved at the end by ``_bracketed_roots``.
+    not settled after _NORM_PASSES passes, and nonzero rows whose weighted
+    norm underflows, are solved at the end by ``_bracketed_roots``.
 
     Returns (s, Y): s is -inf at x = 0 and nan where x is not finite; Y
     holds the scaled vectors d(-s) x, 0 where s is not finite.
@@ -139,7 +141,7 @@ def _log_norms(X, Ps, rk, s_warm):
         lost = ~nz & np.any(X != 0.0, axis=1)
         if lost.any():
             rough = lost
-    for _ in range(50):
+    for _ in range(_NORM_PASSES):
         if not pending.any():
             break
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -29,10 +29,10 @@ implicit step keeps that: undisturbed, their errors reach exactly zero
 and stay there. Such a row leaves the step's working set at the end of
 its draw chunk, and the step writes for it the values it would compute
 again, so the screen, the Newton and the residual work on the rows that
-still move. Once a step snaps every curved row and returns its input
-errors bit for bit, every later node repeats its errors, controls and
-norms: both entry points stop integrating there, and both recorders
-derive each later chunk of nodes from that node alone.
+still move. A chunk whose last two nodes have every row at rest ends on
+a node that every later node repeats, errors, controls and norms: both
+entry points stop integrating there, and both recorders derive each
+later chunk of nodes from that node alone.
 
 The integrator advances the follower errors e_i = x_i - x_0 alone, which
 evolve without reading the leader's state, so differencing two O(10)
@@ -350,8 +350,8 @@ class _Block:
     block's log norms cover these rows only. Affine axes (linear, and
     mu = 0) use the closed-form step.
 
-    A curved row of an undisturbed axis with e = +0.0 and s = -inf rests
-    on the origin for good: its a is +0.0, and every step places it there
+    A curved row of an undisturbed axis with s = -inf rests on the origin
+    for good: e is +-0.0, its a is +0.0, and every step places it there
     again (e = +0.0, w = -0.0, s = -inf). ``retire``, called at the end of
     each draw chunk, takes such rows out of the working set (``active``,
     None while every curved row works): the screen, the Newton, the
@@ -389,7 +389,6 @@ class _Block:
         flat = self.axes[len(self.curved):]
         self.M = len(self.axes) * B * N
         self.m_curved = len(self.curved) * B * N
-        self.snapped = False  # the last step snapped every curved row
         # the node from which every later node repeats it, once known
         self.settled_node = None
         # Newton calls, passes and step-test stops; fallback rows, passes;
@@ -468,29 +467,33 @@ class _Block:
         self.calm = calm if calm.any() else None
         self.work = _Work(self)
 
-    def retire(self, E, s):
-        """Takes the curved rows that rest on the origin for good out of
-        the working set, given the errors E and curved log norms s of the
-        last node: the rows of undisturbed axes with e = +0.0 and s = -inf,
-        which every step places there again. Each curved axis keeps the
-        largest number of rows that still move on any of them, at least
-        one: an axis with fewer keeps some resting rows working."""
+    def retire(self, s):
+        """Takes the curved rows at rest out of the working set, given the
+        curved log norms s of the last node, and returns whether the block
+        has settled. A row rests when its axis is undisturbed and s = -inf.
+        Each curved axis keeps the largest number of rows that still move
+        on any of them, at least one: an axis with fewer keeps some resting
+        rows working. With no affine rows and every row at rest at the node
+        before too (``older[0]``), the last step placed every row by the
+        rest rule, and every later node repeats the last: it has settled."""
         mc, calm = self.m_curved, self.laws[-1] if self.curved else None
         if calm is None or not calm.all():  # a disturbed axis keeps every row
-            return
-        zero = (E[:mc] == 0.0).all(axis=1) & ~np.signbit(E[:mc]).any(axis=1)
-        moving = ~(zero & (s == -np.inf)).reshape(len(calm), -1)
+            return False
+        rest = s == -np.inf
+        if mc == self.M and rest.all() and (self.older[0] == -np.inf).all():
+            return True
+        moving = ~rest.reshape(len(calm), -1)
         rows = max(1, int(moving.sum(axis=1).max()))
-        if rows >= self.group_rows:
-            return
-        # each axis's moving rows first, then its resting ones, in row order
-        keep = np.sort(np.argsort(~moving, axis=1, kind="stable")[:, :rows], axis=1)
-        active = (keep + np.arange(len(calm))[:, None] * moving.shape[1]).ravel()
-        older = np.full((2, mc), -np.inf)  # a retired row's log norms
-        older[:, slice(None) if self.active is None else self.active] = self.older
-        self.active, self.retired_rows = active, mc - active.size
-        self.active_cells = (active[:, None] * self.n + np.arange(self.n)).ravel()
-        self._activate(rows, tuple(older[:, active]))
+        if rows < self.group_rows:
+            # each axis's moving rows first, then its resting ones, in row order
+            keep = np.sort(np.argsort(~moving, axis=1, kind="stable")[:, :rows], axis=1)
+            active = (keep + np.arange(len(calm))[:, None] * moving.shape[1]).ravel()
+            older = np.full((2, mc), -np.inf)  # a retired row's log norms
+            older[:, slice(None) if self.active is None else self.active] = self.older
+            self.active, self.retired_rows = active, mc - active.size
+            self.active_cells = (active[:, None] * self.n + np.arange(self.n)).ravel()
+            self._activate(rows, tuple(older[:, active]))
+        return False
 
     # -- law on the whole block ---------------------------------------------------
     def eval(self, E, s_warm):
@@ -564,8 +567,7 @@ class _Block:
             rn = np.sqrt(rowsum(resid * resid))
             r = _SNAP_TOL * (1.0 + np.sqrt(asq) + np.abs(wpar) * self.root_btb)
             snap = (rn <= r) & (np.abs(wpar) <= self.snap_bound)
-        self.snapped = snap is not None and np.count_nonzero(snap) == M
-        if self.snapped:
+        if snap is not None and np.count_nonzero(snap) == M:
             return np.zeros_like(alpha), np.full(M, wpar), np.full(M, -np.inf)
         # far is the pending set of a step that skips the tests
         w, logr, e_new = self._newton(alpha, w_prev, s_warm, older, far if clear == M else ~snap)
@@ -792,6 +794,10 @@ class _Draws:
         scales = np.ones(B) if scales is None else np.asarray(scales, float)
         if scales.shape != (B,) or not np.all(np.isfinite(scales) & (scales >= 0.0)):
             raise ValueError("disturbance_scales must hold one finite, nonnegative scale per run")
+        # seedless axes i < j share streams (cfg.seed + 7919 i + b) once B > 7919 (j - i)
+        seedless = sorted(g.index for g in block.axes if g.spec.disturbance and g.spec.disturbance.seed is None)
+        if any(B > 7919 * (j - i) for i, j in zip(seedless, seedless[1:])):
+            raise ValueError(f"{B} runs would share disturbance streams across axes: give each a seed")
         self.block = block
         self.axes = []
         for g in block.axes:
@@ -983,11 +989,6 @@ class _BatchRecord(_ChunkRecord):
                 self.phimin[name][ks] = rowsum(barrier.reshape(count, B, N * n), np.minimum)
 
 
-def _same_bits(x, y):
-    """x and y hold the same float64 bits, sign of zero included."""
-    return bool((x.view(np.uint64) == y.view(np.uint64)).all())
-
-
 def _integrate(cfg: ScenarioConfig, inits, recorder, dist_scales=None):
     """Advance the follower errors of every axis of every run as one row
     block; the leaders do not enter the errors' steps.
@@ -995,20 +996,18 @@ def _integrate(cfg: ScenarioConfig, inits, recorder, dist_scales=None):
     ``inits`` lists each axis's (B, N+1, n) initial states in
     ``cfg.axes`` order; ``recorder(block, T)`` receives every node
     integrated, and its ``reduce`` is called at the end of each draw
-    chunk, whose forcing ``_Draws`` forms at its start. Once an
-    undisturbed step snaps every curved row and returns its input errors
-    bit for bit, the next step would see the same errors and no warm
-    start, so every later node repeats that one (``block.settled_node``):
-    the integration ends there, and the recorder's ``reduce`` fills in
-    the rest of the horizon. Raises NonConvergentStep when an error is
-    not finite at the end of a draw chunk. Returns the recorder, whose
-    ``block`` is the row block.
+    chunk, whose forcing ``_Draws`` forms at its start. Before that,
+    ``block.retire`` takes the rows at rest out of the working set; once
+    it finds the block settled, every later node repeats the chunk's last
+    one (``block.settled_node``): the integration ends there, and the
+    recorder's ``reduce`` fills in the rest of the horizon. Raises
+    NonConvergentStep when an error is not finite at a chunk's end.
+    Returns the recorder, whose ``block`` is the row block.
     """
     block = _Block(cfg, [np.asarray(x, dtype=float) for x in inits])
     T = cfg.steps
     rec = recorder(block, T)
     draws = _Draws(cfg, block, dist_scales)
-    dqb = draws.dqb
 
     E = block.E0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -1019,19 +1018,14 @@ def _integrate(cfg: ScenarioConfig, inits, recorder, dist_scales=None):
             if draws.axes:
                 rec.draws(k0, draws.take(count))
             for j in range(count):
-                E_new, w, s = block.step_implicit(E, dqb[j], w, s)
-                settled = not draws.axes and block.snapped and _same_bits(E_new, E)
-                E = E_new
+                E, w, s = block.step_implicit(E, draws.dqb[j], w, s)
                 rec.record(k0 + j + 1, E, w, s)
-                if settled:
-                    block.settled_node = k0 + j + 1
-                    break
             if not np.isfinite(E).all():
                 raise NonConvergentStep("integration produced non-finite states")
+            block.settled_node = k0 + count if block.retire(s) else None
             rec.reduce()
             if block.settled_node is not None:
                 break
-            block.retire(E, s)
     return rec
 
 
@@ -1083,7 +1077,9 @@ def simulate_batch(
     and offset per run, for amplitude sweeps. The leaders are never
     advanced, since no reduction reads them: a run whose leader state
     overflows while its errors stay finite returns finite reductions,
-    where ``simulate`` raises NonConvergentStep. Once every run has
+    where ``simulate`` raises NonConvergentStep. Two disturbed axes
+    without a seed at i < j in ``cfg.axes`` would share draws once
+    B > 7919 (j - i): ValueError before any step. Once every run has
     settled undisturbed, the rest of the horizon is reduced from the
     settled node alone. The axes' names key the reductions, so they
     must differ (else ValueError before any step).

@@ -132,8 +132,7 @@ def solve_control_roots(block, alpha, w_prev, s_warm, snap_tol=1e-12):
     r = snap_tol * (1.0 + anorm + np.abs(wpar) * block.root_btb)
     snap = (rn <= r) & (np.abs(wpar) <= block.snap_bound)
 
-    block.snapped = bool(snap.all())
-    if block.snapped:
+    if snap.all():
         return np.zeros_like(alpha), wpar, np.full(M, -np.inf)
     w, logr, e_new = block._newton(alpha, w_prev, s_warm, older, ~snap)
     near = ~snap & (rowsum(e_new * e_new) <= r * r)

@@ -149,6 +149,28 @@ def test_norm_matches_bisection_oracle():
             assert abs(r - bisect_norm(ctx, x)) <= 1e-9 * max(r, 1e-9)
 
 
+def test_rows_open_after_the_last_norm_pass_take_the_bracketed_solve(monkeypatch):
+    # after one Newton pass every row from 1e-6 to 1e6 is still open:
+    # the bracketed solve must finish them to the oracle's value
+    monkeypatch.setattr(homogeneity, "_NORM_PASSES", 1)
+    rows = []
+    bracketed = homogeneity._bracketed_roots
+
+    def counted(residual, s0, max_passes):
+        rows.append(len(s0))
+        return bracketed(residual, s0, max_passes)
+
+    monkeypatch.setattr(homogeneity, "_bracketed_roots", counted)
+    rng = np.random.default_rng(30)
+    for mu in (-1.0, -0.2, 0.3):
+        ctx = random_feasible_context(rng, 3, mu)
+        X = rng.normal(size=(25, 3)) * np.logspace(-6, 6, 25)[:, None]
+        r, _ = canonical_norm_many(ctx, X)
+        oracle = np.array([bisect_norm(ctx, x) for x in X])
+        assert np.all(np.abs(r - oracle) <= 1e-12 * oracle), mu
+    assert rows == [25] * 3
+
+
 def test_norm_extreme_magnitudes():
     ctx = HomogeneousNormContext(DilationGenerator(2, -0.5), np.eye(2))
     for scale in (1e-200, 1e-30, 1e30, 1e200):

@@ -1,5 +1,6 @@
 """The output digest tool on the cheapest workload: one seed repeats its
-digest, another seed changes it."""
+digest, another seed changes it; and on a reproduce-paper run, whose
+files it hashes as criterion 11 does."""
 
 import subprocess
 import sys
@@ -20,3 +21,15 @@ def test_digests_repeat_at_one_seed_and_differ_across_seeds():
     assert all(len(d) == 64 for d in digests)
     assert digests[0] == digests[1]
     assert digests[0] != digests[2]
+
+
+def test_reproduce_paper_digests_are_the_files_sha256():
+    from test_acceptance import GOLDEN_SHA256
+
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "output_digests.py"), "--reproduce-paper"],
+        capture_output=True, text=True, check=True, timeout=300,
+    )
+    lines = [line.split() for line in out.stdout.splitlines()]
+    assert [line[0] for line in lines] == ["reproduce-paper"] * len(GOLDEN_SHA256)
+    assert {name: sha for _, name, sha in lines} == GOLDEN_SHA256

@@ -301,8 +301,9 @@ def test_settling_batch_runs_match_individual_runs(monkeypatch):
     for b in range(3):
         tb = simulate(replace(scen, axes=(replace(scen.axes[0], initial=inits[b]),)))
         _assert_batch_run_equals(batch, b, tb)
-    # the batch, then runs 0.2, 1.0 and 0.5
-    assert [block.settled_node for block in blocks] == [720, 555, 720, 643]
+    # the batch, then runs 0.2, 1.0 and 0.5: each comes to rest in the
+    # third draw chunk and settles at its end
+    assert [block.settled_node for block in blocks] == [3 * _DRAW_CHUNK] * 4
 
 
 def test_batch_ignores_leader_overflow():
@@ -319,6 +320,28 @@ def test_batch_ignores_leader_overflow():
     _assert_batch_run_equals(batch, 0, simulate(replace(scen, axes=(replace(ax, disturbance=None),))))
     with pytest.raises(NonConvergentStep, match="non-finite"):
         simulate(scen)
+
+
+@pytest.mark.parametrize("gap, runs, shared", [(1, 7921, True), (1, 7920, True), (1, 7919, False),
+                                              (2, 7921, False)])
+def test_batch_rejects_disturbance_streams_shared_across_axes(gap, runs, shared):
+    # run b of a disturbed axis i without a seed draws the stream seeded
+    # seed + 7919 i + b, so axes i < j would share one once B > 7919 (j - i):
+    # at B = 7921, run 7919 + b of X drew run b of Y's draws
+    ax = AxisSpec("X", linear_protocol(2, 1.0), np.array([[0.0, 0.0], [-1.0, 0.5]]),
+                  disturbance=DisturbanceSpec(np.array([0.1, 0.2])))
+    between = tuple(replace(ax, name=f"U{i}", disturbance=None) for i in range(gap - 1))
+    axes = (ax,) + between + (replace(ax, name="Y"),)
+    scen = ScenarioConfig(chain_graph(1), 2, axes, 1e-2, 0.05, "implicit_euler", 3)
+    inits = {a.name: np.broadcast_to(ax.initial, (runs, 2, 2)) for a in axes}
+    if shared:
+        with pytest.raises(ValueError, match="share disturbance streams"):
+            simulate_batch(scen, inits)
+        # the guard leaves an axis with a seed of its own to its caller
+        seeded = replace(axes[-1], disturbance=replace(ax.disturbance, seed=10**6))
+        scen = replace(scen, axes=axes[:-1] + (seeded,))
+    batch = simulate_batch(scen, inits)
+    assert np.isfinite(batch.errsq_total).all()
 
 
 # -- axis independence ---------------------------------------------------------------
@@ -547,19 +570,17 @@ def _resting_follower(disturbed=False):
 
 
 def _implicit_steps(monkeypatch):
-    """Record, per implicit step, whether it snapped every curved row and
-    returned its input errors bit for bit."""
+    """Count the implicit steps, one list entry each."""
     import homocon.simulation as simulation
 
     steps = []
     step = simulation._Block.step_implicit
 
-    def recorded(self, E, *args):
-        out = step(self, E, *args)
-        steps.append(self.snapped and simulation._same_bits(out[0], E))
-        return out
+    def counted(self, *args):
+        steps.append(None)
+        return step(self, *args)
 
-    monkeypatch.setattr(simulation._Block, "step_implicit", recorded)
+    monkeypatch.setattr(simulation._Block, "step_implicit", counted)
     return steps
 
 
@@ -587,7 +608,7 @@ def _without_shortcuts(monkeypatch):
     import homocon.simulation as simulation
 
     monkeypatch.setattr(simulation, "_NEWTON_STEP", -1.0)
-    monkeypatch.setattr(simulation, "_same_bits", lambda x, y: False)
+    _without_retirement(monkeypatch)
 
 
 def test_settled_block_fast_path_is_bit_exact(monkeypatch):
@@ -601,12 +622,14 @@ def test_settled_block_fast_path_is_bit_exact(monkeypatch):
     steps = _implicit_steps(monkeypatch)
     blocks = _blocks(monkeypatch)
     fast_traj = simulate(scen)
-    # node 720 (t = 7.2) repeats node 719; the leaders ran alone after it
-    assert blocks[0].settled_node == 720
+    # the rows rest from node 719 (t = 7.19) on; the third chunk's end,
+    # node 768, settles the block, and the leaders ran alone after it
+    assert blocks[0].settled_node == 768
+    assert _same_arrays(fast_traj.axes[0].errors[719], fast_traj.axes[0].errors[720])
     # the origin test runs only on steps where a row that does not yet
     # rest on the origin is within the law's reach of it
     assert blocks[0].origin_tests == 17
-    assert len(steps) == 720
+    assert len(steps) == 768
     del steps[:]
     nodes = []
     hnorm = simulation._Axis.hnorm
@@ -617,12 +640,12 @@ def test_settled_block_fast_path_is_bit_exact(monkeypatch):
 
     monkeypatch.setattr(simulation._Axis, "hnorm", counted)
     fast_batch = simulate_batch(scen, inits)
-    # the largest run settles last, at the same node; the third chunk
-    # reduces its nodes up to it, the batch ends, and each of the two
-    # later chunks is reduced from the settled node alone
-    assert blocks[1].settled_node == 720
-    assert len(steps) == 720
-    assert nodes == [_DRAW_CHUNK + 1, _DRAW_CHUNK, 720 - 2 * _DRAW_CHUNK, 1, 1]
+    # the largest run comes to rest last, in the same chunk; the third
+    # chunk is reduced, the batch ends, and each of the two later chunks
+    # is reduced from the settled node alone
+    assert blocks[1].settled_node == 768
+    assert len(steps) == 768
+    assert nodes == [_DRAW_CHUNK + 1, _DRAW_CHUNK, _DRAW_CHUNK, 1, 1]
     _without_shortcuts(monkeypatch)
     traj, batch = simulate(scen), simulate_batch(scen, inits)
     assert blocks[2].settled_node is None and blocks[3].settled_node is None
@@ -639,18 +662,20 @@ def test_fast_path_waits_for_undisturbed_settled_rows(monkeypatch):
     ax_y = AxisSpec("Y", linear_protocol(2, 1.0),
                     np.array([[0.0, 0.0], [-1.0, 0.5], [-2.0, 0.5], [-3.0, 1.0]]))
     scen = _settling_scenario((ax_y,))
-    steps = _implicit_steps(monkeypatch)
+    blocks = _blocks(monkeypatch)
     traj = simulate(scen)
-    assert len(steps) == scen.steps
+    assert blocks[0].settled_node is None
     assert np.all(traj.axis("X").errors[-1] == 0.0)
     assert np.all(traj.axis("Y").errors[-1] != 0.0)
-    # under matched disturbances the mu = -1 axes slide: steps snap every
-    # row and repeat their errors, but the next draw may move them
-    del steps[:]
-    scen = replace(_mu_minus_one(), horizon=2.0)
-    simulate(scen)
-    assert len(steps) == scen.steps
-    assert any(steps)
+    # under matched disturbances the mu = -1 axes slide: steps place
+    # every row on the origin and repeat their errors, but a later draw
+    # could move them, so the block never settles
+    traj = simulate(replace(_mu_minus_one(), horizon=2.0))
+    assert blocks[1].settled_node is None
+    errors = np.concatenate([ax.errors for ax in traj.axes], axis=1)
+    bits = errors.reshape(len(errors), -1).view(np.uint64)
+    repeats = np.nonzero((bits[1:] == 0).all(axis=1) & (bits[:-1] == 0).all(axis=1))[0]
+    assert repeats.size
 
 
 # -- retired rows ----------------------------------------------------------------------
@@ -659,13 +684,16 @@ def test_fast_path_waits_for_undisturbed_settled_rows(monkeypatch):
 # bit for bit, runs that keep every row working, with the same counts.
 
 _STEP_COUNTS = ("newton_calls", "newton_passes", "newton_step_stops", "fallback_rows",
-                "fallback_passes", "origin_tests", "settled_node")
+                "fallback_passes", "origin_tests")
 
 
 def _without_retirement(monkeypatch):
+    """Keep every curved row working and the block unsettled, so that the
+    steps run to the horizon: a settled block's later steps would rest
+    every row, with no Newton and no origin test."""
     import homocon.simulation as simulation
 
-    monkeypatch.setattr(simulation._Block, "retire", lambda self, E, s: None)
+    monkeypatch.setattr(simulation._Block, "retire", lambda self, s: False)
 
 
 def _working_rows(monkeypatch):
@@ -676,27 +704,28 @@ def _working_rows(monkeypatch):
     rows = []
     retire = simulation._Block.retire
 
-    def recorded(self, E, s):
-        retire(self, E, s)
+    def recorded(self, s):
+        settled = retire(self, s)
         rows.append((self.retired_rows, len(self.curved) * self.group_rows))
+        return settled
 
     monkeypatch.setattr(simulation._Block, "retire", recorded)
     return rows
 
 
 def test_retired_rows_keep_every_bit_of_a_batch(monkeypatch):
-    # smaller runs settle sooner: rows leave the working set at the
-    # chunk boundaries 256 and 512, and the batch settles at node 720
+    # smaller runs come to rest sooner: rows leave the working set at
+    # the chunk boundaries 256 and 512, and the batch settles at 768
     scen = _settling_scenario()
     inits = {"X": scen.axes[0].initial[None] * np.array([1.0, 0.3, 0.01, 0.001])[:, None, None]}
     blocks = _blocks(monkeypatch)
     rows = _working_rows(monkeypatch)
     fast = simulate_batch(scen, inits)
-    assert rows == [(3, 9), (7, 5)]
+    assert rows == [(3, 9), (7, 5), (7, 5)]
     _without_retirement(monkeypatch)
     slow = simulate_batch(scen, inits)
     assert blocks[1].retired_rows == 0
-    assert blocks[0].settled_node == 720
+    assert (blocks[0].settled_node, blocks[1].settled_node) == (768, None)
     assert [getattr(blocks[0], c) for c in _STEP_COUNTS] == [getattr(blocks[1], c) for c in _STEP_COUNTS]
     for field in ("efirst_max", "hnorm", "phimin"):
         assert _same_arrays(getattr(fast, field)["X"], getattr(slow, field)["X"]), field
@@ -713,14 +742,14 @@ def test_retired_rows_keep_every_bit_of_a_batch(monkeypatch):
         # them, at rest, stays working
         (lambda: _settling_scenario((AxisSpec("Y", linear_protocol(2, 1.0), np.array(
             [[0.0, 0.0], [-1.0, 0.5], [-2.0, 0.5], [-3.0, 1.0]])),)), [(0, 3)] * 2 + [(2, 1)] * 3),
-        (_resting_follower, [(1, 2), (1, 2)]),
+        (_resting_follower, [(1, 2)] * 3),
         # a disturbed curved axis keeps every row working
         (lambda: _resting_follower(True), [(0, 6)] * 5),
         # undisturbed mu = -1 axes: the bracketed solve runs on working
         # rows of both axes after some rows retired
         (lambda: replace(_mu_minus_one(), horizon=3.0, axes=tuple(
             replace(ax, disturbance=None) for ax in _mu_minus_one_axes())),
-         [(0, 6)] * 3 + [(2, 4)] * 2 + [(4, 2)]),
+         [(0, 6)] * 3 + [(2, 4)] * 2 + [(4, 2)] * 2),
     ],
     ids=["mu-0.2-two-axes", "mu-0.2-and-linear", "mu-0.2-resting", "mu-0.2-resting-and-disturbed",
          "mu-1-undisturbed"],
@@ -733,7 +762,7 @@ def test_retired_rows_keep_every_bit(make, rows, monkeypatch):
     assert working == rows
     _without_retirement(monkeypatch)
     slow = simulate(scen)
-    assert blocks[1].retired_rows == 0
+    assert (blocks[1].retired_rows, blocks[1].settled_node) == (0, None)
     assert [getattr(blocks[0], c) for c in _STEP_COUNTS] == [getattr(blocks[1], c) for c in _STEP_COUNTS]
     for a, b in zip(fast.axes, slow.axes):
         for field in ("states", "errors", "controls", "hnorm", "barrier", "disturbance"):
@@ -836,23 +865,31 @@ def _preset(run):
 
 
 @pytest.mark.parametrize(
-    "make",
-    [lambda: _preset("homogeneous_nominal"), lambda: _preset("homogeneous_robust"),
-     _curved_and_linear_cyclic],
-    ids=["mu-0.2", "mu-1-disturbed", "mu-0.5-n3"],
+    "make, passes",
+    [(lambda: _preset("homogeneous_nominal"), 10), (lambda: _preset("homogeneous_robust"), 10),
+     (lambda: _preset("homogeneous_robust"), 3), (_curved_and_linear_cyclic, 10)],
+    ids=["mu-0.2", "mu-1-disturbed", "mu-1-disturbed-3-passes", "mu-0.5-n3"],
 )
-def test_recorded_controls_solve_the_implicit_law(make):
+def test_recorded_controls_solve_the_implicit_law(make, passes, monkeypatch):
     # under implicit Euler controls[k] is the law at node k, so the step's
     # root solve must leave w = u(e) to its stopping tolerance. Where the
     # mu = -1 law is discontinuous, two kinds of node cannot meet it: an
     # error snapped exactly to the origin, where the law is set-valued and
     # the control must be one of its values, and a jump of the law across
     # the diagonal, where the step's residual w - u(a + w beta) changes
-    # sign within 1e-13 (1 + |w|)
+    # sign within 1e-13 (1 + |w|). With fewer Newton passes, the rows
+    # still open after the last one take the bracketed solve, which must
+    # meet the law as well
     import homocon.simulation as simulation
 
     scen = make()
+    blocks = _blocks(monkeypatch)
+    if passes != simulation._NEWTON_PASSES:
+        simulate(scen)
+        monkeypatch.setattr(simulation, "_NEWTON_PASSES", passes)
     traj = simulate(scen)
+    if len(blocks) == 2:
+        assert blocks[1].fallback_rows > blocks[0].fallback_rows
     block = simulation._Block(scen, [ax.initial[None] for ax in scen.axes])
     for ax in scen.axes:
         at = traj.axis(ax.name)
@@ -1549,14 +1586,14 @@ def test_failed_streamed_run_leaves_an_empty_csv(tmp_path, monkeypatch, fail):
 
 
 def test_leader_overflow_after_settling_fails_and_leaves_an_empty_csv(tmp_path, monkeypatch):
-    # the errors settle at node 720, where the integration ends, but the
-    # leaders move on: Y's, whose followers sit on it, leaves the float
+    # the errors rest from node 719, and the integration ends at the end
+    # of that chunk, node 768, but the leaders move on: Y's, whose followers sit on it, leaves the float
     # range at t = 11.5, in the last chunk the recording derives after it
     huge = np.array([[1.7e308, 8.5e305]] * 4)
     scen = _settling_scenario((reference_axis("Y", init=huge),))
     blocks = _blocks(monkeypatch)
     short = simulate(replace(scen, horizon=11.0))
-    assert blocks[0].settled_node == 720
+    assert blocks[0].settled_node == 768
     assert np.isfinite(short.axis("Y").states).all()
     path = tmp_path / "run.csv"
     path.write_text("an older file\n")

@@ -20,9 +20,10 @@ blocks have the shapes of the benchmark's workloads:
   while the others still move.
 
 Each block is stepped 50 times from its initial errors, so that the
-Newton has warm starts, and then retires the curved rows that rest on
-the origin (``_Block.retire``, which ``_integrate`` calls at each draw
-chunk's end): ``sweep_300x1_rest`` works on its 201 moving rows, the
+Newton has warm starts, and then retires the curved rows at rest, those
+of undisturbed axes with log norm -inf (``_Block.retire``, which
+``_integrate`` calls at each draw chunk's end, where it also finds a
+settled block): ``sweep_300x1_rest`` works on its 201 moving rows, the
 other blocks on all their rows. That state is the fixed input. The
 record gives each block's working curved ``rows`` and its ``retired``
 ones. Timed per block: ``residual`` (``_log_norm_residual`` on the
@@ -162,7 +163,7 @@ def warm_state(scen, inits, dq):
         w, s = block.eval(E, None)
         for _ in range(WARM_STEPS):
             E, w, s = block.step_implicit(E, dqb, w, s)
-    block.retire(E, s)
+    block.retire(s)
     return block, E, w, s, dqb
 
 

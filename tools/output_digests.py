@@ -1,7 +1,9 @@
 """One sha256 per (seed, workload) over every output of the benchmark's
-workloads, to show that a change keeps the program's outputs bit for bit.
+workloads, and one per file of a ``homocon reproduce-paper`` run, to show
+that a change keeps the program's outputs bit for bit.
 
     python tools/output_digests.py --seeds 11,12 [--workloads cyclic_cli,sweep_nominal]
+    python tools/output_digests.py --reproduce-paper
 
 It imports ``homocon`` from ``src/`` and the workloads from
 ``perfbench/workloads.py`` of the checkout it lies in, unchanged. Each
@@ -13,6 +15,12 @@ writes under its ``--output`` directory (by relative path, before the op
 removes it) goes into the digest, in the order the ops make them. Two
 checkouts with equal digests at a seed made the same outputs there. A
 failed op stops the tool.
+
+``--reproduce-paper`` runs ``reproduce-paper`` into a fresh directory
+and prints ``reproduce-paper <file> <sha256>`` for each file it wrote,
+the sha256 of the file's bytes: its 20 s presets reach the simulator's
+settled path, which the 6.5 s ``paper_presets`` workload never does. A
+nonzero exit of the command stops the tool.
 """
 
 from __future__ import annotations
@@ -32,9 +40,14 @@ WORKLOADS = ("paper_presets", "sweep_nominal", "sweep_disturbed", "cyclic_cli")
 
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--seeds", required=True, help="comma list of seeds")
+    p.add_argument("--seeds", default="", help="comma list of seeds")
     p.add_argument("--workloads", default=",".join(WORKLOADS))
-    return p.parse_args(argv)
+    p.add_argument("--reproduce-paper", action="store_true",
+                   help="also print the sha256 of each file of a reproduce-paper run")
+    args = p.parse_args(argv)
+    if not (args.seeds or args.reproduce_paper):
+        p.error("give --seeds, --reproduce-paper or both")
+    return args
 
 
 def _add(h, name: str, value) -> None:
@@ -99,12 +112,30 @@ def digest(name: str, seed: int) -> str:
     return h.hexdigest()
 
 
+def reproduce_paper_digests() -> list:
+    """Run ``reproduce-paper`` in a fresh directory and return (relative
+    path, sha256 of its bytes) for every file it wrote."""
+    from homocon import cli
+
+    with tempfile.TemporaryDirectory(prefix="digests-") as workdir, \
+            contextlib.redirect_stdout(sys.stderr):
+        out = Path(workdir) / "out"
+        code = cli.main(["reproduce-paper", "--output", str(out)])
+        if code:
+            raise SystemExit(f"reproduce-paper exited with {code}")
+        return [(path.relative_to(out).as_posix(), hashlib.sha256(path.read_bytes()).hexdigest())
+                for path in sorted(out.rglob("*")) if path.is_file()]
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    for seed in (int(s) for s in args.seeds.split(",")):
+    for seed in (int(s) for s in args.seeds.split(",") if s):
         for name in args.workloads.split(","):
             print(f"{seed} {name} {digest(name, seed)}", flush=True)
+    if args.reproduce_paper:
+        for name, sha in reproduce_paper_digests():
+            print(f"reproduce-paper {name} {sha}", flush=True)
     return 0
 
 
