@@ -884,11 +884,10 @@ def test_recorded_controls_solve_the_implicit_law(make, passes, monkeypatch):
 
     scen = make()
     blocks = _blocks(monkeypatch)
-    if passes != simulation._NEWTON_PASSES:
-        simulate(scen)
-        monkeypatch.setattr(simulation, "_NEWTON_PASSES", passes)
     traj = simulate(scen)
-    if len(blocks) == 2:
+    if passes != simulation._NEWTON_PASSES:
+        monkeypatch.setattr(simulation, "_NEWTON_PASSES", passes)
+        traj = simulate(scen)
         assert blocks[1].fallback_rows > blocks[0].fallback_rows
     block = simulation._Block(scen, [ax.initial[None] for ax in scen.axes])
     for ax in scen.axes:
@@ -1587,8 +1586,9 @@ def test_failed_streamed_run_leaves_an_empty_csv(tmp_path, monkeypatch, fail):
 
 def test_leader_overflow_after_settling_fails_and_leaves_an_empty_csv(tmp_path, monkeypatch):
     # the errors rest from node 719, and the integration ends at the end
-    # of that chunk, node 768, but the leaders move on: Y's, whose followers sit on it, leaves the float
-    # range at t = 11.5, in the last chunk the recording derives after it
+    # of that chunk, node 768, but the leaders move on: Y's, whose
+    # followers sit on it, leaves the float range at t = 11.5, in the
+    # last chunk the recording derives after it
     huge = np.array([[1.7e308, 8.5e305]] * 4)
     scen = _settling_scenario((reference_axis("Y", init=huge),))
     blocks = _blocks(monkeypatch)
