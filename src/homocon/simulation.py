@@ -69,18 +69,23 @@ run's reductions (overshoot, norms, barrier minimum, squared error).
 Given a CSV destination, ``simulate`` has the CSV of a run longer than
 one draw chunk formatted by a forked writer process on another CPU while
 it integrates: the integration's loop is bound by dispatch, and
-formatting %.17g fields takes about a third of a preset run's time.
+formatting %.17g fields takes about a third of a preset run's time. Once
+the integration ends, the parent formats about half of the nodes the
+writer has not been sent, and appends them after the writer's.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import math
 import mmap
 import os
+import shutil
 import signal
 import struct
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -1047,12 +1052,13 @@ def simulate(cfg: ScenarioConfig, csv=None) -> Trajectory:
 
     The file is opened before the first step. A run of more than one
     draw chunk of steps has its CSV formatted by a forked writer process
-    while it integrates, where ``os.fork`` exists; it is reaped before
-    ``simulate`` returns or raises, and its failure raises OSError.
-    Other runs format each chunk here. Any failure, in the integration
-    or in the write, leaves the file at ``csv`` empty. Deterministic:
-    the same configuration and seed produce identical arrays and
-    byte-identical CSV files.
+    while it integrates, where ``os.fork`` exists; once the integration
+    ends, this process formats about half of the nodes the writer has
+    not been sent. The writer is reaped before ``simulate`` returns or
+    raises, and its failure raises OSError. Other runs format each chunk
+    here. Any failure, in the integration or in the write, leaves the
+    file at ``csv`` empty. Deterministic: the same configuration and
+    seed produce identical arrays and byte-identical CSV files.
     """
     times = np.arange(cfg.steps + 1) * cfg.dt
     inits = [ax.initial[None] for ax in cfg.axes]
@@ -1262,12 +1268,16 @@ class _CsvWriter:
     only when it holds data (``_empty``): the CLI hands over empty
     temporary files. ``start`` writes the header, or with ``fork`` forks
     a writer process that does; ``send`` appends the rows of a range of
-    nodes, or pipes the range to the writer, whose loop sends each range
-    it reads. ``finish`` completes the file, and raises OSError with a
-    forked writer's error. ``close`` kills and reaps a writer that was
-    not finished and closes what is still open; unless ``finish``
-    succeeded, it then empties the file, so that a failed run or write
-    leaves no partial CSV behind.
+    nodes, or queues the range for the writer, whose loop sends each
+    range it reads and then writes one byte to the parent, which keeps
+    two ranges in its pipe. ``finish`` completes the file: the parent
+    keeps the queued part of the last half of the nodes the writer has
+    not appended, if that is at least 64, formats it into an anonymous
+    spill file and appends it once it has reaped the writer; it raises
+    OSError with a forked writer's error. ``close`` kills and reaps a
+    writer that was not finished and closes what is still open; unless
+    ``finish`` succeeded, it then empties the file, so that a failed run
+    or write leaves no partial CSV behind.
     """
 
     def __init__(self, path, times):
@@ -1296,6 +1306,7 @@ class _CsvWriter:
             return
         fds = self.fds
         fds["ranges_in"], fds["ranges"] = os.pipe()
+        fds["acks"], fds["acks_out"] = os.pipe()
         fds["errors"], fds["errors_out"] = os.pipe()
         cpu = _current_cpu()
         self.pid = os.fork()
@@ -1313,6 +1324,7 @@ class _CsvWriter:
                 with open(fds["ranges_in"], "rb") as ranges:
                     while msg := ranges.read(16):
                         self.send(*struct.unpack("2q", msg))
+                        os.write(fds["acks_out"], b"\0")
                 self.finish()
                 status = 0
             except BaseException as exc:
@@ -1324,8 +1336,10 @@ class _CsvWriter:
                     pass
             finally:
                 os._exit(status)
-        for name in ("ranges_in", "errors_out"):
+        for name in ("ranges_in", "acks_out", "errors_out"):
             os.close(fds.pop(name))
+        os.set_blocking(fds["acks"], False)
+        self.queued, self.sent = collections.deque(), []
 
     def send(self, k0: int, k1: int) -> None:
         """Append the rows of the nodes k0..k1-1."""
@@ -1333,24 +1347,59 @@ class _CsvWriter:
             for k in range(k0, k1, 512):
                 self.fh.write(self.layout.text(self.times, slice(k, min(k + 512, k1))))
             return
+        self.queued.append((k0, k1))
         try:
-            os.write(self.fds["ranges"], struct.pack("2q", k0, k1))
+            self._pump()
         except BrokenPipeError:
             self.finish()  # the writer ended early: raises its error
             raise
+
+    def _pump(self) -> None:
+        """Forget the ranges the writer has appended, and send it queued
+        ones until two are in its pipe."""
+        with contextlib.suppress(BlockingIOError):
+            del self.sent[:len(os.read(self.fds["acks"], 64))]
+        while self.queued and len(self.sent) < 2:
+            self.sent.append(self.queued.popleft())
+            os.write(self.fds["ranges"], struct.pack("2q", *self.sent[-1]))
+
+    def _hand_over(self):
+        """Send the writer the queued nodes but the parent's share, and end
+        its input; return the share's spill (None without a share), first
+        and end node."""
+        spill, split, k1 = None, 0, 0
+        with contextlib.suppress(BrokenPipeError):  # the writer ended early: finish reports it
+            self._pump()
+            if self.queued:
+                k0, k1 = self.queued[0][0], self.queued[-1][1]
+                split = max(k0, k1 - (k1 - (self.sent or self.queued)[0][0]) // 2)
+                if k1 - split >= 64:
+                    with contextlib.suppress(OSError):  # else the writer formats it
+                        spill = tempfile.TemporaryFile("w+", newline="\n")
+                split = k1 if spill is None else split
+                os.write(self.fds["ranges"], struct.pack("2q", k0, split))
+        os.close(self.fds.pop("ranges"))
+        return spill, split, k1
 
     def finish(self) -> None:
         if self.fh is not None:
             fh, self.fh = self.fh, None
             fh.close()
         else:
-            os.close(self.fds.pop("ranges"))
-            _, status = os.waitpid(self.pid, 0)
-            self.pid = None
-            if status:
-                with open(self.fds.pop("errors"), "rb") as fh:
-                    error = fh.read().decode(errors="replace")
-                raise OSError(f"trajectory writer failed: {error or os.waitstatus_to_exitcode(status)}")
+            spill, k0, k1 = self._hand_over()
+            with spill or contextlib.nullcontext():
+                for k in range(k0, k1, 64):  # small blocks keep the parent's peak memory low
+                    spill.write(self.layout.text(self.times, slice(k, min(k + 64, k1))))
+                _, status = os.waitpid(self.pid, 0)
+                self.pid = None
+                if status:
+                    with open(self.fds.pop("errors"), "rb") as fh:
+                        error = fh.read().decode(errors="replace")
+                    raise OSError(f"trajectory writer failed: {error or os.waitstatus_to_exitcode(status)}")
+                if spill:  # the writer has written every node before the share
+                    spill.seek(0)
+                    with open(self.fds["file"], "wb", closefd=False) as fh:
+                        shutil.copyfileobj(spill.buffer, fh)
         self.finished = True
 
     def close(self) -> None:

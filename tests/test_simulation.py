@@ -1485,8 +1485,9 @@ def test_csv_equals_every_field_formatted(tmp_path):
 def _streamed_cases():
     """Scenarios for the streamed CSV: a disturbed axis, an undisturbed
     one, a disturbed axis whose amplitudes are all 0 and a linear axis
-    without a cone, over horizons on both sides of one draw chunk; and a
-    run that settles into its leader-only tail."""
+    without a cone, over horizons on both sides of one draw chunk and
+    one of eight chunks; and a run that settles into its leader-only
+    tail."""
     axes = (
         reference_axis("X%d", disturbance=DisturbanceSpec(np.array([0.0, 0.3, 0.2, 0.1]), seed=4)),
         reference_axis("Y", mu=-0.5),
@@ -1495,17 +1496,74 @@ def _streamed_cases():
     )
     cases = {
         f"steps_{steps}": ScenarioConfig(chain_graph(), 2, axes, 1e-3, steps * 1e-3, "implicit_euler", 3)
-        for steps in (1, _DRAW_CHUNK, _DRAW_CHUNK + 1, 600)
+        for steps in (1, _DRAW_CHUNK, _DRAW_CHUNK + 1, 600, 2000)
     }
     cases["settled"] = _settling_scenario()
     return cases
 
 
-@pytest.mark.parametrize("case", sorted(_streamed_cases()))
+def _spill_dir(monkeypatch, path, make=True):
+    """Point ``TMPDIR``, where the parent's spill file goes, at ``path``.
+    ``tempfile`` reads the variable once, and passes over a directory
+    that is missing, so its cached ``tempdir`` names ``path`` too."""
+    import tempfile
+
+    if make:
+        path.mkdir()
+    monkeypatch.setenv("TMPDIR", str(path))
+    monkeypatch.setattr(tempfile, "tempdir", str(path))
+    return path
+
+
+def _hold_writer(monkeypatch):
+    """Keep the forked writer from formatting until the parent has ended
+    its input, so that the parent formats the later half of the nodes,
+    all queued but the two ranges in the writer's pipe. Returns the node
+    ranges of the parent's own ``text`` calls."""
+    import mmap
+    import time
+
+    import homocon.simulation as simulation
+
+    pid, calls, released = os.getpid(), [], mmap.mmap(-1, 1)  # shared with the writer
+    text, hand_over = simulation._CsvLayout.text, simulation._CsvWriter._hand_over
+
+    def held(self, times, ks):
+        if os.getpid() == pid:
+            calls.append(ks)
+        else:
+            deadline = time.monotonic() + 60.0
+            while not released[0] and time.monotonic() < deadline:
+                time.sleep(0.002)
+        return text(self, times, ks)
+
+    def handing_over(self):
+        try:
+            return hand_over(self)
+        finally:
+            released[0] = 1
+
+    monkeypatch.setattr(simulation._CsvLayout, "text", held)
+    monkeypatch.setattr(simulation._CsvWriter, "_hand_over", handing_over)
+    return calls
+
+
+# case -> (scenario, spill directory, nodes the parent formats)
+_SHARE_CASES = {
+    "steps_600_share": ("steps_600", "tmp", 89),  # 512..600: less than half, all that is queued
+    "steps_2000_share": ("steps_2000", "tmp", 1000),  # 1001..2000, half of the 2,001
+    "steps_2000_no_spill": ("steps_2000", "missing", 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_streamed_cases()) + sorted(_SHARE_CASES))
 def test_streamed_csv_is_the_csv_of_the_same_run(tmp_path, monkeypatch, case):
     # a run longer than one draw chunk formats its CSV in a forked writer
     # while it integrates; the file, written over a longer one, and the
-    # arrays are those of a run without a destination
+    # arrays are those of a run without a destination. In the share
+    # cases the writer is held until its input ends: the parent formats
+    # its share into a spill file that leaves nothing in TMPDIR, or,
+    # where no spill file can be made, the writer formats every node
     import homocon.simulation as simulation
     from oracles import write_trajectory_csv as write_every_field
 
@@ -1513,13 +1571,20 @@ def test_streamed_csv_is_the_csv_of_the_same_run(tmp_path, monkeypatch, case):
     start = simulation._CsvWriter.start
     monkeypatch.setattr(simulation._CsvWriter, "start",
                         lambda self, layout, fork: forks.append(fork) or start(self, layout, fork))
-    scen = _streamed_cases()[case]
+    name, spill, share = _SHARE_CASES.get(case, (case, None, 0))
+    scen = _streamed_cases()[name]
     plain = simulate(scen)
+    if spill is not None:
+        spills = _spill_dir(monkeypatch, tmp_path / spill, make=spill == "tmp")
+        parent_calls = _hold_writer(monkeypatch)
     (tmp_path / "streamed.csv").write_text("an older, longer file\n" * 200_000)
     streamed = simulate(scen, tmp_path / "streamed.csv")
     assert forks == [scen.steps > _DRAW_CHUNK]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    if spill is not None:
+        assert sum(ks.stop - ks.start for ks in parent_calls) == share
+        assert not spills.exists() if spill == "missing" else list(spills.iterdir()) == []
     assert _same_arrays(plain.times, streamed.times)
     assert plain.axis_names == streamed.axis_names
     for a, b in zip(plain.axes, streamed.axes):
@@ -1549,39 +1614,72 @@ def _fail_integration(monkeypatch, chunks):
     return NonConvergentStep
 
 
-def _fail_writer(monkeypatch, chunks):
+def _fail_writer(monkeypatch, chunks, forked=True):
+    """Fail the ``chunks``-th ``text`` call of the forked writer, or with
+    ``forked`` false of this process, with ENOSPC."""
     import errno
 
     import homocon.simulation as simulation
 
-    calls = []  # counted in the writer process
+    pid, calls = os.getpid(), []  # counted in the failing process alone
     text = simulation._CsvLayout.text
 
     def full(self, times, ks):
-        calls.append(1)
-        if len(calls) == chunks:
-            raise OSError(errno.ENOSPC, "No space left on device")
+        if (os.getpid() != pid) == forked:
+            calls.append(1)
+            if len(calls) == chunks:
+                raise OSError(errno.ENOSPC, "No space left on device")
         return text(self, times, ks)
 
     monkeypatch.setattr(simulation._CsvLayout, "text", full)
     return OSError
 
 
-@pytest.mark.parametrize("fail", [_fail_integration, _fail_writer])
-def test_failed_streamed_run_leaves_an_empty_csv(tmp_path, monkeypatch, fail):
-    # the writer has formatted several chunks when the run fails: the file
-    # is emptied rather than left holding a header and complete-looking
-    # nodes
-    error = fail(monkeypatch, 5)
+def _fail_parent_share(monkeypatch, chunks):
+    _hold_writer(monkeypatch)
+    return _fail_writer(monkeypatch, chunks, forked=False)
+
+
+def _streamed_failure(tmp_path):
     ax = reference_axis(disturbance=DisturbanceSpec(np.array([0.0, 0.3, 0.2, 0.1])))
     scen = ScenarioConfig(chain_graph(), 2, (ax,), 1e-3, 2.0, "implicit_euler", 3)
     path = tmp_path / "run.csv"
     path.write_text("an older file\n")
+    return scen, path
+
+
+@pytest.mark.parametrize("fail", [_fail_integration, _fail_writer, _fail_parent_share])
+def test_failed_streamed_run_leaves_an_empty_csv(tmp_path, monkeypatch, fail):
+    # the writer, or the parent formatting its share of the last nodes,
+    # has formatted several chunks when the run fails: the file is
+    # emptied rather than left holding a header and complete-looking
+    # nodes, and the spill file of the parent's share is gone
+    spills = _spill_dir(monkeypatch, tmp_path / "tmp")
+    error = fail(monkeypatch, 5)
+    scen, path = _streamed_failure(tmp_path)
     with pytest.raises(error):
         simulate(scen, path)
     assert path.read_bytes() == b""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert list(spills.iterdir()) == []
+
+
+def test_writer_failure_during_the_parent_share_raises_its_error(tmp_path, monkeypatch):
+    # the held writer fails on its first range once its input has ended,
+    # while the parent formats its share: simulate raises the writer's
+    # error, not a later one of its own
+    spills = _spill_dir(monkeypatch, tmp_path / "tmp")
+    _fail_writer(monkeypatch, 1)
+    parent_calls = _hold_writer(monkeypatch)
+    scen, path = _streamed_failure(tmp_path)
+    with pytest.raises(OSError, match=r"^trajectory writer failed: \[Errno \d+\] No space left on device$"):
+        simulate(scen, path)
+    assert parent_calls
+    assert path.read_bytes() == b""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert list(spills.iterdir()) == []
 
 
 def test_leader_overflow_after_settling_fails_and_leaves_an_empty_csv(tmp_path, monkeypatch):
@@ -1631,7 +1729,7 @@ def test_failed_csv_write_leaves_an_empty_file(tmp_path, monkeypatch, writer):
     assert len(traj.times) == 601
     path = tmp_path / "run.csv"
     path.write_text("an older file\n")
-    error = _fail_writer(monkeypatch, 2)
+    error = _fail_writer(monkeypatch, 2, forked=False)
     with pytest.raises(error):
         if writer == "write_trajectory_csv":
             write_trajectory_csv(traj, path)
