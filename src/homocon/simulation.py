@@ -31,8 +31,11 @@ its draw chunk, and the step writes for it the values it would compute
 again, so the screen, the Newton and the residual work on the rows that
 still move. A chunk whose last two nodes have every row at rest ends on
 a node that every later node repeats, errors, controls and norms: both
-entry points stop integrating there, and both recorders derive each
-later chunk of nodes from that node alone.
+entry points stop integrating there. ``simulate`` derives each later
+chunk of nodes from that node alone; a batch copies that node's
+reductions over the rest of the horizon, but only those with a bit set,
+since its series start zeroed, so a settled tail of +0.0 is never
+written.
 
 The integrator advances the follower errors e_i = x_i - x_0 alone, which
 evolve without reading the leader's state, so differencing two O(10)
@@ -842,9 +845,8 @@ class _ChunkRecord:
     errors, curved-row log norms and, where ``u`` is a buffer (a
     recording's), controls; once the chunk ends, ``reduce`` has
     ``derive`` turn them into the run's outputs from ``series``. Once the
-    block has settled, ``reduce`` moves the settled node, which every
-    later node repeats, to the buffer's first row and derives each later
-    chunk from it alone (``count`` 1), broadcast over the chunk's nodes.
+    block has settled, ``settle`` fills in the rest of the horizon, whose
+    every node repeats the settled one.
     """
 
     def __init__(self, block: _Block, T: int, controls: bool):
@@ -881,12 +883,7 @@ class _ChunkRecord:
         count = self.stop - self.start
         self.derive(slice(self.start, self.stop), count)
         if self.block.settled_node is not None:
-            for x in (self.E, self.s, self.u):
-                if x is not None:
-                    x[0] = x[count - 1]
-            while self.stop <= self.T:
-                self.start, self.stop = self.stop, min(self.stop + len(self.E), self.T + 1)
-                self.derive(slice(self.start, self.stop), 1)
+            self.settle(count)
         self.start = self.stop
 
 
@@ -937,6 +934,16 @@ class _TrajectoryRecord(_ChunkRecord):
         for g, q in qhat.items():
             self.axes[g].disturbance[k:k + q.shape[0]] = q[:, 0]
 
+    def settle(self, count):
+        """Moves the settled node, the ``count``-th buffered one, to the
+        buffer's first row and derives each later chunk from it alone
+        (``count`` 1), broadcast over the chunk's nodes."""
+        for x in (self.E, self.s, self.u):
+            x[0] = x[count - 1]
+        while self.stop <= self.T:
+            self.start, self.stop = self.stop, min(self.stop + len(self.E), self.T + 1)
+            self.derive(slice(self.start, self.stop), 1)
+
     def derive(self, ks, count):
         block, final = self.block, ks.stop == self.T + 1
         k1 = ks.start or 1  # the first node a step reaches
@@ -971,16 +978,18 @@ class _BatchRecord(_ChunkRecord):
     """Per-run reductions of every axis, for ``simulate_batch``, keyed by
     axis name, of what ``series`` derives; the squared errors of the axes
     are summed in ``cfg.axes`` order. They read errors only, so the
-    leaders are never stepped.
+    leaders are never stepped. The series start zeroed, and the kernel
+    maps their pages on first write, so a settled tail of +0.0 costs no
+    memory.
     """
 
     def __init__(self, block: _Block, T: int):
         super().__init__(block, T, False)
         B, N = block.B, block.N
         axes = [g.spec for g in block.in_order]
-        self.efirst_max = {ax.name: np.empty((T + 1, B)) for ax in axes}
-        self.hnorm = {ax.name: np.empty((T + 1, B, N)) for ax in axes}
-        self.phimin = {ax.name: np.empty((T + 1, B)) if ax.cone is not None else None for ax in axes}
+        self.efirst_max = {ax.name: np.zeros((T + 1, B)) for ax in axes}
+        self.hnorm = {ax.name: np.zeros((T + 1, B, N)) for ax in axes}
+        self.phimin = {ax.name: np.zeros((T + 1, B)) if ax.cone is not None else None for ax in axes}
         self.errsq = np.zeros((T + 1, B))  # 0.0 + x is x, for every x >= 0, inf and nan
 
     def derive(self, ks, count):
@@ -992,6 +1001,15 @@ class _BatchRecord(_ChunkRecord):
             self.errsq[ks] += np.einsum("tbij,tbij->tb", E_, E_)
             if barrier is not None:
                 self.phimin[name][ks] = rowsum(barrier.reshape(count, B, N * n), np.minimum)
+
+    def settle(self, count):
+        """Copies each series' value at the settled node, which its chunk
+        derived, over the rest of the horizon, unless every bit of it is
+        0: a -0.0 is written too."""
+        k = self.block.settled_node
+        for x in (self.errsq, *self.efirst_max.values(), *self.hnorm.values(), *self.phimin.values()):
+            if x is not None and x[k].view(np.uint64).any():
+                x[k + 1:] = x[k]
 
 
 def _integrate(cfg: ScenarioConfig, inits, recorder, dist_scales=None):
@@ -1036,7 +1054,10 @@ def _integrate(cfg: ScenarioConfig, inits, recorder, dist_scales=None):
 
 @dataclass(frozen=True, eq=False)
 class BatchResult:
-    """Per-run reductions from one batched sweep (time-major arrays)."""
+    """Per-run reductions from one batched sweep (time-major arrays).
+    Past a settled node every array repeats that node bit for bit; a
+    value of +0.0 there was never written, so those pages take no memory
+    until the caller writes them."""
 
     times: np.ndarray
     axis_names: tuple
@@ -1071,9 +1092,10 @@ def simulate_batch(
     cfg: ScenarioConfig, initial_batches: dict, disturbance_scales=None
 ) -> BatchResult:
     """Integrate many runs of one scenario that differ only in their
-    initial states; ``initial_batches`` maps axis name -> (B, N+1, n),
-    one B >= 1 for every axis, with finite initial errors (else
-    ValueError before any step).
+    initial states; ``initial_batches`` maps each axis name, and no
+    other key, to (B, N+1, n), one B >= 1 for every axis, with finite
+    initial errors (else ValueError before any step, which names the
+    unknown and missing axes).
 
     Run b's reductions equal, bit for bit, those of ``simulate`` with
     that run's initial states; disturbed runs use per-run generators
@@ -1086,19 +1108,22 @@ def simulate_batch(
     where ``simulate`` raises NonConvergentStep. Two disturbed axes
     without a seed at i < j in ``cfg.axes`` would share draws once
     B > 7919 (j - i): ValueError before any step. Once every run has
-    settled undisturbed, the rest of the horizon is reduced from the
-    settled node alone. The axes' names key the reductions, so they
-    must differ (else ValueError before any step).
+    settled undisturbed, the integration ends, and each reduction's
+    value at the settled node is copied over the rest of the horizon
+    unless it is +0.0, which the zeroed arrays already hold. The axes'
+    names key the reductions, so they must differ (else ValueError
+    before any step).
     """
-    if len({ax.name for ax in cfg.axes}) != len(cfg.axes):
+    names = tuple(ax.name for ax in cfg.axes)
+    if len(set(names)) != len(names):
         raise ValueError("simulate_batch needs distinct axis names")
+    unknown = [k for k in initial_batches if k not in names]
+    missing = [k for k in names if k not in initial_batches]
+    if unknown or missing:
+        raise ValueError(f"initial_batches must key every axis: unknown {unknown}, missing {missing}")
     times = np.arange(cfg.steps + 1) * cfg.dt
-    rec = _integrate(
-        cfg, [initial_batches.get(ax.name) for ax in cfg.axes], _BatchRecord, disturbance_scales
-    )
-    return BatchResult(
-        times, tuple(ax.name for ax in cfg.axes), rec.efirst_max, rec.hnorm, rec.phimin, rec.errsq
-    )
+    rec = _integrate(cfg, [initial_batches[k] for k in names], _BatchRecord, disturbance_scales)
+    return BatchResult(times, names, rec.efirst_max, rec.hnorm, rec.phimin, rec.errsq)
 
 
 # ---------------------------------------------------------------------------

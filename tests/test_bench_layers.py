@@ -1,5 +1,5 @@
 """The layer timer's record, from one short run of each layer (no timing
-is asserted)."""
+is asserted) and one batch measured for memory."""
 
 import importlib.util
 import json
@@ -36,6 +36,11 @@ def test_record_holds_every_block_and_layer(tmp_path, capsys):
     for solver in ("solve_lmi_p", "solve_lmi_xy"):
         assert set(certs[solver]) == {f"n{n}" for n in range(2, 9)}
         assert all(0.0 < t["median_us"] for t in certs[solver].values())
+    # one sweep_nominal-shaped batch, which settles before the horizon's
+    # middle: its peak RSS grows by less than the series it returns
+    memory = record["batch_memory"]
+    assert (memory["runs"], memory["steps"]) == (100, 20000) and memory["minflt"] > 0
+    assert 0.0 < memory["peak_rss_growth_mb"] < memory["series_mb"]
     csv = record["csv"]
     assert csv["nodes"] == 512 and csv["bytes"] > 512 * 100
     assert csv["mb_per_s"] == csv["bytes"] / csv["median_us"] > 0.0

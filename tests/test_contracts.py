@@ -18,13 +18,16 @@ from homocon.protocols import (
     error_field,
     linear_protocol,
 )
-from homocon.simulation import DisturbanceSpec, ScenarioConfig, Trajectory, settling_time
+from homocon.simulation import DisturbanceSpec, ScenarioConfig, Trajectory, settling_time, simulate_batch
 from test_simulation import chain_graph, reference_axis
 
 GEN = DilationGenerator(2, -0.2)
 CTX = HomogeneousNormContext(GEN, np.eye(2))
 CHAIN = IntegratorChain(2)
 CONSENSUS = ProtocolKind.HOMOGENEOUS_CONSENSUS
+
+
+_RUNS = reference_axis().initial[None]  # one run of the reference axis
 
 
 def _scenario(axes=None, dt=1e-2, horizon=1.0, n=2):
@@ -44,6 +47,10 @@ CASES = {
     "unknown-axis": (lambda: Trajectory(np.zeros(1), ()).axis("Z"), KeyError, "no axis named 'Z'"),
     "settling-tol": (lambda: settling_time(Trajectory(np.zeros(1), ()), 0.0), ValueError,
                      "tol must be positive"),
+    "batch-unknown-axis": (lambda: simulate_batch(_scenario(), {"X": _RUNS, "Xtypo": _RUNS}), ValueError,
+                           r"unknown \['Xtypo'\], missing \[\]"),
+    "batch-missing-axis": (lambda: simulate_batch(_scenario(), {"Xtypo": _RUNS}), ValueError,
+                           r"unknown \['Xtypo'\], missing \['X'\]"),
     # protocols
     "gain-length": (lambda: ProtocolSpec(ProtocolKind.LINEAR, 2, np.ones(3)), DimensionMismatch,
                     "gain must have 2 entries"),

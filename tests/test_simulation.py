@@ -515,7 +515,7 @@ def test_two_axes_equal_each_axis_alone(case, monkeypatch):
         inits = {ax.name: ax.initial[None] * factors for ax in scen.axes}
         scales = [1.0, 0.5, 0.8]
         both = simulate_batch(scen, inits, scales)
-        singles = [simulate_batch(one, inits, scales) for one in alone]
+        singles = [simulate_batch(one, {ax.name: inits[ax.name]}, scales) for one, ax in zip(alone, scen.axes)]
         for ax, single in zip(scen.axes, singles):
             for field in ("efirst_max", "hnorm", "phimin"):
                 x, y = getattr(both, field)[ax.name], getattr(single, field)[ax.name]
@@ -641,11 +641,11 @@ def test_settled_block_fast_path_is_bit_exact(monkeypatch):
     monkeypatch.setattr(simulation._Axis, "hnorm", counted)
     fast_batch = simulate_batch(scen, inits)
     # the largest run comes to rest last, in the same chunk; the third
-    # chunk is reduced, the batch ends, and each of the two later chunks
-    # is reduced from the settled node alone
+    # chunk is reduced, the batch ends, and the rest of the horizon
+    # repeats the settled node's reductions with no derive of its own
     assert blocks[1].settled_node == 768
     assert len(steps) == 768
-    assert nodes == [_DRAW_CHUNK + 1, _DRAW_CHUNK, _DRAW_CHUNK, 1, 1]
+    assert nodes == [_DRAW_CHUNK + 1, _DRAW_CHUNK, _DRAW_CHUNK]
     _without_shortcuts(monkeypatch)
     traj, batch = simulate(scen), simulate_batch(scen, inits)
     assert blocks[2].settled_node is None and blocks[3].settled_node is None
@@ -654,6 +654,88 @@ def test_settled_block_fast_path_is_bit_exact(monkeypatch):
     for field in ("efirst_max", "hnorm", "phimin"):
         assert _same_arrays(getattr(fast_batch, field)["X"], getattr(batch, field)["X"]), field
     assert _same_arrays(fast_batch.errsq_total, batch.errsq_total)
+
+
+def _batch_series(batch):
+    return [batch.errsq_total] + [x for field in ("efirst_max", "hnorm", "phimin")
+                                  for x in getattr(batch, field).values() if x is not None]
+
+
+def test_batch_tail_repeats_the_settled_node_bit_for_bit(monkeypatch):
+    # a settled value of +0.0 is left as allocated, any other bits are
+    # written over the rest of the horizon: a -0.0 barrier minimum too
+    import homocon.simulation as simulation
+
+    scen = _settling_scenario()
+    inits = {"X": scen.axes[0].initial[None] * np.array([1.0, 0.5, 0.2])[:, None, None]}
+    blocks = _blocks(monkeypatch)
+    batch = simulate_batch(scen, inits)
+    k = blocks[0].settled_node
+    assert k == 768
+    for x in _batch_series(batch):
+        assert not x[k:].view(np.uint64).any()
+    barrier = simulation._Axis.barrier
+    # -|H z| is -0.0 at the origin
+    monkeypatch.setattr(simulation._Axis, "barrier", lambda self, E, s: -np.abs(barrier(self, E, s)))
+    negative = simulate_batch(scen, inits)
+    assert blocks[1].settled_node == k
+    for x in _batch_series(negative):
+        bits = x.view(np.uint64)
+        assert (bits[k + 1:] == bits[k]).all()
+    assert (negative.phimin["X"][k:].view(np.uint64) == np.float64(-0.0).view(np.uint64)).all()
+    _without_retirement(monkeypatch)
+    slow = simulate_batch(scen, inits)
+    assert blocks[2].settled_node is None
+    for x, y in zip(_batch_series(negative), _batch_series(slow)):
+        assert _same_arrays(x, y)
+
+
+_SETTLING_BATCH = """
+import os
+import resource
+import sys
+
+import numpy as np
+
+import homocon as hc
+
+ctx = hc.HomogeneousNormContext(hc.DilationGenerator(2, -0.2), np.array({P}))
+init = np.array([[1.0, 0.5], [-1.0, 1.5], [-2.5, 1.5], [-4.0, 2.0]]) * 1e-3
+axis = hc.AxisSpec("X", hc.nonovershoot_protocol(1.0, ctx), init, hc.ConeSpec(2, 1.0, -0.2))
+graph = hc.DirectedGraph.from_edges(3, [[1, 0, 1.0], [2, 1, 1.0], [3, 2, 1.0]])
+scen = hc.ScenarioConfig(graph, 2, (axis,), 1e-2, 200.0)
+# Linux carries ru_maxrss across exec, so this process starts from its
+# parent's peak; a forked child starts from this process's own pages
+if os.fork() == 0:
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    batch = hc.simulate_batch(scen, {{"X": np.repeat(init[None], 50, axis=0)}})
+    grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+    series = [batch.errsq_total, batch.efirst_max["X"], batch.hnorm["X"], batch.phimin["X"]]
+    print(1024 * grown, sum(x.nbytes for x in series), int(np.count_nonzero(batch.errsq_total[-1])))
+    sys.exit()
+sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))
+"""
+
+
+def test_settled_batch_tail_takes_no_memory():
+    # 50 runs settle at node 256 of 20,001: the 48 MB of series they
+    # return must not be written, so peak RSS grows by far less
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    pytest.importorskip("resource")
+    if not sys.platform.startswith("linux"):
+        pytest.skip("ru_maxrss is in kB on Linux alone")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", _SETTLING_BATCH.format(P=PUBLISHED_P.tolist())], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    grown, nbytes, moving = map(int, out.stdout.split())
+    # three (T + 1, B) series and the (T + 1, B, N) norms
+    assert nbytes == 8 * 20001 * 50 * (3 + 3) and moving == 0
+    assert grown < nbytes / 2
 
 
 def test_fast_path_waits_for_undisturbed_settled_rows(monkeypatch):
@@ -1814,12 +1896,15 @@ def _batch_of(shape, fill=0.5, leader=0.0):
         {"X": _batch_of((4, 2))},  # no run axis
         {"X": _batch_of((0, 4, 2))},
         {},  # KeyError at the parent
+        {"x": _batch_of((2, 4, 2))},  # "initial states of one shape" at the parent
+        {"X": _batch_of((2, 4, 2)), "Xtypo": _batch_of((2, 4, 2))},  # ran at the parent
         {"X": _batch_of((2, 4, 2)), "Y": _batch_of((3, 4, 2))},
         {"X": _batch_of((2, 4, 2), np.nan)},  # NonConvergentStep mid-run at the parent
         {"X": _batch_of((2, 4, 2), -np.inf)},
         {"X": _batch_of((2, 4, 2), 1.7e308, -1.7e308)},
     ],
-    ids=["3x3", "7x1", "4x3", "two-dimensional", "no-runs", "missing-axis", "runs-differ",
+    ids=["3x3", "7x1", "4x3", "two-dimensional", "no-runs", "missing-axis", "misspelled-axis",
+         "unknown-axis", "runs-differ",
          "nan", "inf", "overflowing-errors"],
 )
 def test_simulate_batch_rejects_bad_initial_batches(inits, monkeypatch):

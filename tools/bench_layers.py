@@ -46,6 +46,14 @@ timed, in the same runs:
   ``solve_lmi_xy`` on the integrator chain with n = 2..8 and
   mu = -0.5, each of which finds its certificate on the Lyapunov scan.
 
+Measured once, not timed: ``batch_memory``, the peak-RSS growth and the
+minor page faults (``ru_minflt``) of one ``simulate_batch`` of the
+``sweep_300x1`` scenario over ``sweep_nominal``'s 20 s horizon (20,000
+steps), beside the size of the ``BatchResult`` series it returns. It runs
+in a forked child, whose ``ru_maxrss`` (kB on Linux) starts from this
+process's resident pages; a child started by exec would start from its
+parent's peak.
+
 A run times
 one loop of calls of about ``--seconds`` for every block and layer in
 turn, so that the machine's slow phases fall on all of them alike; the
@@ -60,10 +68,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import platform
+import resource
 import statistics
 import sys
 import time
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -80,6 +91,7 @@ CSV_NODES = 512
 CERT_DIMS = range(2, 9)
 CERT_MU = -0.5
 CHAIN_EDGES = [[1, 0, 1.0], [2, 1, 1.0], [3, 2, 1.0]]
+BATCH_HORIZON = 20.0  # sweep_nominal's
 
 
 def parse_args(argv):
@@ -209,6 +221,39 @@ def derive_chunk(scen, inits, dq):
     return lambda: rec.derive(slice(0, nodes), nodes)
 
 
+def _measure_batch(scen, inits) -> dict:
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    batch = simulation.simulate_batch(scen, {"X": inits[0]})
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    series = [batch.errsq_total, *batch.efirst_max.values(), *batch.hnorm.values(), *batch.phimin.values()]
+    return {"runs": len(inits[0]), "steps": scen.steps,
+            "series_mb": sum(x.nbytes for x in series if x is not None) / 2**20,
+            "peak_rss_growth_mb": (after.ru_maxrss - before.ru_maxrss) / 1024,
+            "minflt": after.ru_minflt - before.ru_minflt}
+
+
+def batch_memory() -> dict:
+    """``batch_memory`` of the record, from a forked child."""
+    scen, inits, _ = _sweep(100, -0.2, False)
+    scen = replace(scen, horizon=BATCH_HORIZON)
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(r)
+        try:
+            os.write(w, json.dumps(_measure_batch(scen, inits)).encode())
+        except BaseException:
+            traceback.print_exc()
+            os._exit(1)
+        os._exit(0)
+    os.close(w)
+    with os.fdopen(r) as fh:
+        text = fh.read()
+    if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0:
+        raise RuntimeError("the batch_memory child failed")
+    return json.loads(text)
+
+
 def csv_text():
     """``_CsvLayout.text`` of CSV_NODES nodes of the preset, as
     ``write_trajectory_csv`` lays it out, and the text's size in bytes."""
@@ -269,6 +314,7 @@ def main(argv=None) -> int:
         "blocks": {},
         "derive": {},
         "certificates": {"mu": CERT_MU, "solve_lmi_p": {}, "solve_lmi_xy": {}},
+        "batch_memory": batch_memory(),
     }
     fns = {}
     for name, scen, inits, dq in blocks():
