@@ -238,14 +238,16 @@ def batch_memory() -> dict:
     scen = replace(scen, horizon=BATCH_HORIZON)
     r, w = os.pipe()
     pid = os.fork()
-    if pid == 0:
-        os.close(r)
+    if pid == 0:  # the child never returns into the caller's code
+        code = 1
         try:
+            os.close(r)
             os.write(w, json.dumps(_measure_batch(scen, inits)).encode())
-        except BaseException:
+            code = 0
+        except Exception:
             traceback.print_exc()
-            os._exit(1)
-        os._exit(0)
+        finally:
+            os._exit(code)
     os.close(w)
     with os.fdopen(r) as fh:
         text = fh.read()
